@@ -118,15 +118,18 @@ cache-determinism:
 
 # Population-run gate: a small fleet under the race detector, then the
 # workers-determinism contract — the same seed must produce byte-identical
-# JSON reports for a serial and an 8-way-concurrent run.
+# JSON reports for a serial and an 8-way-concurrent run — and the
+# all-background sentinel: -fidelity -1 must mean no full sessions at all.
 fleet-smoke:
 	$(GO) test -race -count=1 ./internal/fleet/
 	$(GO) build -o bin/vodfleet ./cmd/vodfleet
 	dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
-	bin/vodfleet -sessions 600 -seed 1 -workers 1 -q -nocache -json "$$dir/w1.json" && \
-	bin/vodfleet -sessions 600 -seed 1 -workers 8 -q -nocache -json "$$dir/w8.json" && \
+	bin/vodfleet -sessions 600 -seed 1 -workers 1 -q -json "$$dir/w1.json" && \
+	bin/vodfleet -sessions 600 -seed 1 -workers 8 -q -json "$$dir/w8.json" && \
 	cmp "$$dir/w1.json" "$$dir/w8.json" && \
-	echo "fleet-smoke: workers=1 and workers=8 reports are byte-identical"
+	bin/vodfleet -sessions 600 -seed 1 -fidelity -1 -q -json "$$dir/bg.json" && \
+	grep -q '"full_sessions": 0' "$$dir/bg.json" && \
+	echo "fleet-smoke: workers=1 and workers=8 reports are byte-identical; -fidelity -1 runs all-background"
 
 # Edge-cache determinism gate, mirroring fleet-smoke's cmp discipline
 # for the cdn tier (DESIGN.md §13). Three identities must hold:
@@ -149,17 +152,17 @@ fleet-cache-cmp:
 	$(GO) build -o bin/vodfleet ./cmd/vodfleet
 	dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
 	bin/vodfleet -sessions $(FLEET_CACHE_SESSIONS) -fidelity $(FLEET_CACHE_FIDELITY) \
-		-seed 1 -workers 4 -q -nocache -json "$$dir/off.json" && \
+		-seed 1 -workers 4 -q -json "$$dir/off.json" && \
 	bin/vodfleet -sessions $(FLEET_CACHE_SESSIONS) -fidelity $(FLEET_CACHE_FIDELITY) \
-		-seed 1 -workers 4 -q -nocache \
+		-seed 1 -workers 4 -q \
 		-cache edge:0,metro:-1,ttl=0 -json "$$dir/inf.json" && \
 	cmp "$$dir/off.json" "$$dir/inf.json" && \
 	bin/vodfleet -sessions $(FLEET_CACHE_SESSIONS) -fidelity $(FLEET_CACHE_FIDELITY) \
-		-seed 1 -workers 2 -q -nocache -memceiling-mb $(FLEET_CACHE_CEILING_MB) \
+		-seed 1 -workers 2 -q -memceiling-mb $(FLEET_CACHE_CEILING_MB) \
 		-cache $(FLEET_CACHE_SPEC) -coldcells 0-3 -cachefail cell=5,t=60s \
 		-json "$$dir/c2.json" && \
 	bin/vodfleet -sessions $(FLEET_CACHE_SESSIONS) -fidelity $(FLEET_CACHE_FIDELITY) \
-		-seed 1 -workers 8 -q -nocache -memceiling-mb $(FLEET_CACHE_CEILING_MB) \
+		-seed 1 -workers 8 -q -memceiling-mb $(FLEET_CACHE_CEILING_MB) \
 		-cache $(FLEET_CACHE_SPEC) -coldcells 0-3 -cachefail cell=5,t=60s \
 		-json "$$dir/c8.json" && \
 	cmp "$$dir/c2.json" "$$dir/c8.json" && \
@@ -189,13 +192,13 @@ fleet-scale:
 	fi; \
 	set -x; \
 	bin/vodfleet -sessions $(FLEET_SCALE_SESSIONS) -fidelity 0.05 -focus 8 -seed 1 \
-		-workers 2 -q -nocache -memceiling-mb $(FLEET_SCALE_CEILING_MB) -json "$$dir/w2.json" && \
+		-workers 2 -q -memceiling-mb $(FLEET_SCALE_CEILING_MB) -json "$$dir/w2.json" && \
 	bin/vodfleet -sessions $(FLEET_SCALE_SESSIONS) -fidelity 0.05 -focus 8 -seed 1 \
-		-workers 8 -q -nocache -memceiling-mb $(FLEET_SCALE_CEILING_MB) -json "$$dir/w8.json" && \
+		-workers 8 -q -memceiling-mb $(FLEET_SCALE_CEILING_MB) -json "$$dir/w8.json" && \
 	cmp "$$dir/w2.json" "$$dir/w8.json" && \
 	bin/vodfleet -sessions $(FLEET_SCALE_SESSIONS) -fidelity 0.05 -seed 1 \
 		-workers 8 -q -sweep hotspot=0,0.2 -json "$$dir/sweep.json" && \
 	bin/vodfleet -sessions $(FLEET_SCALE_SESSIONS) -fidelity 0.05 -seed 1 -hotspot 0.2 \
-		-workers 8 -q -nocache -json "$$dir/cold-hotspot.json" && \
+		-workers 8 -q -json "$$dir/cold-hotspot.json" && \
 	cmp "$$dir/sweep.json.hotspot=0.2" "$$dir/cold-hotspot.json" && \
 	echo "fleet-scale: $(FLEET_SCALE_SESSIONS) sessions byte-identical across worker counts under a $(FLEET_SCALE_CEILING_MB) MiB heap ceiling; warm sweep byte-identical to cold run"

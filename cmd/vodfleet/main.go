@@ -169,7 +169,6 @@ func main() {
 	jsonOut := flag.String("json", "", "write the full JSON report to this file (- for stdout)")
 	sweep := flag.String("sweep", "", "sweep one field over comma-separated values (field=v1,v2,...), sharing a cell-granular cache across runs")
 	quiet := flag.Bool("q", false, "suppress the text summary and plots")
-	noCache := flag.Bool("nocache", false, "bypass the in-process report memo")
 	plotW := flag.Int("plot-width", 72, "CDF plot width")
 	plotH := flag.Int("plot-height", 14, "CDF plot height")
 	flag.Parse()
@@ -272,12 +271,8 @@ func main() {
 		return
 	}
 
-	run := fleet.RunCached
-	if *noCache {
-		run = fleet.Run
-	}
 	start := time.Now()
-	rep, err := run(context.Background(), cfg, *workers)
+	rep, err := fleet.Run(context.Background(), cfg, *workers)
 	if err != nil {
 		log.Fatalf("vodfleet: %v", err)
 	}

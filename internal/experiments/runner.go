@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	schedpkg "repro/internal/sched"
 	"repro/internal/textplot"
 )
 
@@ -15,10 +16,15 @@ import (
 // pure-ish computation (fixed seeds, no cross-experiment state other
 // than the content-addressed caches in internal/expcache), so a full
 // report regeneration fans out across the process-wide scheduler (see
-// sched.go for the single-semaphore design). Determinism is preserved by
-// collecting results by index — paper order in, paper order out — never
-// by completion order; the same holds for the intra-experiment sweep
-// helper the heaviest experiments use.
+// internal/sched for the single-semaphore design). Determinism is
+// preserved by collecting results by index — paper order in, paper order
+// out — never by completion order; the same holds for the
+// intra-experiment sweep helper the heaviest experiments use.
+
+// sched is this package's reference to the process-wide scheduler.
+// Tests swap it to control parallelism independently of the machine's
+// core count.
+var sched = schedpkg.Global
 
 // Result is the outcome of one experiment run by RunAll.
 type Result struct {

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/expcache"
 	"repro/internal/origin"
+	schedpkg "repro/internal/sched"
 	"repro/internal/services"
 )
 
@@ -43,7 +44,7 @@ func TestRunAllDeterminism(t *testing.T) {
 	prev := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(prev)
 	prevSched := sched
-	sched = newScheduler(8)
+	sched = schedpkg.New(8)
 	defer func() { sched = prevSched }()
 
 	expcache.Default.Reset()
@@ -136,7 +137,7 @@ func TestRunAllCancelled(t *testing.T) {
 func TestSweepBoundedByScheduler(t *testing.T) {
 	const capacity = 4
 	prevSched := sched
-	sched = newScheduler(capacity)
+	sched = schedpkg.New(capacity)
 	defer func() { sched = prevSched }()
 
 	var running, peak atomic.Int64
@@ -177,7 +178,7 @@ func TestSweepCancellation(t *testing.T) {
 	// Hold the only scheduler slot so the sweep runs strictly inline and
 	// the cancellation point is deterministic.
 	prevSched := sched
-	sched = newScheduler(1)
+	sched = schedpkg.New(1)
 	defer func() { sched = prevSched }()
 	if err := sched.Acquire(context.Background()); err != nil {
 		t.Fatal(err)

@@ -34,10 +34,10 @@
 //
 // Fidelity contract: FidelityFull sets the per-client probability of
 // running the full player state machine; the rest run the background
-// tier (player.Background) — an analytically-stepped session model that
-// still moves every byte through the same water-filling network, so
-// coarse and full sessions shape each other. The mix is drawn per
-// client inside the cell's RNG stream.
+// tier — members of the cell's player.Cohort, an analytically-stepped
+// session model that still moves every byte through the same
+// water-filling network, so coarse and full sessions shape each other.
+// The mix is drawn per client inside the cell's RNG stream.
 package fleet
 
 import (
@@ -132,7 +132,9 @@ type Config struct {
 }
 
 // Normalized fills every default; the normalized config is what the
-// report echoes and what RunCached fingerprints.
+// report echoes and what CellCache fingerprints. It is not idempotent —
+// the negative FidelityFull/AbandonProb sentinels normalize to 0, which a
+// second pass would read as "default" — so Run normalizes exactly once.
 func (c Config) Normalized() (Config, error) {
 	if c.Sessions <= 0 {
 		return c, fmt.Errorf("fleet: Sessions must be positive")
@@ -544,29 +546,6 @@ func backgroundTemplate(org *origin.Origin) player.BackgroundConfig {
 	}
 }
 
-// memo caches fleet reports by config fingerprint for the lifetime of
-// the process (a vodfleet sweep or a test re-running the same config
-// pays the simulation once).
-var memo expcache.Memo[expcache.Key, *Report]
-
-// RunCached is the memoized counterpart of Run: reports are
-// content-addressed by the fingerprint of the normalized config (the
-// worker count is not part of the key — it cannot change the bytes).
-// Configs that somehow fail to fingerprint fall back to an uncached Run.
-func RunCached(ctx context.Context, cfg Config, workers int) (*Report, error) {
-	ncfg, err := cfg.Normalized()
-	if err != nil {
-		return nil, err
-	}
-	key, err := expcache.Fingerprint("fleet", expcache.EngineVersion, ncfg)
-	if err != nil {
-		return Run(ctx, cfg, workers) // unreachable for plain-data configs
-	}
-	return memo.Get(key, func() (*Report, error) {
-		return Run(ctx, ncfg, workers)
-	})
-}
-
 // sessMeta ties a finished session back to its population coordinates.
 type sessMeta struct {
 	client Client
@@ -652,11 +631,9 @@ func runCell(cfg Config, svcs []*services.Service, origins []*origin.Origin, bgT
 			focusOut = append(focusOut, buildFocus(cfg, cellIdx, sm, r))
 		}
 	})
-	// The whole background tier of the cell runs as one vectorized
-	// cohort: same per-member arithmetic (differentially tested
-	// bit-exact against player.Background), one group-heap entry and
-	// contiguous slabs instead of a heap entry and a heap allocation
-	// per member.
+	// The whole background tier of the cell runs as one cohort: one
+	// group-heap entry and contiguous per-member slabs, each member
+	// folded into the aggregates by the observer as it finishes.
 	cohort := player.NewCohort(net)
 	var coSvc []int
 	isFocus := make(map[int]bool, len(focusMembers))

@@ -445,18 +445,22 @@ func TestReportAccounting(t *testing.T) {
 	}
 }
 
-func TestRunCachedMemoizes(t *testing.T) {
-	cfg := Config{Seed: 11, Sessions: 24, ArrivalWindowSec: 30, WatchSec: 20, ClientsPerCell: 12, Services: []string{"H1"}}
-	a, err := RunCached(context.Background(), cfg, 1)
+// TestNegativeSentinelsMeanZero pins the sentinel path: negative
+// FidelityFull / AbandonProb mean 0 (zero would select the defaults), the
+// report echoes the 0s, and the whole population runs on the background
+// tier — which holds only while Run normalizes the config exactly once.
+func TestNegativeSentinelsMeanZero(t *testing.T) {
+	cfg := Config{Seed: 11, Sessions: 24, ArrivalWindowSec: 30, WatchSec: 20, ClientsPerCell: 12, Services: []string{"H1"},
+		FidelityFull: -1, AbandonProb: -1}
+	rep, err := Run(context.Background(), cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunCached(context.Background(), cfg, 4)
-	if err != nil {
-		t.Fatal(err)
+	if rep.Config.FidelityFull != 0 || rep.Config.AbandonProb != 0 {
+		t.Fatalf("report echoes FidelityFull=%v AbandonProb=%v, want 0 and 0", rep.Config.FidelityFull, rep.Config.AbandonProb)
 	}
-	if a != b {
-		t.Fatal("identical configs did not hit the memo")
+	if rep.FullSessions != 0 || rep.BackgroundSessions != int64(cfg.Sessions) {
+		t.Fatalf("full=%d background=%d, want 0 and %d", rep.FullSessions, rep.BackgroundSessions, cfg.Sessions)
 	}
 }
 

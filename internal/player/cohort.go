@@ -7,28 +7,79 @@ import (
 	"repro/internal/simnet"
 )
 
-// Cohort is the vectorized form of a cell's background tier: every
-// coarse session of one cell stored as structure-of-arrays slabs and
-// batch-stepped by a single Group member, instead of one heap-allocated
-// Background per session scattered across the heap. At a million
-// sessions the per-object layout is the fleet's dominant cost — each
-// wake touches a dozen cache lines of one Background before jumping to
-// an unrelated one — while the slab layout walks contiguous memory in
-// member order and shares one deadline heap, one wake list and one
-// scratch Summary across the whole cell.
+// BackgroundConfig shapes one background flow — a member of a Cohort,
+// the coarse analytic session tier of a fleet cell.
+type BackgroundConfig struct {
+	// Declared is the ladder's declared bitrates in bits/s, ascending.
+	Declared []float64
+	// SegmentDuration and MediaDuration define the segment grid.
+	SegmentDuration float64
+	MediaDuration   float64
+	// SessionDuration caps wall time, counted from StartAt.
+	SessionDuration float64
+	// StartupBufferSec gates first frame and stall recovery (default 8,
+	// matching the full player's startup gate).
+	StartupBufferSec float64
+	// MaxBufferSec pauses downloading when the buffer reaches it
+	// (default 60, the full player's pause threshold).
+	MaxBufferSec float64
+	// SafetyFactor scales the throughput estimate before picking the
+	// highest sustainable rung (default 0.8, the classic rate-based
+	// margin).
+	SafetyFactor float64
+	// EWMAAlpha is the throughput filter gain (default 0.3).
+	EWMAAlpha float64
+}
+
+func (c BackgroundConfig) withDefaults() BackgroundConfig {
+	if c.SessionDuration <= 0 {
+		c.SessionDuration = 600
+	}
+	if c.StartupBufferSec <= 0 {
+		c.StartupBufferSec = 8
+	}
+	if c.MaxBufferSec <= 0 {
+		c.MaxBufferSec = 60
+	}
+	if c.SafetyFactor <= 0 {
+		c.SafetyFactor = 0.8
+	}
+	if c.EWMAAlpha <= 0 {
+		c.EWMAAlpha = 0.3
+	}
+	return c
+}
+
+// Cohort is the coarse tier of a fleet cell: session models that skip
+// the player state machine — no manifests, no per-request scheduling, no
+// buffer index structures — but still move every byte through the shared
+// simnet as real transfers via each client's access link, so background
+// flows and full sessions shape each other under the same max-min
+// water-filling. Playback is fluid: per member, a FIFO of media seconds
+// drains at rate 1 while downloads refill it, with an EWMA throughput
+// rule standing in for the configured ABR. Output is the same Summary a
+// lean full-fidelity session produces, with coarser semantics (segments
+// are declared-rate sized, startup/recovery share one buffer gate, no
+// pipeline/connection effects).
 //
-// The contract is bit-exactness, not resemblance: a Cohort of N members
-// produces byte-identical Summaries to N individual Backgrounds added
-// to the same Group in the same order (asserted by the differential
-// suite in cohort_test.go). That holds because the member-local
-// arithmetic is transcribed from Background with identical expression
-// trees, members within the cohort are serviced/advanced in ascending
-// index order — exactly the ascending member-id order the Group gives
-// individual Backgrounds registered after all full sessions — and
-// completions are dispatched in batch order either way. The cohort's
-// group-heap key is the minimum of its internal per-member deadline
-// heap, so the Group wakes it precisely when it would have woken the
-// earliest individual Background.
+// Every coarse session of one cell is stored as structure-of-arrays
+// slabs and batch-stepped by a single Group member: the slab layout
+// walks contiguous memory in member order and shares one deadline heap,
+// one wake list and one scratch Summary across the whole cell, instead
+// of touching a dozen cache lines of one heap object per wake before
+// jumping to an unrelated one.
+//
+// Members are independent flows: a member's Summary depends only on its
+// own config, start, link and the shared network, never on how members
+// are batched. One cohort of N members therefore produces byte-identical
+// Summaries to N one-member cohorts added to the same Group in the same
+// order (asserted by the differential suite in cohort_test.go): members
+// within a cohort are serviced and advanced in ascending index order —
+// the ascending member-id order the Group gives cohorts registered one
+// after another — completions are dispatched in batch order either way,
+// and the cohort's group-heap key is the minimum of its internal
+// per-member deadline heap, so the Group wakes it precisely when its
+// earliest member is due.
 //
 // Members are appended with Add (each carrying its own
 // BackgroundConfig — fleet cells mix service templates and per-viewer
@@ -129,8 +180,8 @@ func NewCohort(net *simnet.Network) *Cohort {
 	return &Cohort{net: net}
 }
 
-// Add appends one member with its own config (defaults applied exactly
-// as NewBackground would) and returns its index. Call before the
+// Add appends one member with its own config (zero fields take the
+// BackgroundConfig defaults) and returns its index. Call before the
 // cohort joins a Group.
 func (c *Cohort) Add(cfg BackgroundConfig) int {
 	if c.frozen {
@@ -140,6 +191,8 @@ func (c *Cohort) Add(cfg BackgroundConfig) int {
 	m := len(c.cfgs)
 	c.cfgs = append(c.cfgs, cfg)
 	c.segCnt = append(c.segCnt, int32(math.Ceil(cfg.MediaDuration/cfg.SegmentDuration)))
+	// A paused download restarts 10 s below the pause threshold, the full
+	// player's pause/resume hysteresis default.
 	r := cfg.MaxBufferSec - 10
 	if r <= 0 {
 		r = cfg.MaxBufferSec / 2
@@ -249,8 +302,8 @@ func (c *Cohort) freeze() {
 		c.prevTrak[m] = -1
 		c.sumStartup[m] = -1
 		c.refs[m] = cohortRef{c: c, idx: m}
-		// First round: every member is serviced once, mirroring the
-		// Group's initial all-member wake.
+		// First round: every member is serviced once, like the Group's
+		// initial all-member wake.
 		c.woken[m] = true
 		c.wake = append(c.wake, m)
 	}
@@ -283,8 +336,8 @@ func (c *Cohort) wakeMember(m int) {
 	}
 }
 
-// wakeDue pops every member whose internal deadline has arrived,
-// mirroring the Group's own heap-pop loop.
+// wakeDue pops every member whose internal deadline has arrived (the
+// member-level form of the Group's own heap-pop loop).
 //
 //vodlint:hotpath — cohort deadline pops: once per group iteration
 func (c *Cohort) wakeDue(tnow float64) {
@@ -363,7 +416,9 @@ func (c *Cohort) service(now float64) {
 
 // issueRequests starts member m's next segment download if it is behind
 // its buffer target. One request at a time: the coarse tier has no
-// pipeline. Expression-identical to Background.issueRequests.
+// pipeline. The rung is the highest one whose declared rate fits under
+// SafetyFactor × the EWMA throughput (the bottom rung before the first
+// sample); the segment is declared-rate sized.
 //
 //vodlint:hotpath — cohort request issue: once per serviced member
 func (c *Cohort) issueRequests(m int) {
@@ -405,8 +460,9 @@ func (c *Cohort) issueRequests(m int) {
 	c.flags[m] |= coInflight
 }
 
-// onComplete books member m's finished segment transfer.
-// Expression-identical to Background.onComplete.
+// onComplete books member m's finished segment transfer: fold its rate
+// into the EWMA, queue the media on the member's ring, and start (or
+// resume) playback if the buffer gate is met.
 //
 //vodlint:hotpath — cohort completion fold: once per completed transfer
 func (c *Cohort) onComplete(m int, tr *simnet.Transfer) {
@@ -450,8 +506,9 @@ func (c *Cohort) maybeStartPlayback(m int, now float64) {
 	}
 }
 
-// advancePlayback drains member m's fluid buffer to wall time t.
-// Expression-identical to Background.advancePlayback.
+// advancePlayback drains member m's fluid buffer to wall time t: play
+// at rate 1 until the buffer or the media runs out, then either finish
+// (media end) or open a stall.
 //
 //vodlint:hotpath — cohort playback drain: once per woken member per iteration
 func (c *Cohort) advancePlayback(m int, t float64) {
@@ -480,7 +537,7 @@ func (c *Cohort) advancePlayback(m int, t float64) {
 
 // consume plays adv seconds of member m's media off its FIFO ring,
 // folding displayed bitrate, time-on-track and switch counts as each
-// stretch is shown. Expression-identical to Background.consume.
+// stretch is shown.
 //
 //vodlint:hotpath — cohort FIFO drain: inner loop of every playback advance
 func (c *Cohort) consume(m int, adv float64) {
@@ -518,8 +575,8 @@ func (c *Cohort) consume(m int, adv float64) {
 }
 
 // nextDeadline is the next time member m's control state can change
-// without a download completing. Expression-identical to
-// Background.nextDeadline.
+// without a download completing: the buffer running dry, the media
+// ending, or a paused download crossing the resume threshold.
 func (c *Cohort) nextDeadline(m int, now float64) float64 {
 	if c.flags[m]&coPlaying == 0 {
 		return math.Inf(1)

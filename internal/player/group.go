@@ -13,17 +13,16 @@ import (
 // fleet cell. Sessions start at t=0 unless scheduled later with
 // Session.SetStartAt, and each runs for its own SessionDuration from its
 // start; the fluid network arbitrates their transfers max-min fairly.
-// A cell may also carry Background flows — the coarse analytic session
-// tier — which compete for the same links as full sessions.
+// A group has two member kinds: full sessions, then cohorts — the coarse
+// analytic session tier, each cohort one member slot batch-stepping its
+// own flows — which compete for the same links as the sessions.
 //
 // A single session's Run is the one-member special case of a Group.
 type Group struct {
-	net         *simnet.Network
-	sessions    []*Session
-	backgrounds []*Background
-	cohorts     []*Cohort
-	observer    func(*Session, *Result)
-	bgObserver  func(*Background)
+	net      *simnet.Network
+	sessions []*Session
+	cohorts  []*Cohort
+	observer func(*Session, *Result)
 }
 
 // NewGroup creates a coordinator; sessions added to it must share one
@@ -43,22 +42,10 @@ func (g *Group) Add(s *Session) error {
 	return nil
 }
 
-// AddBackground registers a background flow over the same network.
-func (g *Group) AddBackground(b *Background) error {
-	if g.net == nil {
-		g.net = b.net
-	} else if g.net != b.net {
-		return fmt.Errorf("player: all sessions in a group must share one network")
-	}
-	g.backgrounds = append(g.backgrounds, b)
-	return nil
-}
-
-// AddCohort registers a vectorized background cohort over the same
-// network. The cohort occupies one group member slot; its members are
-// scheduled by the cohort's internal deadline heap in ascending index
-// order — the same order individual Backgrounds added after all full
-// sessions would run in.
+// AddCohort registers a background cohort over the same network. The
+// cohort occupies one group member slot after all full sessions; its
+// members are scheduled by the cohort's internal deadline heap in
+// ascending index order.
 func (g *Group) AddCohort(c *Cohort) error {
 	if c.Len() == 0 {
 		return fmt.Errorf("player: cohort has no members")
@@ -81,10 +68,6 @@ func (g *Group) AddCohort(c *Cohort) error {
 // and must not retain it. Lean sessions reach the observer with a nil
 // Result; their Summary is the output.
 func (g *Group) SetObserver(fn func(*Session, *Result)) { g.observer = fn }
-
-// SetBackgroundObserver registers fn, called exactly once per background
-// flow as it finishes.
-func (g *Group) SetBackgroundObserver(fn func(*Background)) { g.bgObserver = fn }
 
 // groupHeap is an indexed min-heap of member ids keyed by each member's
 // next wake time. pos maps a member id to its heap slot (-1 when
@@ -218,23 +201,18 @@ func (h *groupHeap) swap(i, j int) {
 //vodlint:hotpath — lean-session event loop: one iteration per completed transfer
 func (g *Group) Run() []*Result {
 	nS := len(g.sessions)
-	nB := len(g.backgrounds)
-	nM := nS + nB + len(g.cohorts)
+	nM := nS + len(g.cohorts)
 	if nM == 0 {
 		return nil
 	}
 	net := g.net
-	// Member ids: sessions in add order, then backgrounds in add order,
-	// then cohorts (each one slot), so ascending id is exactly the eager
-	// scan order.
+	// Member ids: sessions in add order, then cohorts in add order (each
+	// one slot), so ascending id is exactly the eager scan order.
 	for i, s := range g.sessions {
 		s.gidx = i
 	}
-	for j, b := range g.backgrounds {
-		b.gidx = nS + j
-	}
 	for k, c := range g.cohorts {
-		c.gidx = nS + nB + k
+		c.gidx = nS + k
 	}
 	var h groupHeap
 	h.init(nM)
@@ -279,34 +257,13 @@ func (g *Group) Run() []*Result {
 					d = e
 				}
 				h.set(id, d)
-			} else if id < nS+nB {
-				b := g.backgrounds[id-nS]
-				if b.done {
-					continue
-				}
-				if now < b.startAt-eps {
-					h.set(id, b.startAt)
-					continue
-				}
-				if now >= b.endAt()-eps || b.finished {
-					g.finishBackground(b)
-					h.remove(id)
-					remaining--
-					continue
-				}
-				b.issueRequests()
-				d := b.nextDeadline(now)
-				if e := b.endAt(); e < d {
-					d = e
-				}
-				h.set(id, d)
 			} else {
-				// A cohort services its woken members internally (same
-				// per-member steps as the background branch above) and
-				// re-keys in the group heap at its earliest internal
-				// deadline; it leaves `remaining` when its last member
-				// finishes.
-				c := g.cohorts[id-nS-nB]
+				// A cohort services its woken members internally (the
+				// same finish / park / issue-and-re-key steps, per
+				// member) and re-keys in the group heap at its earliest
+				// internal deadline; it leaves `remaining` when its last
+				// member finishes.
+				c := g.cohorts[id-nS]
 				if c.live > 0 {
 					c.service(now)
 				}
@@ -335,11 +292,6 @@ func (g *Group) Run() []*Result {
 					inflight += s.inflight
 				}
 			}
-			for _, b := range g.backgrounds {
-				if !b.done {
-					inflight += b.inflight
-				}
-			}
 			for _, c := range g.cohorts {
 				inflight += c.inflightSum()
 			}
@@ -347,11 +299,6 @@ func (g *Group) Run() []*Result {
 				for _, s := range g.sessions {
 					if !s.done {
 						g.finish(s)
-					}
-				}
-				for _, b := range g.backgrounds {
-					if !b.done {
-						g.finishBackground(b)
 					}
 				}
 				for _, c := range g.cohorts {
@@ -370,11 +317,11 @@ func (g *Group) Run() []*Result {
 		// add order (insertion sort: batches are tiny and nearly sorted).
 		for h.len() > 0 && h.minKey() <= tnow+eps {
 			id := h.popMin()
-			if id >= nS+nB {
+			if id >= nS {
 				// The cohort's group key is its internal minimum, so at
 				// least one member is due: move every due member onto
 				// the cohort's own wake list.
-				g.cohorts[id-nS-nB].wakeDue(tnow)
+				g.cohorts[id-nS].wakeDue(tnow)
 			}
 			addWake(id)
 		}
@@ -383,10 +330,6 @@ func (g *Group) Run() []*Result {
 			case *reqMeta:
 				if m.owner != nil && !m.owner.done {
 					addWake(m.owner.gidx)
-				}
-			case *Background:
-				if !m.done {
-					addWake(m.gidx)
 				}
 			case *cohortRef:
 				if !m.c.memberDone(m.idx) {
@@ -411,12 +354,8 @@ func (g *Group) Run() []*Result {
 				if s := g.sessions[id]; !s.done {
 					s.advancePlayback(tnow)
 				}
-			} else if id < nS+nB {
-				if b := g.backgrounds[id-nS]; !b.done {
-					b.advancePlayback(tnow)
-				}
 			} else {
-				g.cohorts[id-nS-nB].advanceWoken(tnow)
+				g.cohorts[id-nS].advanceWoken(tnow)
 			}
 		}
 		for _, tr := range completed {
@@ -426,10 +365,6 @@ func (g *Group) Run() []*Result {
 					m.owner.onComplete(tr)
 				}
 				// else: abandoned session; ignore the straggler
-			case *Background:
-				if !m.done {
-					m.onComplete(tr)
-				}
 			case *cohortRef:
 				if !m.c.memberDone(m.idx) {
 					m.c.onComplete(m.idx, tr)
@@ -459,18 +394,6 @@ func (g *Group) finish(s *Session) {
 	if g.observer != nil {
 		g.observer(s, s.res)
 		s.res = nil
-	}
-}
-
-// finishBackground finalizes a background flow once and notifies its
-// observer.
-func (g *Group) finishBackground(b *Background) {
-	if b.done {
-		return
-	}
-	b.finishRun()
-	if g.bgObserver != nil {
-		g.bgObserver(b)
 	}
 }
 

@@ -143,27 +143,28 @@ func TestLeanDoesNotPerturbPeers(t *testing.T) {
 	}
 }
 
-// TestBackgroundFlowSmoke: a background flow alone on a fat link plays
-// the whole presentation with sane accounting.
+// TestBackgroundFlowSmoke: a background flow (a one-member cohort) alone
+// on a fat link plays the whole presentation with sane accounting.
 func TestBackgroundFlowSmoke(t *testing.T) {
 	net := simnet.New(simnet.DefaultConfig(), netem.Constant("c", 8e6, 700))
-	b := NewBackground(BackgroundConfig{
+	c := NewCohort(net)
+	c.Add(BackgroundConfig{
 		Declared:        []float64{200e3, 400e3, 800e3, 1.6e6},
 		SegmentDuration: 4,
 		MediaDuration:   600,
 		SessionDuration: 650,
-	}, net)
+	})
 	g := NewGroup()
-	if err := g.AddBackground(b); err != nil {
+	if err := g.AddCohort(c); err != nil {
 		t.Fatal(err)
 	}
 	finished := 0
-	g.SetBackgroundObserver(func(*Background) { finished++ })
+	c.SetObserver(func(int, *Summary) { finished++ })
 	g.Run()
 	if finished != 1 {
 		t.Fatalf("background observer fired %d times", finished)
 	}
-	s := b.Summary()
+	s := c.MemberSummary(0)
 	if s.StartupDelay < 0 {
 		t.Fatal("background flow never started")
 	}
@@ -189,17 +190,18 @@ func TestBackgroundFlowSmoke(t *testing.T) {
 // is the clean probe: its EWMA sees only its own transfer rates,
 // whereas the full player's estimator reads network-wide delivery.
 func TestBackgroundCompetesForLink(t *testing.T) {
-	run := func(withSession bool) *Summary {
+	run := func(withSession bool) Summary {
 		org := buildOrigin(t, 4, false, media.VBR)
 		net := simnet.New(simnet.DefaultConfig(), netem.Constant("c", 1.2e6, 600))
 		g := NewGroup()
-		b := NewBackground(BackgroundConfig{
+		c := NewCohort(net)
+		c.Add(BackgroundConfig{
 			Declared:        []float64{200e3, 400e3, 800e3, 1.6e6},
 			SegmentDuration: 4,
 			MediaDuration:   600,
 			SessionDuration: 600,
-		}, net)
-		if err := g.AddBackground(b); err != nil {
+		})
+		if err := g.AddCohort(c); err != nil {
 			t.Fatal(err)
 		}
 		if withSession {
@@ -212,7 +214,7 @@ func TestBackgroundCompetesForLink(t *testing.T) {
 			}
 		}
 		g.Run()
-		return b.Summary()
+		return c.MemberSummary(0)
 	}
 	alone := run(false)
 	contended := run(true)

@@ -1,9 +1,9 @@
 // Package sched provides the single process-wide concurrency bound for
-// simulation work. It started life inside internal/experiments (see the
-// history in experiments/sched.go); the fleet subsystem runs thousands
-// of cell simulations through the very same semaphore, so the scheduler
-// now lives in its own package and both layers — experiment fan-out and
-// fleet cell fan-out — draw from one pool.
+// simulation work. The experiment engine and the fleet subsystem run
+// their work through the very same semaphore, so both layers —
+// experiment fan-out and fleet cell fan-out — draw from one pool and
+// nested fan-out cannot oversubscribe the cores (DESIGN.md §8,
+// "Scheduling").
 //
 // The usage contract that keeps nested fan-out deadlock-free:
 //

@@ -1,9 +1,6 @@
 package simnet
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // The cell engine: EngineCell's anchored-flow event loop.
 //
@@ -58,7 +55,7 @@ import (
 //     deadline, or a flow-count handoff to the virtual-time engine.
 //
 // Rates themselves are computed by the same progressive water-filling as
-// the scan engine (allocate), with the all-capped fast path: when every
+// the scan engine (waterfill), with the all-capped fast path: when every
 // flowing connection is capped and the caps sum below the edge capacity
 // — the common state of a cell, where the access links are the
 // bottleneck — max-min assigns every flow exactly its cap, no sort
@@ -315,90 +312,12 @@ func (n *Network) cellReallocFull() {
 		}
 		n.ratesAreCaps = true
 	} else {
-		n.cellAllocate(n.lastCapacity)
+		n.waterfill(n.lastCapacity)
 		n.ratesAreCaps = false
 	}
 	for _, tr := range n.flowing {
 		n.cellFinish(tr)
 	}
-}
-
-// cellAllocate is allocate with the effective caps read from the
-// tr.cap memo the caller just refreshed (cellReallocFull) instead of
-// recomputed per flow: same paths, same arithmetic, same order.
-//
-//vodlint:hotpath — cell-engine water-filling: runs when the all-capped fast path does not apply
-func (n *Network) cellAllocate(capacity float64) {
-	flowing := n.flowing
-
-	if len(flowing) == 1 {
-		tr := flowing[0]
-		r := tr.cap
-		if r > capacity {
-			r = capacity
-		}
-		if r < 0 {
-			r = 0
-		}
-		tr.rate = r
-		return
-	}
-
-	// Steady-state fast path: all uncapped — shares assign in connection
-	// order exactly as the stable-sorted general path would.
-	if len(flowing) <= smallSortLen {
-		uncapped := true
-		for _, tr := range flowing {
-			if !math.IsInf(tr.cap, 1) {
-				uncapped = false
-				break
-			}
-		}
-		if uncapped {
-			remainingC := capacity
-			remainingN := len(flowing)
-			for _, tr := range flowing {
-				r := remainingC / float64(remainingN)
-				if r < 0 {
-					r = 0
-				}
-				tr.rate = r
-				remainingC -= r
-				remainingN--
-			}
-			return
-		}
-	}
-
-	items := n.items[:0]
-	for _, tr := range flowing {
-		items = append(items, capItem{tr, tr.cap})
-	}
-	if len(items) <= smallSortLen {
-		for i := 1; i < len(items); i++ {
-			for j := i; j > 0 && items[j].cap < items[j-1].cap; j-- {
-				items[j], items[j-1] = items[j-1], items[j]
-			}
-		}
-	} else {
-		sort.Slice(items, func(i, j int) bool { return items[i].cap < items[j].cap }) //vodlint:allow hotalloc — general path only: n > 16 flows in the cell; the fast paths above stay allocation-free
-	}
-	remainingC := capacity
-	remainingN := len(items)
-	for _, it := range items {
-		share := remainingC / float64(remainingN)
-		r := it.cap
-		if share < r {
-			r = share
-		}
-		if r < 0 {
-			r = 0
-		}
-		it.tr.rate = r
-		remainingC -= r
-		remainingN--
-	}
-	n.items = items
 }
 
 // cellStepOnce advances the cell engine and returns the next completion

@@ -36,9 +36,10 @@
 package simnet
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/netem"
 )
@@ -185,11 +186,13 @@ type Transfer struct {
 	// Cell-engine state (cellengine.go). While the cell engine owns the
 	// flow, `remaining` is the value at the last re-anchor (aT) and the
 	// flow drains at `rate` from there; finishT is the precomputed
-	// completion instant under the current rate, and cap memoizes the
-	// connection's effective cap as of the last time it was recomputed.
+	// completion instant under the current rate.
 	aT      float64
 	finishT float64
-	cap     float64
+	// cap memoizes the connection's effective cap as of the last time it
+	// was recomputed: per allocate on the scan engine, per cap-changing
+	// event on the cell engine. waterfill reads it.
+	cap float64
 }
 
 // Remaining returns the bytes not yet delivered, as of the last engine
@@ -447,7 +450,7 @@ type Network struct {
 	numUncapped  int         // flowing transfers whose cached cap is +Inf
 	dirtyFlows   []*Transfer // scratch: flows to re-rate, cleared every event
 
-	items     []capItem   // scratch for allocate
+	items     []capItem   // scratch for waterfill
 	completed []*Transfer // scratch returned by Step; valid until the next Step
 	free      []*Transfer // Recycle'd Transfer objects awaiting reuse
 }
@@ -956,34 +959,49 @@ func (n *Network) grow() {
 	}
 }
 
-// smallSortLen is the largest slice length for which sort.Slice is an
-// insertion sort (and therefore stable); see the pdqsort cutoff in the
-// standard library. Up to this length the engine sorts caps with its own
-// allocation-free insertion sort — the exact same permutation, including
-// for ties — and the uncapped fast path may skip sorting entirely
-// (stability makes the sorted order the connection order). Beyond it the
-// reference used pdqsort, whose tie order is unspecified, so the engine
-// calls sort.Slice itself to stay bit-identical (no shipped experiment
-// has that many concurrent flows).
+// smallSortLen is the largest slice length for which the standard
+// library's pdqsort is an insertion sort (and therefore stable); see its
+// cutoff. Up to this length the engine sorts caps with its own insertion
+// sort — the exact same permutation, including for ties — and the
+// uncapped fast path may skip sorting entirely (stability makes the
+// sorted order the connection order). Beyond it the reference sorts
+// with package sort's pdqsort, whose tie order is unspecified, so the
+// engine runs the same pdqsort (slices.SortFunc: same algorithm, same
+// permutation, no allocation) to stay bit-identical (no shipped
+// experiment has that many concurrent flows).
 const smallSortLen = 12
 
-// allocate distributes capacity (bytes/s) over the flowing transfers
-// using max-min fairness with per-connection caps (progressive water
-// filling). Two allocation-free fast paths cover the dominant cases; the
-// general path insertion-sorts a reused scratch slice. All paths produce
-// bit-identical rates (asserted by TestAllocateFastPathsMatchGeneral):
-// ascending effective cap, ties in connection order, with the same
-// sequential share arithmetic as the reference implementation.
+// allocate is the scan engine's rate assignment: recompute every flowing
+// transfer's effective cap, then water-fill. (The cell engine maintains
+// the tr.cap memo itself and calls waterfill directly.)
 //
 //vodlint:hotpath — water-filling: runs on every flow-set change
 func (n *Network) allocate(capacity float64) {
+	for _, tr := range n.flowing {
+		tr.cap = tr.Conn.effCap()
+	}
+	n.waterfill(capacity)
+}
+
+// waterfill distributes capacity (bytes/s) over the flowing transfers
+// using max-min fairness with per-connection caps (progressive water
+// filling), reading each flow's effective cap from the tr.cap memo the
+// caller just refreshed. Two fast paths cover the dominant cases; the
+// general path sorts a reused scratch slice. No path allocates, and all
+// produce bit-identical rates (asserted by
+// TestAllocateFastPathsMatchGeneral): ascending effective cap, ties in
+// connection order, with the same sequential share arithmetic as the
+// reference implementation.
+//
+//vodlint:hotpath — water-filling: runs on every flow-set change
+func (n *Network) waterfill(capacity float64) {
 	flowing := n.flowing
 
 	// Fast path: a single flow takes the whole link up to its cap
 	// (capacity/1 is exact, so this equals the general path).
 	if len(flowing) == 1 {
 		tr := flowing[0]
-		r := tr.Conn.effCap()
+		r := tr.cap
 		if r > capacity {
 			r = capacity
 		}
@@ -1000,7 +1018,7 @@ func (n *Network) allocate(capacity float64) {
 	if len(flowing) <= smallSortLen {
 		uncapped := true
 		for _, tr := range flowing {
-			if !math.IsInf(tr.Conn.effCap(), 1) {
+			if !math.IsInf(tr.cap, 1) {
 				uncapped = false
 				break
 			}
@@ -1024,7 +1042,7 @@ func (n *Network) allocate(capacity float64) {
 	// General path: ascending effective cap on a reused scratch slice.
 	items := n.items[:0]
 	for _, tr := range flowing {
-		items = append(items, capItem{tr, tr.Conn.effCap()})
+		items = append(items, capItem{tr, tr.cap})
 	}
 	if len(items) <= smallSortLen {
 		for i := 1; i < len(items); i++ {
@@ -1033,7 +1051,7 @@ func (n *Network) allocate(capacity float64) {
 			}
 		}
 	} else {
-		sort.Slice(items, func(i, j int) bool { return items[i].cap < items[j].cap }) //vodlint:allow hotalloc — general path only: n > 16 flows on one link; the fast paths above stay allocation-free
+		slices.SortFunc(items, func(a, b capItem) int { return cmp.Compare(a.cap, b.cap) })
 	}
 	remainingC := capacity
 	remainingN := len(items)
