@@ -1,0 +1,66 @@
+package fleet
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"testing"
+
+	"repro/internal/cdn"
+	"repro/internal/expcache"
+)
+
+// fleetGoldenCases are three small populations whose report bytes pin
+// the whole fleet stack: cells that stay on the cell engine, a flash
+// crowd that saturates cell 0 through the virtual-time engine with the
+// benchmark's cache tier on, and a partially loaded crowd where capped
+// and uncapped flows coexist in the virtual-time engine (the only one
+// of the three sensitive to float accumulation order there).
+var fleetGoldenCases = []struct {
+	name string
+	cfg  Config
+}{
+	{"mixed4800", Config{Seed: 1, Sessions: 4800, FidelityFull: 0.05}},
+	{"flash20000", Config{
+		Seed: 1, Sessions: 20000, Hotspot: 0.8, FidelityFull: 0.02,
+		Cache: &cdn.CacheConfig{EdgeBytes: 64 << 20, MetroBytes: 2 << 30, TTLSec: 6 * 3600, ColdCells: "0-3", FailCell: 5, FailAtSec: 60},
+	}},
+	{"partial3000", Config{Seed: 1, Sessions: 3000, Hotspot: 0.8, FidelityFull: 0.05}},
+}
+
+// fleetGolden holds the SHA-256 of Report.JSON() per case, keyed by
+// expcache.EngineVersion so a bump fails loudly until the table is
+// re-recorded for the new version with
+//
+//	go test ./internal/fleet -run TestFleetReportGolden | grep -oE '"[a-z0-9]+": +"[0-9a-f]{64}",'
+//
+// The "9" row was recorded when the virtual-time engine's access-link
+// boundary heap became a gated link scan: mixed4800 and flash20000 are
+// the digests of the commit before (EngineVersion "8"), unchanged;
+// partial3000 moved with the same-instant application order of link
+// flips; at EngineVersion "8" it was
+// a2b6e5bfa2c0cf1c65a373b08bb99e0cd9ee1f540cb96a57dd2b717a21f398aa.
+var fleetGolden = map[string]map[string]string{
+	"9": {
+		"mixed4800":   "563bd4276602b9df4710318988fafa29d110331b0bc08ed12ff1475d12972a88",
+		"flash20000":  "3b16551bfaf6931aa76e3b538101799e379d8a5e8b60e1a25f6d57fbe5996d86",
+		"partial3000": "853a188f958aed04ab1e932fa21b86e227ba35c96a2461dc920be538527e1538",
+	},
+}
+
+// TestFleetReportGolden makes "report bytes unchanged" a test: any
+// change to the bytes of these populations must come with an
+// EngineVersion bump and a re-recorded row.
+func TestFleetReportGolden(t *testing.T) {
+	want, ok := fleetGolden[expcache.EngineVersion]
+	if !ok {
+		t.Errorf("no digests recorded for EngineVersion %q; re-record (see fleetGolden)", expcache.EngineVersion)
+	}
+	for _, gc := range fleetGoldenCases {
+		t.Run(gc.name, func(t *testing.T) {
+			got := fmt.Sprintf("%x", sha256.Sum256(fleetBytes(t, gc.cfg, RunOptions{Workers: 2})))
+			if got != want[gc.name] {
+				t.Errorf("digest moved:\n\t%q: %q,", gc.name, got)
+			}
+		})
+	}
+}

@@ -113,7 +113,11 @@ func TestCellExactResidualFold(t *testing.T) {
 // TestCellVTimeHandoff drives EngineCell through both hysteresis
 // crossings — a fan-in spike past vtimeEnter hands the flows to the
 // virtual-time engine, a drain below vtimeExit takes them back — and
-// requires the outcome to match EngineScan within tolerance.
+// requires the outcome to match EngineScan within tolerance. Two long
+// flows ride through on access links whose sample changes every second:
+// one active before the hand-off, one first activated inside vtime. Both
+// must follow their profile while the vtime engine owns them and still
+// carry the current sample once the cell engine has them back.
 func TestCellVTimeHandoff(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	p := randomProfile(rng)
@@ -122,55 +126,91 @@ func TestCellVTimeHandoff(t *testing.T) {
 			p.Samples[i] = 5e5
 		}
 	}
+	linkP := &netem.Profile{Name: "flip", SampleDur: 1, Samples: []float64{3e6, 5e6, 2e6, 6e6, 4e6, 7e6, 2.5e6}}
 	cfg := randomConfig(rng)
 	nconn := vtimeEnter + 24
+	const linkBytes = 1e7 // larger than any spike flow: still active at the hand-back
 	var ops []workloadOp
 	for i := 0; i < nconn; i++ {
 		ops = append(ops, workloadOp{kind: 0, conn: i, size: math.Round(rng.Float64()*2e6) + 1e5, via: -1})
 	}
-	ops = append(ops, workloadOp{kind: 2, until: 1500})
+	ops = append(ops,
+		workloadOp{kind: 0, conn: nconn, size: linkBytes, via: 0},
+		workloadOp{kind: 2, until: 2.5},
+		workloadOp{kind: 0, conn: nconn + 1, size: linkBytes, via: 1},
+		workloadOp{kind: 2, until: 4.5},
+		workloadOp{kind: 2, until: 1500})
+	spike2 := len(ops)
 	for i := 0; i < nconn; i++ {
 		ops = append(ops, workloadOp{kind: 0, conn: i, size: math.Round(rng.Float64()*2e6) + 1e5, via: -1})
 	}
 	ops = append(ops, workloadOp{kind: 2, until: 4000})
 
-	scan := runWorkload(t, cfg, p, nil, EngineScan, ops, nconn, 0)
+	scan := runWorkload(t, cfg, p, linkP, EngineScan, ops, nconn+2, 2)
 
 	cfg.Engine = EngineCell
 	n := New(cfg, p)
+	links := []*AccessLink{n.NewAccessLink(linkP), n.NewAccessLink(linkP)}
 	conns := make([]*Conn, nconn)
 	for i := range conns {
 		conns[i] = n.Dial()
 		conns[i].Start(ops[i].size, nil)
 	}
-	n.Step(0.5) // past every FlowAt: the spike is flowing
-	sawVtime := n.VTimeActive()
+	n.DialVia(links[0]).Start(linkBytes, nil)
 	var cell []completionRec
+	sawVtime := false
 	collect := func(until float64) {
 		for {
 			done := n.Step(until)
+			sawVtime = sawVtime || n.VTimeActive()
 			if len(done) == 0 {
 				return
 			}
 			for _, tr := range done {
 				cell = append(cell, completionRec{tr.Conn.seq, tr.Size, tr.Completed})
 			}
-			sawVtime = sawVtime || n.VTimeActive()
 		}
 	}
-	collect(1500)
-	if n.VTimeActive() {
-		t.Error("EngineCell still in vtime mode after the fleet drained to zero")
+	// current reports whether every given link carries its profile's
+	// sample for the present instant.
+	current := func(when string, ls ...*AccessLink) {
+		t.Helper()
+		for i, l := range ls {
+			if want := linkP.At(n.Now()); l.flows == 0 || l.rateBps != want {
+				t.Errorf("%s: link %d has %d flows at %v bit/s, want an active link at %v", when, i, l.flows, l.rateBps, want)
+			}
+		}
+	}
+	collect(2.5)
+	if !sawVtime {
+		t.Fatalf("EngineCell not in vtime mode at %d concurrent flows", nconn+1)
+	}
+	current("in vtime, t=2.5", links[0])
+	n.DialVia(links[1]).Start(linkBytes, nil)
+	collect(4.5)
+	current("in vtime, t=4.5", links...)
+	// Step half-second deadlines to the hand-back, then one more: the
+	// deadlines sit mid-sample, so a link's memo is current there exactly
+	// when the owning engine honoured the boundary before it.
+	for until := 5.5; n.VTimeActive(); until++ {
+		collect(until)
 	}
 	if !n.CellActive() {
-		t.Error("EngineCell not back in cell mode after the drain")
+		t.Fatal("EngineCell not back in cell mode after the drain")
 	}
+	collect(math.Floor(n.Now()) + 1.5)
+	current("after hand-back", links...)
+	collect(1500)
+	if n.VTimeActive() || !n.CellActive() {
+		t.Error("EngineCell not in cell mode after the fleet drained to zero")
+	}
+	sawVtime = false
 	for i, c := range conns {
-		c.Start(ops[nconn+1+i].size, nil)
+		c.Start(ops[spike2+i].size, nil)
 	}
 	collect(4000)
 	if !sawVtime {
-		t.Fatalf("EngineCell never entered vtime mode at %d concurrent flows", nconn)
+		t.Error("EngineCell never re-entered vtime mode on the second spike")
 	}
 	if len(cell) != len(scan.completed) {
 		t.Fatalf("completion count: cell %d != scan %d", len(cell), len(scan.completed))

@@ -8,10 +8,10 @@ import "math"
 // position of -1 means "not in this heap". A max-heap is the same
 // structure fed negated keys.
 //
-// The event engines keep every future state change in one of these
-// heaps (pending first bytes, slow-start doublings, access-link profile
-// boundaries, capped and uncapped completions), which is what turns the
-// per-event O(F) scans of the reference formulation into O(log F).
+// The event engines keep every per-flow future state change in one of
+// these heaps (pending first bytes, slow-start doublings, capped and
+// uncapped completions), which is what turns the per-event O(F) scans
+// of the reference formulation into O(log F).
 type fheap[T any] struct {
 	key []float64
 	val []*T

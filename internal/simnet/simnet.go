@@ -261,7 +261,7 @@ type AccessLink struct {
 	cursor  netem.Cursor
 	profile *netem.Profile
 	rateBps float64 // profile sample at the last refresh (bits/s)
-	nextChg float64 // cached cursor.NextChange as of the last refresh (cell engine)
+	nextChg float64 // rateBps holds until here: NextChange (cell engine) or NextBoundary (vtime)
 	flows   int     // flowing transfers currently carried by the link
 
 	// The flowing transfers themselves, split by role: members carries
@@ -272,7 +272,6 @@ type AccessLink struct {
 	members   []*Transfer
 	upMembers []*Transfer
 	lpos      int // position in Network.links while flows > 0; -1 outside
-	hBound    int // position in vtimeState.bound; -1 outside
 }
 
 // Profile returns the bandwidth profile driving the link.
@@ -438,9 +437,9 @@ type Network struct {
 	// ratesAreCaps records that the last assignment gave every flow
 	// exactly its cap (the regime where changed flows can be re-rated
 	// independently); edgeNextChg caches the edge profile's next value
-	// change and linksNextChg the minimum cached change instant across
-	// active access links (conservative: a detached link may leave it
-	// low, costing one wasted scan, never a missed refresh).
+	// change and linksNextChg the minimum nextChg across active access
+	// links, shared with the vtime engine (conservative: a detached link
+	// may leave it low, costing one wasted scan, never a missed refresh).
 	cmode        bool
 	cellDirty    bool
 	ratesAreCaps bool
@@ -525,7 +524,7 @@ func (n *Network) Dial() *Conn {
 // looping). Connections attach with DialVia; a link shared by several
 // connections divides its budget evenly among their flowing transfers.
 func (n *Network) NewAccessLink(p *netem.Profile) *AccessLink {
-	return &AccessLink{profile: p, cursor: p.Cursor(), rateBps: -1, lpos: -1, hBound: -1}
+	return &AccessLink{profile: p, cursor: p.Cursor(), rateBps: -1, lpos: -1}
 }
 
 // DialVia creates a connection carried by the given access link; a nil

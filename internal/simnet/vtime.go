@@ -1,8 +1,9 @@
 package simnet
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Virtual-service-time engine (GPS / fair-queuing style).
@@ -22,8 +23,12 @@ import (
 //   - A capped flow serves at its fixed cap, so its completion is a
 //     real wall-clock time in a sibling heap; it re-anchors only when
 //     its own cap changes.
-//   - Pending first bytes, slow-start doublings and access-link profile
-//     boundaries each live in further heaps.
+//   - Pending first bytes and slow-start doublings each live in a
+//     further heap.
+//   - Access-link profile boundaries are not heap events: they reuse the
+//     per-link (rateBps, nextChg) memo and the Network.linksNextChg
+//     minimum the cell engine maintains, refreshed by one gated pass over
+//     the active links (see vStepOnce).
 //
 // Per-flow progress is never written per event. It is materialized
 // lazily — on completion, removal, cap change, engine exit, or observer
@@ -51,7 +56,8 @@ const (
 	vCapd              // capped: serves at its own vCap
 )
 
-// vtimeState carries the engine's anchors, aggregates and event heaps.
+// vtimeState carries the engine's anchors, aggregates and event heaps
+// (the pending heap and the access-link boundary memo live on Network).
 type vtimeState struct {
 	vNow  float64 // cumulative equal-share service, bytes per uncapped flow
 	slope float64 // dV/dt in bytes/s (0 when U == 0 or the link is saturated by caps)
@@ -62,12 +68,11 @@ type vtimeState struct {
 	R     float64 // Σ vCap over capped flows
 	capRT float64 // Σ vCap·vAnchor over capped flows
 
-	uncFin fheap[Transfer]   // uncapped flows keyed by finish-V
-	uncCap fheap[Transfer]   // uncapped flows keyed by effective cap (min on top)
-	capFin fheap[Transfer]   // capped flows keyed by real finish time
-	capCap fheap[Transfer]   // capped flows keyed by negated cap (max on top)
-	grow   fheap[Conn]       // slow-start doublings of conns with an attached flow
-	bound  fheap[AccessLink] // next profile boundary per active access link
+	uncFin fheap[Transfer] // uncapped flows keyed by finish-V
+	uncCap fheap[Transfer] // uncapped flows keyed by effective cap (min on top)
+	capFin fheap[Transfer] // capped flows keyed by real finish time
+	capCap fheap[Transfer] // capped flows keyed by negated cap (max on top)
+	grow   fheap[Conn]     // slow-start doublings of conns with an attached flow
 }
 
 func newVtimeState() *vtimeState {
@@ -79,7 +84,6 @@ func newVtimeState() *vtimeState {
 	v.uncCap.set = cp
 	v.capCap.set = cp
 	v.grow.set = func(c *Conn, i int) { c.hGrow = i }
-	v.bound.set = func(l *AccessLink, i int) { l.hBound = i }
 	return v
 }
 
@@ -254,13 +258,10 @@ func (n *Network) vAttach(tr *Transfer) {
 	n.linkAttach(tr)
 	al, ul := tr.Conn.access, tr.upstream
 	if al != nil && al.flows == 1 {
-		// Newly active link: refresh its budget and schedule boundaries.
-		al.rateBps = al.cursor.At(n.now)
-		v.bound.Push(al, al.cursor.NextBoundary(n.now))
+		n.vActivateLink(al)
 	}
 	if ul != nil && ul != al && ul.flows == 1 {
-		ul.rateBps = ul.cursor.At(n.now)
-		v.bound.Push(ul, ul.cursor.NextBoundary(n.now))
+		n.vActivateLink(ul)
 	}
 	v.addUnc(tr, tr.Conn.effCap())
 	if c := tr.Conn; c.InSlowStart() && c.hGrow < 0 {
@@ -275,9 +276,22 @@ func (n *Network) vAttach(tr *Transfer) {
 	}
 }
 
+// vActivateLink refreshes a link's budget and boundary memo as it joins
+// the active set, lowering the cross-link minimum to cover it.
+func (n *Network) vActivateLink(l *AccessLink) {
+	l.rateBps = l.cursor.At(n.now)
+	l.nextChg = l.cursor.NextBoundary(n.now)
+	if l.nextChg < n.linksNextChg {
+		n.linksNextChg = l.nextChg
+	}
+}
+
 // vDetach removes a no-longer-serving flow's side effects: its conn's
 // doubling events, its access-link membership, and its siblings' caps.
-// The caller has already detached the flow from its class.
+// The caller has already detached the flow from its class. A link left
+// without flows drops out of Network.links and may leave linksNextChg
+// stale-low: that costs one empty boundary pass, never a missed
+// boundary, and is cheaper than re-deriving the minimum per departure.
 func (n *Network) vDetach(tr *Transfer) {
 	v := n.v
 	if c := tr.Conn; c.hGrow >= 0 {
@@ -285,23 +299,11 @@ func (n *Network) vDetach(tr *Transfer) {
 	}
 	al, ul := tr.Conn.access, tr.upstream
 	n.linkDetach(tr)
-	if al != nil {
-		if al.flows == 0 {
-			if al.hBound >= 0 {
-				v.bound.Remove(al.hBound)
-			}
-		} else {
-			v.updateLinkCaps(n, al)
-		}
+	if al != nil && al.flows > 0 {
+		v.updateLinkCaps(n, al)
 	}
-	if ul != nil && ul != al {
-		if ul.flows == 0 {
-			if ul.hBound >= 0 {
-				v.bound.Remove(ul.hBound)
-			}
-		} else {
-			v.updateLinkCaps(n, ul)
-		}
+	if ul != nil && ul != al && ul.flows > 0 {
+		v.updateLinkCaps(n, ul)
 	}
 }
 
@@ -347,9 +349,9 @@ func (n *Network) enterVTime() {
 		n.flowing[i] = nil
 	}
 	n.flowing = n.flowing[:0]
+	n.linksNextChg = math.Inf(1)
 	for _, l := range n.links {
-		l.rateBps = l.cursor.At(n.now)
-		v.bound.Push(l, l.cursor.NextBoundary(n.now))
+		n.vActivateLink(l)
 	}
 	v.rebalance(n)
 	n.vmode = true
@@ -373,8 +375,7 @@ func (n *Network) exitVTime() {
 		n.flowing = append(n.flowing, tr)
 	}
 	v.grow.clear()
-	v.bound.clear()
-	sort.Slice(n.flowing, func(i, j int) bool { return n.flowing[i].Conn.seq < n.flowing[j].Conn.seq }) //vodlint:allow hotalloc — engine switch: runs once per transition, not per event
+	slices.SortFunc(n.flowing, func(a, b *Transfer) int { return cmp.Compare(a.Conn.seq, b.Conn.seq) })
 	for i, tr := range n.flowing {
 		tr.pos = i
 		if tr.remaining < 0 {
@@ -427,8 +428,8 @@ func (n *Network) vStepOnce(until float64) []*Transfer {
 	if b := n.cursor.NextBoundary(n.now); b < next {
 		next = b
 	}
-	if k := v.bound.MinKey(); k < next {
-		next = k
+	if n.linksNextChg < next {
+		next = n.linksNextChg
 	}
 	if k := v.capFin.MinKey(); k < next {
 		next = k
@@ -505,15 +506,28 @@ func (n *Network) vStepOnce(until float64) []*Transfer {
 		dirty = true
 	}
 
-	// Access-link profile boundaries due now.
-	for v.bound.Len() > 0 && v.bound.MinKey() <= n.now {
-		l := v.bound.Min()
-		v.bound.Fix(l.hBound, l.cursor.NextBoundary(n.now))
-		if r := l.cursor.At(n.now); r != l.rateBps { //vodlint:allow floateq — memo invalidation on a stored, never-recomputed sample value
-			l.rateBps = r
-			v.updateLinkCaps(n, l)
-			dirty = true
+	// Access-link profile boundaries due now: one pass over the active
+	// links, gated by the cached minimum, refreshes the due ones in
+	// Network.links order and re-derives the minimum. The fleet's traces
+	// all sample at 1 s, so every link is due at the same instant and the
+	// pass is O(K) per simulated second; profiles whose boundaries do not
+	// align would pay O(K) per distinct instant, which no caller produces.
+	if n.now >= n.linksNextChg {
+		minChg := math.Inf(1)
+		for _, l := range n.links {
+			if n.now >= l.nextChg {
+				l.nextChg = l.cursor.NextBoundary(n.now)
+				if r := l.cursor.At(n.now); r != l.rateBps { //vodlint:allow floateq — memo invalidation on a stored, never-recomputed sample value
+					l.rateBps = r
+					v.updateLinkCaps(n, l)
+					dirty = true
+				}
+			}
+			if l.nextChg < minChg {
+				minChg = l.nextChg
+			}
 		}
+		n.linksNextChg = minChg
 	}
 
 	if dirty {

@@ -481,34 +481,174 @@ func TestVTimeLazyReadConsistency(t *testing.T) {
 	}
 }
 
-// TestVTimeHotPathZeroAlloc extends the PR 3 zero-allocation promise to
-// the virtual-time engine: once the heaps are warmed, a start/step/
-// recycle cycle at high fan-in allocates nothing.
-func TestVTimeHotPathZeroAlloc(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Engine = EngineVTime
-	n := New(cfg, netem.Constant("c", 50e6, 100))
-	conns := make([]*Conn, 64)
-	for i := range conns {
-		conns[i] = n.Dial()
+// stormProfiles returns the 14 cellular traces re-timed to the given
+// sample durations (cycled across the traces): all 1 s reproduces the
+// fleet's aligned boundaries, anything else makes neighbouring links
+// flip at different instants.
+func stormProfiles(durs ...float64) []*netem.Profile {
+	ps := netem.CellularSet()
+	for i, p := range ps {
+		ps[i] = &netem.Profile{Name: p.Name, SampleDur: durs[i%len(durs)], Samples: p.Samples}
 	}
-	cycle := func() {
-		for _, c := range conns {
-			c.Start(2e5, nil)
+	return ps
+}
+
+// runLinkStorm is the shape the scripted workloads above lack: many
+// connections, each behind its OWN access link (link i over
+// profs[i%len(profs)]), under one saturated constant edge. Every
+// connection fetches two objects; the second request goes out at the
+// first quarter-second deadline after the first completed, so links go
+// idle and re-activate mid-second and both engines see identical
+// request times. closeConn >= 0 closes that connection, mid-transfer,
+// at closeAt.
+func runLinkStorm(t *testing.T, engine Engine, profs []*netem.Profile, nconn, closeConn int, closeAt float64) *engineRun {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Engine = engine
+	n := New(cfg, netem.Constant("edge", 40e6, 1000))
+	r := &engineRun{n: n, conns: make([]*Conn, nconn)}
+	rng := rand.New(rand.NewSource(17))
+	left := make([]int, nconn)
+	for i := range r.conns {
+		r.conns[i] = n.DialVia(n.NewAccessLink(profs[i%len(profs)]))
+		left[i] = 2
+	}
+	want := 2 * nconn
+	for deadline := 0.0; len(r.completed) < want; deadline += 0.25 {
+		if deadline > 2000 {
+			t.Fatalf("engine %d: %d of %d transfers completed by t=%v", engine, len(r.completed), want, deadline)
 		}
-		for delivered := 0; delivered < len(conns); {
-			done := n.Step(1e9)
-			delivered += len(done)
+		if closeConn >= 0 && deadline >= closeAt {
+			if !r.conns[closeConn].Busy() {
+				t.Fatalf("conn %d has nothing in flight to abandon at t=%v", closeConn, deadline)
+			}
+			r.conns[closeConn].Close()
+			want -= 1 + left[closeConn]
+			left[closeConn], closeConn = 0, -1
+		}
+		for i, c := range r.conns {
+			if left[i] > 0 && !c.Busy() {
+				left[i]--
+				r.transfers = append(r.transfers, c.Start(math.Round(rng.Float64()*4e5)+5e4, nil))
+			}
+		}
+		for {
+			done := n.Step(deadline + 0.25)
+			if len(done) == 0 {
+				break
+			}
 			for _, tr := range done {
-				n.Recycle(tr)
+				r.completed = append(r.completed, completionRec{tr.Conn.seq, tr.Size, tr.Completed})
 			}
 		}
 	}
-	for i := 0; i < 4; i++ { // warm heaps, scratch and the free list
-		cycle()
+	return r
+}
+
+// checkLinkStorm runs one storm on the scan and virtual-time engines and
+// requires compareRuns' equivalence plus the order and per-flow
+// properties: completions arrive in the same order (two may swap only
+// when the scan engine finished them within the time tolerance of each
+// other), and every completed transfer drained exactly to zero.
+func checkLinkStorm(t *testing.T, profs []*netem.Profile, nconn, closeConn int, closeAt float64) {
+	t.Helper()
+	scan := runLinkStorm(t, EngineScan, profs, nconn, closeConn, closeAt)
+	vt := runLinkStorm(t, EngineVTime, profs, nconn, closeConn, closeAt)
+	checkConservation(t, scan, "scan")
+	checkConservation(t, vt, "vtime")
+	compareRuns(t, scan, vt)
+	type flowKey struct {
+		connSeq int
+		size    float64
 	}
-	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
-		t.Errorf("vtime hot path allocated %.1f times per cycle", allocs)
+	scanAt := make(map[flowKey]float64, len(scan.completed))
+	for _, sc := range scan.completed {
+		scanAt[flowKey{sc.connSeq, sc.size}] = sc.completed
+	}
+	for i, sc := range scan.completed {
+		vc := vt.completed[i]
+		if d := math.Abs(scanAt[flowKey{vc.connSeq, vc.size}] - sc.completed); d > timeTol*(1+sc.completed) {
+			t.Fatalf("completion %d: scan finished conn %d, vtime conn %d, which scan finished %g s apart", i, sc.connSeq, vc.connSeq, d)
+		}
+	}
+	for i, tr := range vt.transfers {
+		if tr.Done && tr.Remaining() != 0 {
+			t.Fatalf("vtime transfer %d: %g bytes left after completion", i, tr.Remaining())
+		}
+	}
+}
+
+// TestVTimeAlignedBoundaryStorm is the flash-crowd cell in miniature:
+// 256 single-flow access links over the 1 s cellular traces, so every
+// active link's profile boundary falls on the same instant.
+func TestVTimeAlignedBoundaryStorm(t *testing.T) {
+	checkLinkStorm(t, stormProfiles(1), 256, -1, 0)
+}
+
+// TestVTimeMixedSampleDur is the same storm with link sample durations
+// of 0.7, 1 and 1.3 s: boundaries do not align, so almost every instant
+// has only a few links due and the rest must be left alone.
+func TestVTimeMixedSampleDur(t *testing.T) {
+	checkLinkStorm(t, stormProfiles(0.7, 1, 1.3), 256, -1, 0)
+}
+
+// TestVTimeStaleLinkMinimum closes, mid-second, the one connection whose
+// link holds the earliest next boundary (a 0.4 s sample clock among 1 s
+// ones). Whatever the engine remembers about that link afterwards, the
+// surviving links' own next boundary must still be honoured.
+func TestVTimeStaleLinkMinimum(t *testing.T) {
+	profs := stormProfiles(1)[:8]
+	profs[0] = &netem.Profile{Name: "fast-clock", SampleDur: 0.4, Samples: profs[0].Samples}
+	checkLinkStorm(t, profs, 8, 0, 0.5)
+}
+
+// TestVTimeHotPathZeroAlloc extends the PR 3 zero-allocation promise to
+// the virtual-time engine: once the heaps are warmed, a start/step/
+// recycle cycle at high fan-in allocates nothing — neither on a bare
+// shared link nor with every connection behind its own access link and
+// the cycle running through a boundary instant where all 64 are due.
+func TestVTimeHotPathZeroAlloc(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Engine = EngineVTime
+	for _, tc := range []struct {
+		name  string
+		size  float64
+		links []*netem.Profile
+	}{
+		{"shared", 2e5, nil},
+		{"linkBoundary", 4e5, stormProfiles(1)}, // 64 x 4e5 B over 6.25 MB/s: several seconds per cycle
+	} {
+		n := New(cfg, netem.Constant("c", 50e6, 100))
+		conns := make([]*Conn, 64)
+		for i := range conns {
+			if tc.links != nil {
+				conns[i] = n.DialVia(n.NewAccessLink(tc.links[i%len(tc.links)]))
+			} else {
+				conns[i] = n.Dial()
+			}
+		}
+		cycle := func() {
+			start := n.Now()
+			for _, c := range conns {
+				c.Start(tc.size, nil)
+			}
+			for delivered := 0; delivered < len(conns); {
+				done := n.Step(1e9)
+				if tc.links != nil && delivered == 0 && n.Now() < math.Floor(start)+1 {
+					t.Fatalf("%s: first completion at %v, before all %d links crossed a boundary together", tc.name, n.Now(), len(conns))
+				}
+				delivered += len(done)
+				for _, tr := range done {
+					n.Recycle(tr)
+				}
+			}
+		}
+		for i := 0; i < 4; i++ { // warm heaps, scratch and the free list
+			cycle()
+		}
+		if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+			t.Errorf("%s: vtime hot path allocated %.1f times per cycle", tc.name, allocs)
+		}
 	}
 }
 
@@ -549,4 +689,30 @@ func BenchmarkFanIn512(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkVTimeBoundaryStorm isolates the access-link boundary
+// mechanism: 4096 single-flow links over the 1 s cellular traces under an
+// edge so saturated that nothing completes, stepped across 30 simulated
+// seconds — every event after the ramp is a boundary instant with every
+// link due.
+func BenchmarkVTimeBoundaryStorm(b *testing.B) {
+	const links, seconds = 4096, 30
+	profs := stormProfiles(1)
+	cfg := DefaultConfig()
+	cfg.Engine = EngineVTime
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		n := New(cfg, netem.Constant("edge", 40e6, 1000))
+		for j := 0; j < links; j++ {
+			n.DialVia(n.NewAccessLink(profs[j%len(profs)])).Start(1e9, nil)
+		}
+		n.Step(1.5) // past every first byte and the slow-start ramp's first second
+		b.StartTimer()
+		if done := n.Step(1.5 + seconds); len(done) != 0 {
+			b.Fatalf("%d transfers completed under a saturated edge", len(done))
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*links*seconds), "ns/link-flip")
 }
