@@ -46,7 +46,7 @@ import (
 // result: old entries then miss cleanly instead of resurrecting stale
 // results. The committed REPORT.md is the ground truth a bumped engine
 // must be re-verified against.
-const EngineVersion = "9"
+const EngineVersion = "10"
 
 // Stats is a snapshot of the cache counters.
 type Stats struct {

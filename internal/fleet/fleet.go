@@ -45,6 +45,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"sort"
 	"sync"
 
@@ -595,8 +596,16 @@ func cdnCatalog(origins []*origin.Origin) *cdn.Catalog {
 // the player state machine — lean (no Result) unless selected as focus
 // members — and background members run the coarse analytic tier over
 // the same network. The cell is strictly single-threaded and
-// deterministic given (cfg, cellIdx).
-func runCell(cfg Config, svcs []*services.Service, origins []*origin.Origin, bgTemplates []player.BackgroundConfig, traces []*netem.Profile, cdnRT *cdnRuntime, metro *cdn.Metro, cellIdx int, focusMembers []int) (*cellAgg, []FocusSession, error) {
+// deterministic given (cfg, cellIdx). A panic anywhere below comes back
+// as an error naming the cell, so a helper goroutine's crash surfaces
+// through RunStealing like any other cell failure instead of killing
+// the process.
+func runCell(cfg Config, svcs []*services.Service, origins []*origin.Origin, bgTemplates []player.BackgroundConfig, traces []*netem.Profile, cdnRT *cdnRuntime, metro *cdn.Metro, cellIdx int, focusMembers []int) (_ *cellAgg, _ []FocusSession, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("fleet: cell %d (seed %d, %d sessions) panicked: %v\n%s", cellIdx, cfg.Seed, cfg.Sessions, p, debug.Stack())
+		}
+	}()
 	members := CellClients(cfg, cellIdx)
 	horizon := 0.0
 	for _, m := range members {

@@ -5,9 +5,14 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
+	"repro/internal/expcache"
+	"repro/internal/origin"
+	"repro/internal/player"
 	schedpkg "repro/internal/sched"
+	"repro/internal/services"
 )
 
 // withSched swaps the package scheduler so a test controls parallelism
@@ -497,5 +502,32 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if n3.FidelityFull != 1 {
 		t.Fatalf("FidelityFull should clamp to 1, got %v", n3.FidelityFull)
+	}
+}
+
+// TestRunCellContainsPanic pins the containment contract: a panic inside
+// a cell — here an index out of range on a traces slice that is too
+// short — returns as an error naming the cell and the seed (which
+// RunStealing then propagates), not as a process crash from whichever
+// helper goroutine ran the cell.
+func TestRunCellContainsPanic(t *testing.T) {
+	cfg, err := Config{Seed: 11, Sessions: 8, ClientsPerCell: 4, FidelityFull: -1, Services: []string{"H1"}}.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := services.ByName("H1")
+	org, err := expcache.Origin(svc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = runCell(cfg, []*services.Service{svc}, []*origin.Origin{org},
+		[]player.BackgroundConfig{backgroundTemplate(org)}, nil, nil, nil, 1, nil)
+	if err == nil {
+		t.Fatal("runCell with no traces returned no error")
+	}
+	for _, want := range []string{"cell 1 ", "seed 11", "panicked", "index out of range", "runCell"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error does not mention %q:\n%v", want, err)
+		}
 	}
 }

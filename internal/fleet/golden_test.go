@@ -9,12 +9,14 @@ import (
 	"repro/internal/expcache"
 )
 
-// fleetGoldenCases are three small populations whose report bytes pin
+// fleetGoldenCases are four small populations whose report bytes pin
 // the whole fleet stack: cells that stay on the cell engine, a flash
 // crowd that saturates cell 0 through the virtual-time engine with the
-// benchmark's cache tier on, and a partially loaded crowd where capped
-// and uncapped flows coexist in the virtual-time engine (the only one
-// of the three sensitive to float accumulation order there).
+// benchmark's cache tier on, a partially loaded crowd where capped and
+// uncapped flows coexist in the virtual-time engine, and a crowd of
+// full players only, whose parallel connections share one access link
+// each — capped and uncapped flows on the same link. The last two are
+// the ones sensitive to float accumulation order in that engine.
 var fleetGoldenCases = []struct {
 	name string
 	cfg  Config
@@ -25,6 +27,7 @@ var fleetGoldenCases = []struct {
 		Cache: &cdn.CacheConfig{EdgeBytes: 64 << 20, MetroBytes: 2 << 30, TTLSec: 6 * 3600, ColdCells: "0-3", FailCell: 5, FailAtSec: 60},
 	}},
 	{"partial3000", Config{Seed: 1, Sessions: 3000, Hotspot: 0.8, FidelityFull: 0.05}},
+	{"full1500", Config{Seed: 4, Sessions: 1500, Hotspot: 0.9, FidelityFull: 1}},
 }
 
 // fleetGolden holds the SHA-256 of Report.JSON() per case, keyed by
@@ -33,17 +36,19 @@ var fleetGoldenCases = []struct {
 //
 //	go test ./internal/fleet -run TestFleetReportGolden | grep -oE '"[a-z0-9]+": +"[0-9a-f]{64}",'
 //
-// The "9" row was recorded when the virtual-time engine's access-link
-// boundary heap became a gated link scan: mixed4800 and flash20000 are
-// the digests of the commit before (EngineVersion "8"), unchanged;
-// partial3000 moved with the same-instant application order of link
-// flips; at EngineVersion "8" it was
-// a2b6e5bfa2c0cf1c65a373b08bb99e0cd9ee1f540cb96a57dd2b717a21f398aa.
+// The "10" row was recorded when the virtual-time engine's uncCap heap
+// began holding lower bounds of the uncapped flows' caps: mixed4800,
+// flash20000 and partial3000 are the "9" digests, unchanged; full1500
+// moved (flows with equal caps demote in a different order, so R and
+// capRT accumulate in a different order); on the commit before, at
+// EngineVersion "9", it was
+// f8a82c80ae3a60642a34835b7ea8c3ec57e7b69132180ede6e2dabe6609f08f9.
 var fleetGolden = map[string]map[string]string{
-	"9": {
+	"10": {
 		"mixed4800":   "563bd4276602b9df4710318988fafa29d110331b0bc08ed12ff1475d12972a88",
 		"flash20000":  "3b16551bfaf6931aa76e3b538101799e379d8a5e8b60e1a25f6d57fbe5996d86",
 		"partial3000": "853a188f958aed04ab1e932fa21b86e227ba35c96a2461dc920be538527e1538",
+		"full1500":    "be6d3611680d627cba2ca8a9c2086d2bae977fdecb954afca66425fc7f193587",
 	},
 }
 

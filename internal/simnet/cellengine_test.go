@@ -163,6 +163,7 @@ func TestCellVTimeHandoff(t *testing.T) {
 		for {
 			done := n.Step(until)
 			sawVtime = sawVtime || n.VTimeActive()
+			checkVTimeCapBounds(t, n) // from the first event after enterVTime on
 			if len(done) == 0 {
 				return
 			}

@@ -258,11 +258,12 @@ func (t *Transfer) Throughput() float64 {
 //
 // Create links with Network.NewAccessLink and attach them with DialVia.
 type AccessLink struct {
-	cursor  netem.Cursor
-	profile *netem.Profile
-	rateBps float64 // profile sample at the last refresh (bits/s)
-	nextChg float64 // rateBps holds until here: NextChange (cell engine) or NextBoundary (vtime)
-	flows   int     // flowing transfers currently carried by the link
+	cursor   netem.Cursor
+	profile  *netem.Profile
+	rateBps  float64 // profile sample at the last refresh (bits/s)
+	nextChg  float64 // rateBps holds until here: NextChange (cell engine) or NextBoundary (vtime)
+	flows    int     // flowing transfers currently carried by the link
+	capFloor float64 // vtime: no uncapped flow here has an uncCap key above this; +Inf if any flow here is capped
 
 	// The flowing transfers themselves, split by role: members carries
 	// transfers whose connection dialed via this link (access role),

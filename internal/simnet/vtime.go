@@ -41,7 +41,16 @@ import (
 // only the largest capped cap and the smallest uncapped cap can violate
 // it, so a rebalance repeatedly compares the two heap tops against the
 // share s. Every move strictly increases s, so each flow moves at most
-// once per direction and the loop terminates.
+// once per direction and the loop terminates. An uncapped flow's cap
+// matters only once it drops below s, so uncCap keys are lower bounds of
+// the caps, not the caps: updateCap lowers a key when the cap falls
+// below it and never raises one; only rebalance, finding a top whose key
+// is below s but whose cap is not, tightens that key to the exact cap.
+// AccessLink.capFloor makes the bound O(1) to keep across a profile
+// flip: no uncapped flow on the link is keyed above it, so a new even
+// share at or above the floor leaves every member's bound valid and
+// touches none. A capped flow serves at its exact cap, so its links hold
+// the floor at +Inf and re-key their members on every flip.
 //
 // The engine is equivalent to the scan engine up to float accumulation
 // order (uncapped shares are s exactly instead of the water-filling's
@@ -69,7 +78,7 @@ type vtimeState struct {
 	capRT float64 // Σ vCap·vAnchor over capped flows
 
 	uncFin fheap[Transfer] // uncapped flows keyed by finish-V
-	uncCap fheap[Transfer] // uncapped flows keyed by effective cap (min on top)
+	uncCap fheap[Transfer] // uncapped flows keyed by a lower bound of their effective cap (min on top)
 	capFin fheap[Transfer] // capped flows keyed by real finish time
 	capCap fheap[Transfer] // capped flows keyed by negated cap (max on top)
 	grow   fheap[Conn]     // slow-start doublings of conns with an attached flow
@@ -135,6 +144,12 @@ func (v *vtimeState) addCap(n *Network, tr *Transfer, cap float64) {
 	v.capRT += cap * tr.vAnchor
 	v.capFin.Push(tr, capFinishT(n.now, tr.vRem, cap))
 	v.capCap.Push(tr, -cap)
+	if l := tr.Conn.access; l != nil {
+		l.capFloor = math.Inf(1)
+	}
+	if l := tr.upstream; l != nil {
+		l.capFloor = math.Inf(1)
+	}
 }
 
 // removeCap is addCap's inverse, materializing service at the cap.
@@ -167,14 +182,15 @@ func capFinishT(now, rem, cap float64) float64 {
 }
 
 // updateCap applies a changed effective cap to an attached flow. An
-// uncapped flow only re-keys its rebalance heap — its service rate is
-// the shared slope either way — while a capped flow materializes at the
-// old rate and re-anchors at the new one.
+// uncapped flow only lowers its rebalance key when the cap fell below it
+// — its service rate is the shared slope either way, and a raised key
+// could outrun a link's capFloor — while a capped flow materializes at
+// the old rate and re-anchors at the new one.
 func (v *vtimeState) updateCap(n *Network, tr *Transfer) {
 	cap := tr.Conn.effCap()
 	switch tr.vClass {
 	case vUnc:
-		if cap != v.uncCap.key[tr.hCap] { //vodlint:allow floateq — skip no-op re-keys of an unchanged cap
+		if cap < v.uncCap.key[tr.hCap] {
 			v.uncCap.Fix(tr.hCap, cap)
 		}
 	case vCapd:
@@ -192,20 +208,30 @@ func (v *vtimeState) updateCap(n *Network, tr *Transfer) {
 
 // updateLinkCaps re-keys every flow on l — access-role and
 // upstream-role members alike — after its even split changed
-// (membership or budget change).
+// (membership or budget change), and re-bases l.capFloor on the new
+// share: every uncapped member is now keyed at or below it.
 func (v *vtimeState) updateLinkCaps(n *Network, l *AccessLink) {
+	floor := l.rateBps / 8 / float64(l.flows)
 	for _, m := range l.members {
-		v.updateCap(n, m)
+		if v.updateCap(n, m); m.vClass == vCapd {
+			floor = math.Inf(1)
+		}
 	}
 	for _, m := range l.upMembers {
-		v.updateCap(n, m)
+		if v.updateCap(n, m); m.vClass == vCapd {
+			floor = math.Inf(1)
+		}
 	}
+	l.capFloor = floor
 }
 
 // rebalance restores the max-min partition after caps, capacity or
 // membership changed, then re-derives the slope. Only the heap tops can
 // violate the partition: the smallest uncapped cap is the first to fall
 // below the share s, the largest capped cap the first to rise above it.
+// The uncapped top's key may be a stale lower bound; it is made exact
+// before it is trusted, so the flow demoted is the one with the smallest
+// true cap and serves at exactly that cap.
 // Every demote removes a cap < s from the uncapped pool and every
 // promote returns a cap > s to it, so s strictly increases with each
 // move, no flow moves twice in the same direction, and the loop
@@ -226,6 +252,18 @@ func (v *vtimeState) rebalance(n *Network) {
 		s := (v.C - v.R) / float64(v.uncN)
 		if k := v.uncCap.MinKey(); k < s {
 			tr := v.uncCap.Min()
+			if c := tr.Conn.effCap(); c > k {
+				// A stale bound, not a binding cap: tighten it — the one
+				// place a key rises, so the flow's links' floors rise too.
+				v.uncCap.Fix(tr.hCap, c)
+				if l := tr.Conn.access; l != nil && l.capFloor < c {
+					l.capFloor = c
+				}
+				if l := tr.upstream; l != nil && l.capFloor < c {
+					l.capFloor = c
+				}
+				continue
+			}
 			v.removeUnc(n, tr)
 			v.addCap(n, tr, k)
 			continue
@@ -276,11 +314,12 @@ func (n *Network) vAttach(tr *Transfer) {
 	}
 }
 
-// vActivateLink refreshes a link's budget and boundary memo as it joins
-// the active set, lowering the cross-link minimum to cover it.
+// vActivateLink refreshes a link's budget, boundary memo and capFloor as
+// it joins the active set, lowering the cross-link minimum to cover it.
 func (n *Network) vActivateLink(l *AccessLink) {
 	l.rateBps = l.cursor.At(n.now)
 	l.nextChg = l.cursor.NextBoundary(n.now)
+	l.capFloor = l.rateBps / 8 / float64(l.flows)
 	if l.nextChg < n.linksNextChg {
 		n.linksNextChg = l.nextChg
 	}
@@ -327,9 +366,9 @@ func (v *vtimeState) abandon(n *Network, tr *Transfer) {
 }
 
 // enterVTime hands the live flows from the scan engine to the
-// virtual-time engine. V restarts at 0; every flowing transfer attaches
-// uncapped at its current remaining and the first rebalance derives the
-// true partition.
+// virtual-time engine. V restarts at 0; the active links refresh first,
+// so every flowing transfer attaches uncapped keyed by its cap as of now,
+// and the first rebalance derives the true partition.
 func (n *Network) enterVTime() {
 	if n.v == nil {
 		n.v = newVtimeState()
@@ -337,6 +376,10 @@ func (n *Network) enterVTime() {
 	v := n.v
 	v.vNow = 0
 	v.C = n.cursor.At(n.now) / 8
+	n.linksNextChg = math.Inf(1)
+	for _, l := range n.links {
+		n.vActivateLink(l)
+	}
 	for _, tr := range n.flowing {
 		tr.pos = -1
 		tr.vRem = tr.remaining
@@ -349,10 +392,6 @@ func (n *Network) enterVTime() {
 		n.flowing[i] = nil
 	}
 	n.flowing = n.flowing[:0]
-	n.linksNextChg = math.Inf(1)
-	for _, l := range n.links {
-		n.vActivateLink(l)
-	}
 	v.rebalance(n)
 	n.vmode = true
 }
@@ -508,10 +547,12 @@ func (n *Network) vStepOnce(until float64) []*Transfer {
 
 	// Access-link profile boundaries due now: one pass over the active
 	// links, gated by the cached minimum, refreshes the due ones in
-	// Network.links order and re-derives the minimum. The fleet's traces
-	// all sample at 1 s, so every link is due at the same instant and the
-	// pass is O(K) per simulated second; profiles whose boundaries do not
-	// align would pay O(K) per distinct instant, which no caller produces.
+	// Network.links order — re-keying members only where the new share
+	// undercuts the link's capFloor — and re-derives the minimum. The
+	// fleet's traces all sample at 1 s, so every link is due at the same
+	// instant and the pass is O(K) per simulated second; profiles whose
+	// boundaries do not align would pay O(K) per distinct instant, which
+	// no caller produces.
 	if n.now >= n.linksNextChg {
 		minChg := math.Inf(1)
 		for _, l := range n.links {
@@ -519,8 +560,10 @@ func (n *Network) vStepOnce(until float64) []*Transfer {
 				l.nextChg = l.cursor.NextBoundary(n.now)
 				if r := l.cursor.At(n.now); r != l.rateBps { //vodlint:allow floateq — memo invalidation on a stored, never-recomputed sample value
 					l.rateBps = r
-					v.updateLinkCaps(n, l)
-					dirty = true
+					if r/8/float64(l.flows) < l.capFloor {
+						v.updateLinkCaps(n, l)
+						dirty = true
+					}
 				}
 			}
 			if l.nextChg < minChg {

@@ -115,6 +115,7 @@ func runWorkload(t *testing.T, cfg Config, p *netem.Profile, linkP *netem.Profil
 	step := func(until float64) {
 		for {
 			done := n.Step(until)
+			checkVTimeCapBounds(t, n)
 			if len(done) == 0 {
 				return
 			}
@@ -146,6 +147,41 @@ func runWorkload(t *testing.T, cfg Config, p *netem.Profile, linkP *netem.Profil
 		}
 	}
 	return r
+}
+
+// checkVTimeCapBounds asserts the rebalance heaps' cap invariant on a
+// network in vtime mode (a no-op otherwise). An uncapped flow's uncCap
+// key is a lower bound of its effective cap and sits at or below the
+// capFloor of both its links; a capped flow serves at exactly its
+// effective cap and pins both its links' floors at +Inf, so their
+// profile flips always take the exact path.
+func checkVTimeCapBounds(t *testing.T, n *Network) {
+	t.Helper()
+	if !n.vmode {
+		return
+	}
+	v := n.v
+	for i, tr := range v.uncCap.val {
+		k, c := v.uncCap.key[i], tr.Conn.effCap()
+		if tr.vClass != vUnc || k > c {
+			t.Fatalf("t=%v conn %d: class %d, uncCap key %v above effective cap %v", n.now, tr.Conn.seq, tr.vClass, k, c)
+		}
+		for _, l := range [...]*AccessLink{tr.Conn.access, tr.upstream} {
+			if l != nil && k > l.capFloor {
+				t.Fatalf("t=%v conn %d: uncCap key %v above its link's capFloor %v", n.now, tr.Conn.seq, k, l.capFloor)
+			}
+		}
+	}
+	for _, tr := range v.capCap.val {
+		if c := tr.Conn.effCap(); tr.vClass != vCapd || tr.vCap != c {
+			t.Fatalf("t=%v conn %d: class %d, serving at %v, effective cap %v", n.now, tr.Conn.seq, tr.vClass, tr.vCap, c)
+		}
+		for _, l := range [...]*AccessLink{tr.Conn.access, tr.upstream} {
+			if l != nil && !math.IsInf(l.capFloor, 1) {
+				t.Fatalf("t=%v conn %d: capped flow on a link with finite capFloor %v", n.now, tr.Conn.seq, l.capFloor)
+			}
+		}
+	}
 }
 
 // checkConservation asserts the exact per-engine byte ledger: delivered
@@ -493,26 +529,45 @@ func stormProfiles(durs ...float64) []*netem.Profile {
 	return ps
 }
 
+// stormShape sizes a link storm: nconn connections, perLink of them
+// behind each access link, under a constant edge of edgeBps.
+type stormShape struct {
+	nconn, perLink int
+	edgeBps        float64
+	connCaps       []float64 // Config.ConnCapSequence: per-connection static caps, bits/s
+	rtt            float64   // Config.RTT; 0 for the default
+}
+
 // runLinkStorm is the shape the scripted workloads above lack: many
-// connections, each behind its OWN access link (link i over
-// profs[i%len(profs)]), under one saturated constant edge. Every
-// connection fetches two objects; the second request goes out at the
-// first quarter-second deadline after the first completed, so links go
-// idle and re-activate mid-second and both engines see identical
-// request times. closeConn >= 0 closes that connection, mid-transfer,
-// at closeAt.
-func runLinkStorm(t *testing.T, engine Engine, profs []*netem.Profile, nconn, closeConn int, closeAt float64) *engineRun {
+// connections behind their OWN access links (link i over
+// profs[i%len(profs)], sh.perLink connections each), under one constant
+// edge. Every connection fetches two objects; the second request goes
+// out at the first quarter-second deadline after the first completed, so
+// links go idle and re-activate mid-second and both engines see
+// identical request times. closeConn >= 0 closes that connection,
+// mid-transfer, at closeAt. The returned count is the number of Step
+// returns that found some link carrying a capped and an uncapped
+// virtual-time flow together.
+func runLinkStorm(t *testing.T, engine Engine, profs []*netem.Profile, sh stormShape, closeConn int, closeAt float64) (*engineRun, int) {
 	t.Helper()
+	nconn := sh.nconn
 	cfg := DefaultConfig()
 	cfg.Engine = engine
-	n := New(cfg, netem.Constant("edge", 40e6, 1000))
+	cfg.ConnCapSequence = sh.connCaps
+	cfg.RTT = sh.rtt
+	n := New(cfg, netem.Constant("edge", sh.edgeBps, 1000))
 	r := &engineRun{n: n, conns: make([]*Conn, nconn)}
 	rng := rand.New(rand.NewSource(17))
 	left := make([]int, nconn)
+	var l *AccessLink
 	for i := range r.conns {
-		r.conns[i] = n.DialVia(n.NewAccessLink(profs[i%len(profs)]))
+		if i%sh.perLink == 0 {
+			l = n.NewAccessLink(profs[i/sh.perLink%len(profs)])
+		}
+		r.conns[i] = n.DialVia(l)
 		left[i] = 2
 	}
+	mixedSteps := 0
 	want := 2 * nconn
 	for deadline := 0.0; len(r.completed) < want; deadline += 0.25 {
 		if deadline > 2000 {
@@ -527,13 +582,24 @@ func runLinkStorm(t *testing.T, engine Engine, profs []*netem.Profile, nconn, cl
 			left[closeConn], closeConn = 0, -1
 		}
 		for i, c := range r.conns {
-			if left[i] > 0 && !c.Busy() {
+			if left[i] > 0 && !c.Busy() && deadline >= 0.25*float64(i%sh.perLink) {
 				left[i]--
 				r.transfers = append(r.transfers, c.Start(math.Round(rng.Float64()*4e5)+5e4, nil))
 			}
 		}
 		for {
 			done := n.Step(deadline + 0.25)
+			checkVTimeCapBounds(t, n)
+			for _, l := range n.links {
+				var seen [vCapd + 1]bool
+				for _, m := range l.members {
+					seen[m.vClass] = true
+				}
+				if seen[vUnc] && seen[vCapd] {
+					mixedSteps++
+					break
+				}
+			}
 			if len(done) == 0 {
 				break
 			}
@@ -542,7 +608,7 @@ func runLinkStorm(t *testing.T, engine Engine, profs []*netem.Profile, nconn, cl
 			}
 		}
 	}
-	return r
+	return r, mixedSteps
 }
 
 // checkLinkStorm runs one storm on the scan and virtual-time engines and
@@ -550,10 +616,10 @@ func runLinkStorm(t *testing.T, engine Engine, profs []*netem.Profile, nconn, cl
 // properties: completions arrive in the same order (two may swap only
 // when the scan engine finished them within the time tolerance of each
 // other), and every completed transfer drained exactly to zero.
-func checkLinkStorm(t *testing.T, profs []*netem.Profile, nconn, closeConn int, closeAt float64) {
+func checkLinkStorm(t *testing.T, profs []*netem.Profile, sh stormShape, closeConn int, closeAt float64) (mixedSteps int) {
 	t.Helper()
-	scan := runLinkStorm(t, EngineScan, profs, nconn, closeConn, closeAt)
-	vt := runLinkStorm(t, EngineVTime, profs, nconn, closeConn, closeAt)
+	scan, _ := runLinkStorm(t, EngineScan, profs, sh, closeConn, closeAt)
+	vt, mixedSteps := runLinkStorm(t, EngineVTime, profs, sh, closeConn, closeAt)
 	checkConservation(t, scan, "scan")
 	checkConservation(t, vt, "vtime")
 	compareRuns(t, scan, vt)
@@ -576,20 +642,119 @@ func checkLinkStorm(t *testing.T, profs []*netem.Profile, nconn, closeConn int, 
 			t.Fatalf("vtime transfer %d: %g bytes left after completion", i, tr.Remaining())
 		}
 	}
+	return mixedSteps
 }
 
-// TestVTimeAlignedBoundaryStorm is the flash-crowd cell in miniature:
-// 256 single-flow access links over the 1 s cellular traces, so every
-// active link's profile boundary falls on the same instant.
+// saturated256 is the flash-crowd cell in miniature: 256 single-flow
+// links under a 40 Mbit/s edge whose share sits below every link's.
+var saturated256 = stormShape{nconn: 256, perLink: 1, edgeBps: 40e6}
+
+// TestVTimeAlignedBoundaryStorm runs the storm over the 1 s cellular
+// traces, so every active link's profile boundary falls on the same
+// instant.
 func TestVTimeAlignedBoundaryStorm(t *testing.T) {
-	checkLinkStorm(t, stormProfiles(1), 256, -1, 0)
+	checkLinkStorm(t, stormProfiles(1), saturated256, -1, 0)
 }
 
 // TestVTimeMixedSampleDur is the same storm with link sample durations
 // of 0.7, 1 and 1.3 s: boundaries do not align, so almost every instant
 // has only a few links due and the rest must be left alone.
 func TestVTimeMixedSampleDur(t *testing.T) {
-	checkLinkStorm(t, stormProfiles(0.7, 1, 1.3), 256, -1, 0)
+	checkLinkStorm(t, stormProfiles(0.7, 1, 1.3), saturated256, -1, 0)
+}
+
+// TestVTimeSlowStartStorm stretches the round trip to half a second, so
+// a window takes nine doublings over 4.5 s to reach steady state and is,
+// for several profile boundaries, the binding term of an uncapped flow's
+// cap: doublings raise caps whose bounds must stay where the links'
+// floors vouch for them.
+func TestVTimeSlowStartStorm(t *testing.T) {
+	sh := saturated256
+	sh.rtt = 0.5
+	checkLinkStorm(t, stormProfiles(1), sh, -1, 0)
+}
+
+// TestVTimeSharedLinkStorm puts three connections behind each of 128
+// links, with static per-connection caps of 2, 8 and 1 Mbit/s, under an
+// edge whose share sits inside the spread of those caps and the link
+// shares: links carry capped and uncapped members together and cross
+// profile boundaries while they do — the flips the capFloor rule must
+// never skip.
+func TestVTimeSharedLinkStorm(t *testing.T) {
+	sh := stormShape{nconn: 384, perLink: 3, edgeBps: 300e6, connCaps: []float64{2e6, 8e6, 1e6}}
+	if mixed := checkLinkStorm(t, stormProfiles(1), sh, -1, 0); mixed < 100 {
+		t.Fatalf("only %d steps ended with a capped and an uncapped flow sharing a link; the storm no longer exercises mixed links", mixed)
+	}
+}
+
+// TestVTimeStaleCapBound walks one flow's cap bound through its whole
+// life cycle against the scan engine. 64 single-flow links share a
+// 32 Mbit/s edge, so the share starts at 62.5 kB/s, below every link's;
+// link 0 steps 1 -> 20 -> 0.5 Mbit/s in 4 s samples while the others
+// hold 16 Mbit/s. The rise to 20 Mbit/s leaves flow 0's bound at the
+// 1 Mbit/s share; 60 small flows then complete and lift the share to
+// 1 MB/s, past that stale bound but below the true 2.5 MB/s cap — the
+// flow must stay uncapped, its bound tightened to the exact cap. The
+// drop to 0.5 Mbit/s must then cap it at exactly the new share.
+func TestVTimeStaleCapBound(t *testing.T) {
+	const nlinks = 64
+	linkP := &netem.Profile{Name: "step", SampleDur: 4, Samples: []float64{1e6, 20e6, 0.5e6}}
+	run := func(engine Engine) (*engineRun, [3]float64) {
+		cfg := DefaultConfig()
+		cfg.InitialWindowSegments = 2e4 // no slow-start cap: link shares are the only caps
+		cfg.Engine = engine
+		n := New(cfg, netem.Constant("edge", 32e6, 1000))
+		r := &engineRun{n: n}
+		for i := 0; i < nlinks; i++ {
+			p, size := netem.Constant("flat", 16e6, 1000), 3e5+2e3*float64(i)
+			if i == 0 {
+				p = linkP
+			}
+			if i < 4 {
+				size = 1e8 // outlives the script: the share settles at edge/4
+			}
+			r.transfers = append(r.transfers, n.DialVia(n.NewAccessLink(p)).Start(size, nil))
+		}
+		var rates [3]float64
+		for i, until := range []float64{3.9, 7.9, 8.5} {
+			for {
+				done := n.Step(until)
+				checkVTimeCapBounds(t, n)
+				if len(done) == 0 {
+					break
+				}
+				for _, tr := range done {
+					if tr.Completed < 4 || tr.Completed > 7.9 {
+						t.Fatalf("engine %d: conn %d completed at %v, outside link 0's 20 Mbit/s sample", engine, tr.Conn.seq, tr.Completed)
+					}
+					r.completed = append(r.completed, completionRec{tr.Conn.seq, tr.Size, tr.Completed})
+				}
+			}
+			tr := r.transfers[0]
+			rates[i] = tr.Rate()
+			if i == 1 && n.vmode && (tr.vClass != vUnc || n.v.uncCap.key[tr.hCap] != 20e6/8) {
+				t.Errorf("at the raised share: class %d, bound %v, want uncapped with the bound at the exact cap %v", tr.vClass, n.v.uncCap.key[tr.hCap], 20e6/8)
+			}
+		}
+		return r, rates
+	}
+	scan, scanRates := run(EngineScan)
+	vt, rates := run(EngineVTime)
+	if len(vt.completed) != nlinks-4 {
+		t.Fatalf("%d of %d small flows completed", len(vt.completed), nlinks-4)
+	}
+	checkConservation(t, scan, "scan")
+	checkConservation(t, vt, "vtime")
+	compareRuns(t, scan, vt)
+	want := [3]float64{32e6 / 8 / nlinks, 32e6 / 8 / 4, 0.5e6 / 8}
+	for i := range want {
+		if math.Abs(rates[i]-want[i]) > 1e-9*want[i] || math.Abs(scanRates[i]-want[i]) > 1e-9*want[i] {
+			t.Errorf("probe %d: flow 0 served at %v (vtime) / %v (scan), want %v", i, rates[i], scanRates[i], want[i])
+		}
+	}
+	if tr := vt.transfers[0]; tr.vClass != vCapd || rates[2] != want[2] {
+		t.Errorf("after the drop: class %d at %v B/s, want capped at exactly %v", tr.vClass, rates[2], want[2])
+	}
 }
 
 // TestVTimeStaleLinkMinimum closes, mid-second, the one connection whose
@@ -599,7 +764,7 @@ func TestVTimeMixedSampleDur(t *testing.T) {
 func TestVTimeStaleLinkMinimum(t *testing.T) {
 	profs := stormProfiles(1)[:8]
 	profs[0] = &netem.Profile{Name: "fast-clock", SampleDur: 0.4, Samples: profs[0].Samples}
-	checkLinkStorm(t, profs, 8, 0, 0.5)
+	checkLinkStorm(t, profs, stormShape{nconn: 8, perLink: 1, edgeBps: 40e6}, 0, 0.5)
 }
 
 // TestVTimeHotPathZeroAlloc extends the PR 3 zero-allocation promise to
@@ -692,27 +857,38 @@ func BenchmarkFanIn512(b *testing.B) {
 }
 
 // BenchmarkVTimeBoundaryStorm isolates the access-link boundary
-// mechanism: 4096 single-flow links over the 1 s cellular traces under an
-// edge so saturated that nothing completes, stepped across 30 simulated
-// seconds — every event after the ramp is a boundary instant with every
-// link due.
+// mechanism: 4096 single-flow links over the 1 s cellular traces, nothing
+// completing, stepped across 30 simulated seconds — every event after
+// the ramp is a boundary instant with every link due. The two cases sit
+// on either side of the capFloor gate: under the saturated 40 Mbit/s
+// edge the share is below every link's, all flows are uncapped and every
+// flip is skipped once the floors settle; under the 4 Gbit/s edge the
+// share is about 1 Mbit/s, most links hold a capped flow and take the
+// exact path on every flip.
 func BenchmarkVTimeBoundaryStorm(b *testing.B) {
 	const links, seconds = 4096, 30
 	profs := stormProfiles(1)
 	cfg := DefaultConfig()
 	cfg.Engine = EngineVTime
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		n := New(cfg, netem.Constant("edge", 40e6, 1000))
-		for j := 0; j < links; j++ {
-			n.DialVia(n.NewAccessLink(profs[j%len(profs)])).Start(1e9, nil)
-		}
-		n.Step(1.5) // past every first byte and the slow-start ramp's first second
-		b.StartTimer()
-		if done := n.Step(1.5 + seconds); len(done) != 0 {
-			b.Fatalf("%d transfers completed under a saturated edge", len(done))
-		}
+	for _, bc := range []struct {
+		name    string
+		edgeBps float64
+	}{{"saturated", 40e6}, {"capped", 4e9}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				n := New(cfg, netem.Constant("edge", bc.edgeBps, 1000))
+				for j := 0; j < links; j++ {
+					n.DialVia(n.NewAccessLink(profs[j%len(profs)])).Start(1e9, nil)
+				}
+				n.Step(1.5) // past every first byte and the slow-start ramp's first second
+				b.StartTimer()
+				if done := n.Step(1.5 + seconds); len(done) != 0 {
+					b.Fatalf("%d transfers completed in %d s at trace rates", len(done), seconds)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*links*seconds), "ns/link-flip")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*links*seconds), "ns/link-flip")
 }
