@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt fmt-check lint lint-vettool lint-audit verify test race bench bench-smoke bench-json bench-compare report fuzz-smoke cache-determinism fleet-smoke fleet-cache-cmp fleet-scale
+.PHONY: build vet fmt fmt-check lint lint-vettool lint-audit verify test race bench bench-smoke bench-pair bench-record report fuzz-smoke cache-determinism fleet-smoke fleet-cache-cmp fleet-scale
 
 build:
 	$(GO) build ./...
@@ -70,31 +70,64 @@ test:
 race:
 	$(GO) test -race -count=1 ./...
 
-# Every benchmark, one iteration each: validates they all still compile
-# and run without letting timing noise gate anything.
+# The repository's benchmark (BENCHMARK.json, bench/README.md): four
+# workloads, untraced then traced, merged into bench/out/latest.json.
+# SEED and SECONDS_PER_RUN reach bench/run.sh through the environment.
 bench:
+	bench/run.sh
+
+# Every Benchmark* function, one iteration each: validates that the
+# component micro-benchmarks still compile and run without letting
+# timing noise gate anything.
+bench-smoke:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 
-# The CI smoke subset: one real experiment benchmark plus a full
-# parallel-engine report regeneration.
-bench-smoke:
-	$(GO) test -bench 'BenchmarkFig8|BenchmarkReportAllParallel' -benchtime 1x -run '^$$' ./...
+# The regression gate: build PARENT in a git worktree under
+# .bench_build/, run bench/run.sh on it and on the working tree, and
+# hold the two sets to what bench/run.sh --repeat holds two sets of one
+# commit to: every end-to-end metric within its BENCHMARK.json bound
+# (either way: the comparator does not know which side is newer), every
+# count and simulated statistic (sim.report_sha48 included) equal.
+# PAIRS=n repeats the pair, alternating which side runs first, and the
+# gate fails when more than half of the pairs disagree. A moved count
+# disagrees in every pair and a cost past its bound in most; the host's
+# own bursts (two of the first seven pairs run on the build box, with
+# identical code on both sides) do not repeat. Each pair's two sets stay in
+# bench/out/pair<i>/{parent,change}.
+PAIRS ?= 1
+bench-pair:
+	@[ -n "$(PARENT)" ] || { echo "usage: make bench-pair PARENT=<ref> [PAIRS=n]" >&2; exit 2; }
+	@set -e; wt="$(CURDIR)/.bench_build/parent"; \
+	git worktree remove --force "$$wt" 2>/dev/null || git worktree prune; \
+	git worktree add --detach "$$wt" "$(PARENT)" >/dev/null; \
+	trap 'git worktree remove --force "$$wt"' EXIT; \
+	disagree=0; \
+	for i in $$(seq 1 $(PAIRS)); do \
+		if [ $$((i % 2)) = 1 ]; then order="$$wt ."; else order=". $$wt"; fi; \
+		for tree in $$order; do echo "== bench/run.sh in $$tree" >&2; "$$tree/bench/run.sh"; done; \
+		pair="bench/out/pair$$i"; rm -rf "$$pair"; mkdir -p "$$pair"; \
+		cp -r "$$wt/bench/out/set1" "$$pair/parent"; cp -r bench/out/set1 "$$pair/change"; \
+		echo "== pair $$i of $(PAIRS): $(PARENT) against the working tree" >&2; \
+		bench/out/bench.bin -collect "$$pair/parent" -compare "$$pair/change" >/dev/null || disagree=$$((disagree + 1)); \
+	done; \
+	echo "bench-pair: $$disagree of $(PAIRS) pairs disagree" >&2; \
+	[ $$((2 * disagree)) -le $(PAIRS) ]
 
-# Regenerate the machine-readable benchmark file (see DESIGN.md §7).
-BENCH_OUT ?= BENCH_local.json
-bench-json:
-	$(GO) run ./cmd/vodbench -bench -benchout $(BENCH_OUT)
-
-# Gate the current tree against the committed baseline. ns/op is
-# calibration-normalized (cross-machine safe); allocs/op is exact.
-# BENCH_FILTER narrows the suite (calibration always runs). The current
-# numbers are always written to BENCH_COMPARE_OUT — before gating — so
-# a failed gate leaves the evidence behind for artifact upload.
-BENCH_BASE ?= BENCH_baseline.json
-BENCH_FILTER ?=
-BENCH_COMPARE_OUT ?= BENCH_current.json
-bench-compare:
-	$(GO) run ./cmd/vodbench -bench -filter '$(BENCH_FILTER)' -compare $(BENCH_BASE) -benchout $(BENCH_COMPARE_OUT)
+# The kept trajectory: append one line per workload of the last
+# bench/run.sh to BENCH_history.jsonl, each holding the two one-line
+# results run.sh left in bench/out/set1 (host-scaled end-to-end metrics;
+# ladder rungs, probes and sim.report_sha48). Run it on the tree the PR
+# will commit, so the commit reads <parent>-dirty; earlier lines are
+# never rewritten.
+bench-record:
+	@[ -n "$(PR)" ] || { echo "usage: make bench-record PR=<n>  (after make bench)" >&2; exit 2; }
+	@set -e; commit="$$(git describe --always --dirty --abbrev=7)"; \
+	for f in bench/out/set1/*.trace0.json; do \
+		w="$$(basename "$$f" .trace0.json)"; \
+		[ -s "$$f" ] && [ -s "bench/out/set1/$$w.trace1.json" ] || { echo "bench-record: no results in bench/out/set1; run make bench first" >&2; exit 1; }; \
+		printf '{"pr":%s,"commit":"%s","workload":"%s","end_to_end":%s,"per_layer":%s}\n' \
+			"$(PR)" "$$commit" "$$w" "$$(cat "$$f")" "$$(cat "bench/out/set1/$$w.trace1.json")"; \
+	done >>BENCH_history.jsonl
 
 # Regenerate REPORT.md on all cores (vodreport -workers N to override).
 report:

@@ -1,19 +1,12 @@
-// Package vod's benchmark harness: one benchmark per paper artifact
-// (Table 1, Table 2, Figures 3–15, the §4.1.1 what-if analysis) plus
-// micro-benchmarks of the substrates. Each artifact benchmark regenerates
-// the full experiment per iteration, so `go test -bench .` both times the
-// reproduction and re-validates that every experiment still runs.
+// Component micro-benchmarks that no bench/ probe covers: content
+// synthesis, manifest round-trips, the traffic and QoE analyzers, origin
+// building and the all-services player sweep. Whole-program timing is
+// bench/'s job (see BENCHMARK.json).
 package vod
 
 import (
-	"context"
-	"runtime"
 	"testing"
 
-	"repro/internal/expcache"
-	"repro/internal/experiments"
-	"repro/internal/fleet"
-	"repro/internal/live"
 	"repro/internal/manifest"
 	"repro/internal/manifest/dash"
 	"repro/internal/manifest/hls"
@@ -23,178 +16,9 @@ import (
 	"repro/internal/player"
 	"repro/internal/qoe"
 	"repro/internal/services"
-	"repro/internal/simnet"
 	"repro/internal/traffic"
 	"repro/internal/uimon"
 )
-
-// benchExperiment runs one registered experiment per iteration. The
-// process-wide session cache stays warm across iterations (and across
-// benchmarks), so after the first iteration this times the analysis and
-// rendering of the artifact, not the session simulation — the number a
-// `vodreport` rerun actually pays. substrate/report_cold in vodbench
-// tracks the uncached cost.
-func benchExperiment(b *testing.B, id string) {
-	e := experiments.ByID(id)
-	if e == nil {
-		b.Fatalf("unknown experiment %q", id)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := e.Run(context.Background()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig3(b *testing.B)     { benchExperiment(b, "fig3") }
-func BenchmarkFig4(b *testing.B)     { benchExperiment(b, "fig4") }
-func BenchmarkFig5(b *testing.B)     { benchExperiment(b, "fig5") }
-func BenchmarkTable1(b *testing.B)   { benchExperiment(b, "table1") }
-func BenchmarkTable2(b *testing.B)   { benchExperiment(b, "table2") }
-func BenchmarkFig6(b *testing.B)     { benchExperiment(b, "fig6") }
-func BenchmarkFig7(b *testing.B)     { benchExperiment(b, "fig7") }
-func BenchmarkFig8(b *testing.B)     { benchExperiment(b, "fig8") }
-func BenchmarkFig9(b *testing.B)     { benchExperiment(b, "fig9") }
-func BenchmarkFig10(b *testing.B)    { benchExperiment(b, "fig10") }
-func BenchmarkSRWhatIf(b *testing.B) { benchExperiment(b, "sr_whatif") }
-func BenchmarkFig11(b *testing.B)    { benchExperiment(b, "fig11") }
-func BenchmarkFig12(b *testing.B)    { benchExperiment(b, "fig12") }
-func BenchmarkFig13(b *testing.B)    { benchExperiment(b, "fig13") }
-func BenchmarkFig14(b *testing.B)    { benchExperiment(b, "fig14") }
-func BenchmarkFig15(b *testing.B)    { benchExperiment(b, "fig15") }
-
-func BenchmarkAblEnergy(b *testing.B)     { benchExperiment(b, "abl_energy") }
-func BenchmarkAblSegDur(b *testing.B)     { benchExperiment(b, "abl_segdur") }
-func BenchmarkAblSplit(b *testing.B)      { benchExperiment(b, "abl_split") }
-func BenchmarkAblSRCap(b *testing.B)      { benchExperiment(b, "abl_srcap") }
-func BenchmarkAblAlgorithms(b *testing.B) { benchExperiment(b, "abl_algorithms") }
-func BenchmarkAblRecovery(b *testing.B)   { benchExperiment(b, "abl_recovery") }
-func BenchmarkAblAbandon(b *testing.B)    { benchExperiment(b, "abl_abandon") }
-func BenchmarkAblFairness(b *testing.B)   { benchExperiment(b, "abl_fairness") }
-
-// benchReportAll regenerates the entire report (every registered
-// experiment) per iteration on the parallel engine with the given worker
-// count. The pair below tracks the serial-vs-parallel speedup as a
-// number; the first iteration also warms the shared origin caches, so
-// per-iteration numbers measure session simulation, not content
-// encoding.
-func benchReportAll(b *testing.B, workers int) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunAll(context.Background(), experiments.Options{Workers: workers}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkReportAll(b *testing.B) { benchReportAll(b, 1) }
-
-func BenchmarkReportAllParallel(b *testing.B) {
-	benchReportAll(b, runtime.GOMAXPROCS(0))
-}
-
-// BenchmarkReportAllCold resets the session cache every iteration: the
-// full price of regenerating every artifact from scratch.
-func BenchmarkReportAllCold(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		expcache.Default.Reset()
-		if _, err := experiments.RunAll(context.Background(), experiments.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkReportAllWarm pre-warms the session cache once and then times
-// fully cached report regenerations (analysis + rendering only).
-func BenchmarkReportAllWarm(b *testing.B) {
-	expcache.Default.Reset()
-	if _, err := experiments.RunAll(context.Background(), experiments.Options{}); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunAll(context.Background(), experiments.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLiveSession measures a 4-minute live session (playlist
-// polling + edge tracking) on the simulator.
-func BenchmarkLiveSession(b *testing.B) {
-	v, err := media.Generate(media.Config{
-		Name: "live", Duration: 1200, SegmentDuration: 4,
-		TargetBitrates: []float64{250e3, 500e3, 1e6},
-		Seed:           17,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	o := live.NewOrigin(v)
-	p := netem.Constant("c", 8e6, 2000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net := simnet.New(simnet.DefaultConfig(), p)
-		if _, err := live.Play(live.Config{JoinAt: 60, SessionDuration: 240}, o, net); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// ---- substrate micro-benchmarks ----
-
-// BenchmarkSession10Min measures one full 10-minute virtual-time session
-// (the unit of every experiment above).
-func BenchmarkSession10Min(b *testing.B) {
-	svc := services.ByName("H1")
-	org, err := svc.Origin()
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := netem.Cellular(5)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := services.RunWithOrigin(svc.Player, org, p, 600, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSimnetTransfers measures raw fluid-network throughput: 1000
-// back-to-back transfers on one connection.
-func BenchmarkSimnetTransfers(b *testing.B) {
-	p := netem.Constant("c", 10e6, 1e6)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := simnet.New(simnet.DefaultConfig(), p)
-		c := n.Dial()
-		for j := 0; j < 1000; j++ {
-			c.Start(500e3, nil)
-			n.Step(1e6)
-		}
-	}
-}
-
-// BenchmarkFleet1k measures a 1000-session population run end to end:
-// workload draw, per-cell shared-edge simulation and the streaming QoE
-// aggregation (internal/fleet). Serial (workers=1) so the number tracks
-// simulation cost, not the machine's core count.
-func BenchmarkFleet1k(b *testing.B) {
-	cfg := fleet.Config{Seed: 1, Sessions: 1000}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := fleet.Run(context.Background(), cfg, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkMediaGenerate measures content synthesis (a 20-minute,
 // 6-track VBR video).

@@ -1,7 +1,7 @@
 // Command vodbench regenerates the paper's tables and figures from the
-// simulated testbed and doubles as the benchmark-regression harness.
-// Multiple experiments run on the parallel engine; output stays in
-// paper order for any worker count.
+// simulated testbed. Multiple experiments run on the parallel engine;
+// output stays in paper order for any worker count. Timing the
+// repository is bench/'s job (see BENCHMARK.json).
 //
 // Usage:
 //
@@ -10,12 +10,6 @@
 //	vodbench -exp fig8,fig9
 //	vodbench -exp all -workers 8
 //	vodbench -exp all -cpuprofile cpu.pprof -memprofile mem.pprof
-//
-// Benchmark mode (see bench.go for the JSON schema and the
-// calibration-normalized comparison):
-//
-//	vodbench -bench -benchout BENCH_local.json
-//	vodbench -bench -filter 'substrate/' -compare BENCH_baseline.json
 package main
 
 import (
@@ -33,8 +27,8 @@ import (
 )
 
 func main() {
-	// Same batch GC cadence as vodfleet, so benchmark numbers measure
-	// the code under the deployment configuration (GOGC still wins).
+	// Same batch GC cadence as vodfleet, so profiles measure the code
+	// under the deployment configuration (GOGC still wins).
 	if os.Getenv("GOGC") == "" {
 		debug.SetGCPercent(400)
 	}
@@ -47,12 +41,6 @@ func run() int {
 	list := flag.Bool("list", false, "list experiment ids")
 	exp := flag.String("exp", "", "experiment id(s), comma-separated (fig3..fig15, table1, table2, sr_whatif, or 'all')")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent experiments (1 = serial)")
-	bench := flag.Bool("bench", false, "run the benchmark suite instead of printing experiment output")
-	benchOut := flag.String("benchout", "", "write benchmark results as JSON to this file (- for stdout)")
-	filter := flag.String("filter", "", "regexp selecting benchmark names in -bench mode (calibration always runs)")
-	compare := flag.String("compare", "", "baseline BENCH_*.json to gate the -bench run against")
-	tolerance := flag.Float64("tolerance", 0.20, "fractional ns/op regression tolerance for -compare (calibration-normalized)")
-	allocTolerance := flag.Float64("alloc-tolerance", 0.10, "fractional allocs/op regression tolerance for -compare")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	cacheDir := flag.String("cachedir", "", "on-disk session cache directory ('auto' for the default location; empty = memory only)")
@@ -105,10 +93,6 @@ func run() int {
 		}
 	}()
 
-	if *bench {
-		return benchMain(*filter, *benchOut, *compare, *tolerance, *allocTolerance)
-	}
-
 	if *list || *exp == "" {
 		fmt.Println("experiments:")
 		for _, e := range experiments.All() {
@@ -147,36 +131,6 @@ func run() int {
 		}
 		for _, p := range r.Plots {
 			fmt.Println(p)
-		}
-	}
-	return 0
-}
-
-// benchMain runs the benchmark suite and optionally writes and/or gates
-// the results; it returns the process exit code.
-func benchMain(filter, benchOut, compare string, tolerance, allocTolerance float64) int {
-	cur, err := runBench(filter)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "vodbench: %v\n", err)
-		return 1
-	}
-	if benchOut != "" {
-		if err := writeBenchFile(cur, benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "vodbench: %v\n", err)
-			return 1
-		}
-		if benchOut != "-" {
-			fmt.Fprintf(os.Stderr, "vodbench: wrote %s\n", benchOut)
-		}
-	}
-	if compare != "" {
-		base, err := readBenchFile(compare)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "vodbench: %v\n", err)
-			return 1
-		}
-		if compareBench(base, cur, tolerance, allocTolerance) > 0 {
-			return 1
 		}
 	}
 	return 0

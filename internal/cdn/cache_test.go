@@ -178,7 +178,7 @@ func TestCacheLRUEvictionOrder(t *testing.T) {
 // reached their working-set size, the lookup/admit/evict cycle must not
 // allocate — evicted entries recycle through the free list and map keys
 // reuse existing buckets. This is the contract behind the hotpath
-// annotations and the substrate/fleet_cdn_100k allocs/op gate.
+// annotations and bench/'s cdn.resolve_allocs probe.
 func TestCacheSteadyStateZeroAlloc(t *testing.T) {
 	c := newCache(400, 50)
 	objs := make([]Object, 64)

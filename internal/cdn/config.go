@@ -2,6 +2,7 @@ package cdn
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -112,7 +113,7 @@ func ParseCacheSpec(s string) (CacheConfig, error) {
 		case "nodes":
 			c.EdgeNodes, err = strconv.Atoi(val)
 		case "backhaul":
-			c.BackhaulMbps, err = strconv.ParseFloat(val, 64)
+			c.BackhaulMbps, err = parseFinite(val, 1)
 		case "mrtt":
 			c.MetroRTTSec, err = parseDuration(val)
 		case "ortt":
@@ -141,7 +142,9 @@ func ParseFailSpec(s string, c *CacheConfig) error {
 		var err error
 		switch key {
 		case "cell":
-			c.FailCell, err = strconv.Atoi(val)
+			if c.FailCell, err = strconv.Atoi(val); err == nil && c.FailCell < 0 {
+				err = fmt.Errorf("cell index must be >= 0")
+			}
 		case "t":
 			c.FailAtSec, err = parseDuration(val)
 		default:
@@ -174,10 +177,16 @@ func (c CacheConfig) ColdSet() (map[int]bool, error) {
 	return set, nil
 }
 
+// maxCells bounds the cell indices ParseCellSet accepts: 1<<22 cells is
+// about 100M sessions at the default 24 clients per cell, two orders of
+// magnitude past the largest fleet this repository runs. Without a
+// bound a range like "0-4000000000" is materialized index by index.
+const maxCells = 1 << 22
+
 // ParseCellSet parses "0-15,40,64-79" into a sorted, deduplicated
-// slice of cell indices.
+// slice of cell indices, each below maxCells.
 func ParseCellSet(s string) ([]int, error) {
-	seen := map[int]bool{}
+	var ranges [][2]int
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -195,15 +204,22 @@ func ParseCellSet(s string) ([]int, error) {
 				return nil, fmt.Errorf("cell set %q: bad range %q", s, part)
 			}
 		}
-		for i := a; i <= b; i++ {
-			seen[i] = true
+		if b >= maxCells {
+			return nil, fmt.Errorf("cell set %q: clause %q: index %d is not below the %d-cell limit", s, part, b, maxCells)
 		}
+		ranges = append(ranges, [2]int{a, b})
 	}
-	out := make([]int, 0, len(seen))
-	for i := range seen {
-		out = append(out, i)
+	// Merging sorted ranges keeps the work proportional to the result
+	// however often the clauses overlap.
+	sort.Slice(ranges, func(i, j int) bool { return ranges[i][0] < ranges[j][0] })
+	out := []int{}
+	next := 0 // smallest index not yet emitted
+	for _, r := range ranges {
+		for i := max(r[0], next); i <= r[1]; i++ {
+			out = append(out, i)
+		}
+		next = max(next, r[1]+1)
 	}
-	sort.Ints(out)
 	return out, nil
 }
 
@@ -227,14 +243,14 @@ func parseBytes(s string) (float64, error) {
 	case strings.HasSuffix(s, "B"):
 		s = strings.TrimSuffix(s, "B")
 	}
-	v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+	v, err := parseFinite(s, mult)
 	if err != nil {
 		return 0, err
 	}
 	if v < 0 {
 		return -1, nil
 	}
-	return v * mult, nil
+	return v, nil
 }
 
 // parseDuration accepts "6h", "120s", "90m", "20ms" or a bare number
@@ -251,9 +267,19 @@ func parseDuration(s string) (float64, error) {
 	case strings.HasSuffix(s, "s"):
 		s = strings.TrimSuffix(s, "s")
 	}
+	return parseFinite(s, mult)
+}
+
+// parseFinite parses s and scales it by mult. strconv.ParseFloat takes
+// "NaN" and "Inf", and a finite value can overflow under mult; neither
+// is a size, a rate or a time, and NaN would reach the report's JSON.
+func parseFinite(s string, mult float64) (float64, error) {
 	v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 	if err != nil {
 		return 0, err
 	}
-	return v * mult, nil
+	if v *= mult; math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("%q is not a finite number", s)
+	}
+	return v, nil
 }

@@ -1,6 +1,23 @@
 package cdn
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
+
+// rejected is a spec a parser must refuse, and the clause its error
+// must name so that the user can find it on the command line.
+type rejected struct{ spec, clause string }
+
+func checkRejected(t *testing.T, r rejected, err error) {
+	t.Helper()
+	if err == nil {
+		t.Fatalf("spec %q parsed without error", r.spec)
+	}
+	if !strings.Contains(err.Error(), r.clause) {
+		t.Fatalf("spec %q: error %q does not name the clause %q", r.spec, err, r.clause)
+	}
+}
 
 func TestParseCacheSpec(t *testing.T) {
 	c, err := ParseCacheSpec("edge:512MiB,metro:8GiB,ttl=6h")
@@ -26,10 +43,18 @@ func TestParseCacheSpec(t *testing.T) {
 	if c.MetroRTTSec != 0.02 || c.OriginRTTSec != 0.08 {
 		t.Fatalf("RTT clauses parsed wrong: %+v", c)
 	}
-	for _, bad := range []string{"edge", "x:1", "edge:abc", "ttl=xh"} {
-		if _, err := ParseCacheSpec(bad); err == nil {
-			t.Fatalf("spec %q parsed without error", bad)
-		}
+	for _, bad := range []rejected{
+		{"edge", "edge"}, {"x:1", "x"}, {"edge:abc", "edge:abc"}, {"ttl=xh", "ttl=xh"},
+		// strconv.ParseFloat takes these; a cache tier cannot.
+		{"edge:NaN,ttl=Inf,backhaul=NaN", "edge:NaN"},
+		{"edge:64MiB,ttl=Inf", "ttl=Inf"},
+		{"edge:64MiB,metro:2GiB,backhaul=NaN", "backhaul=NaN"},
+		{"edge:-Inf", "edge:-Inf"},
+		{"edge:1e308GiB", "edge:1e308GiB"},
+		{"mrtt=1e308h", "mrtt=1e308h"},
+	} {
+		_, err := ParseCacheSpec(bad.spec)
+		checkRejected(t, bad, err)
 	}
 }
 
@@ -41,9 +66,14 @@ func TestParseFailSpec(t *testing.T) {
 	if c.FailCell != 3 || c.FailAtSec != 120 {
 		t.Fatalf("fail spec parsed wrong: %+v", c)
 	}
-	var d CacheConfig
-	if err := ParseFailSpec("cell=3", &d); err == nil {
-		t.Fatal("fail spec without t= accepted")
+	for _, bad := range []rejected{
+		{"cell=3", "t=<time>"},
+		{"cell=-5,t=Inf", "cell=-5"},
+		{"cell=5,t=Inf", "t=Inf"},
+		{"cell=5,t=NaN", "t=NaN"},
+	} {
+		var d CacheConfig
+		checkRejected(t, bad, ParseFailSpec(bad.spec, &d))
 	}
 }
 
@@ -61,10 +91,17 @@ func TestParseCellSet(t *testing.T) {
 			t.Fatalf("ParseCellSet = %v, want %v", got, want)
 		}
 	}
-	for _, bad := range []string{"a", "3-1", "-2"} {
-		if _, err := ParseCellSet(bad); err == nil {
-			t.Fatalf("cell set %q parsed without error", bad)
-		}
+	for _, bad := range []rejected{
+		{"a", "a"}, {"3-1", "3-1"}, {"-2", "-2"},
+		// Materialized index by index, this range never returned.
+		{"0-3,0-4000000000", `"0-4000000000"`},
+		{"4194304", `"4194304"`},
+	} {
+		_, err := ParseCellSet(bad.spec)
+		checkRejected(t, bad, err)
+	}
+	if got, err := ParseCellSet("4194303"); err != nil || len(got) != 1 {
+		t.Fatalf("the last index below maxCells: %v, %v", got, err)
 	}
 }
 

@@ -1,7 +1,9 @@
 package cdn
 
 import (
+	"math"
 	"testing"
+	"time"
 )
 
 // FuzzCacheInvariants drives one cache with an arbitrary operation
@@ -80,4 +82,66 @@ func checkStructure(t *testing.T, c *cache) {
 	if diff := c.used - used; diff > 1e-6 || diff < -1e-6 {
 		t.Fatalf("used %.3f != entry sum %.3f", c.used, used)
 	}
+}
+
+// FuzzParseSpecs feeds one string to the three flag mini-languages
+// (-cache, -cachefail, -coldcells). Whatever the input, a parser must
+// not panic, must return promptly, and on a nil error must hand the
+// simulator values it can compute with: every number finite, a fail
+// cell that exists, a cell set sorted, deduplicated and inside
+// [0, maxCells).
+func FuzzParseSpecs(f *testing.F) {
+	for _, s := range []string{
+		"edge:512MiB,metro:8GiB,ttl=6h,nodes=4,backhaul=200,mrtt=20ms,ortt=80ms",
+		"edge:0,metro:-1,ttl=0",
+		"cell=3,t=120s",
+		"0-15,40,64-79",
+		// The defects this target was written for.
+		"edge:NaN,ttl=Inf,backhaul=NaN",
+		"cell=-5,t=Inf",
+		"0-4000000000",
+		"edge:1e308GiB",
+		"0-4194303,0-4194303,1-4194303",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		start := time.Now()
+		finite := func(name string, v float64) {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("%q: %s = %v", s, name, v)
+			}
+		}
+		check := func(c CacheConfig) {
+			finite("EdgeBytes", c.EdgeBytes)
+			finite("MetroBytes", c.MetroBytes)
+			finite("TTLSec", c.TTLSec)
+			finite("BackhaulMbps", c.BackhaulMbps)
+			finite("MetroRTTSec", c.MetroRTTSec)
+			finite("OriginRTTSec", c.OriginRTTSec)
+			finite("FailAtSec", c.FailAtSec)
+		}
+		if c, err := ParseCacheSpec(s); err == nil {
+			check(c)
+		}
+		var fc CacheConfig
+		if err := ParseFailSpec(s, &fc); err == nil {
+			check(fc)
+			if fc.FailCell < 0 || fc.FailAtSec <= 0 {
+				t.Fatalf("%q: accepted fail cell %d at t=%v", s, fc.FailCell, fc.FailAtSec)
+			}
+		}
+		if cells, err := ParseCellSet(s); err == nil {
+			for i, c := range cells {
+				if c < 0 || c >= maxCells || i > 0 && c <= cells[i-1] {
+					t.Fatalf("%q: cell set not sorted, deduplicated and in range at [%d] = %d", s, i, c)
+				}
+			}
+		}
+		// The largest legal cell set takes 0.1 s to build and check,
+		// 1 s under the race detector; the unbounded range took minutes.
+		if d := time.Since(start); d > 5*time.Second {
+			t.Fatalf("%q: parsing took %v", s, d)
+		}
+	})
 }

@@ -29,7 +29,6 @@ package vod
 import (
 	"repro/internal/adaptation"
 	"repro/internal/energy"
-	"repro/internal/live"
 	"repro/internal/manifest"
 	"repro/internal/media"
 	"repro/internal/netem"
@@ -164,24 +163,6 @@ func UISamples(res *Result) []UISample { return uimon.FromResult(res) }
 
 // Services returns the twelve service models (H1–H6, D1–D4, S1–S2).
 func Services() []*Service { return services.All() }
-
-// Live streaming (the live-HLS extension; see internal/live).
-type (
-	// LiveOrigin is a live HLS channel with a sliding playlist window.
-	LiveOrigin = live.Origin
-	// LiveConfig parameterises a live client session.
-	LiveConfig = live.Config
-	// LiveResult summarises a live session (latency, stalls, bitrate).
-	LiveResult = live.Result
-)
-
-// NewLiveOrigin wraps generated content as a live broadcast.
-func NewLiveOrigin(v *Video) *LiveOrigin { return live.NewOrigin(v) }
-
-// PlayLive runs a live client session over a simulated network.
-func PlayLive(cfg LiveConfig, o *LiveOrigin, net *Network) (*LiveResult, error) {
-	return live.Play(cfg, o, net)
-}
 
 // RadioModel is the LTE RRC energy model (§3.3.2).
 type RadioModel = energy.Model

@@ -89,26 +89,6 @@ func TestFacadeNetwork(t *testing.T) {
 	}
 }
 
-func TestFacadeLive(t *testing.T) {
-	video, err := GenerateVideo(MediaConfig{
-		Name: "fl", Duration: 300, SegmentDuration: 4,
-		TargetBitrates: []float64{250e3, 500e3},
-		Seed:           2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	channel := NewLiveOrigin(video)
-	net := NewNetwork(DefaultNetworkConfig(), ConstantProfile(6e6, 600))
-	res, err := PlayLive(LiveConfig{JoinAt: 60, SessionDuration: 120}, channel, net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SegmentsPlayed < 20 || res.Stalls != 0 {
-		t.Fatalf("live facade: %+v", res)
-	}
-}
-
 func TestFacadeRadioEnergy(t *testing.T) {
 	res, err := ServiceByName("S2").Run(ConstantProfile(10e6, 600), 600, nil)
 	if err != nil {
