@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt fmt-check lint lint-vettool lint-audit verify test race bench bench-smoke bench-pair bench-record report fuzz-smoke cache-determinism fleet-smoke fleet-cache-cmp fleet-scale
+.PHONY: build vet fmt fmt-check lint lint-vettool lint-audit verify test race bench bench-smoke bench-pair bench-record report fuzz-smoke fleet-smoke fleet-cache-cmp fleet-scale
 
 build:
 	$(GO) build ./...
@@ -132,22 +132,6 @@ bench-record:
 # Regenerate REPORT.md on all cores (vodreport -workers N to override).
 report:
 	$(GO) run ./cmd/vodreport -out REPORT.md
-
-# Cold-vs-warm determinism gate for the session cache: generate the
-# report twice into a shared on-disk cache directory and require the
-# outputs to be byte-identical (-stable omits wall-clock lines, the only
-# legitimately nondeterministic output). The second run's cache counters
-# must show disk hits — otherwise the gate silently compared two cold
-# runs and proved nothing about the cache.
-cache-determinism:
-	$(GO) build -o bin/vodreport ./cmd/vodreport
-	dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
-	bin/vodreport -stable -q -v -cachedir "$$dir/cache" -out "$$dir/r1.md" 2> "$$dir/log1" && \
-	bin/vodreport -stable -q -v -cachedir "$$dir/cache" -out "$$dir/r2.md" 2> "$$dir/log2" && \
-	cmp "$$dir/r1.md" "$$dir/r2.md" && \
-	grep 'cache:' "$$dir/log2" && \
-	grep -q 'cache: 0 misses' "$$dir/log2" && \
-	echo "cache-determinism: cold and warm reports are byte-identical"
 
 # Population-run gate: a small fleet under the race detector, then the
 # workers-determinism contract — the same seed must produce byte-identical

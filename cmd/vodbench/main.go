@@ -21,7 +21,6 @@ import (
 	"runtime/pprof"
 	"strings"
 
-	"repro/internal/expcache"
 	"repro/internal/experiments"
 	"runtime/debug"
 )
@@ -43,26 +42,7 @@ func run() int {
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent experiments (1 = serial)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	cacheDir := flag.String("cachedir", "", "on-disk session cache directory ('auto' for the default location; empty = memory only)")
-	noCache := flag.Bool("nocache", false, "disable the session cache entirely (every session recomputed)")
 	flag.Parse()
-
-	if *noCache {
-		expcache.Default.SetDisabled(true)
-	} else if *cacheDir != "" {
-		dir := *cacheDir
-		if dir == "auto" {
-			var err error
-			if dir, err = expcache.DefaultDir(); err != nil {
-				fmt.Fprintf(os.Stderr, "vodbench: %v\n", err)
-				return 1
-			}
-		}
-		if err := expcache.Default.SetDir(dir); err != nil {
-			fmt.Fprintf(os.Stderr, "vodbench: %v\n", err)
-			return 1
-		}
-	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

@@ -31,7 +31,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -40,62 +39,31 @@ import (
 	"repro/internal/fleet"
 )
 
-// applySweepField sets one sweepable config field from its flag name.
-// Only fields that leave most cells' workload inputs unchanged are
-// worth sweeping warm (hotspot, fidelity, edge-mbps, ...), but any
-// numeric field is accepted — a cold field simply builds every cell.
-func applySweepField(cfg fleet.Config, field string, v float64) (fleet.Config, error) {
-	switch field {
-	case "hotspot":
-		cfg.Hotspot = v
-	case "edge-mbps":
-		cfg.EdgeMbps = v
-	case "fidelity":
-		cfg.FidelityFull = v
-	case "abandon-prob":
-		cfg.AbandonProb = v
-	case "abandon-mean":
-		cfg.AbandonMeanSec = v
-	case "watch":
-		cfg.WatchSec = v
-	case "window":
-		cfg.ArrivalWindowSec = v
-	case "sessions":
-		cfg.Sessions = int(v)
-	case "cell-size":
-		cfg.ClientsPerCell = int(v)
-	case "seed":
-		cfg.Seed = int64(v)
-	default:
-		return cfg, fmt.Errorf("unknown sweep field %q", field)
-	}
-	return cfg, nil
-}
-
 // runSweep executes one fleet run per sweep value over a shared cell
-// cache and prints the per-run cache delta. JSON output (when requested
+// cache and prints the per-run cache delta. Each value is handed to the
+// swept flag's own parser (flag.Set), which writes the bound *cfg field —
+// so a sweep point is exactly what the flag would have set, and a value
+// the flag would refuse is refused here. JSON output (when requested
 // with a file path) lands in one file per run, the sweep point appended
 // to the name.
-func runSweep(cfg fleet.Config, spec string, workers int, jsonOut string, quiet bool, plotW, plotH int) {
+func runSweep(cfg *fleet.Config, sweepable map[string]bool, spec string, workers int, jsonOut string, quiet bool, plotW, plotH int) {
 	field, vals, ok := strings.Cut(spec, "=")
 	if !ok {
 		log.Fatalf("vodfleet: -sweep wants field=v1,v2,... (got %q)", spec)
 	}
 	field = strings.TrimSpace(field)
+	if !sweepable[field] {
+		log.Fatalf("vodfleet: -sweep: %q is not a config flag", field)
+	}
 	cache := fleet.NewCellCache()
 	prev := cache.Stats()
 	for _, raw := range strings.Split(vals, ",") {
 		raw = strings.TrimSpace(raw)
-		v, err := strconv.ParseFloat(raw, 64)
-		if err != nil {
-			log.Fatalf("vodfleet: sweep value %q: %v", raw, err)
-		}
-		runCfg, err := applySweepField(cfg, field, v)
-		if err != nil {
-			log.Fatalf("vodfleet: %v", err)
+		if err := flag.Set(field, raw); err != nil {
+			log.Fatalf("vodfleet: sweep: invalid value %q for flag -%s: %v", raw, field, err)
 		}
 		start := time.Now()
-		rep, err := fleet.RunWithOptions(context.Background(), runCfg,
+		rep, err := fleet.RunWithOptions(context.Background(), *cfg,
 			fleet.RunOptions{Workers: workers, CellCache: cache})
 		if err != nil {
 			log.Fatalf("vodfleet: %s=%s: %v", field, raw, err)
@@ -147,18 +115,26 @@ func main() {
 	if os.Getenv("GOGC") == "" {
 		debug.SetGCPercent(400)
 	}
-	sessions := flag.Int("sessions", 1000, "population size")
-	seed := flag.Int64("seed", 1, "workload seed")
+	// Every config flag writes its fleet.Config field directly, so the
+	// flag table is the only place a flag and a field are paired.
+	var cfg fleet.Config
+	flag.IntVar(&cfg.Sessions, "sessions", 1000, "population size")
+	flag.Int64Var(&cfg.Seed, "seed", 1, "workload seed")
+	flag.Float64Var(&cfg.ArrivalWindowSec, "window", 0, "arrival window in seconds (0 = default 600)")
+	flag.Float64Var(&cfg.WatchSec, "watch", 0, "full watch duration in seconds (0 = default 120)")
+	flag.Float64Var(&cfg.AbandonProb, "abandon-prob", 0, "early-abandon probability (0 = default 0.35, negative = none)")
+	flag.Float64Var(&cfg.AbandonMeanSec, "abandon-mean", 0, "mean abandoned watch duration in seconds (0 = default 45)")
+	flag.IntVar(&cfg.ClientsPerCell, "cell-size", 0, "clients per shared edge link (0 = default 24)")
+	flag.Float64Var(&cfg.EdgeMbps, "edge-mbps", 0, "shared edge budget per cell in Mbit/s (0 = default 40)")
+	flag.Float64Var(&cfg.FidelityFull, "fidelity", 0, "fraction of sessions at full player fidelity (0 = default 1, negative = all background tier)")
+	flag.IntVar(&cfg.FocusSessions, "focus", 0, "retain full per-session records for this many seeded focus members")
+	flag.Float64Var(&cfg.Hotspot, "hotspot", 0, "fraction of the population concentrated on cell 0 (flash crowd; 0 = balanced cells)")
+	// The flags defined so far are the ones bound to a Config field: the
+	// set -sweep may re-set by name.
+	sweepable := map[string]bool{}
+	flag.VisitAll(func(f *flag.Flag) { sweepable[f.Name] = true })
+
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent cells (never affects output bytes)")
-	window := flag.Float64("window", 0, "arrival window in seconds (0 = default 600)")
-	watch := flag.Float64("watch", 0, "full watch duration in seconds (0 = default 120)")
-	abandonProb := flag.Float64("abandon-prob", 0, "early-abandon probability (0 = default 0.35, negative = none)")
-	abandonMean := flag.Float64("abandon-mean", 0, "mean abandoned watch duration in seconds (0 = default 45)")
-	cellSize := flag.Int("cell-size", 0, "clients per shared edge link (0 = default 24)")
-	edgeMbps := flag.Float64("edge-mbps", 0, "shared edge budget per cell in Mbit/s (0 = default 40)")
-	fidelity := flag.Float64("fidelity", 0, "fraction of sessions at full player fidelity (0 = default 1, negative = all background tier)")
-	focus := flag.Int("focus", 0, "retain full per-session records for this many seeded focus members")
-	hotspot := flag.Float64("hotspot", 0, "fraction of the population concentrated on cell 0 (flash crowd; 0 = balanced cells)")
 	cacheSpec := flag.String("cache", "", "edge-cache tier spec, e.g. edge:512MiB,metro:8GiB,ttl=6h (empty = no cache tier)")
 	cacheFail := flag.String("cachefail", "", "edge-node failure injection, e.g. cell=3,t=120s (requires -cache)")
 	coldCells := flag.String("coldcells", "", "cells whose caches start cold, e.g. 0-15,40 (requires -cache)")
@@ -167,25 +143,12 @@ func main() {
 	memCeiling := flag.Int("memceiling-mb", 0, "fail if live heap exceeds this many MiB during the run (0 = no ceiling)")
 	svcList := flag.String("services", "", "comma-separated service mix (empty = all 12; repeats weight the mix)")
 	jsonOut := flag.String("json", "", "write the full JSON report to this file (- for stdout)")
-	sweep := flag.String("sweep", "", "sweep one field over comma-separated values (field=v1,v2,...), sharing a cell-granular cache across runs")
+	sweep := flag.String("sweep", "", "sweep one config flag over comma-separated values (flag=v1,v2,...), sharing a cell-granular cache across runs")
 	quiet := flag.Bool("q", false, "suppress the text summary and plots")
 	plotW := flag.Int("plot-width", 72, "CDF plot width")
 	plotH := flag.Int("plot-height", 14, "CDF plot height")
 	flag.Parse()
 
-	cfg := fleet.Config{
-		Seed:             *seed,
-		Sessions:         *sessions,
-		ArrivalWindowSec: *window,
-		WatchSec:         *watch,
-		AbandonProb:      *abandonProb,
-		AbandonMeanSec:   *abandonMean,
-		ClientsPerCell:   *cellSize,
-		EdgeMbps:         *edgeMbps,
-		FidelityFull:     *fidelity,
-		FocusSessions:    *focus,
-		Hotspot:          *hotspot,
-	}
 	if *svcList != "" {
 		for _, s := range strings.Split(*svcList, ",") {
 			if s = strings.TrimSpace(s); s != "" {
@@ -203,9 +166,6 @@ func main() {
 			if err := cdn.ParseFailSpec(*cacheFail, &cc); err != nil {
 				log.Fatalf("vodfleet: %v", err)
 			}
-		}
-		if _, err := cc.ColdSet(); err != nil {
-			log.Fatalf("vodfleet: %v", err)
 		}
 		cfg.Cache = &cc
 	} else if *cacheFail != "" || *coldCells != "" {
@@ -267,7 +227,7 @@ func main() {
 	}()
 
 	if *sweep != "" {
-		runSweep(cfg, *sweep, *workers, *jsonOut, *quiet, *plotW, *plotH)
+		runSweep(&cfg, sweepable, *sweep, *workers, *jsonOut, *quiet, *plotW, *plotH)
 		return
 	}
 

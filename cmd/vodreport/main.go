@@ -6,14 +6,13 @@
 //
 // Sessions are memoized through the content-addressed cache in
 // internal/expcache: duplicate sessions within one run are computed
-// once, and with -cachedir the results persist so reruns are
-// incremental across processes.
+// once.
 //
 // Usage:
 //
 //	vodreport -out REPORT.md
 //	vodreport -workers 8 -out -
-//	vodreport -cachedir auto -v          # persistent cache + statistics
+//	vodreport -v                         # + session-cache statistics
 //	vodreport -stable -out r.md          # byte-stable output (no timings)
 package main
 
@@ -36,25 +35,8 @@ func main() {
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent experiments (1 = serial)")
 	quiet := flag.Bool("q", false, "suppress per-experiment progress lines")
 	verbose := flag.Bool("v", false, "print session-cache statistics to stderr")
-	cacheDir := flag.String("cachedir", "", "on-disk session cache directory ('auto' for the default location; empty = memory only)")
-	noCache := flag.Bool("nocache", false, "disable the session cache entirely (every session recomputed)")
 	stable := flag.Bool("stable", false, "omit wall-clock timing lines so the report is byte-stable across runs")
 	flag.Parse()
-
-	if *noCache {
-		expcache.Default.SetDisabled(true)
-	} else if *cacheDir != "" {
-		dir := *cacheDir
-		if dir == "auto" {
-			var err error
-			if dir, err = expcache.DefaultDir(); err != nil {
-				log.Fatalf("vodreport: %v", err)
-			}
-		}
-		if err := expcache.Default.SetDir(dir); err != nil {
-			log.Fatalf("vodreport: %v", err)
-		}
-	}
 
 	opts := experiments.Options{Workers: *workers}
 	if !*quiet {
@@ -100,10 +82,8 @@ func main() {
 	}
 	if *verbose {
 		s := expcache.Default.Snapshot()
-		fmt.Fprintf(os.Stderr, "vodreport: cache: %d misses, %d memory hits, %d disk hits, %d deduped, %d bypassed\n",
-			s.Misses, s.MemHits, s.DiskHits, s.Dedup, s.Bypass)
-		fmt.Fprintf(os.Stderr, "vodreport: cache: %.1f MB read, %.1f MB written, %d disk errors; %d origins built, %d reused\n",
-			float64(s.BytesRead)/1e6, float64(s.BytesWritten)/1e6, s.DiskErrors, s.OriginBuilds, s.OriginHits)
+		fmt.Fprintf(os.Stderr, "vodreport: cache: %d misses, %d memory hits, %d deduped, %d bypassed; %d origins built, %d reused\n",
+			s.Misses, s.MemHits, s.Dedup, s.Bypass, s.OriginBuilds, s.OriginHits)
 	}
 	if *out == "-" {
 		fmt.Print(b.String())

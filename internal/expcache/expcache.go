@@ -6,13 +6,10 @@
 // be cached under a canonical fingerprint of those inputs and reused
 // instead of recomputed.
 //
-// The cache has two tiers. The in-memory tier is a singleflight map:
-// within one process each distinct session runs exactly once, and
-// concurrent requests for the same key block on the single computation.
-// The opt-in on-disk tier (SetDir) persists results as versioned gob
-// files so reruns are incremental across processes; entries are keyed by
-// the same fingerprint and self-invalidate when the engine version, the
-// Go toolchain or the architecture changes.
+// The cache is one in-process singleflight Memo: each distinct session
+// runs exactly once per process, and concurrent requests for the same
+// key block on the single computation. Nothing is persisted — decoding
+// a stored session costs what simulating it costs.
 //
 // Keys never include wall-clock time, hostnames or paths — only content:
 // the fully defaulted player.Config (player.Config.Normalized, so a
@@ -27,8 +24,6 @@
 package expcache
 
 import (
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 
@@ -40,20 +35,18 @@ import (
 	"repro/internal/simnet"
 )
 
-// EngineVersion stamps every cache key and on-disk entry. Bump it
-// whenever a change anywhere in the simulation stack (player, simnet,
-// netem, media generation, adaptation, origin) can alter any session
-// result: old entries then miss cleanly instead of resurrecting stale
-// results. The committed REPORT.md is the ground truth a bumped engine
-// must be re-verified against.
+// EngineVersion stamps every cache key, and the fleet's golden ledger
+// (TestFleetReportGolden) is keyed by it. Bump it whenever a change
+// anywhere in the simulation stack (player, simnet, netem, media
+// generation, adaptation, origin) can alter any session result. The
+// committed REPORT.md is the ground truth a bumped engine must be
+// re-verified against.
 const EngineVersion = "10"
 
 // Stats is a snapshot of the cache counters.
 type Stats struct {
-	// MemHits are sessions served from the in-memory tier.
+	// MemHits are sessions served from the memo.
 	MemHits int64
-	// DiskHits are sessions served from the on-disk tier.
-	DiskHits int64
 	// Misses are sessions that were actually computed.
 	Misses int64
 	// Dedup are concurrent requests that joined an in-flight computation
@@ -62,11 +55,6 @@ type Stats struct {
 	// Bypass are sessions that skipped the cache (disabled cache or
 	// non-fingerprintable config).
 	Bypass int64
-	// DiskErrors are unreadable/corrupt disk entries (treated as misses)
-	// plus failed writes.
-	DiskErrors int64
-	// BytesRead and BytesWritten are on-disk tier I/O volumes.
-	BytesRead, BytesWritten int64
 	// OriginBuilds and OriginHits count origin constructions and reuses.
 	OriginBuilds, OriginHits int64
 }
@@ -74,91 +62,43 @@ type Stats struct {
 // Cache memoizes session results and origins.
 type Cache struct {
 	disabled atomic.Bool
+	bypass   atomic.Int64
 
-	mu       sync.Mutex
-	sessions map[Key]*sessionCell
-	disk     *diskTier
-
-	origins Memo[Key, *origin.Origin]
-
-	memHits, diskHits, misses, dedup, bypass atomic.Int64
-	diskErrors, bytesRead, bytesWritten      atomic.Int64
+	sessions Memo[Key, *player.Result]
+	origins  Memo[Key, *origin.Origin]
 }
 
-type sessionCell struct {
-	once sync.Once
-	done atomic.Bool
-	res  *player.Result
-	err  error
-}
-
-// New returns an empty cache with no disk tier.
+// New returns an empty cache.
 func New() *Cache { return &Cache{} }
 
 // Default is the process-wide cache every experiment routes through.
 var Default = New()
 
-// SetDir enables (non-empty) or disables (empty) the on-disk tier,
-// creating the directory if needed.
-func (c *Cache) SetDir(dir string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if dir == "" {
-		c.disk = nil
-		return nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	c.disk = &diskTier{dir: dir}
-	return nil
-}
-
 // SetDisabled turns the whole cache off (true): every session runs
 // directly and is counted as a bypass.
 func (c *Cache) SetDisabled(v bool) { c.disabled.Store(v) }
 
-// Reset drops the in-memory tier (sessions and origins) and zeroes the
-// counters; the disk tier and disabled flag are untouched. Not safe to
-// call concurrently with session runs.
+// Reset drops every memoized session and origin and zeroes the
+// counters; the disabled flag is untouched. Not safe to call
+// concurrently with session runs.
 func (c *Cache) Reset() {
-	c.mu.Lock()
-	c.sessions = nil
-	c.mu.Unlock()
+	c.sessions.Reset()
 	c.origins.Reset()
-	for _, a := range []*atomic.Int64{
-		&c.memHits, &c.diskHits, &c.misses, &c.dedup, &c.bypass,
-		&c.diskErrors, &c.bytesRead, &c.bytesWritten,
-	} {
-		a.Store(0)
-	}
+	c.bypass.Store(0)
 }
 
 // Snapshot returns the current counters.
 func (c *Cache) Snapshot() Stats {
+	misses, hits, dedup := c.sessions.Stats()
 	ob, oh, ow := c.origins.Stats()
 	return Stats{
-		MemHits:      c.memHits.Load(),
-		DiskHits:     c.diskHits.Load(),
-		Misses:       c.misses.Load(),
-		Dedup:        c.dedup.Load(),
+		MemHits:      hits,
+		Misses:       misses,
+		Dedup:        dedup,
 		Bypass:       c.bypass.Load(),
-		DiskErrors:   c.diskErrors.Load(),
-		BytesRead:    c.bytesRead.Load(),
-		BytesWritten: c.bytesWritten.Load(),
 		OriginBuilds: ob,
 		OriginHits:   oh + ow,
 	}
-}
-
-// DefaultDir returns the conventional on-disk cache location
-// (~/.cache/vodrepro or the platform equivalent).
-func DefaultDir() (string, error) {
-	base, err := os.UserCacheDir()
-	if err != nil {
-		return "", err
-	}
-	return filepath.Join(base, "vodrepro"), nil
 }
 
 // presKeys memoizes presentation content hashes by pointer.
@@ -218,49 +158,9 @@ func (c *Cache) RunNet(cfg player.Config, org *origin.Origin, p *netem.Profile, 
 		c.bypass.Add(1)
 		return runSession(cfg, org, p, netCfg)
 	}
-
-	c.mu.Lock()
-	if c.sessions == nil {
-		c.sessions = make(map[Key]*sessionCell)
-	}
-	cell, ok := c.sessions[key]
-	if !ok {
-		cell = &sessionCell{}
-		c.sessions[key] = cell
-	}
-	disk := c.disk
-	c.mu.Unlock()
-	if ok {
-		if cell.done.Load() {
-			c.memHits.Add(1)
-		} else {
-			c.dedup.Add(1)
-		}
-	}
-	cell.once.Do(func() {
-		defer cell.done.Store(true)
-		if disk != nil {
-			res, n, err := disk.load(key)
-			c.bytesRead.Add(n)
-			if err != nil {
-				c.diskErrors.Add(1)
-			} else if res != nil {
-				c.diskHits.Add(1)
-				cell.res = res
-				return
-			}
-		}
-		c.misses.Add(1)
-		cell.res, cell.err = runSession(cfg, org, p, netCfg)
-		if cell.err == nil && disk != nil {
-			if n, err := disk.store(key, cell.res); err != nil {
-				c.diskErrors.Add(1)
-			} else {
-				c.bytesWritten.Add(n)
-			}
-		}
+	return c.sessions.Get(key, func() (*player.Result, error) {
+		return runSession(cfg, org, p, netCfg)
 	})
-	return cell.res, cell.err
 }
 
 // Run is the cached counterpart of services.RunWithOrigin: it resolves

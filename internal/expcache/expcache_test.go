@@ -1,13 +1,9 @@
 package expcache
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,7 +12,6 @@ import (
 	"repro/internal/netem"
 	"repro/internal/player"
 	"repro/internal/services"
-	"repro/internal/simnet"
 )
 
 // ---- fingerprint ----
@@ -323,135 +318,40 @@ func TestRunNetBypass(t *testing.T) {
 	}
 }
 
-// ---- disk tier ----
-
-// TestDiskRoundTrip: a session stored by one cache is served from disk
-// by a fresh cache sharing the directory, bit-identical to recomputation.
-func TestDiskRoundTrip(t *testing.T) {
-	dir := t.TempDir()
+// TestResetDropsEntries: Reset forgets every session and zeroes every
+// counter, so the next identical request is computed again — what a
+// cold measurement after Reset relies on.
+func TestResetDropsEntries(t *testing.T) {
+	c := New()
 	svc := services.ByName("H1")
-
-	warm := New()
-	if err := warm.SetDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	r1, err := warm.RunService(svc, testProfile(), 60, nil)
+	r1, err := c.RunService(svc, testProfile(), 60, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := warm.Snapshot(); s.Misses != 1 || s.BytesWritten == 0 {
-		t.Fatalf("store pass: %+v, want 1 miss with bytes written", s)
-	}
-
-	cold := New()
-	if err := cold.SetDir(dir); err != nil {
+	if _, err := c.RunService(svc, testProfile(), 60, func(p *player.Config) {
+		p.RequestGate = modify.RejectAfter(4)
+	}); err != nil {
 		t.Fatal(err)
 	}
-	r2, err := cold.RunService(svc, testProfile(), 60, nil)
+	if s := c.Snapshot(); s.Misses != 1 || s.Bypass != 1 || s.OriginBuilds != 1 || s.OriginHits != 1 {
+		t.Fatalf("before Reset: %+v, want 1 miss, 1 bypass, 1 origin build, 1 origin hit", s)
+	}
+	c.Reset()
+	if s := c.Snapshot(); s != (Stats{}) {
+		t.Errorf("Reset left counters: %+v", s)
+	}
+	r2, err := c.RunService(svc, testProfile(), 60, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := cold.Snapshot()
-	if s.DiskHits != 1 || s.Misses != 0 || s.BytesRead == 0 {
-		t.Fatalf("load pass: %+v, want 1 disk hit and no computation", s)
+	if s := c.Snapshot(); s.Misses != 1 || s.MemHits != 0 || s.OriginBuilds != 1 {
+		t.Errorf("after Reset: %+v, want the session and its origin rebuilt", s)
+	}
+	if r1 == r2 {
+		t.Error("Reset kept the old session entry")
 	}
 	if !reflect.DeepEqual(r1, r2) {
-		t.Error("disk round-trip altered the session result")
-	}
-
-	// Recompute directly and compare: the persisted result must equal a
-	// fresh computation, not merely itself.
-	direct := New()
-	direct.SetDisabled(true)
-	r3, err := direct.RunService(svc, testProfile(), 60, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(r2, r3) {
-		t.Error("disk-served result differs from a fresh computation")
-	}
-}
-
-// sessionDiskPath resolves the on-disk path for svc's 60 s test session.
-func sessionDiskPath(t *testing.T, dir string, svc *services.Service) string {
-	t.Helper()
-	org, err := svc.Origin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	key, err := sessionKey(services.Resolve(svc.Player, 60, nil), org, testProfile(), simnet.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return (&diskTier{dir: dir}).path(key)
-}
-
-// TestDiskCorruptEntry: an undecodable file is counted as a disk error
-// and the session is recomputed — corruption can cost time, never
-// correctness.
-func TestDiskCorruptEntry(t *testing.T) {
-	dir := t.TempDir()
-	svc := services.ByName("H1")
-	p := sessionDiskPath(t, dir, svc)
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(p, []byte("not a gob stream"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	c := New()
-	if err := c.SetDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.RunService(svc, testProfile(), 60, nil); err != nil {
-		t.Fatal(err)
-	}
-	s := c.Snapshot()
-	if s.DiskErrors == 0 || s.Misses != 1 || s.DiskHits != 0 {
-		t.Errorf("corrupt entry: %+v, want a disk error and a recomputation", s)
-	}
-}
-
-// TestDiskEngineMismatch: a well-formed entry written by a different
-// engine version is a clean miss (no error) — the self-invalidation that
-// makes EngineVersion bumps safe.
-func TestDiskEngineMismatch(t *testing.T) {
-	dir := t.TempDir()
-	svc := services.ByName("H1")
-	p := sessionDiskPath(t, dir, svc)
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Create(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = gob.NewEncoder(f).Encode(diskFile{
-		Magic:     diskMagic,
-		Format:    diskFormat,
-		Engine:    EngineVersion + "-stale",
-		GoVersion: runtime.Version(),
-		GOARCH:    runtime.GOARCH,
-		Result:    &player.Result{},
-	})
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	c := New()
-	if err := c.SetDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.RunService(svc, testProfile(), 60, nil); err != nil {
-		t.Fatal(err)
-	}
-	s := c.Snapshot()
-	if s.DiskErrors != 0 || s.DiskHits != 0 || s.Misses != 1 {
-		t.Errorf("stale-engine entry: %+v, want a clean miss", s)
+		t.Error("recomputed session differs from the dropped one")
 	}
 }
 

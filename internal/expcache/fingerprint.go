@@ -17,9 +17,6 @@ import (
 // encoding of every input that can influence the cached value.
 type Key [sha256.Size]byte
 
-// String renders the key as lowercase hex (also the on-disk file name).
-func (k Key) String() string { return fmt.Sprintf("%x", k[:]) }
-
 // ErrUncacheable marks a value the canonical encoder refuses to
 // fingerprint: a non-nil func (e.g. a RequestGate probe) or channel has
 // no content identity, so sessions configured with one bypass the cache

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	schedpkg "repro/internal/sched"
@@ -181,73 +180,18 @@ func selectExperiments(ids []string) ([]Experiment, error) {
 // It is the intra-experiment counterpart of RunAll for services ×
 // profiles (and similar) product sweeps.
 //
-// Concurrency comes from the process-wide scheduler: helper goroutines
-// are started only for slots that are free right now (non-blocking
-// tryAcquire — never waiting on slots the caller's own ancestors hold),
-// and the caller always participates inline under the slot it already
-// occupies. With no free slots the sweep degrades to the serial loop.
-//
-// The first error cancels the sweep: items not yet started are skipped,
-// in-flight items finish, and the smallest-index error observed is
-// returned. Cancelling ctx likewise stops new items; the context error
-// is returned if no item error preceded it.
+// Concurrency and failure handling are sched.RunStealing's: helper
+// goroutines only for scheduler slots free right now, the caller working
+// inline under the slot it already occupies (no free slots: the serial
+// loop), the smallest-index item error returned, and an error or a
+// cancelled ctx stopping items not yet started.
 func sweep[In, Out any](ctx context.Context, items []In, fn func(In) (Out, error)) ([]Out, error) {
 	outs := make([]Out, len(items))
-	if len(items) == 0 {
-		return outs, ctx.Err()
-	}
-	parent := ctx
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var (
-		next     atomic.Int64
-		errMu    sync.Mutex
-		errIdx   = len(items)
-		firstErr error
-	)
-	record := func(i int, err error) {
-		errMu.Lock()
-		if i < errIdx {
-			errIdx, firstErr = i, err
-		}
-		errMu.Unlock()
-		cancel()
-	}
-	work := func() {
-		for ctx.Err() == nil {
-			i := int(next.Add(1)) - 1
-			if i >= len(items) {
-				return
-			}
-			out, err := fn(items[i])
-			if err != nil {
-				record(i, err)
-				return
-			}
-			outs[i] = out
-		}
-	}
-
-	var wg sync.WaitGroup
-	for spawned := 0; spawned < len(items)-1 && sched.TryAcquire(); spawned++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer sched.Release()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-
-	errMu.Lock()
-	err := firstErr
-	errMu.Unlock()
+	_, err := sched.RunStealing(ctx, len(items), sched.Capacity(), schedpkg.StealOptions{}, func(i int) (err error) {
+		outs[i], err = fn(items[i])
+		return err
+	})
 	if err != nil {
-		return nil, err
-	}
-	if err := parent.Err(); err != nil {
 		return nil, err
 	}
 	return outs, nil

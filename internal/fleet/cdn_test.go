@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cdn"
+	"repro/internal/expcache"
 	schedpkg "repro/internal/sched"
 )
 
@@ -173,5 +174,50 @@ func TestCacheCellCacheKey(t *testing.T) {
 	}
 	if s.Skipped == 0 {
 		t.Fatal("metro-coupled cells not counted as skipped")
+	}
+}
+
+// TestCellSpecIgnoresOtherCells: a cell's spec — hence its CellCache key
+// — moves with its own cold bit and its own armed failure only, so sweep
+// points that differ in some other cell's cold or fail status still share
+// this cell's entry.
+func TestCellSpecIgnoresOtherCells(t *testing.T) {
+	key := func(cc cdn.CacheConfig, k int) expcache.Key {
+		t.Helper()
+		cfg := cdnCfg
+		cfg.Cache = &cc
+		ncfg, cold, err := cfg.normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, err := cellKey(newCellSpec(ncfg, k, cold[k]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return key
+	}
+	base := cdn.CacheConfig{EdgeBytes: 32 << 20, TTLSec: 3600, ColdCells: "2-5", FailCell: 1, FailAtSec: 60}
+	moreCold, failElsewhere, failLater := base, base, base
+	moreCold.ColdCells = "2-6"
+	failElsewhere.FailCell = 7
+	failLater.FailAtSec = 90
+	for _, tc := range []struct {
+		name    string
+		other   cdn.CacheConfig
+		changed []int // the cells whose key must move; every other cell's must not
+	}{
+		{"cold set grows", moreCold, []int{6}},
+		{"failure moves", failElsewhere, []int{1, 7}},
+		{"failure time moves", failLater, []int{1}},
+	} {
+		for k := 0; k < 10; k++ {
+			want := false
+			for _, c := range tc.changed {
+				want = want || c == k
+			}
+			if got := key(base, k) != key(tc.other, k); got != want {
+				t.Errorf("%s: cell %d key changed = %v, want %v", tc.name, k, got, want)
+			}
+		}
 	}
 }

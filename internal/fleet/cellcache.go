@@ -5,27 +5,24 @@ package fleet
 // sweep, for example, only changes the cell layout (cell 0's size and
 // the balanced remainder), while every cell whose (seed stream, size,
 // workload parameters) repeat produces byte-identical aggregates. The
-// CellCache content-addresses finished cellAgg slabs by a fingerprint
-// of exactly the inputs runCell consumes for that cell, so warm sweep
-// points skip the simulation for every repeated cell and merge the
-// cached slabs directly.
+// CellCache content-addresses finished cellAgg slabs by the fingerprint
+// of the cell's spec, so warm sweep points skip the simulation for every
+// repeated cell and merge the cached slabs directly.
 //
-// Safety argument: runCell is a pure function of (normalized config,
-// cell index) — CellClients draws members from the cell's private
-// splitmix64 stream, the simulation is single-threaded, and the
-// resulting cellAgg is never mutated after return (fleetAgg.merge only
-// reads its source). The key therefore only needs the fields that
-// reach runCell: the cell's seed stream and size (which fold in Seed,
-// Sessions, ClientsPerCell and Hotspot via the layout), the workload
-// draw parameters, the edge budget, the fidelity mix and the service
-// list — plus the global EngineVersion so any engine change invalidates
-// everything. Focus cells bypass the cache entirely (their FocusSession
-// records are not part of the cached value).
+// Safety argument: simCell is a pure function of its cellSpec —
+// drawClients draws members from the spec's private splitmix64 stream,
+// the simulation is single-threaded and receives the spec instead of
+// the Config, and the resulting cellAgg is never mutated after return
+// (fleetAgg.merge only reads its source). The key is the fingerprint of
+// that same spec value plus the global EngineVersion, so it covers every
+// field the simulation can read by construction, and any engine change
+// invalidates everything. Focus cells bypass the cache entirely (their
+// FocusSession records are not part of the cached value), as do cells
+// behind an active metro tier (shard-coupled; see RunWithOptions).
 
 import (
 	"sync/atomic"
 
-	"repro/internal/cdn"
 	"repro/internal/expcache"
 )
 
@@ -58,36 +55,8 @@ func (cc *CellCache) Stats() CellCacheStats {
 	return CellCacheStats{Builds: builds, Hits: hits, Skipped: cc.skipped.Load()}
 }
 
-// key fingerprints cell k of a normalized config: exactly the inputs
-// runCell consumes, nothing more — so a sweep that leaves a cell's
-// stream, size and workload parameters untouched hits regardless of
-// which sweep point produced the entry.
-func (cc *CellCache) key(cfg Config, k int) (expcache.Key, error) {
-	// The cache tier joins the key as (config, is-this-cell-cold,
-	// fail-armed-here): two sweep points that differ only in another
-	// cell's cold/fail status still share this cell's entry. Cells
-	// behind an active metro tier never reach this function (they are
-	// shard-coupled and bypass the cache in RunWithOptions).
-	cacheCfg := cdn.CacheConfig{}
-	cold, failHere := false, false
-	if cfg.Cache != nil {
-		cacheCfg = *cfg.Cache
-		set, err := cacheCfg.ColdSet()
-		if err != nil {
-			return expcache.Key{}, err
-		}
-		cold = set[k]
-		failHere = cacheCfg.FailAtSec > 0 && cacheCfg.FailCell == k
-		cacheCfg.ColdCells = ""
-		cacheCfg.FailCell = 0
-		if !failHere {
-			cacheCfg.FailAtSec = 0
-		}
-	}
-	return expcache.Fingerprint("fleetcell", expcache.EngineVersion,
-		cellSeed(cfg.Seed, k), cellSize(cfg, k),
-		cfg.ArrivalWindowSec, cfg.WatchSec,
-		cfg.AbandonProb, cfg.AbandonMeanSec,
-		cfg.EdgeMbps, cfg.FidelityFull, cfg.Services,
-		cfg.Cache != nil, cacheCfg, cold, failHere)
+// cellKey is a cell's cache key: its whole spec — nothing a sweep point
+// changes elsewhere in the Config reaches it — under the engine version.
+func cellKey(spec cellSpec) (expcache.Key, error) {
+	return expcache.Fingerprint("fleetcell", expcache.EngineVersion, spec)
 }

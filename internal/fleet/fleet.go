@@ -45,6 +45,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -137,8 +138,18 @@ type Config struct {
 // the negative FidelityFull/AbandonProb sentinels normalize to 0, which a
 // second pass would read as "default" — so Run normalizes exactly once.
 func (c Config) Normalized() (Config, error) {
+	c, _, err := c.normalize()
+	return c, err
+}
+
+// normalize is Normalized plus the parsed Cache.ColdCells set (nil
+// without a cache tier), so a run parses the spec once.
+func (c Config) normalize() (Config, map[int]bool, error) {
+	if name := nonFinite(reflect.ValueOf(c)); name != "" {
+		return c, nil, fmt.Errorf("fleet: %s must be finite", name)
+	}
 	if c.Sessions <= 0 {
-		return c, fmt.Errorf("fleet: Sessions must be positive")
+		return c, nil, fmt.Errorf("fleet: Sessions must be positive")
 	}
 	if c.ArrivalWindowSec <= 0 {
 		c.ArrivalWindowSec = 600
@@ -192,9 +203,10 @@ func (c Config) Normalized() (Config, error) {
 	}
 	for _, name := range c.Services {
 		if services.ByName(name) == nil {
-			return c, fmt.Errorf("fleet: unknown service %q", name)
+			return c, nil, fmt.Errorf("fleet: unknown service %q", name)
 		}
 	}
+	var cold map[int]bool
 	if c.Cache != nil {
 		cc := c.Cache.Normalized()
 		if cc.Transparent() {
@@ -203,13 +215,39 @@ func (c Config) Normalized() (Config, error) {
 			// to no cache tier at all, so normalize it away.
 			c.Cache = nil
 		} else {
-			if _, err := cc.ColdSet(); err != nil {
-				return c, fmt.Errorf("fleet: %v", err)
+			var err error
+			if cold, err = cc.ColdSet(); err != nil {
+				return c, nil, fmt.Errorf("fleet: %v", err)
 			}
 			c.Cache = &cc
 		}
 	}
-	return c, nil
+	return c, cold, nil
+}
+
+// nonFinite names the first NaN or ±Inf float field of a config struct
+// (following struct pointers, so Cache is covered), or "" if every float
+// is finite. A non-finite value would otherwise survive every `<= 0`
+// default test above, run the whole fleet, and only fail when the report
+// is marshalled.
+func nonFinite(v reflect.Value) string {
+	for i := 0; i < v.NumField(); i++ {
+		f, name := v.Field(i), v.Type().Field(i).Name
+		if f.Kind() == reflect.Pointer && !f.IsNil() {
+			f = f.Elem()
+		}
+		switch f.Kind() {
+		case reflect.Float64:
+			if x := f.Float(); math.IsNaN(x) || math.IsInf(x, 0) {
+				return name
+			}
+		case reflect.Struct:
+			if sub := nonFinite(f); sub != "" {
+				return name + "." + sub
+			}
+		}
+	}
+	return ""
 }
 
 // Client is one drawn population member.
@@ -285,33 +323,87 @@ func cellSize(cfg Config, k int) int {
 	return (cfg.Sessions - k + n - 1) / n
 }
 
-// CellClients draws cell k's members from the cell's private RNG
-// stream. The draw order — arrivals first (sorted within the cell),
-// then per client watch, service, trace and fidelity — is part of the
-// determinism contract: a stolen cell computes identical members on any
-// worker. The config must be normalized.
+// cellSpec is everything about a run that one cell's simulation may
+// read: the cell's private RNG stream and size (which fold in Seed,
+// Sessions, ClientsPerCell and Hotspot via the layout), the workload,
+// edge and fidelity parameters, the service list and the cache tier as
+// this cell sees it. It is plain data; drawClients and simCell receive
+// it instead of the Config, and CellCache keys a cell by its
+// fingerprint — so a field the simulation can read is a field the key
+// covers, and two sweep points that give a cell the same spec share its
+// entry.
+type cellSpec struct {
+	Seed int64
+	Size int
+
+	ArrivalWindowSec, WatchSec  float64
+	AbandonProb, AbandonMeanSec float64
+	EdgeMbps, FidelityFull      float64
+	Services                    []string
+
+	// Cache is the normalized cache config specialised to this cell (nil:
+	// no cache tier): ColdCells and FailCell are erased and FailAtSec
+	// survives only in the cell whose failure is armed, so a cell is
+	// untouched by which other cells are cold or failing. Cold is this
+	// cell's own bit of the cold set. (A pointer keeps the spec under the
+	// 128 bytes a closure captures by value: inlined, the shard loop's
+	// memo closure would move every cell's spec to the heap.)
+	Cache *cdn.CacheConfig
+	Cold  bool
+}
+
+// newCellSpec specialises a normalized config to cell k. cold is k's
+// membership of the parsed Cache.ColdCells set.
+func newCellSpec(cfg Config, k int, cold bool) cellSpec {
+	spec := cellSpec{
+		Seed: cellSeed(cfg.Seed, k), Size: cellSize(cfg, k),
+		ArrivalWindowSec: cfg.ArrivalWindowSec, WatchSec: cfg.WatchSec,
+		AbandonProb: cfg.AbandonProb, AbandonMeanSec: cfg.AbandonMeanSec,
+		EdgeMbps: cfg.EdgeMbps, FidelityFull: cfg.FidelityFull,
+		Services: cfg.Services,
+	}
+	if cfg.Cache != nil {
+		cc := *cfg.Cache
+		if cc.FailAtSec <= 0 || cc.FailCell != k {
+			cc.FailAtSec = 0
+		}
+		cc.ColdCells, cc.FailCell = "", 0
+		spec.Cache, spec.Cold = &cc, cold
+	}
+	return spec
+}
+
+// CellClients draws cell k's members; the config must be normalized.
 func CellClients(cfg Config, k int) []Client {
-	n := cellSize(cfg, k)
-	rng := rand.New(rand.NewSource(cellSeed(cfg.Seed, k)))
+	return drawClients(newCellSpec(cfg, k, false))
+}
+
+// drawClients draws a cell's members from its private RNG stream. The
+// draw order — arrivals first (sorted within the cell), then per client
+// watch, service, trace and fidelity — is part of the determinism
+// contract: a stolen cell computes identical members on any worker.
+func drawClients(spec cellSpec) []Client {
+	n := spec.Size
+	rng := rand.New(rand.NewSource(spec.Seed))
 	arrivals := make([]float64, n)
 	for i := range arrivals {
-		arrivals[i] = rng.Float64() * cfg.ArrivalWindowSec
+		arrivals[i] = rng.Float64() * spec.ArrivalWindowSec
 	}
 	// Sorted within the cell: each cell sees a stationary arrival
 	// process over the whole window.
 	sort.Float64s(arrivals)
 	clients := make([]Client, n)
 	for i := range clients {
-		watch := cfg.WatchSec
-		if rng.Float64() < cfg.AbandonProb {
-			watch = math.Min(cfg.WatchSec, math.Max(5, rng.ExpFloat64()*cfg.AbandonMeanSec))
+		watch := spec.WatchSec
+		if rng.Float64() < spec.AbandonProb {
+			watch = math.Min(spec.WatchSec, math.Max(5, rng.ExpFloat64()*spec.AbandonMeanSec))
 		}
 		clients[i] = Client{
 			Arrival: arrivals[i],
 			Watch:   watch,
-			Service: rng.Intn(len(cfg.Services)),
+			Service: rng.Intn(len(spec.Services)),
 			Trace:   1 + rng.Intn(netem.CellularCount),
-			Full:    rng.Float64() < cfg.FidelityFull,
+			Full:    rng.Float64() < spec.FidelityFull,
 		}
 	}
 	return clients
@@ -388,32 +480,26 @@ func Run(ctx context.Context, cfg Config, workers int) (*Report, error) {
 
 // RunWithOptions is Run with an explicit execution schedule.
 func RunWithOptions(ctx context.Context, cfg Config, opts RunOptions) (*Report, error) {
-	cfg, err := cfg.Normalized()
+	cfg, cold, err := cfg.normalize()
 	if err != nil {
 		return nil, err
 	}
-	svcs := make([]*services.Service, len(cfg.Services))
-	origins := make([]*origin.Origin, len(cfg.Services))
-	bgTemplates := make([]player.BackgroundConfig, len(cfg.Services))
+	// The run-wide tables every cell shares, immutable after this point.
+	tab := &cellTables{
+		svcs:        make([]*services.Service, len(cfg.Services)),
+		origins:     make([]*origin.Origin, len(cfg.Services)),
+		bgTemplates: make([]player.BackgroundConfig, len(cfg.Services)),
+		traces:      netem.CellularSet(),
+	}
 	for i, name := range cfg.Services {
-		svcs[i] = services.ByName(name)
-		if origins[i], err = expcache.Origin(svcs[i]); err != nil {
+		tab.svcs[i] = services.ByName(name)
+		if tab.origins[i], err = expcache.Origin(tab.svcs[i]); err != nil {
 			return nil, fmt.Errorf("fleet: origin for %s: %w", name, err)
 		}
-		bgTemplates[i] = backgroundTemplate(origins[i])
+		tab.bgTemplates[i] = backgroundTemplate(tab.origins[i])
 	}
-	traces := netem.CellularSet()
-
-	// The cache tier's run-wide context: the cache config, the content
-	// catalog (for warm starts) and the cold-cell set. All immutable
-	// after this point, so shards share it freely.
-	var cdnRT *cdnRuntime
 	if cfg.Cache != nil {
-		cold, err := cfg.Cache.ColdSet()
-		if err != nil {
-			return nil, fmt.Errorf("fleet: %v", err) // unreachable: validated by Normalized
-		}
-		cdnRT = &cdnRuntime{cfg: *cfg.Cache, catalog: cdnCatalog(origins), cold: cold}
+		tab.catalog = cdnCatalog(tab.origins)
 	}
 
 	nCells := cellCount(cfg)
@@ -433,7 +519,7 @@ func RunWithOptions(ctx context.Context, cfg Config, opts RunOptions) (*Report, 
 	// completions are buffered only across the reorder window — peak
 	// memory stays O(workers) shard aggregates in the common case — and
 	// the merge sequence is the same for every schedule.
-	fleet := newFleetAgg(len(svcs))
+	fleet := newFleetAgg(len(cfg.Services))
 	var (
 		mu       sync.Mutex
 		pending  = make([]*fleetAgg, nShards)
@@ -441,7 +527,7 @@ func RunWithOptions(ctx context.Context, cfg Config, opts RunOptions) (*Report, 
 		focusOut []FocusSession
 	)
 	_, err = sched.RunStealing(ctx, nShards, workers, opts.Steal, func(sh int) error {
-		shardAgg := newFleetAgg(len(svcs))
+		shardAgg := newFleetAgg(len(cfg.Services))
 		var shardFocus []FocusSession
 		lo, hi := sh*cellsPerShard, (sh+1)*cellsPerShard
 		if hi > nCells {
@@ -452,9 +538,9 @@ func RunWithOptions(ctx context.Context, cfg Config, opts RunOptions) (*Report, 
 		// sequentially below — so its evolution is a pure function of
 		// the shard's cell order regardless of worker or schedule.
 		var metro *cdn.Metro
-		if cdnRT != nil {
-			metro = cdn.NewMetro(cdnRT.cfg)
-			cdnRT.catalog.WarmMetro(metro)
+		if cfg.Cache != nil {
+			metro = cdn.NewMetro(*cfg.Cache)
+			tab.catalog.WarmMetro(metro)
 		}
 		for c := lo; c < hi; c++ {
 			// A canceled context stops between cells, not just between
@@ -464,6 +550,7 @@ func RunWithOptions(ctx context.Context, cfg Config, opts RunOptions) (*Report, 
 			if err := ctx.Err(); err != nil {
 				return err
 			}
+			spec := newCellSpec(cfg, c, cold[c])
 			if cache := opts.CellCache; cache != nil {
 				if len(focus[c]) > 0 || metro != nil {
 					// Focus cells produce per-member FocusSessions the
@@ -474,10 +561,10 @@ func RunWithOptions(ctx context.Context, cfg Config, opts RunOptions) (*Report, 
 					// serving one from the memo would leave the metro
 					// un-evolved for the shard's later cells.
 					cache.skipped.Add(1)
-				} else if key, kerr := cache.key(cfg, c); kerr == nil {
+				} else if key, kerr := cellKey(spec); kerr == nil {
 					c := c
 					ca, err := cache.memo.Get(key, func() (*cellAgg, error) {
-						ca, _, err := runCell(cfg, svcs, origins, bgTemplates, traces, cdnRT, nil, c, nil)
+						ca, _, err := runCell(cfg, c, spec, tab, nil, nil)
 						return ca, err
 					})
 					if err != nil {
@@ -490,7 +577,7 @@ func RunWithOptions(ctx context.Context, cfg Config, opts RunOptions) (*Report, 
 					continue
 				}
 			}
-			ca, fs, err := runCell(cfg, svcs, origins, bgTemplates, traces, cdnRT, metro, c, focus[c])
+			ca, fs, err := runCell(cfg, c, spec, tab, metro, focus[c])
 			if err != nil {
 				return err
 			}
@@ -553,11 +640,15 @@ type sessMeta struct {
 	member int
 }
 
-// cdnRuntime is the run-wide immutable context of the cache tier.
-type cdnRuntime struct {
-	cfg     cdn.CacheConfig
-	catalog *cdn.Catalog
-	cold    map[int]bool
+// cellTables is the run-wide immutable context cells share: the
+// per-service tables (indexed like Config.Services), the cellular traces
+// and, with a cache tier, the content catalog warm starts copy from.
+type cellTables struct {
+	svcs        []*services.Service
+	origins     []*origin.Origin
+	bgTemplates []player.BackgroundConfig
+	traces      []*netem.Profile
+	catalog     *cdn.Catalog
 }
 
 // cdnCatalog builds the cache tier's view of the content library — the
@@ -590,30 +681,42 @@ func cdnCatalog(origins []*origin.Origin) *cdn.Catalog {
 	return cdn.NewCatalog(titles)
 }
 
-// runCell simulates one cell: every member session over one shared edge
+// runCell runs cell k of a normalized config from its spec and labels
+// what comes out: focus records carry k, and a panic anywhere below
+// comes back as an error naming the cell, so a helper goroutine's crash
+// surfaces through RunStealing like any other cell failure instead of
+// killing the process. cfg and k are labels only — the simulation itself
+// (simCell) sees nothing but the spec.
+func runCell(cfg Config, k int, spec cellSpec, tab *cellTables, metro *cdn.Metro, focusMembers []int) (_ *cellAgg, fs []FocusSession, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("fleet: cell %d (seed %d, %d sessions) panicked: %v\n%s", k, cfg.Seed, cfg.Sessions, p, debug.Stack())
+		}
+	}()
+	ca, fs, err := simCell(spec, tab, metro, focusMembers)
+	for i := range fs {
+		fs[i].Cell = k
+	}
+	return ca, fs, err
+}
+
+// simCell simulates one cell: every member session over one shared edge
 // link, each behind its own cellular access link, folded into the
 // cell's streaming aggregates as it finishes. Full-fidelity members run
 // the player state machine — lean (no Result) unless selected as focus
 // members — and background members run the coarse analytic tier over
-// the same network. The cell is strictly single-threaded and
-// deterministic given (cfg, cellIdx). A panic anywhere below comes back
-// as an error naming the cell, so a helper goroutine's crash surfaces
-// through RunStealing like any other cell failure instead of killing
-// the process.
-func runCell(cfg Config, svcs []*services.Service, origins []*origin.Origin, bgTemplates []player.BackgroundConfig, traces []*netem.Profile, cdnRT *cdnRuntime, metro *cdn.Metro, cellIdx int, focusMembers []int) (_ *cellAgg, _ []FocusSession, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("fleet: cell %d (seed %d, %d sessions) panicked: %v\n%s", cellIdx, cfg.Seed, cfg.Sessions, p, debug.Stack())
-		}
-	}()
-	members := CellClients(cfg, cellIdx)
+// the same network. The cell is strictly single-threaded and a pure
+// function of (spec, focusMembers) and, when metro-coupled, the metro
+// cache's state.
+func simCell(spec cellSpec, tab *cellTables, metro *cdn.Metro, focusMembers []int) (*cellAgg, []FocusSession, error) {
+	members := drawClients(spec)
 	horizon := 0.0
 	for _, m := range members {
 		if e := m.Arrival + m.Watch; e > horizon {
 			horizon = e
 		}
 	}
-	edge := netem.Constant("edge", cfg.EdgeMbps*1e6, horizon+1)
+	edge := netem.Constant("edge", spec.EdgeMbps*1e6, horizon+1)
 	scfg := simnet.DefaultConfig()
 	scfg.Engine = simnet.EngineCell
 	net := simnet.New(scfg, edge)
@@ -621,15 +724,17 @@ func runCell(cfg Config, svcs []*services.Service, origins []*origin.Origin, bgT
 	// The cell's edge-cache tier: its nodes, balancer and backhaul link
 	// are cell-private; the metro cache (possibly nil) is shard state.
 	var cdnCell *cdn.Cell
-	if cdnRT != nil {
-		backhaul := net.NewAccessLink(netem.Constant("backhaul", cdnRT.cfg.BackhaulMbps*1e6, horizon+1))
-		cdnCell = cdn.NewCell(cdnRT.cfg, cellIdx, metro, backhaul)
-		if !cdnRT.cold[cellIdx] {
-			cdnRT.catalog.Warm(cdnCell)
+	if spec.Cache != nil {
+		backhaul := net.NewAccessLink(netem.Constant("backhaul", spec.Cache.BackhaulMbps*1e6, horizon+1))
+		// The spec's config is already specialised to this cell, so the
+		// cell is its own FailCell: armed iff FailAtSec survived.
+		cdnCell = cdn.NewCell(*spec.Cache, spec.Cache.FailCell, metro, backhaul)
+		if !spec.Cold {
+			tab.catalog.Warm(cdnCell)
 		}
 	}
 
-	agg := newCellAgg(len(svcs))
+	agg := newCellAgg(len(spec.Services))
 	var focusOut []FocusSession
 	meta := make(map[*player.Session]sessMeta, len(members))
 	g := player.NewGroup()
@@ -637,7 +742,7 @@ func runCell(cfg Config, svcs []*services.Service, origins []*origin.Origin, bgT
 		sm := meta[s]
 		agg.observe(sm.client.Service, qoe.FromSummary(s.Summary()))
 		if r != nil { // focus member: keep the full record
-			focusOut = append(focusOut, buildFocus(cfg, cellIdx, sm, r))
+			focusOut = append(focusOut, buildFocus(spec.Services[sm.client.Service], sm, r))
 		}
 	})
 	// The whole background tier of the cell runs as one cohort: one
@@ -651,11 +756,11 @@ func runCell(cfg Config, svcs []*services.Service, origins []*origin.Origin, bgT
 	}
 	for i, m := range members {
 		if !m.Full {
-			bcfg := bgTemplates[m.Service]
+			bcfg := tab.bgTemplates[m.Service]
 			bcfg.SessionDuration = m.Watch
 			j := cohort.Add(bcfg)
 			cohort.SetStartAt(j, m.Arrival)
-			cohort.SetAccessLink(j, net.NewAccessLink(traces[m.Trace-1]))
+			cohort.SetAccessLink(j, net.NewAccessLink(tab.traces[m.Trace-1]))
 			if cdnCell != nil {
 				cohort.SetResolver(j, cdnCell.NewClient(i), int32(m.Service))
 			}
@@ -663,9 +768,9 @@ func runCell(cfg Config, svcs []*services.Service, origins []*origin.Origin, bgT
 			agg.background++
 			continue
 		}
-		svc := svcs[m.Service]
+		svc := tab.svcs[m.Service]
 		pcfg := services.Resolve(svc.Player, m.Watch, nil)
-		sess, err := player.NewSession(pcfg, origins[m.Service], net)
+		sess, err := player.NewSession(pcfg, tab.origins[m.Service], net)
 		if err != nil {
 			return nil, nil, fmt.Errorf("fleet: %s session: %w", svc.Name, err)
 		}
@@ -673,7 +778,7 @@ func runCell(cfg Config, svcs []*services.Service, origins []*origin.Origin, bgT
 			sess.SetLean()
 		}
 		sess.SetStartAt(m.Arrival)
-		sess.SetAccessLink(net.NewAccessLink(traces[m.Trace-1]))
+		sess.SetAccessLink(net.NewAccessLink(tab.traces[m.Trace-1]))
 		if cdnCell != nil {
 			sess.SetResolver(cdnCell.NewClient(i), int32(m.Service))
 		}
@@ -702,13 +807,12 @@ func runCell(cfg Config, svcs []*services.Service, origins []*origin.Origin, bgT
 
 // buildFocus condenses a focus member's full Result into the report's
 // focus record: per-session QoE plus the displayed-track and buffer
-// timelines.
-func buildFocus(cfg Config, cell int, sm sessMeta, r *player.Result) FocusSession {
+// timelines. The caller stamps the cell index.
+func buildFocus(service string, sm sessMeta, r *player.Result) FocusSession {
 	rep := qoe.FromResult(r)
 	fs := FocusSession{
-		Cell:            cell,
 		Member:          sm.member,
-		Service:         cfg.Services[sm.client.Service],
+		Service:         service,
 		Trace:           sm.client.Trace,
 		ArrivalSec:      sm.client.Arrival,
 		WatchSec:        sm.client.Watch,

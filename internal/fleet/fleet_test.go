@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/cdn"
 	"repro/internal/expcache"
 	"repro/internal/origin"
 	"repro/internal/player"
@@ -505,6 +507,45 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestNonFiniteConfigRejected: a NaN or ±Inf in any float field of the
+// config (the cache config included) is refused by Normalized with an
+// error naming the field — not discovered by json.Marshal after the
+// whole fleet has been simulated. The fields are enumerated by type, so
+// a float added to either struct is covered without touching this test.
+func TestNonFiniteConfigRejected(t *testing.T) {
+	floatFields := func(v reflect.Value) (names []string) {
+		for i := 0; i < v.NumField(); i++ {
+			if v.Field(i).Kind() == reflect.Float64 {
+				names = append(names, v.Type().Field(i).Name)
+			}
+		}
+		return names
+	}
+	check := func(cfg Config, want string) {
+		t.Helper()
+		if _, err := cfg.Normalized(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s non-finite: got error %v, want one naming the field", want, err)
+		}
+	}
+	top := floatFields(reflect.ValueOf(Config{}))
+	sub := floatFields(reflect.ValueOf(cdn.CacheConfig{}))
+	if len(top) != 7 || len(sub) != 7 {
+		t.Fatalf("enumerated %d Config and %d CacheConfig float fields, want 7 and 7", len(top), len(sub))
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, name := range top {
+			cfg := Config{Sessions: 8}
+			reflect.ValueOf(&cfg).Elem().FieldByName(name).SetFloat(bad)
+			check(cfg, name)
+		}
+		for _, name := range sub {
+			cc := cdn.CacheConfig{EdgeBytes: 1 << 20}
+			reflect.ValueOf(&cc).Elem().FieldByName(name).SetFloat(bad)
+			check(Config{Sessions: 8, Cache: &cc}, "Cache."+name)
+		}
+	}
+}
+
 // TestRunCellContainsPanic pins the containment contract: a panic inside
 // a cell — here an index out of range on a traces slice that is too
 // short — returns as an error naming the cell and the seed (which
@@ -520,8 +561,12 @@ func TestRunCellContainsPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = runCell(cfg, []*services.Service{svc}, []*origin.Origin{org},
-		[]player.BackgroundConfig{backgroundTemplate(org)}, nil, nil, nil, 1, nil)
+	tab := &cellTables{
+		svcs:        []*services.Service{svc},
+		origins:     []*origin.Origin{org},
+		bgTemplates: []player.BackgroundConfig{backgroundTemplate(org)},
+	}
+	_, _, err = runCell(cfg, 1, newCellSpec(cfg, 1, false), tab, nil, nil)
 	if err == nil {
 		t.Fatal("runCell with no traces returned no error")
 	}
