@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt fmt-check lint lint-vettool lint-audit verify test race bench bench-smoke bench-pair bench-record report fuzz-smoke fleet-smoke fleet-cache-cmp fleet-scale
+.PHONY: build vet fmt fmt-check lint lint-vettool lint-audit verify test race bench bench-smoke bench-pair bench-record report report-cmp fuzz-smoke fleet-smoke fleet-cache-cmp fleet-scale
 
 build:
 	$(GO) build ./...
@@ -42,7 +42,7 @@ lint-audit:
 	$(GO) run ./cmd/vodlint -unused-allow .
 
 # Everything a PR must pass, in the order CI runs it.
-verify: build vet fmt-check lint lint-vettool lint-audit test
+verify: build vet fmt-check lint lint-vettool lint-audit test report-cmp
 
 # Native fuzz targets, a few seconds each — the CI smoke setting.
 # Targets are discovered by scanning test files, so a new Fuzz* harness
@@ -132,6 +132,17 @@ bench-record:
 # Regenerate REPORT.md on all cores (vodreport -workers N to override).
 report:
 	$(GO) run ./cmd/vodreport -out REPORT.md
+
+# The committed REPORT.md is the ground truth a changed engine is held to
+# (expcache.EngineVersion): a byte-stable regeneration must equal it once
+# its per-experiment `_regenerated in …_` timing lines are dropped; blank
+# lines are squeezed on both sides because each dropped line leaves one.
+report-cmp:
+	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) run ./cmd/vodreport -stable -q -out "$$dir/fresh.md" && \
+	grep -v '^_regenerated in ' REPORT.md | cat -s >"$$dir/committed" && \
+	cat -s "$$dir/fresh.md" | cmp - "$$dir/committed" && \
+	echo "report-cmp: REPORT.md equals a fresh vodreport -stable"
 
 # Population-run gate: a small fleet under the race detector, then the
 # workers-determinism contract — the same seed must produce byte-identical

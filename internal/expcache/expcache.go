@@ -24,7 +24,6 @@
 package expcache
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/manifest"
@@ -101,23 +100,9 @@ func (c *Cache) Snapshot() Stats {
 	}
 }
 
-// presKeys memoizes presentation content hashes by pointer.
-// Presentations are immutable once built (the modify package clones
-// before editing), so a pointer's content never changes; the map is
-// content-addressed and never invalidated.
-var presKeys sync.Map // *manifest.Presentation -> Key
-
-func presKey(p *manifest.Presentation) (Key, error) {
-	if k, ok := presKeys.Load(p); ok {
-		return k.(Key), nil
-	}
-	k, err := Fingerprint(p)
-	if err != nil {
-		return Key{}, err
-	}
-	presKeys.Store(p, k)
-	return k, nil
-}
+// presKey is the content hash an origin keeps of its presentation
+// (origin.Origin.ContentKey): computed once per origin, dropped with it.
+func presKey(p *manifest.Presentation) ([32]byte, error) { return Fingerprint(p) }
 
 // sessionKey fingerprints one session: engine stamp, fully defaulted
 // player config, origin content, profile schedule, network model config.
@@ -128,11 +113,11 @@ func sessionKey(cfg player.Config, org *origin.Origin, p *netem.Profile, netCfg 
 		// the session constructor would produce.
 		return Key{}, err
 	}
-	pk, err := presKey(org.Pres)
+	pk, err := org.ContentKey(presKey)
 	if err != nil {
 		return Key{}, err
 	}
-	return Fingerprint(EngineVersion, norm, pk, p.Fingerprint(), netCfg)
+	return Fingerprint(EngineVersion, norm, Key(pk), p.Fingerprint(), netCfg)
 }
 
 // runSession computes a session directly (the cache-miss path).

@@ -1,9 +1,12 @@
 package expcache
 
 import (
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,6 +15,7 @@ import (
 	"repro/internal/netem"
 	"repro/internal/player"
 	"repro/internal/services"
+	"repro/internal/simnet"
 )
 
 // ---- fingerprint ----
@@ -134,6 +138,52 @@ func TestFingerprintUncacheable(t *testing.T) {
 	// A nil func is plain absent content, not an error.
 	if _, err := Fingerprint(withGate{1, nil}); err != nil {
 		t.Errorf("nil func: %v", err)
+	}
+}
+
+// TestFingerprintGoldenKeys pins the hasher's byte stream: the keys below
+// were recorded before the hasher buffered its writes, so any change to
+// what is fed to SHA-256 (not merely how it is batched) shows up here as
+// a moved key — and would silently orphan every memoized session.
+func TestFingerprintGoldenKeys(t *testing.T) {
+	type node struct {
+		V    int
+		Next *node
+	}
+	type pair struct{ A, B *node }
+	shared := &node{V: 7}
+	cyc := &node{V: 1, Next: &node{V: 2}}
+	cyc.Next.Next = cyc
+
+	svc := services.ByName("H1")
+	org, err := New().Origin(svc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	session, err := sessionKey(services.Resolve(svc.Player, 60, nil), org, testProfile(), simnet.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		name string
+		got  Key
+		want string
+	}{
+		// Longer than the hasher's inline buffer, so it takes the
+		// flush-then-write-through path, with buffered values either side.
+		{"long string", mustKey(t, 1, strings.Repeat("0123456789abcdef", 40), 2.5), "74f74fa75df5e0d139ba587ad5b79c25ee3c699f18f177bc4d72d7fd7ab9e720"},
+		{"nested map", mustKey(t, map[string]map[int][]string{
+			"a": {1: {"x", "y"}, 2: nil},
+			"b": {},
+			"c": {3: {strings.Repeat("z", 600)}},
+		}, "tail"), "71acb78a680ef4c4251e776c6d81440f32502d60086b3a5119daffb98739e59e"},
+		{"shared pointer and cycle", mustKey(t, pair{shared, shared}, cyc), "2dcf04c47560247d94a2909bfcf99beabeac7fa17c0859d03d4860972c7b1899"},
+		{"session key", session, "8d116252d511167d79832ef95e7ce66b43cc4b2089ef2bedd1fb6a71256bbdfe"},
+	} {
+		if got := hex.EncodeToString(c.got[:]); got != c.want {
+			t.Errorf("%s: key %s, want %s", c.name, got, c.want)
+		}
 	}
 }
 
@@ -352,6 +402,36 @@ func TestResetDropsEntries(t *testing.T) {
 	}
 	if !reflect.DeepEqual(r1, r2) {
 		t.Error("recomputed session differs from the dropped one")
+	}
+}
+
+// TestResetReleasesPresentations: everything a memo generation derived
+// from its presentations — the client views sessions read and the
+// content keys session keys are built from — is garbage once Reset has
+// dropped the origins. Both used to sit in process-wide tables keyed by
+// the presentation pointer, which Reset never reached: 5 MiB of live
+// heap per cold report, every report.
+func TestResetReleasesPresentations(t *testing.T) {
+	c := New()
+	const cycles = 8
+	var live [cycles]uint64
+	for i := range live {
+		for _, svc := range services.All() {
+			if _, err := c.RunService(svc, testProfile(), 30, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Reset()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		live[i] = ms.HeapAlloc
+	}
+	// The first cycle also pays for one-time initialisation.
+	perCycle := (float64(live[cycles-1]) - float64(live[1])) / (cycles - 2) / (1 << 20)
+	t.Logf("live heap after Reset+GC, per cycle: %v", live)
+	if perCycle >= 1 {
+		t.Errorf("live heap grows %.2f MiB per Reset cycle; a dropped generation is still reachable", perCycle)
 	}
 }
 

@@ -39,34 +39,66 @@ func Fingerprint(vs ...any) (Key, error) {
 			return Key{}, err
 		}
 	}
-	var k Key
-	h.h.Sum(k[:0])
-	return k, nil
+	return h.sum(), nil
 }
 
 // hasher streams tagged values into a hash. Every emission is prefixed
 // with a kind tag byte so values of different shapes cannot collide by
 // concatenation (e.g. ["ab","c"] vs ["a","bc"]).
+//
+// Emissions are 1–9 bytes plus short names, so they are gathered in buf
+// and handed to the hash a block at a time; the byte stream the hash
+// sees — hence every key — does not depend on where the flushes fall.
+// buf is an array inside the struct on purpose: a key is taken per
+// session and per fleet cell, and a second allocation per Fingerprint
+// for a buffer costs more than the batching saves.
 type hasher struct {
 	h       hash.Hash
-	buf     [9]byte
+	n       int // bytes of buf not yet written to h
+	buf     [512]byte
 	visited map[uintptr]int
 }
 
+func (h *hasher) flush() {
+	h.h.Write(h.buf[:h.n])
+	h.n = 0
+}
+
+// room makes space for k ≤ len(buf) more buffered bytes.
+func (h *hasher) room(k int) {
+	if h.n+k > len(h.buf) {
+		h.flush()
+	}
+}
+
+func (h *hasher) sum() (k Key) {
+	h.flush()
+	h.h.Sum(k[:0])
+	return k
+}
+
 func (h *hasher) tag(b byte) {
-	h.buf[0] = b
-	h.h.Write(h.buf[:1])
+	h.room(1)
+	h.buf[h.n] = b
+	h.n++
 }
 
 func (h *hasher) u64(tag byte, u uint64) {
-	h.buf[0] = tag
-	binary.LittleEndian.PutUint64(h.buf[1:], u)
-	h.h.Write(h.buf[:9])
+	h.room(9)
+	h.buf[h.n] = tag
+	binary.LittleEndian.PutUint64(h.buf[h.n+1:], u)
+	h.n += 9
 }
 
 func (h *hasher) str(tag byte, s string) {
 	h.u64(tag, uint64(len(s)))
-	io.WriteString(h.h, s)
+	if len(s) > len(h.buf) {
+		h.flush()
+		io.WriteString(h.h, s)
+		return
+	}
+	h.room(len(s))
+	h.n += copy(h.buf[h.n:], s)
 }
 
 // typeIdentity names a type unambiguously across packages.
@@ -178,7 +210,7 @@ func (h *hasher) walkMap(v reflect.Value) error {
 		return nil
 	}
 	h.u64('m', uint64(v.Len()))
-	digests := make([][sha256.Size]byte, 0, v.Len())
+	digests := make([]Key, 0, v.Len())
 	iter := v.MapRange()
 	for iter.Next() {
 		sub := &hasher{h: sha256.New()}
@@ -188,13 +220,12 @@ func (h *hasher) walkMap(v reflect.Value) error {
 		if err := sub.walk(iter.Value()); err != nil {
 			return err
 		}
-		var d [sha256.Size]byte
-		sub.h.Sum(d[:0])
-		digests = append(digests, d)
+		digests = append(digests, sub.sum())
 	}
 	sort.Slice(digests, func(i, j int) bool { return bytes.Compare(digests[i][:], digests[j][:]) < 0 })
 	for _, d := range digests {
-		h.h.Write(d[:])
+		h.room(len(d))
+		h.n += copy(h.buf[h.n:], d[:])
 	}
 	return nil
 }

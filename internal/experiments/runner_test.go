@@ -96,6 +96,30 @@ func TestRunAllDeterminism(t *testing.T) {
 	}
 }
 
+// TestColdReportAllocBudget bounds what one cold report allocates. The
+// report renders 23 KB; it used to allocate 340–400 MB on the way
+// (result logs sized for whole presentations, a span list sorted per
+// 1 Hz sample in the buffer inference), which is what its peak RSS and
+// GC time were made of. It now allocates ≈180 MB; the budget sits
+// between the two, so a regression of that kind fails here instead of
+// waiting for a benchmark run.
+func TestColdReportAllocBudget(t *testing.T) {
+	const budget = 260e6
+	expcache.Default.Reset()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	if _, err := RunAll(context.Background(), Options{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&ms)
+	got := float64(ms.TotalAlloc - before)
+	t.Logf("cold RunAll allocated %.0f MB", got/1e6)
+	if got > budget {
+		t.Errorf("cold RunAll allocated %.0f MB, budget %.0f MB", got/1e6, budget/1e6)
+	}
+}
+
 func TestRunAllSubset(t *testing.T) {
 	ids := []string{"fig4", "fig3"} // deliberately not paper order
 	results, err := RunAll(context.Background(), Options{Workers: 4, IDs: ids})

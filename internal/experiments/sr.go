@@ -47,24 +47,13 @@ func srStatsFromResult(res *player.Result) srRunStats {
 		stallSec:  res.TotalStall(),
 		wasted:    res.WastedBytes,
 	}
-	// Group video downloads per index, ordered by start time.
-	perIndex := map[int][]player.Download{}
+	first := map[int]int{} // index -> track of its first download
+	inBurst := false
+	seen := map[int]int{} // index -> latest track downloaded
 	for _, d := range res.Downloads {
-		if d.Type != media.TypeVideo || d.End == 0 {
+		if d.Type != media.TypeVideo || d.End <= 0 {
 			continue
 		}
-		perIndex[d.Index] = append(perIndex[d.Index], d)
-	}
-	first := map[int]player.Download{}
-	inBurst := false
-	var ordered []player.Download
-	for _, d := range res.Downloads {
-		if d.Type == media.TypeVideo && d.End > 0 {
-			ordered = append(ordered, d)
-		}
-	}
-	seen := map[int]int{} // index -> latest track downloaded
-	for _, d := range ordered {
 		prev, again := seen[d.Index]
 		if again {
 			st.replacements++
@@ -83,7 +72,7 @@ func srStatsFromResult(res *player.Result) srRunStats {
 				inBurst = true
 			}
 		} else {
-			first[d.Index] = d
+			first[d.Index] = d.Track
 			inBurst = false
 		}
 		seen[d.Index] = d.Track
@@ -102,7 +91,7 @@ func srStatsFromResult(res *player.Result) srRunStats {
 		w += res.Declared[tr] * d
 		base := tr
 		if f, ok := first[i]; ok {
-			base = f.Track
+			base = f
 		}
 		wBase += res.Declared[base] * d
 		dur += d

@@ -11,6 +11,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/manifest"
@@ -29,6 +30,15 @@ type Origin struct {
 	sidxBytes map[string][]byte // media URL -> encoded sidx box
 	mediaSize map[string]int64  // media URL -> total virtual file size
 	segSize   map[string]int64  // segment URL -> size (separate files)
+
+	// Values derived from Pres live here, so they are collected with the
+	// origin: a process-wide table keyed by the presentation pointer
+	// would outlive every memo generation (DESIGN.md §8).
+	viewOnce sync.Once
+	view     *manifest.Presentation
+	keyOnce  sync.Once
+	key      [32]byte
+	keyErr   error
 }
 
 // New encodes all documents for a presentation.
@@ -105,6 +115,49 @@ func NewWithOptions(p *manifest.Presentation, opts Options) (*Origin, error) {
 		index(r)
 	}
 	return o, nil
+}
+
+// ClientView returns the client-side view of the presentation, hiding
+// per-segment sizes when the protocol does not expose them before
+// download (plain HLS URLs and SmoothStreaming templates carry no size
+// information; §4.2). It is built once — experiments run thousands of
+// sessions against a handful of origins — shared by every session of the
+// origin, and must not be mutated.
+func (o *Origin) ClientView() *manifest.Presentation {
+	o.viewOnce.Do(func() { o.view = clientView(o.Pres) })
+	return o.view
+}
+
+func clientView(p *manifest.Presentation) *manifest.Presentation {
+	exposes := p.Addressing == manifest.RangesInManifest || p.Addressing == manifest.SidxRanges
+	cp := *p
+	strip := func(rs []*manifest.Rendition) []*manifest.Rendition {
+		out := make([]*manifest.Rendition, len(rs))
+		for i, r := range rs {
+			rr := *r
+			rr.Segments = append([]manifest.Segment(nil), r.Segments...)
+			if !exposes {
+				for j := range rr.Segments {
+					rr.Segments[j].Size = 0
+				}
+			}
+			out[i] = &rr
+		}
+		return out
+	}
+	cp.Video = strip(p.Video)
+	cp.Audio = strip(p.Audio)
+	return &cp
+}
+
+// ContentKey returns the content hash of the presentation, calling hash
+// on first use and keeping its answer. Presentations are immutable once
+// built (the modify package clones before editing), so the key never
+// changes; the hash is the caller's because the canonical encoder lives
+// above this package (expcache.Fingerprint).
+func (o *Origin) ContentKey(hash func(*manifest.Presentation) ([32]byte, error)) ([32]byte, error) {
+	o.keyOnce.Do(func() { o.key, o.keyErr = hash(o.Pres) })
+	return o.key, o.keyErr
 }
 
 // Document returns the body of a manifest-level document by URL.

@@ -131,11 +131,12 @@ func checkRandomSession(seed int64) error {
 	if err != nil {
 		return fmt.Errorf("seed %d: %w", seed, err)
 	}
-	sess, err := NewSession(cfg, org, simnet.New(simnet.DefaultConfig(), p))
+	// Every completion also compares the prev-track table with the log
+	// scan it replaced (prevtrack_test.go).
+	res, err := runScanChecked(cfg, org, p)
 	if err != nil {
 		return fmt.Errorf("seed %d: %w", seed, err)
 	}
-	res := sess.Run()
 
 	if res.EndTime > cfg.SessionDuration+1e-6 || res.EndTime < 0 {
 		return fmt.Errorf("seed %d: end time %v", seed, res.EndTime)

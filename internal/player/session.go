@@ -3,7 +3,6 @@ package player
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/adaptation"
 	"repro/internal/cdn"
@@ -98,6 +97,10 @@ type Session struct {
 
 	lean bool
 	res  *Result
+	// firstFwd[i] is 1 + the lowest Downloads position among the
+	// completed forward (non-replacement) video downloads of segment i,
+	// 0 while there is none; it exists with res (prevDownloadedTrack).
+	firstFwd []int32
 
 	// gidx is the session's member id in the Group run driving it (set
 	// by Group.Run): completed transfers wake their owner by id.
@@ -156,7 +159,7 @@ func NewSession(cfg Config, org *origin.Origin, net *simnet.Network) (*Session, 
 		cfg:            cfg,
 		org:            org,
 		pres:           org.Pres,
-		view:           clientView(org.Pres),
+		view:           org.ClientView(),
 		net:            net,
 		conns:          make([]*simnet.Conn, cfg.MaxConnections),
 		live:           make([]*reqMeta, cfg.MaxConnections),
@@ -239,9 +242,20 @@ func (s *Session) ensureResult() {
 		return
 	}
 	n := s.segCount
-	nAudio := 0
+	// The logs are sized by what the session can fetch, not by the whole
+	// presentation: it plays at most SessionDuration of media and
+	// downloads at most the pause threshold ahead of the playhead, plus
+	// the segment in flight when the threshold is crossed. Replacement
+	// and seeks fetch more; append covers them.
+	reach := s.cfg.SessionDuration + s.cfg.PauseThresholdSec
+	fetch := min(n, int(reach/s.segDur)+2)
 	if len(s.pres.Audio) > 0 {
-		nAudio = len(s.pres.Audio[0].Segments)
+		a := s.pres.Audio[0]
+		fetch += min(len(a.Segments), int(reach/a.SegmentDuration)+2)
+	}
+	txs := fetch
+	if s.cfg.Scheduler == SchedulerSplit {
+		txs *= s.cfg.MaxConnections
 	}
 	s.res = &Result{
 		Name:               s.cfg.Name,
@@ -251,64 +265,22 @@ func (s *Session) ensureResult() {
 		StartupDelay:       -1,
 		Displayed:          make([]int, n),
 		DisplayedWallStart: make([]float64, n),
-		// Sized for the common full run: one sample per second plus one
-		// download and transaction per segment (growth still works when
-		// replacement or seeks exceed the estimate).
+		// One sample per second; one download and one transaction per
+		// segment, the startup documents on top.
 		Samples:      make([]BufferSample, 0, int(s.cfg.SessionDuration)+2),
-		Downloads:    make([]Download, 0, n+nAudio+8),
-		Transactions: make([]traffic.Transaction, 0, n+nAudio+16),
+		Downloads:    make([]Download, 0, fetch+8),
+		Transactions: make([]traffic.Transaction, 0, txs+16),
 		Declared:     s.declared,
 	}
 	for i := range s.res.Displayed {
 		s.res.Displayed[i] = -1
 		s.res.DisplayedWallStart[i] = -1
 	}
+	s.firstFwd = make([]int32, n)
 }
 
 // endAt is the wall time the session's duration budget expires.
 func (s *Session) endAt() float64 { return s.startAt + s.cfg.SessionDuration }
-
-// viewCache memoizes clientView per presentation: the view is read-only,
-// and experiments run thousands of sessions against a handful of shared
-// presentations, so cloning the segment tables per session was one of the
-// top allocators. Keyed by pointer; concurrent sessions may race to build
-// the first view and LoadOrStore keeps exactly one.
-var viewCache sync.Map // *manifest.Presentation -> *manifest.Presentation
-
-// clientView returns the shared client-side view of a presentation,
-// hiding per-segment sizes when the protocol does not expose them before
-// download (plain HLS URLs and SmoothStreaming templates carry no size
-// information; §4.2). The result is shared across sessions and must not
-// be mutated.
-func clientView(p *manifest.Presentation) *manifest.Presentation {
-	if v, ok := viewCache.Load(p); ok {
-		return v.(*manifest.Presentation)
-	}
-	v, _ := viewCache.LoadOrStore(p, buildClientView(p))
-	return v.(*manifest.Presentation)
-}
-
-func buildClientView(p *manifest.Presentation) *manifest.Presentation {
-	exposes := p.Addressing == manifest.RangesInManifest || p.Addressing == manifest.SidxRanges
-	cp := *p
-	strip := func(rs []*manifest.Rendition) []*manifest.Rendition {
-		out := make([]*manifest.Rendition, len(rs))
-		for i, r := range rs {
-			rr := *r
-			rr.Segments = append([]manifest.Segment(nil), r.Segments...)
-			if !exposes {
-				for j := range rr.Segments {
-					rr.Segments[j].Size = 0
-				}
-			}
-			out[i] = &rr
-		}
-		return out
-	}
-	cp.Video = strip(p.Video)
-	cp.Audio = strip(p.Audio)
-	return &cp
-}
 
 func (s *Session) buildDocQueue() {
 	p := s.pres
@@ -1195,6 +1167,11 @@ func (s *Session) finishSegmentCore(m *reqMeta, size, completed float64) {
 	s.totalBytes += size
 	if s.res != nil && m.dlIdx >= 0 && m.dlIdx < len(s.res.Downloads) {
 		s.res.Downloads[m.dlIdx].End = completed
+		if m.typ == media.TypeVideo && !m.replace {
+			if cur := s.firstFwd[m.index]; cur == 0 || int32(m.dlIdx) < cur-1 {
+				s.firstFwd[m.index] = int32(m.dlIdx) + 1
+			}
+		}
 	}
 	var rend *manifest.Rendition
 	var buf *Buffer
@@ -1246,18 +1223,15 @@ func (s *Session) finishSegmentCore(m *reqMeta, size, completed float64) {
 }
 
 // prevDownloadedTrack returns the track of the forward video download
-// with the highest index below the given one, or -1.
+// with the highest index below the given one, or -1. When an index was
+// fetched forward twice (a seek back), the earlier log entry answers.
 func (s *Session) prevDownloadedTrack(index int) int {
-	best, bestIdx := -1, -1
-	for _, d := range s.res.Downloads {
-		if d.Type != media.TypeVideo || d.Replacement || d.End == 0 {
-			continue
-		}
-		if d.Index < index && d.Index > bestIdx {
-			bestIdx, best = d.Index, d.Track
+	for i := index - 1; i >= 0; i-- {
+		if at := s.firstFwd[i]; at != 0 {
+			return s.res.Downloads[at-1].Track
 		}
 	}
-	return best
+	return -1
 }
 
 func (s *Session) finalize() {

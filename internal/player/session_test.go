@@ -436,7 +436,7 @@ func TestTemplateAddressingSession(t *testing.T) {
 		t.Fatalf("startup %.1f stalls %.1f", res.StartupDelay, res.TotalStall())
 	}
 	// The client view stripped the sizes even though config asked.
-	if s := clientView(org.Pres); s.Video[0].Segments[0].Size != 0 {
+	if s := org.ClientView(); s.Video[0].Segments[0].Size != 0 {
 		t.Fatal("template addressing leaked sizes to the client")
 	}
 }

@@ -223,7 +223,7 @@ func Infer(tr *traffic.Result, samples []uimon.Sample) Inferred {
 	if playedMedia > 0 {
 		rep.AvgBitrate = weighted / playedMedia
 	}
-	rep.PlayedSec = playedMedia + rep.StallSec*0 // media seconds shown
+	rep.PlayedSec = playedMedia // media seconds shown
 	if rep.StartupDelay >= 0 && len(samples) > 0 {
 		rep.PlayedSec = samples[len(samples)-1].T - rep.StartupDelay - rep.StallSec
 		if rep.PlayedSec < 0 {
@@ -238,33 +238,44 @@ func Infer(tr *traffic.Result, samples []uimon.Sample) Inferred {
 }
 
 func inferBuffer(tr *traffic.Result, samples []uimon.Sample) []BufferPoint {
-	var out []BufferPoint
+	video := spansOf(tr.Segments, media.TypeVideo)
+	audio := spansOf(tr.Segments, media.TypeAudio)
+	out := make([]BufferPoint, 0, len(samples))
 	for _, smp := range samples {
 		pos := smp.Position
-		v := contiguousEnd(tr.Segments, media.TypeVideo, smp.T, pos)
-		a := contiguousEnd(tr.Segments, media.TypeAudio, smp.T, pos)
+		v := contiguousEnd(video, smp.T, pos)
+		a := contiguousEnd(audio, smp.T, pos)
 		out = append(out, BufferPoint{T: smp.T, VideoSec: math.Max(0, v-pos), AudioSec: math.Max(0, a-pos)})
 	}
 	return out
 }
 
-// contiguousEnd returns the contiguous downloaded media end of a type at
-// wall time t, starting from playback position pos.
-func contiguousEnd(segs []traffic.SegmentDownload, typ media.MediaType, t, pos float64) float64 {
-	type span struct{ start, end float64 }
+// span is one downloaded segment on the media timeline, with the wall
+// time its download completed.
+type span struct{ start, end, done float64 }
+
+// spansOf returns the downloads of a type sorted by media start. Spans
+// with equal starts (a replaced segment) may land in either order:
+// contiguousEnd takes the maximum end over them both ways.
+func spansOf(segs []traffic.SegmentDownload, typ media.MediaType) []span {
 	var spans []span
 	for _, s := range segs {
-		if s.Type != typ || s.End > t {
-			continue
+		if s.Type == typ {
+			spans = append(spans, span{s.MediaStart, s.MediaStart + s.Duration, s.End})
 		}
-		spans = append(spans, span{s.MediaStart, s.MediaStart + s.Duration})
-	}
-	if len(spans) == 0 {
-		return pos
 	}
 	sort.Slice(spans, func(i, j int) bool { return spans[i].start < spans[j].start })
+	return spans
+}
+
+// contiguousEnd returns the contiguous downloaded media end at wall time
+// t, starting from playback position pos, over spans sorted by start.
+func contiguousEnd(spans []span, t, pos float64) float64 {
 	end := pos
 	for _, sp := range spans {
+		if sp.done > t {
+			continue
+		}
 		if sp.start > end+1e-6 {
 			break
 		}
