@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt fmt-check lint lint-vettool lint-audit verify test race bench bench-smoke bench-pair bench-record report report-cmp fuzz-smoke fleet-smoke fleet-cache-cmp fleet-scale
+.PHONY: build vet fmt fmt-check lint verify test race bench bench-smoke bench-pair bench-record report report-cmp fuzz-smoke fleet-smoke fleet-cache-cmp fleet-scale
 
 build:
 	$(GO) build ./...
@@ -23,26 +23,14 @@ fmt-check:
 
 # The contract analyzers — determinism (simclock, seededrand, maprange,
 # floateq, bpsunits) plus the dataflow contracts (stepalias, hotalloc,
-# foldorder, goctx) — over the whole module. Standalone mode needs no
-# network and no vet driver; see lint-vettool for the cached variant.
+# foldorder, goctx) — over the whole module, with the stale-suppression
+# audit: every //vodlint:allow in the tree must still suppress a
+# diagnostic of a known analyzer. Loads from source: no network needed.
 lint:
-	$(GO) run ./cmd/vodlint .
-
-# Same analyzers through `go vet -vettool=`: incremental via the build
-# cache, and proves the unitchecker protocol keeps working.
-lint-vettool:
-	$(GO) build -o bin/vodlint ./cmd/vodlint
-	$(GO) vet -vettool=$(CURDIR)/bin/vodlint ./...
-
-# Full suite plus the stale-suppression audit: every //vodlint:allow in
-# the tree must still suppress a diagnostic of a known analyzer, or the
-# audit fails the build (standalone-only; vet units are too narrow to
-# prove a directive dead).
-lint-audit:
 	$(GO) run ./cmd/vodlint -unused-allow .
 
 # Everything a PR must pass, in the order CI runs it.
-verify: build vet fmt-check lint lint-vettool lint-audit test report-cmp
+verify: build vet fmt-check lint test report-cmp
 
 # Native fuzz targets, a few seconds each — the CI smoke setting.
 # Targets are discovered by scanning test files, so a new Fuzz* harness

@@ -196,7 +196,7 @@ func main() {
 		}()
 	}
 
-	// Profiling passthrough (same contract as vodbench) so hotspot runs
+	// Profiling passthrough (same contract as vodreport) so hotspot runs
 	// can be profiled directly. Fatal error paths skip the writes — the
 	// profiles only matter for runs that complete.
 	if *cpuprofile != "" {

@@ -3,32 +3,18 @@
 // floateq, bpsunits) and the dataflow suite (stepalias, hotalloc,
 // foldorder, goctx).
 //
-// Standalone mode loads and type-checks every package of the module
-// rooted at the named directory (default ".") without the go tool:
+// It loads and type-checks every package of the module rooted at the
+// named directory (default ".") from source, without the go tool:
 //
 //	vodlint            # lint the module at .
 //	vodlint -only simclock,maprange /path/to/module
 //	vodlint -json .    # findings as a JSON array
 //	vodlint -unused-allow .  # also report stale //vodlint:allow directives
 //
-// It also speaks the go vet vettool protocol, so the same binary plugs
-// into the build cache-aware driver:
-//
-//	go build -o bin/vodlint ./cmd/vodlint
-//	go vet -vettool=$PWD/bin/vodlint ./...
-//
-// In that mode the go command hands the tool a JSON config per package
-// (files, import map, export data) and the tool type-checks against gc
-// export data instead of source. The -json and -unused-allow flags are
-// standalone-only: go vet owns the output format, and the stale-
-// directive audit needs the whole module in one process to know which
-// suppressions fired.
-//
 // Exit status: 0 clean, 1 findings, 2 operational error.
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -44,29 +30,19 @@ var all = analyzers.All()
 
 func main() {
 	var (
-		versionFlag = flag.String("V", "", "print version (go vet toolID handshake; use -V=full)")
 		only        = flag.String("only", "", "comma-separated subset of analyzers to run")
 		list        = flag.Bool("list", false, "list analyzers and exit")
-		flagsFlag   = flag.Bool("flags", false, "print flag descriptions in JSON (go vet handshake)")
-		jsonOut     = flag.Bool("json", false, "emit findings as a JSON array (standalone mode)")
-		unusedAllow = flag.Bool("unused-allow", false, "also report stale //vodlint:allow directives (standalone mode, full suite)")
+		jsonOut     = flag.Bool("json", false, "emit findings as a JSON array")
+		unusedAllow = flag.Bool("unused-allow", false, "also report stale //vodlint:allow directives (full suite only)")
 	)
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: vodlint [-only a,b] [-json] [-unused-allow] [module-dir]\n   or: go vet -vettool=$(command -v vodlint) ./...\n\nAnalyzers:\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: vodlint [-only a,b] [-json] [-unused-allow] [module-dir]\n\nAnalyzers:\n")
 		for _, a := range all {
 			fmt.Fprintf(flag.CommandLine.Output(), "  %-12s %s\n", a.Name, a.Doc)
 		}
 	}
 	flag.Parse()
 
-	if *versionFlag != "" {
-		printVersion()
-		return
-	}
-	if *flagsFlag {
-		printFlags()
-		return
-	}
 	if *list {
 		for _, a := range all {
 			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
@@ -83,16 +59,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	// go vet invokes the tool with a single *.cfg argument.
-	if args := flag.Args(); len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(unitcheck(args[0], selected))
-	}
-
 	dir := "."
 	if args := flag.Args(); len(args) > 0 {
 		dir = args[0]
 	}
-	os.Exit(standalone(dir, selected, *jsonOut, *unusedAllow))
+	os.Exit(lintModule(dir, selected, *jsonOut, *unusedAllow))
 }
 
 // selectAnalyzers resolves the -only subset.
@@ -126,8 +97,8 @@ type jsonDiagnostic struct {
 	Message  string `json:"message"`
 }
 
-// standalone lints a whole module via the source loader.
-func standalone(dir string, analyzers []*lint.Analyzer, jsonOut, unusedAllow bool) int {
+// lintModule lints a whole module via the source loader.
+func lintModule(dir string, analyzers []*lint.Analyzer, jsonOut, unusedAllow bool) int {
 	root, err := findModuleRoot(dir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vodlint:", err)
@@ -204,40 +175,4 @@ func findModuleRoot(dir string) (string, error) {
 		}
 		d = parent
 	}
-}
-
-// printFlags implements the -flags handshake: the go command queries the
-// vettool for its flag set as a JSON array so it can accept those flags
-// on its own command line and forward them. Only -only is advertised:
-// -json and -unused-allow are standalone concerns the vet driver must
-// not forward per package.
-func printFlags() {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	flags := []jsonFlag{
-		{Name: "only", Bool: false, Usage: "comma-separated subset of analyzers to run"},
-	}
-	data, err := json.Marshal(flags)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vodlint:", err)
-		os.Exit(2)
-	}
-	fmt.Println(string(data))
-}
-
-// printVersion implements the -V=full handshake: the go command hashes
-// this line into its build cache key, so it embeds a content hash of
-// the executable — rebuilding vodlint invalidates cached vet results.
-func printVersion() {
-	id := "unknown"
-	if exe, err := os.Executable(); err == nil {
-		if data, err := os.ReadFile(exe); err == nil {
-			sum := sha256.Sum256(data)
-			id = fmt.Sprintf("%x", sum[:12])
-		}
-	}
-	fmt.Printf("vodlint version v1-%s\n", id)
 }

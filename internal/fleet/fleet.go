@@ -442,7 +442,11 @@ func focusPlan(cfg Config) map[int][]int {
 	// keeps pathological configs (focus ≈ sessions) from spinning.
 	for attempts := 0; len(chosen) < want && attempts < 64*want+1024; attempts++ {
 		cell := rng.Intn(nCells)
-		chosen[coord{cell, rng.Intn(cellSize(cfg, cell))}] = true
+		sz := cellSize(cfg, cell)
+		if sz == 0 {
+			continue // a hot share that rounds to zero sessions leaves cell 0 empty
+		}
+		chosen[coord{cell, rng.Intn(sz)}] = true
 	}
 	plan := make(map[int][]int, len(chosen))
 	for c := range chosen {

@@ -412,6 +412,45 @@ func TestFocusInvariance(t *testing.T) {
 	}
 }
 
+// TestFocusPlanEmptyHotCell pins the layouts where the hot share rounds
+// to zero sessions (round(Hotspot·Sessions) == 0 leaves cell 0 empty):
+// on these seeds the focus stream draws cell 0, which used to reach
+// rng.Intn(0) and kill the process outside runCell's recover.
+func TestFocusPlanEmptyHotCell(t *testing.T) {
+	for _, cfg := range []Config{
+		{Seed: 6, Sessions: 1000, Hotspot: 0.0004, FocusSessions: 8},
+		{Seed: 11, Sessions: 1000, Hotspot: 0.0004, FocusSessions: 8},
+		{Seed: 2, Sessions: 2, Hotspot: 0.2, FocusSessions: 1},
+	} {
+		ncfg, err := cfg.Normalized()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cellSize(ncfg, 0) != 0 {
+			t.Fatalf("seed %d: cell 0 holds %d sessions, want an empty hot cell", cfg.Seed, cellSize(ncfg, 0))
+		}
+		picked := 0
+		for cell, members := range focusPlan(ncfg) {
+			for _, m := range members {
+				if m < 0 || m >= cellSize(ncfg, cell) {
+					t.Fatalf("seed %d: focus member %d outside cell %d of size %d", cfg.Seed, m, cell, cellSize(ncfg, cell))
+				}
+				picked++
+			}
+		}
+		if picked != cfg.FocusSessions {
+			t.Fatalf("seed %d: plan holds %d members, want %d", cfg.Seed, picked, cfg.FocusSessions)
+		}
+	}
+	rep, err := Run(context.Background(), Config{Seed: 6, Sessions: 1000, Hotspot: 0.0004, FocusSessions: 8}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Sessions != 1000 || len(rep.Focus) != 8 {
+		t.Fatalf("run completed with %d sessions and %d focus records, want 1000 and 8", rep.Sessions, len(rep.Focus))
+	}
+}
+
 // TestReportAccounting checks the streaming aggregation preserves
 // session counts exactly: nothing dropped, nothing double-counted —
 // including the fidelity-tier split.

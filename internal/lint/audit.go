@@ -19,7 +19,7 @@ type Audit struct {
 
 // directiveSite is one //vodlint:allow occurrence, deduplicated by
 // position: the loader parses base files again for test-augmented
-// units, and go vet feeds them twice too.
+// units.
 type directiveSite struct {
 	pos   token.Position
 	names map[string]bool

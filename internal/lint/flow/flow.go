@@ -10,8 +10,8 @@
 //
 // The analysis is deliberately intra-package and flow-insensitive:
 // precise enough to enforce the repository's hot-path contracts,
-// cheap enough to run on every package under both the standalone
-// driver and go vet, and conservative in the direction of silence —
+// cheap enough to run on every package of the module on each lint,
+// and conservative in the direction of silence —
 // a construct the tracker cannot resolve (dynamic call, cross-package
 // callee) is not reported, so every diagnostic is actionable.
 package flow

@@ -12,9 +12,9 @@ import (
 // TestRepoLintClean runs the full analyzer suite plus the stale-
 // suppression audit over this module and asserts zero unsuppressed
 // findings and zero dead //vodlint:allow directives — the same
-// invariant `make lint` and `make lint-audit` gate in CI, enforced
-// here so plain `go test ./...` (and the nightly -race run) catches a
-// contract violation even when the make targets are skipped.
+// invariant `make lint` gates in CI, enforced here so plain
+// `go test ./...` (and the nightly -race run) catches a contract
+// violation even when the make targets are skipped.
 func TestRepoLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping full-module lint load in -short mode")

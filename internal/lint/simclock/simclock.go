@@ -3,12 +3,10 @@
 // The virtual-time engine is only deterministic if simulated durations
 // come from the simulation itself; a single time.Now() inside the
 // player, the network emulator or an experiment silently couples
-// results to the host's scheduler. Packages that legitimately run in
-// wall time (internal/httpplay, the cmd binaries, examples) follow the
-// injectable-clock pattern instead: a Config carries Now/Sleep function
-// fields defaulting to the time package, so tests and the simulator can
-// substitute a virtual clock. Storing time.Now as a function value is
-// therefore allowed — only calling it is flagged.
+// results to the host's scheduler. Every package under internal/ other
+// than the lint tooling is simulation; the cmd binaries, examples and
+// bench/ time themselves freely. Only calling a clock function is
+// flagged — storing time.Now as a function value reads nothing.
 package simclock
 
 import (
@@ -23,7 +21,7 @@ import (
 var Analyzer = &lint.Analyzer{
 	Name: "simclock",
 	Doc: "forbid time.Now/Since/Sleep/... calls in simulation packages; " +
-		"inject a clock (cfg.Now/cfg.Sleep) like internal/httpplay instead",
+		"take time from the simulation instead",
 	Run: run,
 }
 
@@ -42,47 +40,21 @@ var banned = map[string]bool{
 	"NewTicker": true,
 }
 
-// simPackages are the import-path elements of packages whose behaviour
-// must be a pure function of their inputs. httpplay is deliberately
-// absent (it is the wall-clock twin of internal/player), as are cmd/
-// and examples/.
-var simPackages = map[string]bool{
-	"simnet":      true,
-	"netem":       true,
-	"player":      true,
-	"adaptation":  true,
-	"experiments": true,
-	"qoe":         true,
-	"media":       true,
-	"services":    true,
-	"traffic":     true,
-	"energy":      true,
-	"replacement": true,
-	"live":        true,
-	"modify":      true,
-	"origin":      true,
-	"manifest":    true,
-	"core":        true,
-	"probe":       true,
-	"uimon":       true,
-	"textplot":    true,
-	"proxy":       true,
-}
-
 // InScope reports whether a package path belongs to the simulation set:
-// any path element matching simPackages puts it in scope (so
-// repro/internal/manifest/hls is covered by "manifest").
+// everything under an internal/ directory except the lint tooling. No
+// package there runs on wall time, so no list needs keeping; cmd/,
+// examples/, bench/ and the root facade stay out.
 func InScope(pkgPath string) bool {
-	// go vet names test variants "pkg [pkg.test]"; scope by the real path.
-	if i := strings.IndexByte(pkgPath, ' '); i >= 0 {
-		pkgPath = pkgPath[:i]
-	}
+	internal := false
 	for _, elem := range strings.Split(pkgPath, "/") {
-		if simPackages[strings.TrimSuffix(elem, "_test")] {
-			return true
+		switch elem {
+		case "internal":
+			internal = true
+		case "lint":
+			return false
 		}
 	}
-	return false
+	return internal
 }
 
 func run(pass *lint.Pass) error {
@@ -103,7 +75,7 @@ func run(pass *lint.Pass) error {
 			pkg, name := lint.CalleePkgFunc(pass.TypesInfo, call)
 			if pkg == "time" && banned[name] {
 				pass.Reportf(call.Pos(),
-					"call to time.%s in simulation package %s breaks determinism; inject a clock (cfg.Now/cfg.Sleep) or annotate //vodlint:allow simclock",
+					"call to time.%s in simulation package %s breaks determinism; take time from the simulation or annotate //vodlint:allow simclock",
 					name, pass.Pkg.Path())
 			}
 			return true

@@ -7,7 +7,7 @@ import (
 )
 
 func TestSimclock(t *testing.T) {
-	linttest.Run(t, Analyzer, "simnet", "wallclock")
+	linttest.Run(t, Analyzer, "internal/simnet", "cmd/wallclock")
 }
 
 func TestInScope(t *testing.T) {
@@ -17,12 +17,17 @@ func TestInScope(t *testing.T) {
 	}{
 		{"repro/internal/simnet", true},
 		{"repro/internal/manifest/hls", true},
-		{"repro/internal/proxy", true},
+		{"repro/internal/fleet", true},
+		{"repro/internal/cdn", true},
+		{"repro/internal/sched", true},
+		{"repro/internal/expcache", true},
 		{"repro/internal/experiments_test", true},
-		{"repro/internal/httpplay", false},
-		{"repro/cmd/vodserve", false},
+		{"repro/cmd/vodreport", false},
 		{"repro/examples/quickstart", false},
 		{"repro/internal/lint/simclock", false},
+		{"repro/internal/lint/flow", false},
+		{"repro/bench", false},
+		{"repro", false},
 	}
 	for _, c := range cases {
 		if got := InScope(c.path); got != c.want {

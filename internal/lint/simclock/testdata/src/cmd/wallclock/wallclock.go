@@ -1,5 +1,5 @@
 // Package wallclock stands in for a package outside the simulation set
-// (like internal/httpplay or cmd/): simclock must stay silent here.
+// (a cmd binary): simclock must stay silent here.
 package wallclock
 
 import "time"

@@ -1,12 +1,12 @@
-// Package simnet stands in for a simulation package: its path element
-// "simnet" puts it in simclock's scope.
+// Package simnet stands in for a simulation package: the "internal"
+// element of its path puts it in simclock's scope.
 package simnet
 
 import (
 	"time"
 )
 
-// Config mirrors the injectable-clock pattern of internal/httpplay.
+// Config holds clock functions as values.
 type Config struct {
 	Now   func() time.Time
 	Sleep func(time.Duration)
@@ -22,8 +22,7 @@ func bad() {
 }
 
 func good(cfg Config) {
-	// Storing the wall clock as the *default* of an injectable field is
-	// the blessed pattern: a reference, not a call.
+	// Storing the wall clock in a field is a reference, not a call.
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}

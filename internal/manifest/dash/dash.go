@@ -269,33 +269,6 @@ func Decode(name string, mpd []byte, sidxBodies map[string][]byte) (*manifest.Pr
 	return p, nil
 }
 
-// IndexRanges extracts the media-URL → sidx byte range mapping from an
-// MPD with SegmentBase addressing, so a client can fetch the Segment
-// Index boxes before fully decoding the presentation. The result is
-// empty (not an error) for SegmentList addressing.
-func IndexRanges(mpd []byte) (map[string][2]int64, error) {
-	var doc xmlMPD
-	if err := xml.Unmarshal(mpd, &doc); err != nil {
-		return nil, fmt.Errorf("dash: %w", err)
-	}
-	out := map[string][2]int64{}
-	for _, period := range doc.Periods {
-		for _, set := range period.AdaptationSets {
-			for _, rep := range set.Representations {
-				if rep.SegmentBase == nil {
-					continue
-				}
-				first, last, err := parseRange(rep.SegmentBase.IndexRange)
-				if err != nil {
-					return nil, err
-				}
-				out[strings.TrimSpace(rep.BaseURL)] = [2]int64{first, last}
-			}
-		}
-	}
-	return out, nil
-}
-
 func renumber(rs []*manifest.Rendition) {
 	for i, r := range rs {
 		r.ID = i

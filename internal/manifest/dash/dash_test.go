@@ -101,33 +101,6 @@ func compare(t *testing.T, p, q *manifest.Presentation) {
 	}
 }
 
-func TestIndexRanges(t *testing.T) {
-	p := buildPresentation(t, manifest.SidxRanges)
-	body, err := Encode(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ranges, err := IndexRanges(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ranges) != len(p.Video)+len(p.Audio) {
-		t.Fatalf("%d index ranges", len(ranges))
-	}
-	r := p.Video[0]
-	got, ok := ranges[r.MediaURL]
-	if !ok || got[0] != r.IndexOffset || got[1] != r.IndexOffset+r.IndexLength-1 {
-		t.Fatalf("index range for %s = %v", r.MediaURL, got)
-	}
-	// SegmentList MPDs yield no ranges, not an error.
-	p2 := buildPresentation(t, manifest.RangesInManifest)
-	body2, _ := Encode(p2)
-	ranges2, err := IndexRanges(body2)
-	if err != nil || len(ranges2) != 0 {
-		t.Fatalf("SegmentList ranges = %v, %v", ranges2, err)
-	}
-}
-
 func TestDurationFormat(t *testing.T) {
 	cases := []struct {
 		s    string
