@@ -39,72 +39,6 @@ import (
 	"repro/internal/fleet"
 )
 
-// runSweep executes one fleet run per sweep value over a shared cell
-// cache and prints the per-run cache delta. Each value is handed to the
-// swept flag's own parser (flag.Set), which writes the bound *cfg field —
-// so a sweep point is exactly what the flag would have set, and a value
-// the flag would refuse is refused here. JSON output (when requested
-// with a file path) lands in one file per run, the sweep point appended
-// to the name.
-func runSweep(cfg *fleet.Config, sweepable map[string]bool, spec string, workers int, jsonOut string, quiet bool, plotW, plotH int) {
-	field, vals, ok := strings.Cut(spec, "=")
-	if !ok {
-		log.Fatalf("vodfleet: -sweep wants field=v1,v2,... (got %q)", spec)
-	}
-	field = strings.TrimSpace(field)
-	if !sweepable[field] {
-		log.Fatalf("vodfleet: -sweep: %q is not a config flag", field)
-	}
-	cache := fleet.NewCellCache()
-	prev := cache.Stats()
-	for _, raw := range strings.Split(vals, ",") {
-		raw = strings.TrimSpace(raw)
-		if err := flag.Set(field, raw); err != nil {
-			log.Fatalf("vodfleet: sweep: invalid value %q for flag -%s: %v", raw, field, err)
-		}
-		start := time.Now()
-		rep, err := fleet.RunWithOptions(context.Background(), *cfg,
-			fleet.RunOptions{Workers: workers, CellCache: cache})
-		if err != nil {
-			log.Fatalf("vodfleet: %s=%s: %v", field, raw, err)
-		}
-		s := cache.Stats()
-		hits, builds, skipped := s.Hits-prev.Hits, s.Builds-prev.Builds, s.Skipped-prev.Skipped
-		prev = s
-		total := hits + builds + skipped
-		pct := 0.0
-		if total > 0 {
-			pct = 100 * float64(hits) / float64(total)
-		}
-		fmt.Fprintf(os.Stderr,
-			"vodfleet: sweep %s=%s: %d sessions, %d cells, %d cached / %d simulated / %d focus (%.0f%% warm), %.1fs\n",
-			field, raw, rep.Sessions, rep.Cells, hits, builds, skipped, pct, time.Since(start).Seconds())
-		if jsonOut != "" {
-			b, err := rep.JSON()
-			if err != nil {
-				log.Fatalf("vodfleet: marshal report: %v", err)
-			}
-			if jsonOut == "-" {
-				os.Stdout.Write(b)
-			} else {
-				name := fmt.Sprintf("%s.%s=%s", jsonOut, field, raw)
-				if err := os.WriteFile(name, b, 0o644); err != nil {
-					log.Fatalf("vodfleet: %v", err)
-				}
-			}
-		}
-		if !quiet {
-			fmt.Printf("== %s = %s ==\n", field, raw)
-			fmt.Println(rep.Summary().String())
-			fmt.Println(rep.CellTable().String())
-			if t := rep.CDNTable(); t != nil {
-				fmt.Println(t.String())
-			}
-			fmt.Print(rep.CDFPlots(plotW, plotH))
-		}
-	}
-}
-
 func main() {
 	log.SetFlags(0)
 	// Batch workload: one run, throughput-bound, modest live heap. The
@@ -145,8 +79,6 @@ func main() {
 	jsonOut := flag.String("json", "", "write the full JSON report to this file (- for stdout)")
 	sweep := flag.String("sweep", "", "sweep one config flag over comma-separated values (flag=v1,v2,...), sharing a cell-granular cache across runs")
 	quiet := flag.Bool("q", false, "suppress the text summary and plots")
-	plotW := flag.Int("plot-width", 72, "CDF plot width")
-	plotH := flag.Int("plot-height", 14, "CDF plot height")
 	flag.Parse()
 
 	if *svcList != "" {
@@ -226,43 +158,87 @@ func main() {
 		}
 	}()
 
-	if *sweep != "" {
-		runSweep(&cfg, sweepable, *sweep, *workers, *jsonOut, *quiet, *plotW, *plotH)
-		return
+	// A plain run is the one-point sweep that sets nothing. Each sweep
+	// value is handed to the swept flag's own parser (flag.Set), which
+	// writes the bound cfg field — so a sweep point is exactly what the
+	// flag would have set, and a value the flag would refuse is refused
+	// here.
+	field, points := "", []string{""}
+	var cache *fleet.CellCache
+	sweeping := *sweep != ""
+	if sweeping {
+		f, vals, ok := strings.Cut(*sweep, "=")
+		if !ok {
+			log.Fatalf("vodfleet: -sweep wants field=v1,v2,... (got %q)", *sweep)
+		}
+		if field = strings.TrimSpace(f); !sweepable[field] {
+			log.Fatalf("vodfleet: -sweep: %q is not a config flag", field)
+		}
+		points = strings.Split(vals, ",")
+		cache = fleet.NewCellCache()
 	}
-
-	start := time.Now()
-	rep, err := fleet.Run(context.Background(), cfg, *workers)
-	if err != nil {
-		log.Fatalf("vodfleet: %v", err)
-	}
-	if !*quiet {
-		fmt.Fprintf(os.Stderr, "vodfleet: %d sessions in %d cells simulated in %.1fs\n",
-			rep.Sessions, rep.Cells, time.Since(start).Seconds())
-	}
-	if *memCeiling > 0 {
-		fmt.Fprintf(os.Stderr, "vodfleet: peak live heap %.1f MiB (ceiling %d MiB)\n",
-			float64(peakHeap.Load())/(1<<20), *memCeiling)
-	}
-
-	if *jsonOut != "" {
-		b, err := rep.JSON()
+	var prev fleet.CellCacheStats
+	for _, raw := range points {
+		point := "" // "field=value: " in error messages
+		jsonName := *jsonOut
+		if sweeping {
+			raw = strings.TrimSpace(raw)
+			if err := flag.Set(field, raw); err != nil {
+				log.Fatalf("vodfleet: sweep: invalid value %q for flag -%s: %v", raw, field, err)
+			}
+			point = fmt.Sprintf("%s=%s: ", field, raw)
+			// One JSON file per run, the sweep point appended to the name.
+			jsonName = fmt.Sprintf("%s.%s=%s", *jsonOut, field, raw)
+		}
+		start := time.Now()
+		rep, err := fleet.RunWithOptions(context.Background(), cfg,
+			fleet.RunOptions{Workers: *workers, CellCache: cache})
 		if err != nil {
-			log.Fatalf("vodfleet: marshal report: %v", err)
+			log.Fatalf("vodfleet: %s%v", point, err)
 		}
-		if *jsonOut == "-" {
-			os.Stdout.Write(b)
-		} else if err := os.WriteFile(*jsonOut, b, 0o644); err != nil {
-			log.Fatalf("vodfleet: %v", err)
+		if sweeping {
+			s := cache.Stats()
+			hits, builds, skipped := s.Hits-prev.Hits, s.Builds-prev.Builds, s.Skipped-prev.Skipped
+			prev = s
+			pct := 0.0
+			if total := hits + builds + skipped; total > 0 {
+				pct = 100 * float64(hits) / float64(total)
+			}
+			fmt.Fprintf(os.Stderr,
+				"vodfleet: sweep %s=%s: %d sessions, %d cells, %d cached / %d simulated / %d uncached (%.0f%% warm), %.1fs\n",
+				field, raw, rep.Sessions, rep.Cells, hits, builds, skipped, pct, time.Since(start).Seconds())
+		} else {
+			if !*quiet {
+				fmt.Fprintf(os.Stderr, "vodfleet: %d sessions in %d cells simulated in %.1fs\n",
+					rep.Sessions, rep.Cells, time.Since(start).Seconds())
+			}
+			if *memCeiling > 0 {
+				fmt.Fprintf(os.Stderr, "vodfleet: peak live heap %.1f MiB (ceiling %d MiB)\n",
+					float64(peakHeap.Load())/(1<<20), *memCeiling)
+			}
 		}
+		if *jsonOut != "" {
+			b, err := rep.JSON()
+			if err != nil {
+				log.Fatalf("vodfleet: marshal report: %v", err)
+			}
+			if *jsonOut == "-" {
+				os.Stdout.Write(b)
+			} else if err := os.WriteFile(jsonName, b, 0o644); err != nil {
+				log.Fatalf("vodfleet: %v", err)
+			}
+		}
+		if *quiet {
+			continue
+		}
+		if sweeping {
+			fmt.Printf("== %s = %s ==\n", field, raw)
+		}
+		fmt.Println(rep.Summary().String())
+		fmt.Println(rep.CellTable().String())
+		if t := rep.CDNTable(); t != nil {
+			fmt.Println(t.String())
+		}
+		fmt.Print(rep.CDFPlots(72, 14))
 	}
-	if *quiet {
-		return
-	}
-	fmt.Println(rep.Summary().String())
-	fmt.Println(rep.CellTable().String())
-	if t := rep.CDNTable(); t != nil {
-		fmt.Println(t.String())
-	}
-	fmt.Print(rep.CDFPlots(*plotW, *plotH))
 }

@@ -166,22 +166,6 @@ func trackLabel(org *origin.Origin, track int) string {
 	return org.Pres.Video[track].Resolution()
 }
 
-// displayedSummary aggregates displayed playtime per track label.
-func displayedSummary(org *origin.Origin, res *player.Result) map[string]float64 {
-	out := map[string]float64{}
-	for i, tr := range res.Displayed {
-		if tr < 0 {
-			continue
-		}
-		dur := res.SegmentDuration
-		if start := float64(i) * res.SegmentDuration; start+dur > res.MediaDuration {
-			dur = res.MediaDuration - start
-		}
-		out[trackLabel(org, tr)] += dur
-	}
-	return out
-}
-
 // sortedKeys returns map keys sorted lexicographically.
 func sortedKeys[M ~map[string]float64](m M) []string {
 	ks := make([]string, 0, len(m))

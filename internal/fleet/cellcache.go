@@ -44,8 +44,8 @@ type CellCacheStats struct {
 	Builds int64
 	// Hits counts cells served from a cached aggregate.
 	Hits int64
-	// Skipped counts cells that bypassed the cache because they carry
-	// focus members.
+	// Skipped counts cells that bypassed the cache: they carry focus
+	// members or sit behind an active metro tier.
 	Skipped int64
 }
 

@@ -8,12 +8,10 @@ package hls
 import (
 	"bufio"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
 	"repro/internal/manifest"
-	"repro/internal/media"
 )
 
 // EncodeMaster renders the Master Playlist for a presentation.
@@ -244,58 +242,6 @@ func ParseMediaPlaylist(text string) (*Playlist, error) {
 	}
 	pl.Segments = out
 	return pl, nil
-}
-
-// Decode reconstructs a protocol-neutral Presentation from a master
-// playlist and the media playlist bodies keyed by their URI. Renditions
-// are ordered ascending by declared bandwidth, re-deriving the ladder the
-// way the traffic analyzer does.
-func Decode(name, master string, mediaBodies map[string]string) (*manifest.Presentation, error) {
-	vars, err := ParseMaster(master)
-	if err != nil {
-		return nil, err
-	}
-	sort.SliceStable(vars, func(i, j int) bool { return vars[i].Bandwidth < vars[j].Bandwidth })
-	p := &manifest.Presentation{Name: name, Protocol: manifest.HLS, Addressing: manifest.SeparateFiles}
-	for id, v := range vars {
-		body, ok := mediaBodies[v.URI]
-		if !ok {
-			return nil, fmt.Errorf("hls: missing media playlist %q", v.URI)
-		}
-		segs, err := ParseMedia(body)
-		if err != nil {
-			return nil, fmt.Errorf("hls: %s: %w", v.URI, err)
-		}
-		r := &manifest.Rendition{
-			ID:              id,
-			Type:            media.TypeVideo,
-			DeclaredBitrate: v.Bandwidth,
-			AverageBitrate:  v.AverageBandwidth,
-			Width:           v.Width,
-			Height:          v.Height,
-			PlaylistURL:     v.URI,
-		}
-		start := 0.0
-		for _, s := range segs {
-			r.Segments = append(r.Segments, manifest.Segment{
-				URL:      s.URI,
-				Offset:   s.Offset,
-				Length:   s.Length,
-				Duration: s.Duration,
-				Size:     s.Length, // unknown without a HEAD request unless ranged
-				Start:    start,
-			})
-			start += s.Duration
-			if s.Duration > r.SegmentDuration {
-				r.SegmentDuration = s.Duration
-			}
-		}
-		if start > p.Duration {
-			p.Duration = start
-		}
-		p.Video = append(p.Video, r)
-	}
-	return p, nil
 }
 
 // parseAttrs splits an attribute list "A=1,B="x,y",C=2" respecting quotes.

@@ -71,33 +71,6 @@ func TestMediaRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDecodeFull(t *testing.T) {
-	p := buildPresentation(t)
-	master := EncodeMaster(p)
-	bodies := map[string]string{}
-	for _, r := range p.Video {
-		bodies[r.PlaylistURL] = EncodeMedia(r)
-	}
-	q, err := Decode("h", master, bodies)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(q.Video) != len(p.Video) {
-		t.Fatalf("decoded %d tracks", len(q.Video))
-	}
-	if math.Abs(q.Duration-p.Duration) > 1e-3 {
-		t.Errorf("duration %v vs %v", q.Duration, p.Duration)
-	}
-	for i, r := range q.Video {
-		if r.ID != i {
-			t.Errorf("track %d id %d", i, r.ID)
-		}
-		if len(r.Segments) != len(p.Video[i].Segments) {
-			t.Errorf("track %d: %d segments", i, len(r.Segments))
-		}
-	}
-}
-
 func TestByteRangeEncodeParse(t *testing.T) {
 	r := &manifest.Rendition{
 		SegmentDuration: 2,

@@ -15,40 +15,31 @@ type BackgroundConfig struct {
 	// SegmentDuration and MediaDuration define the segment grid.
 	SegmentDuration float64
 	MediaDuration   float64
-	// SessionDuration caps wall time, counted from StartAt.
+	// SessionDuration caps wall time, counted from StartAt (default 600).
 	SessionDuration float64
-	// StartupBufferSec gates first frame and stall recovery (default 8,
-	// matching the full player's startup gate).
-	StartupBufferSec float64
-	// MaxBufferSec pauses downloading when the buffer reaches it
-	// (default 60, the full player's pause threshold).
-	MaxBufferSec float64
 	// SafetyFactor scales the throughput estimate before picking the
 	// highest sustainable rung (default 0.8, the classic rate-based
 	// margin).
 	SafetyFactor float64
-	// EWMAAlpha is the throughput filter gain (default 0.3).
-	EWMAAlpha float64
 }
 
 func (c BackgroundConfig) withDefaults() BackgroundConfig {
 	if c.SessionDuration <= 0 {
 		c.SessionDuration = 600
 	}
-	if c.StartupBufferSec <= 0 {
-		c.StartupBufferSec = 8
-	}
-	if c.MaxBufferSec <= 0 {
-		c.MaxBufferSec = 60
-	}
 	if c.SafetyFactor <= 0 {
 		c.SafetyFactor = 0.8
 	}
-	if c.EWMAAlpha <= 0 {
-		c.EWMAAlpha = 0.3
-	}
 	return c
 }
+
+// What every background flow shares with the full player's defaults.
+const (
+	bgStartupBufferSec = 8   // gates first frame and stall recovery
+	bgMaxBufferSec     = 60  // downloading pauses at this buffer level
+	bgResumeBufferSec  = 50  // and restarts 10 s below it
+	bgEWMAAlpha        = 0.3 // throughput filter gain
+)
 
 // Cohort is the coarse tier of a fleet cell: session models that skip
 // the player state machine — no manifests, no per-request scheduling, no
@@ -63,23 +54,19 @@ func (c BackgroundConfig) withDefaults() BackgroundConfig {
 // pipeline/connection effects).
 //
 // Every coarse session of one cell is stored as structure-of-arrays
-// slabs and batch-stepped by a single Group member: the slab layout
-// walks contiguous memory in member order and shares one deadline heap,
-// one wake list and one scratch Summary across the whole cell, instead
-// of touching a dozen cache lines of one heap object per wake before
-// jumping to an unrelated one.
+// slabs, so a wake walks contiguous memory in member order instead of
+// touching a dozen cache lines of one heap object before jumping to an
+// unrelated one. The cohort is a client model only: Group.Run schedules
+// its members — each a group member with id base+index — on the same
+// deadline heap and wake list as the full sessions.
 //
 // Members are independent flows: a member's Summary depends only on its
 // own config, start, link and the shared network, never on how members
 // are batched. One cohort of N members therefore produces byte-identical
-// Summaries to N one-member cohorts added to the same Group in the same
-// order (asserted by the differential suite in cohort_test.go): members
-// within a cohort are serviced and advanced in ascending index order —
-// the ascending member-id order the Group gives cohorts registered one
-// after another — completions are dispatched in batch order either way,
-// and the cohort's group-heap key is the minimum of its internal
-// per-member deadline heap, so the Group wakes it precisely when its
-// earliest member is due.
+// Summaries to the same members split over any number of cohorts added
+// to the same Group in the same order (asserted by the differential
+// suite in cohort_test.go): either way they hold the same consecutive
+// group ids, and the Group services, advances and completes by id.
 //
 // Members are appended with Add (each carrying its own
 // BackgroundConfig — fleet cells mix service templates and per-viewer
@@ -90,8 +77,7 @@ type Cohort struct {
 
 	// Per-member immutable draw, set by Add.
 	cfgs    []BackgroundConfig
-	segCnt  []int32   // ceil(MediaDuration/SegmentDuration) per member
-	resume  []float64 // pause/resume hysteresis threshold per member
+	segCnt  []int32 // ceil(MediaDuration/SegmentDuration) per member
 	startAt []float64
 	link    []*simnet.AccessLink
 	resolve []cdn.Resolver // per-member edge-cache resolver, nil = origin
@@ -117,7 +103,7 @@ type Cohort struct {
 
 	// Segment FIFO rings: member m owns qTrack/qDur/qMark[m*qCap :
 	// (m+1)*qCap], a ring of at most qCap buffered stretches (the buffer
-	// pauses at MaxBufferSec, so the ring is small and bounded).
+	// pauses at bgMaxBufferSec, so the ring is small and bounded).
 	qCap   int
 	qTrack []int32
 	qDur   []float64
@@ -138,21 +124,14 @@ type Cohort struct {
 	toOff       []int32
 	timeOnTrack []float64
 
-	// Internal scheduler: the same indexed deadline heap the Group uses,
-	// keyed by member index, plus the member-level wake list.
-	h     groupHeap
-	woken []bool
-	wake  []int
-
-	live    int  // members not yet finished
-	retired bool // Group bookkeeping: counted out of `remaining` once
-	frozen  bool
+	frozen bool
 
 	observer func(int, *Summary)
 	scratch  Summary
 
-	// gidx is the cohort's member id in the Group run driving it.
-	gidx int
+	// base is member 0's id in the Group run driving the cohort (set by
+	// Group.Run); member m is group member base+m.
+	base int
 }
 
 // Per-member flag bits.
@@ -191,13 +170,6 @@ func (c *Cohort) Add(cfg BackgroundConfig) int {
 	m := len(c.cfgs)
 	c.cfgs = append(c.cfgs, cfg)
 	c.segCnt = append(c.segCnt, int32(math.Ceil(cfg.MediaDuration/cfg.SegmentDuration)))
-	// A paused download restarts 10 s below the pause threshold, the full
-	// player's pause/resume hysteresis default.
-	r := cfg.MaxBufferSec - 10
-	if r <= 0 {
-		r = cfg.MaxBufferSec / 2
-	}
-	c.resume = append(c.resume, r)
 	c.startAt = append(c.startAt, 0)
 	c.link = append(c.link, nil)
 	c.resolve = append(c.resolve, nil)
@@ -245,15 +217,15 @@ func (c *Cohort) freeze() {
 	}
 	c.frozen = true
 	n := len(c.cfgs)
-	// Ring bound: a member's buffer pauses at MaxBufferSec and one
+	// Ring bound: a member's buffer pauses at bgMaxBufferSec and one
 	// in-flight segment can still land, so at most
-	// ceil(MaxBufferSec/segDur) full stretches plus a partially-consumed
+	// ceil(bgMaxBufferSec/segDur) full stretches plus a partially-consumed
 	// head, the clipped final segment and the just-landed one are ever
 	// queued at once. The stride is the population maximum.
 	c.qCap = 1
 	toSum := 0
 	for m := 0; m < n; m++ {
-		cap := int(math.Ceil(c.cfgs[m].MaxBufferSec/c.cfgs[m].SegmentDuration)) + 4
+		cap := int(math.Ceil(bgMaxBufferSec/c.cfgs[m].SegmentDuration)) + 4
 		if sc := int(c.segCnt[m]); cap > sc {
 			cap = sc
 		}
@@ -291,9 +263,6 @@ func (c *Cohort) freeze() {
 	c.sumNonCons = make([]int32, n)
 	c.toOff = make([]int32, n+1)
 	c.timeOnTrack = make([]float64, toSum)
-	c.h.init(n)
-	c.woken = make([]bool, n)
-	c.wake = make([]int, 0, n)
 	off := int32(0)
 	for m := 0; m < n; m++ {
 		c.toOff[m] = off
@@ -302,13 +271,8 @@ func (c *Cohort) freeze() {
 		c.prevTrak[m] = -1
 		c.sumStartup[m] = -1
 		c.refs[m] = cohortRef{c: c, idx: m}
-		// First round: every member is serviced once, like the Group's
-		// initial all-member wake.
-		c.woken[m] = true
-		c.wake = append(c.wake, m)
 	}
 	c.toOff[n] = off
-	c.live = n
 }
 
 func (c *Cohort) endAt(m int) float64 { return c.startAt[m] + c.cfgs[m].SessionDuration }
@@ -325,31 +289,6 @@ func (c *Cohort) segDurAt(m, i int) float64 {
 	return cfg.SegmentDuration
 }
 
-// wakeMember queues member m for the next advance/service round
-// (dedup'd, exactly like the Group's addWake).
-//
-//vodlint:hotpath — called once per completed cohort transfer
-func (c *Cohort) wakeMember(m int) {
-	if !c.woken[m] {
-		c.woken[m] = true
-		c.wake = append(c.wake, m)
-	}
-}
-
-// wakeDue pops every member whose internal deadline has arrived (the
-// member-level form of the Group's own heap-pop loop).
-//
-//vodlint:hotpath — cohort deadline pops: once per group iteration
-func (c *Cohort) wakeDue(tnow float64) {
-	for c.h.len() > 0 && c.h.minKey() <= tnow+eps {
-		c.wakeMember(c.h.popMin())
-	}
-}
-
-// minKey is the cohort's key in the Group heap: the earliest internal
-// member deadline.
-func (c *Cohort) minKey() float64 { return c.h.minKey() }
-
 // inflightSum counts in-flight transfers across live members (the
 // Group's defensive no-deadline branch needs the total).
 func (c *Cohort) inflightSum() int {
@@ -362,56 +301,24 @@ func (c *Cohort) inflightSum() int {
 	return s
 }
 
-// advanceWoken sorts the wake list into ascending member order — the
-// same add-order discipline the Group applies to its own wake list —
-// and syncs each woken member's playback to the clock. The sorted list
-// is then reused by service in the same order.
+// service is member m's turn in Group.Run's service pass: park until
+// the member has arrived, report finished once it is past its end (or
+// played out), else issue requests and return the next deadline.
 //
-//vodlint:hotpath — cohort advance phase: once per group iteration
-func (c *Cohort) advanceWoken(tnow float64) {
-	wake := c.wake
-	for i := 1; i < len(wake); i++ {
-		for j := i; j > 0 && wake[j] < wake[j-1]; j-- {
-			wake[j], wake[j-1] = wake[j-1], wake[j]
-		}
+//vodlint:hotpath — cohort service step: once per woken member per iteration
+func (c *Cohort) service(m int, now float64) (nextKey float64, finished bool) {
+	if now < c.startAt[m]-eps {
+		return c.startAt[m], false
 	}
-	for _, m := range wake {
-		if c.flags[m]&coDone == 0 {
-			c.advancePlayback(m, tnow)
-		}
+	if now >= c.endAt(m)-eps || c.flags[m]&coFinished != 0 {
+		return 0, true
 	}
-}
-
-// service runs the Group's per-member service step over the woken
-// members in ascending order: finish members past their end, park
-// unarrived members at their start, let the rest issue requests and
-// re-key their internal deadline. The caller re-keys the cohort's
-// group-heap entry from minKey afterwards.
-//
-//vodlint:hotpath — cohort service phase: once per group iteration
-func (c *Cohort) service(now float64) {
-	for _, m := range c.wake {
-		c.woken[m] = false
-		if c.flags[m]&coDone != 0 {
-			continue
-		}
-		if now < c.startAt[m]-eps {
-			c.h.set(m, c.startAt[m])
-			continue
-		}
-		if now >= c.endAt(m)-eps || c.flags[m]&coFinished != 0 {
-			c.finishMember(m)
-			c.h.remove(m)
-			continue
-		}
-		c.issueRequests(m)
-		d := c.nextDeadline(m, now)
-		if e := c.endAt(m); e < d {
-			d = e
-		}
-		c.h.set(m, d)
+	c.issueRequests(m)
+	d := c.nextDeadline(m, now)
+	if e := c.endAt(m); e < d {
+		d = e
 	}
-	c.wake = c.wake[:0]
+	return d, false
 }
 
 // issueRequests starts member m's next segment download if it is behind
@@ -427,11 +334,11 @@ func (c *Cohort) issueRequests(m int) {
 	}
 	cfg := &c.cfgs[m]
 	if c.flags[m]&coPausedDl != 0 {
-		if c.bufferSec[m] > c.resume[m]+1e-6 {
+		if c.bufferSec[m] > bgResumeBufferSec+1e-6 {
 			return
 		}
 		c.flags[m] &^= coPausedDl
-	} else if c.bufferSec[m] >= cfg.MaxBufferSec-1e-6 {
+	} else if c.bufferSec[m] >= bgMaxBufferSec-1e-6 {
 		c.flags[m] |= coPausedDl
 		return
 	}
@@ -471,7 +378,7 @@ func (c *Cohort) onComplete(m int, tr *simnet.Transfer) {
 	if c.samples[m] == 0 {
 		c.ewma[m] = rate
 	} else {
-		c.ewma[m] = c.cfgs[m].EWMAAlpha*rate + (1-c.cfgs[m].EWMAAlpha)*c.ewma[m]
+		c.ewma[m] = bgEWMAAlpha*rate + (1-bgEWMAAlpha)*c.ewma[m]
 	}
 	c.samples[m]++
 	c.totBytes[m] += tr.Size
@@ -493,7 +400,7 @@ func (c *Cohort) maybeStartPlayback(m int, now float64) {
 		return
 	}
 	allDown := int(c.nextSeg[m]) >= int(c.segCnt[m])
-	if c.bufferSec[m] >= c.cfgs[m].StartupBufferSec-eps || (allDown && c.bufferSec[m] > eps) {
+	if c.bufferSec[m] >= bgStartupBufferSec-eps || (allDown && c.bufferSec[m] > eps) {
 		c.flags[m] |= coPlaying
 		if c.flags[m]&coStarted == 0 {
 			c.flags[m] |= coStarted
@@ -583,7 +490,7 @@ func (c *Cohort) nextDeadline(m int, now float64) float64 {
 	}
 	d := now + math.Min(c.bufferSec[m], c.cfgs[m].MediaDuration-c.playhead[m])
 	if c.flags[m]&coPausedDl != 0 && int(c.nextSeg[m]) < int(c.segCnt[m]) {
-		d = math.Min(d, now+math.Max(0, c.bufferSec[m]-c.resume[m]))
+		d = math.Min(d, now+math.Max(0, c.bufferSec[m]-bgResumeBufferSec))
 	}
 	return d
 }
@@ -607,7 +514,6 @@ func (c *Cohort) finishMember(m int) {
 		c.conn[m].Close()
 	}
 	c.flags[m] |= coDone
-	c.live--
 	if c.observer != nil {
 		c.scratch = c.MemberSummary(m)
 		c.observer(m, &c.scratch)

@@ -4,10 +4,10 @@ package player
 //
 // The contract is bit-exactness on two axes. Batching: one Cohort of N
 // members must be observationally indistinguishable from the same
-// members run as N one-member Cohorts added in the same order — not
-// within a tolerance, but byte-identical Summaries — which catches
-// shared-heap, wake-list, slab-stride and ring-index bugs and survives
-// EngineVersion bumps. Arithmetic: TestCohortGolden pins the member
+// members run as N one-member Cohorts, or as uneven cohorts of 1, 5 and
+// N−6, added in the same order — not within a tolerance, but
+// byte-identical Summaries — which catches member-id, slab-stride and
+// ring-index bugs and survives EngineVersion bumps. Arithmetic: TestCohortGolden pins the member
 // Summaries themselves to recorded digests. Every differential test
 // builds the same scenario twice (fresh networks, identical
 // construction order) and compares exactly.
@@ -154,13 +154,33 @@ func mixedCases() []cohortCase {
 	return out
 }
 
+// partition is how a case's background draws are split into cohorts,
+// filled and added in draw order.
+type partition int
+
+const (
+	oneCohort  partition = iota // every draw in one shared Cohort
+	singletons                  // one one-member Cohort each
+	uneven                      // Cohorts of 1, 5 and the rest: bases more than one apart
+)
+
+// capOf is how many members the k-th cohort takes (0 = all that remain).
+func (p partition) capOf(k int) int {
+	switch {
+	case p == singletons, p == uneven && k == 0:
+		return 1
+	case p == uneven && k == 1:
+		return 5
+	}
+	return 0
+}
+
 // run executes the case over a fresh network and returns the full
 // sessions' Summaries and the background members' Summaries, each in
 // draw order. Full draws become lean sessions (added to the group as
-// drawn, so they precede every cohort); background draws join one
-// shared Cohort, or — with singletons set — one one-member Cohort each,
-// added in draw order.
-func (cc cohortCase) run(t *testing.T, singletons bool) (sessions, members []Summary) {
+// drawn, so they precede every cohort); background draws join cohorts
+// as the partition says.
+func (cc cohortCase) run(t *testing.T, part partition) (sessions, members []Summary) {
 	t.Helper()
 	net := simnet.New(cc.scfg, cc.edge)
 	g := NewGroup()
@@ -185,7 +205,7 @@ func (cc cohortCase) run(t *testing.T, singletons bool) (sessions, members []Sum
 			ss = append(ss, s)
 			continue
 		}
-		if singletons || len(cohorts) == 0 {
+		if k := len(cohorts); k == 0 || cohorts[k-1].Len() == part.capOf(k-1) {
 			cohorts = append(cohorts, NewCohort(net))
 		}
 		c := cohorts[len(cohorts)-1]
@@ -223,17 +243,20 @@ func compareSummaries(t *testing.T, ref, got []Summary) {
 	}
 }
 
-// matchSingletons runs each case as one-member cohorts and as one
-// cohort and requires every Summary — the full sessions' too: they are
-// witnesses, their byte streams shift if batching perturbs the shared
-// network in any way — to be byte-identical between the two.
+// matchSingletons runs each case as one-member cohorts, as one cohort
+// and as uneven cohorts, and requires every Summary — the full
+// sessions' too: they are witnesses, their byte streams shift if
+// batching perturbs the shared network in any way — to be
+// byte-identical across the three.
 func matchSingletons(t *testing.T, cases []cohortCase) {
 	for _, cc := range cases {
 		t.Run(cc.name, func(t *testing.T) {
-			refSess, refBg := cc.run(t, true)
-			gotSess, gotBg := cc.run(t, false)
-			compareSummaries(t, refSess, gotSess)
-			compareSummaries(t, refBg, gotBg)
+			refSess, refBg := cc.run(t, singletons)
+			for _, part := range []partition{oneCohort, uneven} {
+				gotSess, gotBg := cc.run(t, part)
+				compareSummaries(t, refSess, gotSess)
+				compareSummaries(t, refBg, gotBg)
+			}
 		})
 	}
 }
@@ -250,8 +273,8 @@ func TestCohortMatchesBackgrounds(t *testing.T) { matchSingletons(t, scanCases()
 func TestCohortMatchesBackgroundsCellEngine(t *testing.T) { matchSingletons(t, cellCases()) }
 
 // TestCohortMixedWithSessions requires both the sessions' Summaries and
-// the background members' Summaries to be byte-identical whether the
-// backgrounds run as one-member cohorts or as one cohort.
+// the background members' Summaries to be byte-identical however the
+// backgrounds are split into cohorts.
 func TestCohortMixedWithSessions(t *testing.T) { matchSingletons(t, mixedCases()) }
 
 // summariesDigest is the SHA-256 of every Summary field, floats by bit
@@ -259,7 +282,10 @@ func TestCohortMixedWithSessions(t *testing.T) { matchSingletons(t, mixedCases()
 func summariesDigest(sums []Summary) string {
 	h := sha256.New()
 	for _, s := range sums {
-		fmt.Fprintf(h, "%d %d %d %t", s.StallCount, s.Switches, s.NonConsecutive, s.Tainted)
+		// The literal is the "tainted by a seek" flag every summary hashed
+		// as false until the field went with user seeks; the recorded
+		// digests include it.
+		fmt.Fprintf(h, "%d %d %d false", s.StallCount, s.Switches, s.NonConsecutive)
 		for _, f := range []float64{s.StartupDelay, s.StallSec, s.PlayedSec, s.WeightedBitrateSec, s.PlayedMediaSec, s.TotalBytes, s.WastedBytes} {
 			fmt.Fprintf(h, " %x", math.Float64bits(f))
 		}
@@ -330,8 +356,8 @@ var cohortGolden = map[string]string{
 	"mixed/seed47":      "d8b6091a6760e6bf06b67e98b47487be392bdaf19ebb496399ad0b516e6081cb",
 }
 
-// TestCohortGolden checks every case of the differential suite against
-// its recorded digest.
+// TestCohortGolden checks every case of the differential suite, as one
+// cohort and as uneven cohorts, against its recorded digest.
 func TestCohortGolden(t *testing.T) {
 	for _, set := range []struct {
 		prefix string
@@ -340,9 +366,11 @@ func TestCohortGolden(t *testing.T) {
 		for _, cc := range set.cases {
 			name := set.prefix + cc.name
 			t.Run(name, func(t *testing.T) {
-				sessions, members := cc.run(t, false)
-				if got := summariesDigest(append(sessions, members...)); got != cohortGolden[name] {
-					t.Errorf("digest moved:\n\t%q: %q,", name, got)
+				for _, part := range []partition{oneCohort, uneven} {
+					sessions, members := cc.run(t, part)
+					if got := summariesDigest(append(sessions, members...)); got != cohortGolden[name] {
+						t.Errorf("digest moved (partition %d):\n\t%q: %q,", part, name, got)
+					}
 				}
 			})
 		}

@@ -152,20 +152,6 @@ type Config struct {
 	// false return makes the origin reject it and the player give up
 	// downloading (used by the startup-buffer probe, §3.3.1).
 	RequestGate func(Request) bool
-
-	// Seeks schedules user seeks: at wall time AtSec the playhead jumps
-	// to media position ToSec, the buffer is flushed (most players
-	// refetch after a seek), and playback resumes once the recovery
-	// gates are met again. Events must be sorted by AtSec.
-	Seeks []SeekEvent
-}
-
-// SeekEvent is one scheduled user seek.
-type SeekEvent struct {
-	// AtSec is the wall time of the seek.
-	AtSec float64
-	// ToSec is the target media position.
-	ToSec float64
 }
 
 // Normalized returns the config exactly as a session will run it, with

@@ -17,7 +17,7 @@ import (
 
 // randomSession derives content, player configuration and network from
 // one seed: random ladder, encoding, addressing, scheduler, thresholds,
-// replacement policy, algorithm and seeks — every combination must
+// replacement policy and algorithm — every combination must
 // terminate and satisfy the structural invariants.
 func randomSession(seed int64) (Config, *origin.Origin, *netem.Profile, int, error) {
 	rng := rand.New(rand.NewSource(seed))
@@ -110,9 +110,6 @@ func randomSession(seed int64) (Config, *origin.Origin, *netem.Profile, int, err
 			cfg.MidBufferDiscard = true
 		}
 	}
-	if rng.Intn(3) == 0 {
-		cfg.Seeks = []SeekEvent{{AtSec: 20 + rng.Float64()*60, ToSec: rng.Float64() * 280}}
-	}
 
 	// Random network.
 	samples := make([]float64, 120)
@@ -124,8 +121,7 @@ func randomSession(seed int64) (Config, *origin.Origin, *netem.Profile, int, err
 }
 
 // checkRandomSession runs one seeded random session and verifies the
-// structural invariants (a subset of checkInvariants that tolerates
-// seeks).
+// structural invariants.
 func checkRandomSession(seed int64) error {
 	cfg, org, p, nTracks, err := randomSession(seed)
 	if err != nil {
@@ -196,7 +192,7 @@ func FuzzSessionInvariants(f *testing.F) {
 
 // FuzzSessionDeterminism asserts the determinism contract end to end:
 // the same seed must produce bit-identical session results, whatever
-// scheduler, replacement policy or seek pattern the seed selects.
+// scheduler or replacement policy the seed selects.
 func FuzzSessionDeterminism(f *testing.F) {
 	for _, seed := range []int64{3, 99, -42, 2017} {
 		f.Add(seed)

@@ -13,9 +13,9 @@ import (
 // fleet cell. Sessions start at t=0 unless scheduled later with
 // Session.SetStartAt, and each runs for its own SessionDuration from its
 // start; the fluid network arbitrates their transfers max-min fairly.
-// A group has two member kinds: full sessions, then cohorts — the coarse
-// analytic session tier, each cohort one member slot batch-stepping its
-// own flows — which compete for the same links as the sessions.
+// A group has two member kinds: full sessions, then the members of its
+// cohorts — the coarse analytic session tier — which compete for the
+// same links as the sessions and are scheduled by the same loop.
 //
 // A single session's Run is the one-member special case of a Group.
 type Group struct {
@@ -42,10 +42,9 @@ func (g *Group) Add(s *Session) error {
 	return nil
 }
 
-// AddCohort registers a background cohort over the same network. The
-// cohort occupies one group member slot after all full sessions; its
-// members are scheduled by the cohort's internal deadline heap in
-// ascending index order.
+// AddCohort registers a background cohort over the same network. Its
+// members become group members after all full sessions and the members
+// of the cohorts added before it.
 func (g *Group) AddCohort(c *Cohort) error {
 	if c.Len() == 0 {
 		return fmt.Errorf("player: cohort has no members")
@@ -185,6 +184,11 @@ func (h *groupHeap) swap(i, j int) {
 // Run drives every member to completion and returns the sessions'
 // results in the order they were added (nil when an observer is set).
 //
+// Members are the sessions in add order, then each cohort's members in
+// add order; a member's id is its position in that sequence, so
+// ascending id is exactly the eager scan order and a cohort member is
+// scheduled like any session (Cohort.base is its first member's id).
+//
 // The loop is lazy: instead of scanning and advancing every member on
 // every event (O(M) per completed transfer, O(M²) per busy interval),
 // members park in a deadline heap keyed by their own nextDeadline — an
@@ -198,22 +202,25 @@ func (h *groupHeap) swap(i, j int) {
 // to the exact eager call sequence, so Session.Run is unchanged
 // observable-for-observable.
 //
+// A woken member is never done: members finish only in the service pass
+// (which also takes them off the heap), and a completion wakes its owner
+// only while the owner is live.
+//
 //vodlint:hotpath — lean-session event loop: one iteration per completed transfer
 func (g *Group) Run() []*Result {
 	nS := len(g.sessions)
-	nM := nS + len(g.cohorts)
+	nM := nS
+	for i, s := range g.sessions {
+		s.gidx = i
+	}
+	for _, c := range g.cohorts {
+		c.base = nM
+		nM += c.Len()
+	}
 	if nM == 0 {
 		return nil
 	}
 	net := g.net
-	// Member ids: sessions in add order, then cohorts in add order (each
-	// one slot), so ascending id is exactly the eager scan order.
-	for i, s := range g.sessions {
-		s.gidx = i
-	}
-	for k, c := range g.cohorts {
-		c.gidx = nS + k
-	}
 	var h groupHeap
 	h.init(nM)
 	woken := make([]bool, nM)  //vodlint:allow hotalloc — per-run wake flags, amortized over the whole group run
@@ -229,53 +236,32 @@ func (g *Group) Run() []*Result {
 	}
 	remaining := nM
 	for {
-		// Service the woken members in add order: finish members past
+		// Service the woken members in id order: finish members past
 		// their end, keep unarrived members parked at their start, and
 		// let the rest issue requests and re-key their next deadline.
 		// Every live member always holds a key ≤ its (finite) endAt.
 		now := net.Now()
 		for _, id := range wake {
 			woken[id] = false
+			var key float64
+			var fin bool
 			if id < nS {
 				s := g.sessions[id]
-				if s.done {
-					continue
-				}
-				if now < s.startAt-eps {
-					h.set(id, s.startAt)
-					continue
-				}
-				if now >= s.endAt()-eps || s.finished {
+				if key, fin = s.service(now); fin {
 					g.finish(s)
-					h.remove(id)
-					remaining--
-					continue
 				}
-				s.issueRequests()
-				d := s.nextDeadline()
-				if e := s.endAt(); e < d {
-					d = e
-				}
-				h.set(id, d)
 			} else {
-				// A cohort services its woken members internally (the
-				// same finish / park / issue-and-re-key steps, per
-				// member) and re-keys in the group heap at its earliest
-				// internal deadline; it leaves `remaining` when its last
-				// member finishes.
-				c := g.cohorts[id-nS]
-				if c.live > 0 {
-					c.service(now)
+				c := g.cohortOf(id)
+				m := id - c.base
+				if key, fin = c.service(m, now); fin {
+					c.finishMember(m)
 				}
-				if c.live == 0 {
-					if !c.retired {
-						c.retired = true
-						h.remove(id)
-						remaining--
-					}
-				} else {
-					h.set(id, c.minKey())
-				}
+			}
+			if fin {
+				h.remove(id)
+				remaining--
+			} else {
+				h.set(id, key)
 			}
 		}
 		wake = wake[:0]
@@ -314,16 +300,9 @@ func (g *Group) Run() []*Result {
 		tnow := net.Now()
 		// Wake the members that are due at the new time plus the owners
 		// of the completed transfers, then sort so the wake list is in
-		// add order (insertion sort: batches are tiny and nearly sorted).
+		// id order (insertion sort: batches are tiny and nearly sorted).
 		for h.len() > 0 && h.minKey() <= tnow+eps {
-			id := h.popMin()
-			if id >= nS {
-				// The cohort's group key is its internal minimum, so at
-				// least one member is due: move every due member onto
-				// the cohort's own wake list.
-				g.cohorts[id-nS].wakeDue(tnow)
-			}
-			addWake(id)
+			addWake(h.popMin())
 		}
 		for _, tr := range completed {
 			switch m := tr.Meta.(type) {
@@ -333,8 +312,7 @@ func (g *Group) Run() []*Result {
 				}
 			case *cohortRef:
 				if !m.c.memberDone(m.idx) {
-					m.c.wakeMember(m.idx)
-					addWake(m.c.gidx)
+					addWake(m.c.base + m.idx)
 				}
 			}
 		}
@@ -351,11 +329,10 @@ func (g *Group) Run() []*Result {
 		// their control state is untouched.
 		for _, id := range wake {
 			if id < nS {
-				if s := g.sessions[id]; !s.done {
-					s.advancePlayback(tnow)
-				}
+				g.sessions[id].advancePlayback(tnow)
 			} else {
-				g.cohorts[id-nS].advanceWoken(tnow)
+				c := g.cohortOf(id)
+				c.advancePlayback(id-c.base, tnow)
 			}
 		}
 		for _, tr := range completed {
@@ -381,6 +358,34 @@ func (g *Group) Run() []*Result {
 		out[i] = s.res
 	}
 	return out
+}
+
+// cohortOf resolves a cohort member's id to its cohort (a backward scan
+// over the bases: a group holds a handful of cohorts).
+func (g *Group) cohortOf(id int) *Cohort {
+	k := len(g.cohorts) - 1
+	for g.cohorts[k].base > id {
+		k--
+	}
+	return g.cohorts[k]
+}
+
+// service is a session's turn in Run's service pass: park until the
+// session has arrived, report finished once it is past its end (or
+// played out), else issue requests and return the next deadline.
+func (s *Session) service(now float64) (nextKey float64, finished bool) {
+	if now < s.startAt-eps {
+		return s.startAt, false
+	}
+	if now >= s.endAt()-eps || s.finished {
+		return 0, true
+	}
+	s.issueRequests()
+	d := s.nextDeadline()
+	if e := s.endAt(); e < d {
+		d = e
+	}
+	return d, false
 }
 
 // finish finalizes a session once, notifies the observer, and — in

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/manifest"
 	"repro/internal/media"
 	"repro/internal/netem"
 	"repro/internal/simnet"
@@ -34,8 +35,8 @@ func runPair(t *testing.T, cfg Config, trace int) (*Result, *Summary, *Summary) 
 // TestLeanSummaryMatchesFull pins the lean-mode contract: with the
 // Result recording turned off, every Summary field is bit-identical to
 // the full-fidelity run, and the full run's own online summary matches
-// the post-hoc qoe fold over its Result (checked field by field here to
-// avoid importing qoe from player).
+// a post-hoc walk over its Result's logs — the oracle for the online
+// fold, which is the only definition qoe reads.
 func TestLeanSummaryMatchesFull(t *testing.T) {
 	for trace := 1; trace <= 4; trace++ {
 		cfg := baseConfig()
@@ -64,10 +65,12 @@ func TestLeanSummaryMatchesFull(t *testing.T) {
 			t.Fatalf("trace %d: summary bytes (%v, %v) != result (%v, %v)",
 				trace, fullSum.TotalBytes, fullSum.WastedBytes, res.TotalBytes, res.WastedBytes)
 		}
-		// And the displayed-bitrate fold must reproduce the FromResult walk.
+		// And the displayed-bitrate fold must reproduce the post-hoc walk
+		// over the Displayed array.
 		var weighted, played float64
 		prev := -1
-		switches := 0
+		switches, nonCons := 0, 0
+		onTrack := make([]float64, len(res.Declared))
 		for i, track := range res.Displayed {
 			if track < 0 {
 				continue
@@ -78,14 +81,25 @@ func TestLeanSummaryMatchesFull(t *testing.T) {
 			}
 			weighted += res.Declared[track] * dur
 			played += dur
+			onTrack[track] += dur
 			if prev >= 0 && track != prev {
 				switches++
+				if d := track - prev; d > 1 || d < -1 {
+					nonCons++
+				}
 			}
 			prev = track
 		}
-		if fullSum.WeightedBitrateSec != weighted || fullSum.PlayedMediaSec != played || fullSum.Switches != switches {
-			t.Fatalf("trace %d: display fold (%v, %v, %d) != result walk (%v, %v, %d)",
-				trace, fullSum.WeightedBitrateSec, fullSum.PlayedMediaSec, fullSum.Switches, weighted, played, switches)
+		if fullSum.WeightedBitrateSec != weighted || fullSum.PlayedMediaSec != played ||
+			fullSum.Switches != switches || fullSum.NonConsecutive != nonCons {
+			t.Fatalf("trace %d: display fold (%v, %v, %d, %d) != result walk (%v, %v, %d, %d)",
+				trace, fullSum.WeightedBitrateSec, fullSum.PlayedMediaSec, fullSum.Switches, fullSum.NonConsecutive,
+				weighted, played, switches, nonCons)
+		}
+		for i := range onTrack {
+			if fullSum.TimeOnTrack[i] != onTrack[i] {
+				t.Fatalf("trace %d: TimeOnTrack[%d] fold %v != result walk %v", trace, i, fullSum.TimeOnTrack[i], onTrack[i])
+			}
 		}
 	}
 }
@@ -95,16 +109,14 @@ func TestLeanSummaryMatchesFull(t *testing.T) {
 func describeSummary(s *Summary) *struct {
 	Startup, StallSec, Played, Weighted, PlayedMedia, Total, Wasted float64
 	StallN, Sw, NonCons                                             int
-	Tainted                                                         bool
 } {
 	return &struct {
 		Startup, StallSec, Played, Weighted, PlayedMedia, Total, Wasted float64
 		StallN, Sw, NonCons                                             int
-		Tainted                                                         bool
 	}{
 		s.StartupDelay, s.StallSec, s.PlayedSec, s.WeightedBitrateSec,
 		s.PlayedMediaSec, s.TotalBytes, s.WastedBytes,
-		s.StallCount, s.Switches, s.NonConsecutive, s.Tainted,
+		s.StallCount, s.Switches, s.NonConsecutive,
 	}
 }
 
@@ -223,5 +235,47 @@ func TestBackgroundCompetesForLink(t *testing.T) {
 	}
 	if contended.AvgBitrate() >= alone.AvgBitrate() {
 		t.Fatalf("background rung selection ignored contention: alone %v bps, contended %v", alone.AvgBitrate(), contended.AvgBitrate())
+	}
+}
+
+// foldCrafted streams a hand-built Displayed array (-1 = never played)
+// through foldDisplayed on the least Session the fold needs.
+func foldCrafted(segDur, mediaDur float64, declared []float64, displayed []int) *Summary {
+	s := &Session{
+		pres:         &manifest.Presentation{Duration: mediaDur},
+		segDur:       segDur,
+		declared:     declared,
+		sum:          Summary{TimeOnTrack: make([]float64, len(declared))},
+		sumPrevTrack: -1,
+	}
+	for i, track := range displayed {
+		if track >= 0 {
+			s.foldDisplayed(i, track)
+		}
+	}
+	return &s.sum
+}
+
+// TestFoldDisplayedCrafted checks the display-fold arithmetic on a
+// hand-built display sequence.
+func TestFoldDisplayedCrafted(t *testing.T) {
+	sum := foldCrafted(4, 40, []float64{500e3, 1e6, 2e6}, []int{0, 0, 1, 1, 2, -1, -1, -1, -1, -1})
+	// Displayed: 2×500k + 2×1M + 1×2M over 5 segments of 4 s.
+	want := (2*500e3 + 2*1e6 + 1*2e6) / 5
+	if math.Abs(sum.AvgBitrate()-want) > 1 {
+		t.Fatalf("avg bitrate %v, want %v", sum.AvgBitrate(), want)
+	}
+	if sum.Switches != 2 || sum.NonConsecutive != 0 {
+		t.Fatalf("switches %d/%d", sum.Switches, sum.NonConsecutive)
+	}
+	if got := sum.TimeOnTrack; got[0] != 8 || got[1] != 8 || got[2] != 4 {
+		t.Fatalf("time on track %v, want [8 8 4]", got)
+	}
+}
+
+func TestFoldDisplayedNonConsecutive(t *testing.T) {
+	sum := foldCrafted(4, 16, []float64{1, 2, 3}, []int{0, 2, 0, 1})
+	if sum.Switches != 3 || sum.NonConsecutive != 2 {
+		t.Fatalf("switches %d non-consecutive %d", sum.Switches, sum.NonConsecutive)
 	}
 }

@@ -77,13 +77,14 @@ func runScanChecked(cfg Config, org *origin.Origin, p *netem.Profile) (*Result, 
 
 // TestPrevDownloadedTrackMatchesLogScan drives the table through every
 // way the download log departs from "one forward download per index, in
-// order": seeks (forward leaves a hole to walk down past; back fetches
-// an index forward twice, where the earlier log entry must answer),
-// segment replacement (entries the lookup must not see), parallel
-// connections (completions out of log order) and split requests. Each
-// case is compared with the log scan after every completion, and its
-// Events digest was recorded with the log scan still in the session, so
-// the "switch" events are worded exactly as before.
+// order": segment replacement (entries the lookup must not see; a
+// dropped tail is fetched forward a second time, where the earlier log
+// entry must answer), parallel connections (completions out of log
+// order) and split requests. Each case is compared with the log scan
+// after every completion. The two cases that never seeked keep the
+// Events digest recorded with the log scan still in the session; the
+// other three lost their seek with the feature and carry the digest the
+// parent commit produces for the same seek-free config.
 func TestPrevDownloadedTrackMatchesLogScan(t *testing.T) {
 	step := &netem.Profile{Name: "steps", SampleDur: 1}
 	for i := 0; i < 600; i++ {
@@ -95,31 +96,22 @@ func TestPrevDownloadedTrackMatchesLogScan(t *testing.T) {
 		mutate func(*Config)
 		events string
 	}{
-		{"seek back", false, func(c *Config) {
-			c.Seeks = []SeekEvent{{AtSec: 90, ToSec: 20}, {AtSec: 200, ToSec: 60}}
-		}, "8ffbda61872ab290d78c1af866908038db95fcf9f4c1c8354bf5da15704af6a2"},
-		{"seek forward", false, func(c *Config) {
-			c.Seeks = []SeekEvent{{AtSec: 50, ToSec: 400}, {AtSec: 120, ToSec: 100}}
-		}, "70cc83a628b56e1070b1deb77994d357e2b5f752618ba37f1b8c4a2adafb0405"},
 		{"contiguous replacement", false, func(c *Config) {
 			c.Replacement = replacement.ContiguousOnUpswitch{}
 		}, "41d994170ba4c41e8f3526cd497d143853e996260d06c6686c3a8b8472fc29c4"},
-		{"per-segment replacement and a seek", false, func(c *Config) {
+		{"per-segment replacement", false, func(c *Config) {
 			c.Replacement = replacement.PerSegment{MinBufferSec: 10, CapTrack: -1}
 			c.MidBufferDiscard = true
-			c.Seeks = []SeekEvent{{AtSec: 150, ToSec: 30}}
-		}, "658fcdf7f1686c04b25fab29c57bd87671a674d27d6e3f9345397478e29d4822"},
+		}, "10a0f18611b7457b93f47285fb0850c43c467e277746408fdd27983cec9aa102"},
 		{"parallel pipeline", false, func(c *Config) {
 			c.Scheduler, c.MaxConnections, c.VideoPipeline = SchedulerParallel, 4, 3
-			c.Seeks = []SeekEvent{{AtSec: 100, ToSec: 10}}
-		}, "b1895f796bbd4b022430293c27cd184d37aff2d849c0c45243513ee642fc978f"},
+		}, "5b694be75b4722de5d32bf405e470835279d66ee016d3818a4015f06b8639360"},
 		{"desynced audio", true, func(c *Config) {
 			c.Scheduler, c.MaxConnections, c.Audio = SchedulerParallel, 3, AudioDesynced
 		}, "0a4f1556cb726be0f7e1c5d571c09e93d89c5afcde145661c8a8acc2cb8b0412"},
 		{"split requests", true, func(c *Config) {
 			c.Scheduler, c.MaxConnections, c.SplitSkew = SchedulerSplit, 3, 0.7
-			c.Seeks = []SeekEvent{{AtSec: 80, ToSec: 16}}
-		}, "628e891afc97c2a6c80210364e5fbeccab8e436d0b85e2c6327865aa29c87232"},
+		}, "2ac299162bc72923265eaa9301c0d60715a7ddceb00700ec3cd8ec42a03b0965"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

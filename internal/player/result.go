@@ -60,15 +60,6 @@ type BufferSample struct {
 	Playing bool
 }
 
-// SeekRecord is one executed seek and its user-visible latency.
-type SeekRecord struct {
-	// At is the wall time of the seek; To the target media position.
-	At, To float64
-	// Latency is the wall time until playback resumed at the target
-	// (-1 when the session ended first).
-	Latency float64
-}
-
 // Event is one annotated moment in the session timeline.
 type Event struct {
 	// T is the wall time.
@@ -117,14 +108,16 @@ type Result struct {
 	Samples []BufferSample
 	// Events is the annotated timeline.
 	Events []Event
-	// Seeks lists executed seeks with their latencies.
-	Seeks []SeekRecord
 
 	// TotalBytes is all media+document bytes downloaded.
 	TotalBytes float64
 	// WastedBytes is the bytes of downloads that never displayed
 	// (discarded by replacement or unplayed replacements).
 	WastedBytes float64
+
+	// Summary is the session's online QoE digest, copied when the
+	// session finishes; its TimeOnTrack slice is shared with the session.
+	Summary Summary
 }
 
 // TotalStall returns the summed stall duration in seconds.

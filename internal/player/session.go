@@ -70,9 +70,6 @@ type Session struct {
 	deliveredAtDone        float64
 	videoSamples           int
 	done                   bool
-	pendingSeeks           []SeekEvent
-	seekOpen               bool
-	seekStart              float64
 
 	// allocation-avoidance state (hot path)
 	metaFree    []*reqMeta // recycled request metadata
@@ -87,8 +84,7 @@ type Session struct {
 	declared []float64
 
 	// Online summary accumulation (see summary.go). Always maintained,
-	// whether or not a full Result is kept, in the exact fold order
-	// qoe.FromResult uses so the two agree bit for bit.
+	// whether or not a full Result is kept; a full Result carries a copy.
 	sum          Summary
 	sumPrevTrack int
 	startupDelay float64
@@ -193,7 +189,6 @@ func NewSession(cfg Config, org *origin.Origin, net *simnet.Network) (*Session, 
 			return float64(view.Video[track].Segments[index].Size)
 		}
 	}
-	s.pendingSeeks = append([]SeekEvent(nil), cfg.Seeks...)
 	s.buildDocQueue()
 	return s, nil
 }
@@ -246,7 +241,7 @@ func (s *Session) ensureResult() {
 	// presentation: it plays at most SessionDuration of media and
 	// downloads at most the pause threshold ahead of the playhead, plus
 	// the segment in flight when the threshold is crossed. Replacement
-	// and seeks fetch more; append covers them.
+	// fetches more; append covers it.
 	reach := s.cfg.SessionDuration + s.cfg.PauseThresholdSec
 	fetch := min(n, int(reach/s.segDur)+2)
 	if len(s.pres.Audio) > 0 {
@@ -399,9 +394,6 @@ func (s *Session) nextDeadline() float64 {
 		// Keep the 1 Hz sampler ticking while anything is happening.
 		d = math.Min(d, s.nextSample)
 	}
-	if len(s.pendingSeeks) > 0 {
-		d = math.Min(d, s.pendingSeeks[0].AtSec)
-	}
 	return d
 }
 
@@ -516,11 +508,12 @@ func (s *Session) recordDisplayUpTo(target float64) {
 	}
 }
 
-// foldDisplayed streams one displayed segment into the online Summary,
-// in the exact order and arithmetic qoe.FromResult uses over a full
-// Result's Displayed array, so the lean summary matches the post-hoc
-// fold bit for bit. Segments display in strictly ascending index order
-// (except after a seek, which taints the summary).
+// foldDisplayed streams one displayed segment into the online Summary:
+// the one definition of displayed bitrate, time on track and switch
+// counts (qoe.FromResult reads it back). Segments display in strictly
+// ascending index order, so the fold equals a walk over a full Result's
+// Displayed array (TestLeanSummaryMatchesFull keeps that walk as the
+// oracle).
 func (s *Session) foldDisplayed(index, track int) {
 	dur := s.segDur
 	if start := float64(index) * s.segDur; start+s.segDur > s.pres.Duration {
@@ -538,54 +531,9 @@ func (s *Session) foldDisplayed(index, track int) {
 	s.sumPrevTrack = track
 }
 
-// processSeeks executes scheduled user seeks whose time has come: stop
-// playback, flush the buffers (refetching after a seek is what most
-// players do), move the cursors to the target segment, and let the
-// recovery gates restart playback.
-func (s *Session) processSeeks() {
-	for len(s.pendingSeeks) > 0 && s.net.Now() >= s.pendingSeeks[0].AtSec-eps {
-		ev := s.pendingSeeks[0]
-		s.pendingSeeks = s.pendingSeeks[1:]
-		target := math.Max(0, math.Min(ev.ToSec, s.pres.Duration-1e-6))
-		s.stopPlaying(false)
-		s.finished = false
-		// Flush: everything buffered is refetched after the jump.
-		for _, b := range s.videoBuf.DropFromIndex(0) {
-			s.wastedBytes += b.Bytes
-		}
-		for _, b := range s.audioBuf.DropFromIndex(0) {
-			s.wastedBytes += b.Bytes
-		}
-		s.playhead = target
-		s.lastTime = s.net.Now()
-		s.nextVideo = int(target / s.segDur)
-		if s.separateAudio() {
-			s.nextAudio = int(target / s.pres.Audio[0].SegmentDuration)
-		}
-		// Rewinding the display cursor makes the online fold re-count
-		// re-displayed segments; the summary is no longer FromResult.
-		s.sum.Tainted = true
-		s.nextDisplayIdx = s.nextVideo
-		s.pausedVideo, s.pausedAud = false, false
-		s.seekOpen = true
-		s.seekStart = s.net.Now()
-		if s.res != nil {
-			s.res.Seeks = append(s.res.Seeks, SeekRecord{At: s.net.Now(), To: target, Latency: -1})
-		}
-		s.eventf("seek", "to %.1fs (buffer flushed)", target)
-	}
-}
-
 func (s *Session) startPlaying() {
 	s.playing = true
 	s.curPlay = PlayInterval{WallStart: s.net.Now(), MediaStart: s.playhead}
-	if s.seekOpen {
-		s.seekOpen = false
-		if s.res != nil {
-			s.res.Seeks[len(s.res.Seeks)-1].Latency = s.net.Now() - s.seekStart
-		}
-		s.eventf("seek-done", "resumed after %.2fs", s.net.Now()-s.seekStart)
-	}
 	if !s.started {
 		s.started = true
 		// Startup delay is measured from the session's own arrival, so a
@@ -682,7 +630,6 @@ func (s *Session) hysteresis(paused bool, occ float64, kind string) bool {
 // ---- request issuing ----
 
 func (s *Session) issueRequests() {
-	s.processSeeks()
 	if s.downloadDead {
 		return
 	}
@@ -907,10 +854,7 @@ func (s *Session) issueSegment(t media.MediaType, slot int) {
 	if !ok {
 		return
 	}
-	if m.kind == reqDoc { // a lazily fetched HLS media playlist
-		s.startTransfer(slot, size, m)
-		return
-	}
+	// m may be a lazily fetched HLS media playlist instead of the segment.
 	s.startTransfer(slot, size, m)
 }
 
@@ -1259,5 +1203,6 @@ func (s *Session) finalize() {
 		s.res.EndTime = end
 		s.res.TotalBytes = s.totalBytes
 		s.res.WastedBytes = s.wastedBytes
+		s.res.Summary = s.sum
 	}
 }

@@ -440,63 +440,3 @@ func TestTemplateAddressingSession(t *testing.T) {
 		t.Fatal("template addressing leaked sizes to the client")
 	}
 }
-
-// TestSeek: a forward seek flushes the buffer, jumps the playhead, and
-// playback resumes at the target after the recovery gate, with the seek
-// latency recorded.
-func TestSeek(t *testing.T) {
-	org := buildOrigin(t, 4, false, media.VBR)
-	cfg := baseConfig()
-	cfg.Seeks = []SeekEvent{{AtSec: 60, ToSec: 300}}
-	res := runSession(t, cfg, org, netem.Constant("c", 5e6, 600))
-	if len(res.Seeks) != 1 {
-		t.Fatalf("%d seeks recorded", len(res.Seeks))
-	}
-	sk := res.Seeks[0]
-	if sk.To != 300 || sk.Latency <= 0 || sk.Latency > 20 {
-		t.Fatalf("seek record %+v", sk)
-	}
-	// Samples: the playhead jumps to ≈300 at the seek and resumes from
-	// there; the 60..300 media range is never displayed.
-	for _, smp := range res.Samples {
-		if smp.T > 65 && smp.T < 70 && (smp.Playhead < 295 || smp.Playhead > 310) {
-			t.Fatalf("playhead %.1f just after seek", smp.Playhead)
-		}
-	}
-	seg := res.SegmentDuration
-	for i := int(70/seg) + 1; i < int(290/seg); i++ {
-		if res.Displayed[i] >= 0 {
-			t.Fatalf("segment %d displayed despite being skipped", i)
-		}
-	}
-	// Flushed buffer counts as waste.
-	if res.WastedBytes <= 0 {
-		t.Fatal("seek flush not accounted as waste")
-	}
-	// And playback continues past the target afterwards.
-	if last := res.Samples[len(res.Samples)-1].Playhead; last < 350 {
-		t.Fatalf("playback did not continue after seek: playhead %.1f", last)
-	}
-}
-
-// TestSeekBackward: jumping back re-downloads and replays earlier media.
-func TestSeekBackward(t *testing.T) {
-	org := buildOrigin(t, 4, false, media.VBR)
-	cfg := baseConfig()
-	cfg.Seeks = []SeekEvent{{AtSec: 100, ToSec: 8}}
-	res := runSession(t, cfg, org, netem.Constant("c", 5e6, 240))
-	if len(res.Seeks) != 1 || res.Seeks[0].Latency <= 0 {
-		t.Fatalf("seek records %+v", res.Seeks)
-	}
-	// Segment 2 (media 8–12 s) gets downloaded twice: once on the first
-	// pass and once after the jump.
-	n := 0
-	for _, d := range res.Downloads {
-		if d.Type == media.TypeVideo && d.Index == 2 && d.End > 0 {
-			n++
-		}
-	}
-	if n < 2 {
-		t.Fatalf("segment 2 downloaded %d times, want ≥2", n)
-	}
-}

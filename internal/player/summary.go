@@ -1,12 +1,11 @@
 package player
 
-// Summary is the streaming digest of one session: the exact quantities
-// qoe.FromResult extracts from a full Result, accumulated online in the
-// same order and with the same arithmetic, so a lean session's summary
-// is bit-identical to the post-hoc fold over the full Result the same
-// run would have produced. It is a few fixed-size fields plus one
-// ladder-length slice — the entire per-session footprint of the
-// population hot path.
+// Summary is the streaming digest of one session: the QoE quantities
+// of the paper's §2.2, accumulated online as the session plays, the
+// same way whether or not a full Result is recorded beside it (a full
+// Result carries a copy, which qoe.FromResult reads). It is a few
+// fixed-size fields plus one ladder-length slice — the entire
+// per-session footprint of the population hot path.
 type Summary struct {
 	// StartupDelay is seconds from arrival to first frame (-1 = never).
 	StartupDelay float64
@@ -28,14 +27,10 @@ type Summary struct {
 	// TotalBytes and WastedBytes mirror the Result accounting.
 	TotalBytes  float64
 	WastedBytes float64
-	// Tainted marks a summary whose display fold double-counted because
-	// the session executed seeks (the display cursor rewound); consumers
-	// should fall back to the full Result. Fleet workloads never seek.
-	Tainted bool
 }
 
 // AvgBitrate returns the playtime-weighted mean declared bitrate of
-// displayed segments in bits/s, matching qoe.FromResult's computation.
+// displayed segments in bits/s.
 func (s *Summary) AvgBitrate() float64 {
 	if s.PlayedMediaSec > 0 {
 		return s.WeightedBitrateSec / s.PlayedMediaSec

@@ -54,47 +54,18 @@ func (r *Report) PctTimeBelow(declared []float64, bps float64) float64 {
 	return t / r.PlayedSec
 }
 
-// FromResult computes the report from simulator ground truth.
+// FromResult computes the report from simulator ground truth: the
+// Summary the session folded online while it played. TimeOnTrack is
+// copied because memoised Results are shared between callers.
 func FromResult(res *player.Result) Report {
-	rep := Report{
-		StartupDelay:   res.StartupDelay,
-		StallCount:     len(res.Stalls),
-		StallSec:       res.TotalStall(),
-		PlayedSec:      res.PlayedSeconds(),
-		TimeOnTrack:    make([]float64, len(res.Declared)),
-		DataUsageBytes: res.TotalBytes,
-		WastedBytes:    res.WastedBytes,
-	}
-	var weighted float64
-	var playedMedia float64
-	prev := -1
-	for i, track := range res.Displayed {
-		if track < 0 {
-			continue
-		}
-		dur := segDuration(res, i)
-		weighted += res.Declared[track] * dur
-		playedMedia += dur
-		rep.TimeOnTrack[track] += dur
-		if prev >= 0 && track != prev {
-			rep.Switches++
-			if abs(track-prev) > 1 {
-				rep.NonConsecutive++
-			}
-		}
-		prev = track
-	}
-	if playedMedia > 0 {
-		rep.AvgBitrate = weighted / playedMedia
-	}
+	rep := FromSummary(&res.Summary)
+	rep.TimeOnTrack = append([]float64(nil), rep.TimeOnTrack...)
 	return rep
 }
 
-// FromSummary converts a session's online Summary — the streaming
-// digest lean sessions and background flows produce — into a Report.
-// For a seek-free full-fidelity session the result is bit-identical to
-// FromResult over the same session's Result: the summary accumulates
-// the very same folds online, in the same order.
+// FromSummary converts a session's online Summary — the digest every
+// session folds, and the only output of lean sessions and background
+// flows — into a Report. TimeOnTrack aliases the summary's slice.
 func FromSummary(s *player.Summary) Report {
 	return Report{
 		StartupDelay:   s.StartupDelay,
@@ -108,21 +79,6 @@ func FromSummary(s *player.Summary) Report {
 		DataUsageBytes: s.TotalBytes,
 		WastedBytes:    s.WastedBytes,
 	}
-}
-
-func segDuration(res *player.Result, i int) float64 {
-	start := float64(i) * res.SegmentDuration
-	if start+res.SegmentDuration > res.MediaDuration {
-		return res.MediaDuration - start
-	}
-	return res.SegmentDuration
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // Inferred is a session view reconstructed the way the paper does it:
@@ -214,7 +170,7 @@ func Infer(tr *traffic.Result, samples []uimon.Sample) Inferred {
 		rep.TimeOnTrack[d.track] += d.dur
 		if prev >= 0 && d.track != prev {
 			rep.Switches++
-			if abs(d.track-prev) > 1 {
+			if step := d.track - prev; step > 1 || step < -1 {
 				rep.NonConsecutive++
 			}
 		}

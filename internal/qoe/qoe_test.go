@@ -2,60 +2,44 @@ package qoe_test
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/netem"
 	"repro/internal/player"
 	"repro/internal/qoe"
 	"repro/internal/services"
+	"repro/internal/simnet"
 	"repro/internal/traffic"
 	"repro/internal/uimon"
 )
 
-// TestFromResultCrafted checks the metric arithmetic on a hand-built
-// session result.
-func TestFromResultCrafted(t *testing.T) {
-	res := &player.Result{
-		MediaDuration:   40,
-		SegmentCount:    10,
-		SegmentDuration: 4,
-		Declared:        []float64{500e3, 1e6, 2e6},
-		StartupDelay:    2,
-		Stalls:          []player.Stall{{Start: 10, End: 13}, {Start: 20, End: 21}},
-		PlayIntervals:   []player.PlayInterval{{WallStart: 2, WallEnd: 10}, {WallStart: 13, WallEnd: 20}},
-		Displayed:       []int{0, 0, 1, 1, 2, -1, -1, -1, -1, -1},
-		TotalBytes:      10e6,
-		WastedBytes:     1e6,
+// TestFromResultIsSummary: a full Result's report is the Summary the
+// session folded online, field for field, and owns its TimeOnTrack —
+// memoised Results are shared, so a caller scribbling on the report
+// must not reach the Result.
+func TestFromResultIsSummary(t *testing.T) {
+	svc := services.ByName("H5")
+	org, err := svc.Origin()
+	if err != nil {
+		t.Fatal(err)
 	}
-	rep := qoe.FromResult(res)
-	if rep.StartupDelay != 2 || rep.StallCount != 2 || rep.StallSec != 4 {
-		t.Fatalf("startup/stalls: %+v", rep)
+	cfg := services.Resolve(svc.Player, 300, nil)
+	sess, err := player.NewSession(cfg, org, simnet.New(simnet.DefaultConfig(), netem.Cellular(3)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Displayed: 2×500k + 2×1M + 1×2M over 5 segments of 4 s.
-	want := (2*500e3 + 2*1e6 + 1*2e6) / 5
-	if math.Abs(rep.AvgBitrate-want) > 1 {
-		t.Fatalf("avg bitrate %v, want %v", rep.AvgBitrate, want)
+	res := sess.Run()
+	got, want := qoe.FromResult(res), qoe.FromSummary(sess.Summary())
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("FromResult %+v\nFromSummary %+v", got, want)
 	}
-	if rep.Switches != 2 || rep.NonConsecutive != 0 {
-		t.Fatalf("switches %d/%d", rep.Switches, rep.NonConsecutive)
+	if got.PlayedSec <= 0 || got.AvgBitrate <= 0 {
+		t.Fatalf("degenerate session: %+v", got)
 	}
-	if got := rep.PctTimeBelow(res.Declared, 1e6); math.Abs(got-8.0/15) > 1e-9 {
-		t.Fatalf("PctTimeBelow = %v", got)
-	}
-	if rep.PlayedSec != 15 {
-		t.Fatalf("played %v", rep.PlayedSec)
-	}
-}
-
-func TestNonConsecutiveSwitches(t *testing.T) {
-	res := &player.Result{
-		MediaDuration: 16, SegmentCount: 4, SegmentDuration: 4,
-		Declared:  []float64{1, 2, 3},
-		Displayed: []int{0, 2, 0, 1},
-	}
-	rep := qoe.FromResult(res)
-	if rep.Switches != 3 || rep.NonConsecutive != 2 {
-		t.Fatalf("switches %d non-consecutive %d", rep.Switches, rep.NonConsecutive)
+	got.TimeOnTrack[0]++
+	if reflect.DeepEqual(got.TimeOnTrack, res.Summary.TimeOnTrack) {
+		t.Fatal("FromResult's TimeOnTrack aliases the Result's Summary")
 	}
 }
 
