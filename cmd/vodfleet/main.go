@@ -16,7 +16,7 @@
 // sharing a cell-granular cache across the runs: cells whose workload
 // inputs repeat between sweep points are merged from cache instead of
 // re-simulated (the report bytes are identical either way). Per-run
-// cache hit/build/skip counters print to stderr:
+// cache hit/build/skip counters and what the memo holds print to stderr:
 //
 //	vodfleet -sessions 100000 -sweep hotspot=0,0.2,0.4,0.6,0.8
 //	vodfleet -sessions 20000 -sweep edge-mbps=10,20,40 -json report.json
@@ -205,17 +205,16 @@ func main() {
 				pct = 100 * float64(hits) / float64(total)
 			}
 			fmt.Fprintf(os.Stderr,
-				"vodfleet: sweep %s=%s: %d sessions, %d cells, %d cached / %d simulated / %d uncached (%.0f%% warm), %.1fs\n",
-				field, raw, rep.Sessions, rep.Cells, hits, builds, skipped, pct, time.Since(start).Seconds())
-		} else {
-			if !*quiet {
-				fmt.Fprintf(os.Stderr, "vodfleet: %d sessions in %d cells simulated in %.1fs\n",
-					rep.Sessions, rep.Cells, time.Since(start).Seconds())
-			}
-			if *memCeiling > 0 {
-				fmt.Fprintf(os.Stderr, "vodfleet: peak live heap %.1f MiB (ceiling %d MiB)\n",
-					float64(peakHeap.Load())/(1<<20), *memCeiling)
-			}
+				"vodfleet: sweep %s=%s: %d sessions, %d cells, %d cached / %d simulated / %d uncached (%.0f%% warm), %.1fs, memo %d cells, %.0f KiB\n",
+				field, raw, rep.Sessions, rep.Cells, hits, builds, skipped, pct, time.Since(start).Seconds(),
+				s.Cells, float64(s.Bytes)/(1<<10))
+		} else if !*quiet {
+			fmt.Fprintf(os.Stderr, "vodfleet: %d sessions in %d cells simulated in %.1fs\n",
+				rep.Sessions, rep.Cells, time.Since(start).Seconds())
+		}
+		if *memCeiling > 0 {
+			fmt.Fprintf(os.Stderr, "vodfleet: peak live heap %.1f MiB (ceiling %d MiB)\n",
+				float64(peakHeap.Load())/(1<<20), *memCeiling)
 		}
 		if *jsonOut != "" {
 			b, err := rep.JSON()

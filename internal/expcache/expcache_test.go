@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -192,6 +193,72 @@ func TestFingerprintGoldenKeys(t *testing.T) {
 }
 
 // ---- memo ----
+
+// raceDetector reports whether the test binary was built with -race.
+func raceDetector() bool {
+	bi, _ := debug.ReadBuildInfo()
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
+// TestFingerprintPooledHashers: hashers are pooled, so a key must not
+// depend on what the hasher it drew was last used for — in particular not
+// on a walk that failed midway with values buffered and pointers visited
+// — concurrent callers must not share one, and a key over values that
+// are already on the heap must cost no allocation at all.
+func TestFingerprintPooledHashers(t *testing.T) {
+	type spec struct {
+		Seed int64
+		Size int
+		Cold bool
+		At   float64
+		Name string
+	}
+	type poisoned struct {
+		P *spec
+		S string
+		F func()
+	}
+	want := make([]Key, 64)
+	for i := range want {
+		want[i] = mustKey(t, "tag", &spec{Seed: int64(i), Size: 24, Name: "n"})
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range want {
+				if _, err := Fingerprint(poisoned{&spec{Seed: 1}, strings.Repeat("x", 700), func() {}}); !errors.Is(err, ErrUncacheable) {
+					t.Errorf("fingerprint of a func: error %v, want ErrUncacheable", err)
+				}
+				got, err := Fingerprint("tag", &spec{Seed: int64(i), Size: 24, Name: "n"})
+				if err != nil || got != want[i] {
+					t.Errorf("key %d after a failed walk: %x (%v), want %x", i, got, err, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	if raceDetector() {
+		return // sync.Pool drops a share of its Puts on purpose: hashers are re-allocated now and then
+	}
+	s := &spec{Size: 24, Name: "n"}
+	allocs := testing.AllocsPerRun(100, func() {
+		s.Seed++
+		if _, err := Fingerprint("tag", s); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a small key over a pointer allocates %.0f times, want 0", allocs)
+	}
+}
 
 // TestMemoErrorCachedForever pins the deliberate contract: a failed
 // build is cached like a value and never retried (every build in this

@@ -7,10 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"hash"
-	"io"
 	"math"
 	"reflect"
 	"sort"
+	"sync"
 )
 
 // Key is a content-addressed cache key: the SHA-256 of the canonical
@@ -33,7 +33,8 @@ var ErrUncacheable = errors.New("expcache: value is not fingerprintable")
 // Shared/cyclic pointers hash by first-visit order, so self-referential
 // structures terminate. Non-nil funcs and channels return ErrUncacheable.
 func Fingerprint(vs ...any) (Key, error) {
-	h := &hasher{h: sha256.New()}
+	h := hashers.Get().(*hasher)
+	defer h.release()
 	for _, v := range vs {
 		if err := h.walk(reflect.ValueOf(v)); err != nil {
 			return Key{}, err
@@ -49,14 +50,26 @@ func Fingerprint(vs ...any) (Key, error) {
 // Emissions are 1–9 bytes plus short names, so they are gathered in buf
 // and handed to the hash a block at a time; the byte stream the hash
 // sees — hence every key — does not depend on where the flushes fall.
-// buf is an array inside the struct on purpose: a key is taken per
-// session and per fleet cell, and a second allocation per Fingerprint
-// for a buffer costs more than the batching saves.
+//
+// A key is taken per session and per fleet cell, so taking one must not
+// allocate: hashers — the hash state, the buffer and the visit table —
+// are pooled and reset between keys.
 type hasher struct {
 	h       hash.Hash
 	n       int // bytes of buf not yet written to h
 	buf     [512]byte
 	visited map[uintptr]int
+}
+
+var hashers = sync.Pool{New: func() any { return &hasher{h: sha256.New()} }}
+
+// release resets h (also after a walk that failed midway) and returns
+// it to the pool.
+func (h *hasher) release() {
+	h.h.Reset()
+	h.n = 0
+	clear(h.visited)
+	hashers.Put(h)
 }
 
 func (h *hasher) flush() {
@@ -71,10 +84,11 @@ func (h *hasher) room(k int) {
 	}
 }
 
-func (h *hasher) sum() (k Key) {
+func (h *hasher) sum() Key {
 	h.flush()
-	h.h.Sum(k[:0])
-	return k
+	// Into the now-empty buffer: a local array handed to the hash.Hash
+	// interface would be moved to the heap.
+	return Key(h.h.Sum(h.buf[:0]))
 }
 
 func (h *hasher) tag(b byte) {
@@ -92,13 +106,36 @@ func (h *hasher) u64(tag byte, u uint64) {
 
 func (h *hasher) str(tag byte, s string) {
 	h.u64(tag, uint64(len(s)))
-	if len(s) > len(h.buf) {
+	for {
+		k := copy(h.buf[h.n:], s)
+		h.n += k
+		if s = s[k:]; s == "" {
+			return
+		}
 		h.flush()
-		io.WriteString(h.h, s)
-		return
 	}
-	h.room(len(s))
-	h.n += copy(h.buf[h.n:], s)
+}
+
+// typeInfo is what walk emits for a struct type, computed once per type:
+// building the identity string and reading field names through
+// reflect.Type.Field both allocate.
+type typeInfo struct {
+	identity string
+	fields   []string
+}
+
+var typeInfos sync.Map // reflect.Type -> *typeInfo
+
+func structInfo(t reflect.Type) *typeInfo {
+	if ti, ok := typeInfos.Load(t); ok {
+		return ti.(*typeInfo)
+	}
+	ti := &typeInfo{identity: typeIdentity(t), fields: make([]string, t.NumField())}
+	for i := range ti.fields {
+		ti.fields[i] = t.Field(i).Name
+	}
+	typeInfos.Store(t, ti)
+	return ti
 }
 
 // typeIdentity names a type unambiguously across packages.
@@ -169,11 +206,11 @@ func (h *hasher) walk(v reflect.Value) error {
 		h.str('t', typeIdentity(v.Elem().Type()))
 		return h.walk(v.Elem())
 	case reflect.Struct:
-		t := v.Type()
-		h.str('T', typeIdentity(t))
-		h.u64('L', uint64(t.NumField()))
-		for i := 0; i < t.NumField(); i++ {
-			h.str('F', t.Field(i).Name)
+		ti := structInfo(v.Type())
+		h.str('T', ti.identity)
+		h.u64('L', uint64(len(ti.fields)))
+		for i, name := range ti.fields {
+			h.str('F', name)
 			if err := h.walk(v.Field(i)); err != nil {
 				return err
 			}
@@ -213,14 +250,18 @@ func (h *hasher) walkMap(v reflect.Value) error {
 	digests := make([]Key, 0, v.Len())
 	iter := v.MapRange()
 	for iter.Next() {
-		sub := &hasher{h: sha256.New()}
-		if err := sub.walk(iter.Key()); err != nil {
+		sub := hashers.Get().(*hasher)
+		err := sub.walk(iter.Key())
+		if err == nil {
+			err = sub.walk(iter.Value())
+		}
+		if err == nil {
+			digests = append(digests, sub.sum())
+		}
+		sub.release()
+		if err != nil {
 			return err
 		}
-		if err := sub.walk(iter.Value()); err != nil {
-			return err
-		}
-		digests = append(digests, sub.sum())
 	}
 	sort.Slice(digests, func(i, j int) bool { return bytes.Compare(digests[i][:], digests[j][:]) < 0 })
 	for _, d := range digests {

@@ -94,7 +94,7 @@ func AblSegDur(ctx context.Context) ([]*textplot.Table, []string, error) {
 		}
 		var reqs, rate, stall, switches []float64
 		var low []float64
-		for _, p := range cellular() {
+		for _, p := range netem.CanonicalCellularSet() {
 			cfg := exoPlayer(fmt.Sprintf("seg%.0f", segDur))
 			res, err := expcache.Run(cfg, org, p, 600, nil)
 			if err != nil {
@@ -142,7 +142,7 @@ func AblSplit(ctx context.Context) ([]*textplot.Table, []string, error) {
 	netCfg.ConnCapSequence = []float64{4e6, 1.5e6, 0.8e6}
 	for _, skew := range []float64{-0.4, 0, 1, 2} {
 		var rate, stall, startup, fetch []float64
-		for _, p := range cellular()[3:7] {
+		for _, p := range netem.CanonicalCellularSet()[3:7] {
 			cfg := d3.Player
 			cfg.SessionDuration = 600
 			cfg.SplitSkew = skew
@@ -189,7 +189,7 @@ func AblSRCap(ctx context.Context) ([]*textplot.Table, []string, error) {
 	type agg struct{ rate, data, waste, low []float64 }
 	run := func(cap int) (agg, error) {
 		var a agg
-		for _, p := range cellular() {
+		for _, p := range netem.CanonicalCellularSet() {
 			cfg := exoPlayer("srcap")
 			if cap >= -1 {
 				cfg.Replacement = replacement.PerSegment{MinBufferSec: 30, CapTrack: cap}
@@ -266,7 +266,7 @@ func AblAlgorithms(ctx context.Context) ([]*textplot.Table, []string, error) {
 	type job struct{ ai, pi int }
 	var jobs []job
 	for ai := range algos {
-		for pi := range cellular() {
+		for pi := range netem.CanonicalCellularSet() {
 			jobs = append(jobs, job{ai, pi})
 		}
 	}
@@ -278,7 +278,7 @@ func AblAlgorithms(ctx context.Context) ([]*textplot.Table, []string, error) {
 		if a.est != nil {
 			cfg.Estimator = a.est()
 		}
-		res, err := expcache.Run(cfg, org, cellular()[j.pi], 600, nil)
+		res, err := expcache.Run(cfg, org, netem.CanonicalCellularSet()[j.pi], 600, nil)
 		if err != nil {
 			return stats{}, err
 		}
@@ -288,7 +288,7 @@ func AblAlgorithms(ctx context.Context) ([]*textplot.Table, []string, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	nProfiles := len(cellular())
+	nProfiles := len(netem.CanonicalCellularSet())
 	for ai, a := range algos {
 		var rate, stall, switches, low []float64
 		for pi := 0; pi < nProfiles; pi++ {
@@ -326,7 +326,7 @@ func AblRecovery(ctx context.Context) ([]*textplot.Table, []string, error) {
 	for _, nseg := range []int{1, 2, 3} {
 		stalls, repeats := 0, 0
 		var stallSec, gaps []float64
-		for _, p := range cellular()[:3] {
+		for _, p := range netem.CanonicalCellularSet()[:3] {
 			res, err := expcache.Run(h5.Player, org, p, 600, func(c *player.Config) {
 				c.RecoverySec = h5.Media.SegmentDuration * float64(nseg)
 				c.RecoverySegments = nseg
@@ -374,7 +374,7 @@ func AblAbandon(ctx context.Context) ([]*textplot.Table, []string, error) {
 		{30, 20}, {90, 80}, {180, 170},
 	} {
 		var w120, s120, w300, stalls []float64
-		for _, p := range cellular()[3:9] {
+		for _, p := range netem.CanonicalCellularSet()[3:9] {
 			for _, cut := range []float64{120, 300} {
 				res, err := expcache.Run(base.Player, org, p, cut, func(c *player.Config) {
 					c.PauseThresholdSec = thr.pause

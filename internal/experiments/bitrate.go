@@ -118,7 +118,7 @@ func Fig13(ctx context.Context) ([]*textplot.Table, []string, error) {
 	var aggs []agg
 	for _, v := range variants {
 		var a agg
-		for _, p := range cellular() {
+		for _, p := range netem.CanonicalCellularSet() {
 			cfg := exoPlayer("exo13")
 			v.mut(&cfg)
 			res, err := expcache.Run(cfg, org, p, 600, nil)

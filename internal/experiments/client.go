@@ -25,7 +25,7 @@ func Fig6(ctx context.Context) ([]*textplot.Table, []string, error) {
 	}
 	var plots []string
 	var base *player.Result // profile-1 session, reused for the what-if table
-	for i, p := range cellular()[:2] {
+	for i, p := range netem.CanonicalCellularSet()[:2] {
 		res, err := run(d1, p, 600)
 		if err != nil {
 			return nil, nil, err
@@ -66,7 +66,7 @@ func Fig6(ctx context.Context) ([]*textplot.Table, []string, error) {
 	syncedCfg := d1.Player
 	syncedCfg.Audio = 0 // AudioSynced
 	synced.Player = syncedCfg
-	res, err := expcache.RunService(&synced, cellular()[0], 600, nil)
+	res, err := expcache.RunService(&synced, netem.CanonicalCellularSet()[0], 600, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -102,7 +102,7 @@ func Fig7(ctx context.Context) ([]*textplot.Table, []string, error) {
 	for vi, v := range variants {
 		withStalls, total := 0, 0
 		var secs []float64
-		for pi, p := range cellular() {
+		for pi, p := range netem.CanonicalCellularSet() {
 			res, err := expcache.RunService(s2, p, 600, func(c *player.Config) { c.ResumeThresholdSec = v.resume })
 			if err != nil {
 				return nil, nil, err

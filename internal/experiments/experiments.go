@@ -83,9 +83,6 @@ func ByID(id string) *Experiment {
 	return nil
 }
 
-// cellular caches the 14 synthetic traces.
-var cellular = sync.OnceValue(netem.CellularSet)
-
 // serviceOrigin returns the service's origin from the content-addressed
 // cache: built exactly once per distinct content even when concurrent
 // experiments request it, without one service's build blocking

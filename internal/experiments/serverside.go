@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/media"
+	"repro/internal/netem"
 	"repro/internal/textplot"
 )
 
@@ -16,7 +17,7 @@ func Fig3(ctx context.Context) ([]*textplot.Table, []string, error) {
 		Note:   "synthetic stand-ins for the paper's 14 recorded traces (600 s, 1 s samples)",
 		Header: []string{"profile", "avg Mbps", "min Mbps", "max Mbps", "p10 Mbps", "p90 Mbps"},
 	}
-	for i, p := range cellular() {
+	for i, p := range netem.CanonicalCellularSet() {
 		samples := append([]float64(nil), p.Samples...)
 		t.AddRow(
 			fmt.Sprintf("%d", i+1),

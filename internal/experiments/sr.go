@@ -186,7 +186,7 @@ func SRWhatIf(ctx context.Context) ([]*textplot.Table, []string, error) {
 		svc := services.ByName(name)
 		var dData, dRate []float64
 		var repl, lower, equal, bursts, firstLE int
-		for _, p := range cellular() {
+		for _, p := range netem.CanonicalCellularSet() {
 			st, err := srStats(svc, p)
 			if err != nil {
 				return nil, nil, err
@@ -257,7 +257,7 @@ func Fig11(ctx context.Context) ([]*textplot.Table, []string, error) {
 	var aggs []agg
 	for pi, pol := range policies {
 		var a agg
-		for i, p := range cellular() {
+		for i, p := range netem.CanonicalCellularSet() {
 			cfg := exoPlayer("exo-" + pol.name)
 			pol.mut(&cfg)
 			res, err := expcache.Run(cfg, org, p, 600, nil)
@@ -299,7 +299,7 @@ func Fig11(ctx context.Context) ([]*textplot.Table, []string, error) {
 		Note:   "each row pairs the no-SR run (left) with improved per-segment SR (right), like Figure 11's bar pairs",
 		Header: []string{"profile", "low-track share (no SR)", "low-track share (SR)", "Δavg bitrate", "Δdata"},
 	}
-	for i := range cellular() {
+	for i := range netem.CanonicalCellularSet() {
 		t2.AddRow(fmt.Sprintf("%d", i+1),
 			textplot.Pct(aggs[0].low[i]),
 			textplot.Pct(aggs[1].low[i]),

@@ -90,7 +90,7 @@ func Fig14(ctx context.Context) ([]*textplot.Table, []string, error) {
 func Fig15(ctx context.Context) ([]*textplot.Table, []string, error) {
 	// 50 one-minute profiles from the 5 lowest cellular traces.
 	var minis []*netem.Profile
-	for _, p := range cellular()[:5] {
+	for _, p := range netem.CanonicalCellularSet()[:5] {
 		for _, m := range p.Split(60) {
 			minis = append(minis, m)
 		}

@@ -239,7 +239,7 @@ func detectDesync() ([]string, error) {
 			continue
 		}
 		worst := 0.0
-		for _, p := range cellular()[:2] {
+		for _, p := range netem.CanonicalCellularSet()[:2] {
 			res, err := run(svc, p, 600)
 			if err != nil {
 				return nil, err
@@ -393,7 +393,7 @@ func detectBadSR() ([]string, error) {
 	var out []string
 	for _, svc := range allServices() {
 		found := false
-		for _, p := range cellular()[2:6] {
+		for _, p := range netem.CanonicalCellularSet()[2:6] {
 			stats, err := srStats(svc, p)
 			if err != nil {
 				return nil, err

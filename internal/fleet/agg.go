@@ -1,8 +1,12 @@
 package fleet
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math"
+	"slices"
+	"unsafe"
 
 	"repro/internal/cdn"
 	"repro/internal/qoe"
@@ -17,12 +21,14 @@ import (
 // carries every Welford column, for all services × metrics. A session
 // observation touches one row of each column; a merge is a handful of
 // flat slice loops over contiguous memory — no per-metric pointers, no
-// per-histogram allocations, and a cell aggregate is two slabs the
-// allocator hands back in one piece. All merges happen in deterministic
-// cell-index order within a shard and shard-index order across shards
-// (see Run), which makes the floating-point fold sequence — and
-// therefore the report bytes — independent of the worker count and of
-// the steal schedule.
+// per-histogram allocations. The slabs are dense wherever something is
+// still folding into them (the cell in flight, a shard, the fleet); a
+// finished cell is compacted to the entries it actually holds
+// (finishedCell) — the only form a cell is merged, cached or returned
+// in. All merges happen in deterministic cell-index order within a
+// shard and shard-index order across shards (see Run), which makes the
+// floating-point fold sequence — and therefore the report bytes —
+// independent of the worker count and of the steal schedule.
 
 // hist is a fixed-bin histogram over [Lo, Hi). Out-of-range samples are
 // counted in Under/Over so totals are never silently lost. The fleet-
@@ -124,6 +130,8 @@ func (w *welford) merge(o welford) {
 	w.N += o.N
 }
 
+func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
 func stdOf(n int64, m2 float64) float64 {
 	if n < 2 {
 		return 0
@@ -190,6 +198,8 @@ var (
 	// of the histogram slab; binsPerSvc is the stretch length.
 	metricOff  = [nMetrics]int{0, 40, 60, 90}
 	binsPerSvc = 114
+	// metricName labels a metric in errors, by its report field.
+	metricName = [nMetrics]string{"bitrate_mbps", "stall_ratio", "startup_delay_sec", "switches_per_min"}
 )
 
 // svcCols holds every per-service accumulator for the whole mix in two
@@ -199,32 +209,36 @@ var (
 type svcCols struct {
 	nsvc int
 
-	sessions []int64 // per service: every observed session
-	started  []int64 // per service: sessions that reached first frame
+	// ints is the whole int64 slab, which the columns below slice up in
+	// this order: n first, so that a row's Welford count is the slab
+	// entry with the row's own index.
+	ints []int64
 
 	n     []int64 // Welford count, per row
 	under []int64 // below-range samples, per row
 	over  []int64 // above-range samples, per row
 
-	mean []float64 // Welford mean, per row
-	m2   []float64 // Welford M2, per row
+	sessions []int64 // per service: every observed session
+	started  []int64 // per service: sessions that reached first frame
 
 	counts []int64 // histogram slab
+
+	mean []float64 // Welford mean, per row
+	m2   []float64 // Welford M2, per row
 }
 
 func newSvcCols(nsvc int) *svcCols {
 	rows := nsvc * nMetrics
-	// One int64 slab and one float64 slab back every column, so a cell
-	// aggregate is two allocations and merges stream through contiguous
-	// memory.
-	ints := make([]int64, 2*nsvc+3*rows+nsvc*binsPerSvc)
+	// One int64 slab and one float64 slab back every column, so merges
+	// stream through contiguous memory.
+	ints := make([]int64, 3*rows+2*nsvc+nsvc*binsPerSvc)
 	floats := make([]float64, 2*rows)
-	c := &svcCols{nsvc: nsvc}
-	c.sessions, ints = ints[:nsvc], ints[nsvc:]
-	c.started, ints = ints[:nsvc], ints[nsvc:]
+	c := &svcCols{nsvc: nsvc, ints: ints}
 	c.n, ints = ints[:rows], ints[rows:]
 	c.under, ints = ints[:rows], ints[rows:]
 	c.over, ints = ints[:rows], ints[rows:]
+	c.sessions, ints = ints[:nsvc], ints[nsvc:]
+	c.started, ints = ints[:nsvc], ints[nsvc:]
 	c.counts = ints
 	c.mean, floats = floats[:rows], floats[rows:]
 	c.m2 = floats
@@ -261,9 +275,11 @@ func (c *svcCols) add(svc, metric int, v float64) {
 }
 
 // merge folds o into c: flat loops over the slabs, with the Chan et al.
-// pairwise update per Welford row. Callers fix the merge order.
+// pairwise update per Welford row. Callers fix the merge order. It folds
+// a finished shard into the fleet, and is the oracle mergeCell is tested
+// against.
 //
-//vodlint:hotpath — shard-aggregate merge: once per cell on the prefix-fold path
+//vodlint:hotpath — shard-aggregate merge: once per shard on the prefix-fold path
 func (c *svcCols) merge(o *svcCols) {
 	for i := range c.sessions {
 		c.sessions[i] += o.sessions[i]
@@ -292,6 +308,56 @@ func (c *svcCols) merge(o *svcCols) {
 	}
 }
 
+// mergeCell folds a finished cell into c. It is merge restricted to the
+// slab entries the cell holds: the same Chan et al. update, on the same
+// operands, for every row the cell touched, and an integer add for every
+// other non-zero entry — rows and entries the cell left at zero are the
+// ones merge skips or adds zero for, so the two leave c bit-identical.
+//
+//vodlint:hotpath — cell merge: once per cell, and all a warm sweep point does
+func (c *svcCols) mergeCell(f *finishedCell) {
+	b, i, off := f.ints, 0, 0
+	// The slab starts with the Welford counts, so the first entries are
+	// the touched rows, one (mean, m2) pair each. Nearly every gap and
+	// count is below 128, one byte each: that case is decoded in line.
+	for k := 0; k < len(f.moments); k += 2 {
+		gap, v := uint64(b[i]), uint64(b[i+1])
+		if i += 2; gap|v >= 0x80 {
+			gap, v, i = entryLong(b, i-2)
+		}
+		r := off + int(gap)
+		off = r + 1
+		on, omean, om2 := int64(v), f.moments[k], f.moments[k+1]
+		if c.n[r] == 0 {
+			c.n[r], c.mean[r], c.m2[r] = on, omean, om2
+			continue
+		}
+		n := float64(c.n[r] + on)
+		d := omean - c.mean[r]
+		c.mean[r] += d * float64(on) / n
+		c.m2[r] += om2 + d*d*float64(c.n[r])*float64(on)/n
+		c.n[r] += on
+	}
+	for i < len(b) {
+		gap, v := uint64(b[i]), uint64(b[i+1])
+		if i += 2; gap|v >= 0x80 {
+			gap, v, i = entryLong(b, i-2)
+		}
+		off += int(gap)
+		c.ints[off] += int64(v)
+		off++
+	}
+}
+
+// entryLong decodes the (gap, value) pair at b[i:] when either takes
+// more than one byte, and returns it with the index just past it.
+func entryLong(b []byte, i int) (gap, v uint64, next int) {
+	gap, w := binary.Uvarint(b[i:])
+	i += w
+	v, w = binary.Uvarint(b[i:])
+	return gap, v, i + w
+}
+
 // dist renders one (service, metric) cell of the columns as a Dist.
 func (c *svcCols) dist(svc, metric int) Dist {
 	row := svc*nMetrics + metric
@@ -312,29 +378,36 @@ func (c *svcCols) dist(svc, metric int) Dist {
 	}
 }
 
-// cellAgg is one cell's streaming fold: the columnar per-service
-// accumulators plus the cell-level fairness and utilization samples.
-// bitrates is bounded by the cell size (ClientsPerCell), not the fleet
-// size.
+// cellAgg is the scratch a cell folds into while it runs: the dense
+// columnar per-service accumulators plus the cell-level samples. finish
+// compacts it into the cell's finishedCell and clears it, so a shard
+// reuses one cellAgg for all its cells (begin … observe … finish, per
+// cell). bitrates is bounded by the cell size (ClientsPerCell), not the
+// fleet size.
 type cellAgg struct {
 	cols       *svcCols
 	bitrates   []float64 // per started client, for the Jain index
-	delivered  float64   // bytes the shared edge actually carried
-	offered    float64   // edge capacity integral over the cell run, bytes
 	full       int64     // sessions simulated at full fidelity
 	background int64     // sessions simulated as background flows
 
-	// Edge-cache tier (set when the run has a cdn config): the cell's
-	// cache counters plus cell-level QoE moments, kept so the fleet
-	// fold can couple per-cell hit ratio to per-cell QoE.
-	cdnOn       bool
-	cdnStats    cdn.Stats
+	// Cell-level QoE moments, kept so the fleet fold can couple per-cell
+	// hit ratio to per-cell QoE when the run has a cache tier.
 	cellStartup welford // per started session, within this cell
 	cellStall   welford // per started session with playback, within this cell
+
+	enc []byte    // finish's encoding buffers, reused
+	mom []float64 // "
 }
 
-func newCellAgg(nsvc int) *cellAgg {
-	return &cellAgg{cols: newSvcCols(nsvc)}
+// begin readies the scratch for a cell over nsvc services. The zero
+// cellAgg is a valid scratch: the slabs are allocated by the first cell
+// that uses it, so a shard served entirely from the CellCache never pays
+// for them. (A cell that fails leaves the scratch dirty; its shard, the
+// scratch's only user, stops there.)
+func (a *cellAgg) begin(nsvc int) {
+	if a.cols == nil {
+		a.cols = newSvcCols(nsvc)
+	}
 }
 
 // observe folds one finished session. Sessions that never displayed a
@@ -364,20 +437,103 @@ func (a *cellAgg) observe(svcIdx int, rep qoe.Report) {
 	}
 }
 
-// finishCell records the cell-level samples once the simulation is
-// done: delivered bytes (for utilization = delivered / offered) and the
-// edge capacity integral in bytes.
-func (a *cellAgg) finishCell(deliveredBytes, capacityIntegralBps float64) {
-	a.delivered = deliveredBytes
-	a.offered = capacityIntegralBps / 8
+// finishedCell is a cell once its simulation is done: immutable, and
+// compact — it holds what the cell's sessions touched, not the dense
+// slabs they were folded in, so a cached cell costs what a cell of its
+// size carries (≈ 1 KiB for 24 sessions over 12 services, against
+// 13 KiB dense). It is the one form fleetAgg.merge, CellCache and
+// runCell see, whatever the cell's size.
+type finishedCell struct {
+	// ints lists the non-zero entries of the cell's int64 slab in slab
+	// order, each as two uvarints: the count of zero entries skipped
+	// since the previous one, then the value. The slab begins with the
+	// Welford counts, so the first len(moments)/2 entries are the touched
+	// rows; moments holds their (mean, m2) pairs in the same order.
+	ints    []byte
+	moments []float64
+
+	started    bool    // some session reached first frame: jain is a sample
+	jain       float64 // Jain's index over the started sessions' bitrates
+	delivered  float64 // bytes the shared edge actually carried
+	offered    float64 // edge capacity integral over the cell run, bytes
+	full       int64
+	background int64
+
+	// Edge-cache tier (cdnOn when the run has a cdn config): the cell's
+	// cache counters and the cell-level QoE moments they are coupled to.
+	cdnOn       bool
+	cdnStats    cdn.Stats
+	cellStartup welford
+	cellStall   welford
+}
+
+// bytes is the memory the finished cell holds: the struct and its two
+// backing arrays.
+func (f *finishedCell) bytes() int64 {
+	return int64(unsafe.Sizeof(*f)) + int64(len(f.ints)) + 8*int64(len(f.moments))
+}
+
+// finish closes the cell: it records the cell-level samples — delivered
+// bytes (utilization = delivered / offered), the edge capacity integral
+// in bytes, the cache tier's counters if there is one — compacts the
+// scratch into the cell's finishedCell and clears the scratch for the
+// next cell. A touched Welford row whose mean or m2 is not finite means
+// a NaN or ±Inf sample was folded somewhere in the cell: that is
+// reported here, naming the service (of services, indexed like the
+// scratch) and the metric, instead of failing in json.Marshal once the
+// whole fleet has run.
+func (a *cellAgg) finish(services []string, deliveredBytes, capacityIntegralBps float64, cache *cdn.Stats) (*finishedCell, error) {
+	f := &finishedCell{
+		started:     len(a.bitrates) > 0,
+		delivered:   deliveredBytes,
+		offered:     capacityIntegralBps / 8,
+		full:        a.full,
+		background:  a.background,
+		cellStartup: a.cellStartup,
+		cellStall:   a.cellStall,
+	}
+	if f.started {
+		f.jain = jain(a.bitrates)
+	}
+	if cache != nil {
+		f.cdnOn, f.cdnStats = true, *cache
+	}
+	c := a.cols
+	var err error
+	enc, mom, next := a.enc[:0], a.mom[:0], 0
+	for off, v := range c.ints {
+		if v == 0 {
+			continue
+		}
+		enc = binary.AppendUvarint(enc, uint64(off-next))
+		enc = binary.AppendUvarint(enc, uint64(v))
+		next = off + 1
+		if off < len(c.n) { // a touched row
+			mean, m2 := c.mean[off], c.m2[off]
+			mom = append(mom, mean, m2)
+			if err == nil && !(isFinite(mean) && isFinite(m2)) {
+				err = fmt.Errorf("service %s %s: non-finite moments (mean %v, m2 %v) over %d samples: a NaN or Inf sample was folded",
+					services[off/nMetrics], metricName[off%nMetrics], mean, m2, v)
+			}
+		}
+	}
+	f.ints, f.moments = slices.Clone(enc), slices.Clone(mom)
+	clear(c.ints)
+	clear(c.mean)
+	clear(c.m2)
+	*a = cellAgg{cols: c, bitrates: a.bitrates[:0], enc: enc, mom: mom}
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
 }
 
 // nHitBuckets fixes the hit-ratio bucket grid of the QoE coupling
 // section: [0,0.2) … [0.8,1] — part of the report schema.
 const nHitBuckets = 5
 
-// fleetAgg folds cellAggs in cell-index order; shard aggregates fold
-// into the final fleetAgg in shard-index order.
+// fleetAgg folds finished cells in cell-index order; shard aggregates
+// fold into the final fleetAgg in shard-index order.
 type fleetAgg struct {
 	cols        *svcCols
 	fairness    metricAgg
@@ -424,10 +580,10 @@ func hitBucket(h float64) int {
 	return i
 }
 
-func (a *fleetAgg) merge(c *cellAgg) {
-	a.cols.merge(c.cols)
-	if len(c.bitrates) > 0 {
-		a.fairness.add(jain(c.bitrates))
+func (a *fleetAgg) merge(c *finishedCell) {
+	a.cols.mergeCell(c)
+	if c.started {
+		a.fairness.add(c.jain)
 	}
 	if c.offered > 0 {
 		a.utilization.add(c.delivered / c.offered)

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/cdn"
-	"repro/internal/expcache"
 	schedpkg "repro/internal/sched"
 )
 
@@ -182,7 +181,7 @@ func TestCacheCellCacheKey(t *testing.T) {
 // points that differ in some other cell's cold or fail status still share
 // this cell's entry.
 func TestCellSpecIgnoresOtherCells(t *testing.T) {
-	key := func(cc cdn.CacheConfig, k int) expcache.Key {
+	key := func(cc cdn.CacheConfig, k int) cellKey {
 		t.Helper()
 		cfg := cdnCfg
 		cfg.Cache = &cc
@@ -190,11 +189,11 @@ func TestCellSpecIgnoresOtherCells(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		key, err := cellKey(newCellSpec(ncfg, k, cold[k]))
+		digest, err := runDigest(newRunSpec(ncfg))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return key
+		return cellKey{digest, newCellSpec(ncfg, k, cold[k])}
 	}
 	base := cdn.CacheConfig{EdgeBytes: 32 << 20, TTLSec: 3600, ColdCells: "2-5", FailCell: 1, FailAtSec: 60}
 	moreCold, failElsewhere, failLater := base, base, base

@@ -323,40 +323,43 @@ func cellSize(cfg Config, k int) int {
 	return (cfg.Sessions - k + n - 1) / n
 }
 
-// cellSpec is everything about a run that one cell's simulation may
-// read: the cell's private RNG stream and size (which fold in Seed,
-// Sessions, ClientsPerCell and Hotspot via the layout), the workload,
-// edge and fidelity parameters, the service list and the cache tier as
-// this cell sees it. It is plain data; drawClients and simCell receive
-// it instead of the Config, and CellCache keys a cell by its
-// fingerprint — so a field the simulation can read is a field the key
-// covers, and two sweep points that give a cell the same spec share its
-// entry.
-type cellSpec struct {
-	Seed int64
-	Size int
-
+// runSpec and cellSpec are, together, everything about a run that one
+// cell's simulation may read. They are plain data; drawClients and
+// simCell receive the two of them instead of the Config, and CellCache
+// keys a cell by the pair (cellKey) — so a field the simulation can read
+// is a field the key covers, and two sweep points that give a cell the
+// same pair share its entry.
+//
+// runSpec is the half every cell of a run shares: the workload, edge and
+// fidelity parameters, the service list and the cache tier. Seed,
+// Sessions, ClientsPerCell and Hotspot are absent on purpose — they reach
+// a cell only through its cellSpec.
+type runSpec struct {
 	ArrivalWindowSec, WatchSec  float64
 	AbandonProb, AbandonMeanSec float64
 	EdgeMbps, FidelityFull      float64
 	Services                    []string
 
-	// Cache is the normalized cache config specialised to this cell (nil:
-	// no cache tier): ColdCells and FailCell are erased and FailAtSec
-	// survives only in the cell whose failure is armed, so a cell is
-	// untouched by which other cells are cold or failing. Cold is this
-	// cell's own bit of the cold set. (A pointer keeps the spec under the
-	// 128 bytes a closure captures by value: inlined, the shard loop's
-	// memo closure would move every cell's spec to the heap.)
+	// Cache is the normalized cache config (nil: no cache tier) with what
+	// varies by cell erased — ColdCells, FailCell and FailAtSec — so a
+	// cell is untouched by which other cells are cold or failing.
 	Cache *cdn.CacheConfig
-	Cold  bool
 }
 
-// newCellSpec specialises a normalized config to cell k. cold is k's
-// membership of the parsed Cache.ColdCells set.
-func newCellSpec(cfg Config, k int, cold bool) cellSpec {
-	spec := cellSpec{
-		Seed: cellSeed(cfg.Seed, k), Size: cellSize(cfg, k),
+// cellSpec is the half that varies by cell: the cell's private RNG
+// stream and size (which fold in Seed, Sessions, ClientsPerCell and
+// Hotspot via the layout), its own bit of the cold set, and the edge
+// failure time if this is the cell whose failure is armed (0: none).
+type cellSpec struct {
+	Seed      int64
+	Size      int
+	Cold      bool
+	FailAtSec float64
+}
+
+// newRunSpec extracts a normalized config's run-wide half.
+func newRunSpec(cfg Config) *runSpec {
+	run := &runSpec{
 		ArrivalWindowSec: cfg.ArrivalWindowSec, WatchSec: cfg.WatchSec,
 		AbandonProb: cfg.AbandonProb, AbandonMeanSec: cfg.AbandonMeanSec,
 		EdgeMbps: cfg.EdgeMbps, FidelityFull: cfg.FidelityFull,
@@ -364,46 +367,56 @@ func newCellSpec(cfg Config, k int, cold bool) cellSpec {
 	}
 	if cfg.Cache != nil {
 		cc := *cfg.Cache
-		if cc.FailAtSec <= 0 || cc.FailCell != k {
-			cc.FailAtSec = 0
-		}
-		cc.ColdCells, cc.FailCell = "", 0
-		spec.Cache, spec.Cold = &cc, cold
+		cc.ColdCells, cc.FailCell, cc.FailAtSec = "", 0, 0
+		run.Cache = &cc
 	}
-	return spec
+	return run
+}
+
+// newCellSpec specialises a normalized config to cell k. cold is k's
+// membership of the parsed Cache.ColdCells set.
+func newCellSpec(cfg Config, k int, cold bool) cellSpec {
+	cell := cellSpec{Seed: cellSeed(cfg.Seed, k), Size: cellSize(cfg, k)}
+	if cc := cfg.Cache; cc != nil {
+		cell.Cold = cold
+		if cc.FailAtSec > 0 && cc.FailCell == k {
+			cell.FailAtSec = cc.FailAtSec
+		}
+	}
+	return cell
 }
 
 // CellClients draws cell k's members; the config must be normalized.
 func CellClients(cfg Config, k int) []Client {
-	return drawClients(newCellSpec(cfg, k, false))
+	return drawClients(newRunSpec(cfg), newCellSpec(cfg, k, false))
 }
 
 // drawClients draws a cell's members from its private RNG stream. The
 // draw order — arrivals first (sorted within the cell), then per client
 // watch, service, trace and fidelity — is part of the determinism
 // contract: a stolen cell computes identical members on any worker.
-func drawClients(spec cellSpec) []Client {
-	n := spec.Size
-	rng := rand.New(rand.NewSource(spec.Seed))
+func drawClients(run *runSpec, cell cellSpec) []Client {
+	n := cell.Size
+	rng := rand.New(rand.NewSource(cell.Seed))
 	arrivals := make([]float64, n)
 	for i := range arrivals {
-		arrivals[i] = rng.Float64() * spec.ArrivalWindowSec
+		arrivals[i] = rng.Float64() * run.ArrivalWindowSec
 	}
 	// Sorted within the cell: each cell sees a stationary arrival
 	// process over the whole window.
 	sort.Float64s(arrivals)
 	clients := make([]Client, n)
 	for i := range clients {
-		watch := spec.WatchSec
-		if rng.Float64() < spec.AbandonProb {
-			watch = math.Min(spec.WatchSec, math.Max(5, rng.ExpFloat64()*spec.AbandonMeanSec))
+		watch := run.WatchSec
+		if rng.Float64() < run.AbandonProb {
+			watch = math.Min(run.WatchSec, math.Max(5, rng.ExpFloat64()*run.AbandonMeanSec))
 		}
 		clients[i] = Client{
 			Arrival: arrivals[i],
 			Watch:   watch,
-			Service: rng.Intn(len(spec.Services)),
+			Service: rng.Intn(len(run.Services)),
 			Trace:   1 + rng.Intn(netem.CellularCount),
-			Full:    rng.Float64() < spec.FidelityFull,
+			Full:    rng.Float64() < run.FidelityFull,
 		}
 	}
 	return clients
@@ -415,8 +428,9 @@ func drawClients(spec cellSpec) []Client {
 // be normalized.
 func Workload(cfg Config) []Client {
 	clients := make([]Client, 0, cfg.Sessions)
+	run := newRunSpec(cfg)
 	for k := 0; k < cellCount(cfg); k++ {
-		clients = append(clients, CellClients(cfg, k)...)
+		clients = append(clients, drawClients(run, newCellSpec(cfg, k, false))...)
 	}
 	return clients
 }
@@ -470,9 +484,9 @@ type RunOptions struct {
 	// pin both extremes.
 	Steal schedpkg.StealOptions
 	// CellCache, when set, memoizes per-cell aggregates across runs by
-	// cell fingerprint: a sweep that re-runs mostly-unchanged configs
+	// cell key: a sweep that re-runs mostly-unchanged configs
 	// (e.g. a hotspot sweep, where every balanced cell repeats) skips
-	// the unchanged cells and merges their cached slabs. Purely an
+	// the unchanged cells and merges their cached aggregates. Purely an
 	// execution optimization: bytes are identical with or without it.
 	CellCache *CellCache
 }
@@ -493,7 +507,7 @@ func RunWithOptions(ctx context.Context, cfg Config, opts RunOptions) (*Report, 
 		svcs:        make([]*services.Service, len(cfg.Services)),
 		origins:     make([]*origin.Origin, len(cfg.Services)),
 		bgTemplates: make([]player.BackgroundConfig, len(cfg.Services)),
-		traces:      netem.CellularSet(),
+		traces:      netem.CanonicalCellularSet(),
 	}
 	for i, name := range cfg.Services {
 		tab.svcs[i] = services.ByName(name)
@@ -509,6 +523,13 @@ func RunWithOptions(ctx context.Context, cfg Config, opts RunOptions) (*Report, 
 	nCells := cellCount(cfg)
 	nShards := (nCells + cellsPerShard - 1) / cellsPerShard
 	focus := focusPlan(cfg)
+	run := newRunSpec(cfg)
+	var digest expcache.Key
+	if opts.CellCache != nil {
+		if digest, err = runDigest(run); err != nil {
+			return nil, err
+		}
+	}
 
 	workers := opts.Workers
 	if workers <= 0 {
@@ -537,6 +558,9 @@ func RunWithOptions(ctx context.Context, cfg Config, opts RunOptions) (*Report, 
 		if hi > nCells {
 			hi = nCells
 		}
+		// The dense scratch every cell of this shard folds into, one after
+		// the other; its slabs wait for the first cell that is simulated.
+		scratch := new(cellAgg)
 		// The metro cache is shard state: created here, warmed once,
 		// and touched only by this shard's cells, which run strictly
 		// sequentially below — so its evolution is a pure function of
@@ -554,7 +578,7 @@ func RunWithOptions(ctx context.Context, cfg Config, opts RunOptions) (*Report, 
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			spec := newCellSpec(cfg, c, cold[c])
+			cell := newCellSpec(cfg, c, cold[c])
 			if cache := opts.CellCache; cache != nil {
 				if len(focus[c]) > 0 || metro != nil {
 					// Focus cells produce per-member FocusSessions the
@@ -565,27 +589,25 @@ func RunWithOptions(ctx context.Context, cfg Config, opts RunOptions) (*Report, 
 					// serving one from the memo would leave the metro
 					// un-evolved for the shard's later cells.
 					cache.skipped.Add(1)
-				} else if key, kerr := cellKey(spec); kerr == nil {
-					c := c
-					ca, err := cache.memo.Get(key, func() (*cellAgg, error) {
-						ca, _, err := runCell(cfg, c, spec, tab, nil, nil)
-						return ca, err
+				} else {
+					fc, err := cache.get(cellKey{digest, cell}, func() (*finishedCell, error) {
+						fc, _, err := runCell(cfg, c, run, cell, tab, nil, nil, scratch)
+						return fc, err
 					})
 					if err != nil {
 						return err
 					}
-					// merge reads the cached aggregate without mutating
-					// it, so one cached cellAgg can fold into any number
-					// of later runs.
-					shardAgg.merge(ca)
+					// A finished cell is immutable, so one cached cell can
+					// fold into any number of later runs.
+					shardAgg.merge(fc)
 					continue
 				}
 			}
-			ca, fs, err := runCell(cfg, c, spec, tab, metro, focus[c])
+			fc, fs, err := runCell(cfg, c, run, cell, tab, metro, focus[c], scratch)
 			if err != nil {
 				return err
 			}
-			shardAgg.merge(ca)
+			shardAgg.merge(fc)
 			shardFocus = append(shardFocus, fs...)
 		}
 		mu.Lock()
@@ -685,42 +707,45 @@ func cdnCatalog(origins []*origin.Origin) *cdn.Catalog {
 	return cdn.NewCatalog(titles)
 }
 
-// runCell runs cell k of a normalized config from its spec and labels
-// what comes out: focus records carry k, and a panic anywhere below
-// comes back as an error naming the cell, so a helper goroutine's crash
+// runCell runs cell k of a normalized config from its specs and labels
+// what comes out: focus records carry k, and an error or a panic anywhere
+// below comes back naming the cell, so a helper goroutine's crash
 // surfaces through RunStealing like any other cell failure instead of
 // killing the process. cfg and k are labels only — the simulation itself
-// (simCell) sees nothing but the spec.
-func runCell(cfg Config, k int, spec cellSpec, tab *cellTables, metro *cdn.Metro, focusMembers []int) (_ *cellAgg, fs []FocusSession, err error) {
+// (simCell) sees nothing but the two specs.
+func runCell(cfg Config, k int, run *runSpec, cell cellSpec, tab *cellTables, metro *cdn.Metro, focusMembers []int, scratch *cellAgg) (_ *finishedCell, fs []FocusSession, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			err = fmt.Errorf("fleet: cell %d (seed %d, %d sessions) panicked: %v\n%s", k, cfg.Seed, cfg.Sessions, p, debug.Stack())
+			err = fmt.Errorf("panicked: %v\n%s", p, debug.Stack())
+		}
+		if err != nil {
+			err = fmt.Errorf("fleet: cell %d (seed %d, %d sessions): %w", k, cfg.Seed, cfg.Sessions, err)
 		}
 	}()
-	ca, fs, err := simCell(spec, tab, metro, focusMembers)
+	fc, fs, err := simCell(run, cell, tab, metro, focusMembers, scratch)
 	for i := range fs {
 		fs[i].Cell = k
 	}
-	return ca, fs, err
+	return fc, fs, err
 }
 
 // simCell simulates one cell: every member session over one shared edge
-// link, each behind its own cellular access link, folded into the
-// cell's streaming aggregates as it finishes. Full-fidelity members run
-// the player state machine — lean (no Result) unless selected as focus
-// members — and background members run the coarse analytic tier over
-// the same network. The cell is strictly single-threaded and a pure
-// function of (spec, focusMembers) and, when metro-coupled, the metro
-// cache's state.
-func simCell(spec cellSpec, tab *cellTables, metro *cdn.Metro, focusMembers []int) (*cellAgg, []FocusSession, error) {
-	members := drawClients(spec)
+// link, each behind its own cellular access link, folded into agg as it
+// finishes and compacted into the cell's finishedCell at the end.
+// Full-fidelity members run the player state machine — lean (no Result)
+// unless selected as focus members — and background members run the
+// coarse analytic tier over the same network. The cell is strictly
+// single-threaded and a pure function of (run, cell, focusMembers) and,
+// when metro-coupled, the metro cache's state; agg only lends its memory.
+func simCell(run *runSpec, cell cellSpec, tab *cellTables, metro *cdn.Metro, focusMembers []int, agg *cellAgg) (*finishedCell, []FocusSession, error) {
+	members := drawClients(run, cell)
 	horizon := 0.0
 	for _, m := range members {
 		if e := m.Arrival + m.Watch; e > horizon {
 			horizon = e
 		}
 	}
-	edge := netem.Constant("edge", spec.EdgeMbps*1e6, horizon+1)
+	edge := netem.Constant("edge", run.EdgeMbps*1e6, horizon+1)
 	scfg := simnet.DefaultConfig()
 	scfg.Engine = simnet.EngineCell
 	net := simnet.New(scfg, edge)
@@ -728,17 +753,19 @@ func simCell(spec cellSpec, tab *cellTables, metro *cdn.Metro, focusMembers []in
 	// The cell's edge-cache tier: its nodes, balancer and backhaul link
 	// are cell-private; the metro cache (possibly nil) is shard state.
 	var cdnCell *cdn.Cell
-	if spec.Cache != nil {
-		backhaul := net.NewAccessLink(netem.Constant("backhaul", spec.Cache.BackhaulMbps*1e6, horizon+1))
-		// The spec's config is already specialised to this cell, so the
-		// cell is its own FailCell: armed iff FailAtSec survived.
-		cdnCell = cdn.NewCell(*spec.Cache, spec.Cache.FailCell, metro, backhaul)
-		if !spec.Cold {
+	if run.Cache != nil {
+		backhaul := net.NewAccessLink(netem.Constant("backhaul", run.Cache.BackhaulMbps*1e6, horizon+1))
+		// The run's config names no failing cell, so this cell is its own
+		// FailCell: armed iff its spec carries a failure time.
+		cc := *run.Cache
+		cc.FailAtSec = cell.FailAtSec
+		cdnCell = cdn.NewCell(cc, cc.FailCell, metro, backhaul)
+		if !cell.Cold {
 			tab.catalog.Warm(cdnCell)
 		}
 	}
 
-	agg := newCellAgg(len(spec.Services))
+	agg.begin(len(run.Services))
 	var focusOut []FocusSession
 	meta := make(map[*player.Session]sessMeta, len(members))
 	g := player.NewGroup()
@@ -746,7 +773,7 @@ func simCell(spec cellSpec, tab *cellTables, metro *cdn.Metro, focusMembers []in
 		sm := meta[s]
 		agg.observe(sm.client.Service, qoe.FromSummary(s.Summary()))
 		if r != nil { // focus member: keep the full record
-			focusOut = append(focusOut, buildFocus(spec.Services[sm.client.Service], sm, r))
+			focusOut = append(focusOut, buildFocus(run.Services[sm.client.Service], sm, r))
 		}
 	})
 	// The whole background tier of the cell runs as one cohort: one
@@ -776,7 +803,7 @@ func simCell(spec cellSpec, tab *cellTables, metro *cdn.Metro, focusMembers []in
 		pcfg := services.Resolve(svc.Player, m.Watch, nil)
 		sess, err := player.NewSession(pcfg, tab.origins[m.Service], net)
 		if err != nil {
-			return nil, nil, fmt.Errorf("fleet: %s session: %w", svc.Name, err)
+			return nil, nil, fmt.Errorf("%s session: %w", svc.Name, err)
 		}
 		if !isFocus[i] {
 			sess.SetLean()
@@ -801,12 +828,12 @@ func simCell(spec cellSpec, tab *cellTables, metro *cdn.Metro, focusMembers []in
 		}
 	}
 	g.Run()
-	agg.finishCell(net.Delivered(), edge.Integral(0, net.Now()))
+	var cacheStats *cdn.Stats
 	if cdnCell != nil {
-		agg.cdnOn = true
-		agg.cdnStats = cdnCell.Stats
+		cacheStats = &cdnCell.Stats
 	}
-	return agg, focusOut, nil
+	fc, err := agg.finish(run.Services, net.Delivered(), edge.Integral(0, net.Now()), cacheStats)
+	return fc, focusOut, err
 }
 
 // buildFocus condenses a focus member's full Result into the report's

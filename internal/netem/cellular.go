@@ -3,6 +3,7 @@ package netem
 import (
 	"math"
 	"math/rand"
+	"sync"
 )
 
 // Cellular trace synthesis.
@@ -52,10 +53,20 @@ func Cellular(i int) *Profile {
 }
 
 // CellularSet returns all 14 synthetic cellular profiles sorted by
-// ascending average bandwidth (the canonical seed every experiment uses).
+// ascending average bandwidth (the canonical seed every experiment uses),
+// freshly generated: the caller owns them.
 func CellularSet() []*Profile {
 	return CellularSetSeed(0)
 }
+
+// CanonicalCellularSet returns the same 14 profiles as CellularSet, but
+// generated once per process and shared by every caller: the slice and
+// the profiles are READ-ONLY. The simulators take it (a fleet run per
+// sweep point and every experiment read the traces without ever writing
+// one); a caller that wants to edit a profile takes CellularSet's copy.
+func CanonicalCellularSet() []*Profile { return canonicalCellular() }
+
+var canonicalCellular = sync.OnceValue(CellularSet)
 
 // CellularSetSeed returns an alternative draw of the 14 profiles — same
 // targets and scenarios, different sample noise. Robustness tests rerun
