@@ -156,13 +156,25 @@ fleet-smoke:
 #      metro + backhaul + cold cells + a mid-run edge failure) — cache
 #      state is per-cell/per-shard, so the schedule cannot reach it;
 #   3. determinism is not vacuous: the cached run must differ from the
-#      uncached one (the tier actually changed delivery).
+#      uncached one (the tier actually changed delivery);
+#   4. the flash crowd — the same tier with -hotspot 0.8 -fidelity 0.02,
+#      bench/'s fleet_flashcrowd shape — at workers=2 vs workers=8: the
+#      one layout with a crowded cold cell, and the per-worker scratch
+#      (its recycled edge/metro tier above all) is the one fleet state
+#      that outlives a shard, so which shards share a scratch must not
+#      reach the bytes. Both runs carry FLEET_FLASH_CEILING_MB, calibrated
+#      at 100k sessions: the sampler peaks at 103–108 MiB (workers 1, 2
+#      and 8 alike) with memory sized by what the hot cell's members
+#      touch; with a segment ring per member and a tier rebuilt per cell
+#      it peaked at 241 / 206–217 / 198–226 MiB — 150 MiB aborts that
+#      and leaves 1.4x headroom.
 # FLEET_CACHE_SESSIONS=100000 (with FLEET_CACHE_FIDELITY=0.05) is the
 # CI scale tier; the cached runs also carry the heap ceiling so the
 # cache slabs stay inside the fleet memory contract.
 FLEET_CACHE_SESSIONS ?= 600
 FLEET_CACHE_FIDELITY ?= 1
 FLEET_CACHE_CEILING_MB ?= 512
+FLEET_FLASH_CEILING_MB ?= 150
 FLEET_CACHE_SPEC ?= edge:64MiB,metro:2GiB,ttl=6h
 fleet-cache-cmp:
 	$(GO) build -o bin/vodfleet ./cmd/vodfleet
@@ -183,7 +195,16 @@ fleet-cache-cmp:
 		-json "$$dir/c8.json" && \
 	cmp "$$dir/c2.json" "$$dir/c8.json" && \
 	! cmp -s "$$dir/off.json" "$$dir/c2.json" && \
-	echo "fleet-cache-cmp: transparent cache byte-identical to disabled; cached fleet byte-identical across worker counts"
+	bin/vodfleet -sessions $(FLEET_CACHE_SESSIONS) -hotspot 0.8 -fidelity 0.02 \
+		-seed 1 -workers 2 -q -memceiling-mb $(FLEET_FLASH_CEILING_MB) \
+		-cache $(FLEET_CACHE_SPEC) -coldcells 0-3 -cachefail cell=5,t=60s \
+		-json "$$dir/h2.json" && \
+	bin/vodfleet -sessions $(FLEET_CACHE_SESSIONS) -hotspot 0.8 -fidelity 0.02 \
+		-seed 1 -workers 8 -q -memceiling-mb $(FLEET_FLASH_CEILING_MB) \
+		-cache $(FLEET_CACHE_SPEC) -coldcells 0-3 -cachefail cell=5,t=60s \
+		-json "$$dir/h8.json" && \
+	cmp "$$dir/h2.json" "$$dir/h8.json" && \
+	echo "fleet-cache-cmp: transparent cache byte-identical to disabled; cached fleet and cached flash crowd byte-identical across worker counts"
 
 # Scale gate: a 100k-session mixed-fidelity fleet (5% full player, 95%
 # background tier, 8 focus members) run at two worker counts must emit

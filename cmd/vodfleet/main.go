@@ -191,11 +191,14 @@ func main() {
 			jsonName = fmt.Sprintf("%s.%s=%s", *jsonOut, field, raw)
 		}
 		start := time.Now()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		rep, err := fleet.RunWithOptions(context.Background(), cfg,
 			fleet.RunOptions{Workers: *workers, CellCache: cache})
 		if err != nil {
 			log.Fatalf("vodfleet: %s%v", point, err)
 		}
+		runtime.ReadMemStats(&after)
 		if sweeping {
 			s := cache.Stats()
 			hits, builds, skipped := s.Hits-prev.Hits, s.Builds-prev.Builds, s.Skipped-prev.Skipped
@@ -213,8 +216,13 @@ func main() {
 				rep.Sessions, rep.Cells, time.Since(start).Seconds())
 		}
 		if *memCeiling > 0 {
-			fmt.Fprintf(os.Stderr, "vodfleet: peak live heap %.1f MiB (ceiling %d MiB)\n",
-				float64(peakHeap.Load())/(1<<20), *memCeiling)
+			// Allocated is the run's own TotalAlloc delta: what a live-heap
+			// peak hides when the collector keeps up, and the first number
+			// to move when a slab is sized by the population again.
+			allocated := after.TotalAlloc - before.TotalAlloc
+			fmt.Fprintf(os.Stderr, "vodfleet: peak live heap %.1f MiB (ceiling %d MiB), allocated %.1f MiB (%d B/session)\n",
+				float64(peakHeap.Load())/(1<<20), *memCeiling,
+				float64(allocated)/(1<<20), allocated/uint64(rep.Sessions))
 		}
 		if *jsonOut != "" {
 			b, err := rep.JSON()

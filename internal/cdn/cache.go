@@ -7,8 +7,12 @@ package cdn
 // lookups and admits allocate nothing (map writes reuse deleted
 // buckets, slab growth amortizes to the warm set size), and no map is
 // ever iterated, so behavior is a pure function of the request stream.
+// The index is keyed by the object's packed word (Object.key), which the
+// runtime hashes on its 64-bit fast path. drop keeps the map's buckets
+// and the slab's capacity, so a recycled cache refills into the memory
+// its last user grew.
 type cache struct {
-	idx  map[Object]int32
+	idx  map[uint64]int32
 	ent  []entry
 	free int32 // head of free list through entry.next; -1 empty
 
@@ -20,7 +24,7 @@ type cache struct {
 }
 
 type entry struct {
-	obj        Object
+	key        uint64
 	size       float64
 	expire     float64 // virtual time at which the object goes stale
 	prev, next int32
@@ -29,14 +33,9 @@ type entry struct {
 const nilEnt = int32(-1)
 
 func newCache(capBytes, ttlSec float64) *cache {
-	return &cache{
-		idx:  make(map[Object]int32),
-		free: nilEnt,
-		head: nilEnt,
-		tail: nilEnt,
-		cap:  capBytes,
-		ttl:  ttlSec,
-	}
+	c := &cache{idx: make(map[uint64]int32), cap: capBytes, ttl: ttlSec}
+	c.drop()
+	return c
 }
 
 // lookup reports whether obj is cached and fresh at virtual time now,
@@ -45,7 +44,7 @@ func newCache(capBytes, ttlSec float64) *cache {
 //
 //vodlint:hotpath
 func (c *cache) lookup(now float64, obj Object) bool {
-	e, ok := c.idx[obj]
+	e, ok := c.idx[obj.key()]
 	if !ok {
 		return false
 	}
@@ -67,7 +66,8 @@ func (c *cache) admit(now float64, obj Object, size float64) {
 	if c.cap > 0 && size > c.cap {
 		return
 	}
-	if e, ok := c.idx[obj]; ok {
+	key := obj.key()
+	if e, ok := c.idx[key]; ok {
 		// Refresh in place; size is immutable per object.
 		c.ent[e].expire = now + c.ttl
 		c.touch(e)
@@ -80,7 +80,7 @@ func (c *cache) admit(now float64, obj Object, size float64) {
 	}
 	e := c.alloc()
 	ent := &c.ent[e]
-	ent.obj, ent.size, ent.expire = obj, size, now+c.ttl
+	ent.key, ent.size, ent.expire = key, size, now+c.ttl
 	ent.prev, ent.next = nilEnt, c.head
 	if c.head != nilEnt {
 		c.ent[c.head].prev = e
@@ -89,7 +89,7 @@ func (c *cache) admit(now float64, obj Object, size float64) {
 	if c.tail == nilEnt {
 		c.tail = e
 	}
-	c.idx[obj] = e
+	c.idx[key] = e
 	c.used += size
 }
 
@@ -129,7 +129,7 @@ func (c *cache) remove(e int32) {
 		c.tail = ent.prev
 	}
 	c.used -= ent.size
-	delete(c.idx, ent.obj)
+	delete(c.idx, ent.key)
 	ent.next = c.free
 	c.free = e
 }
@@ -144,20 +144,12 @@ func (c *cache) alloc() int32 {
 	return int32(len(c.ent) - 1)
 }
 
-// drop empties the cache (node failure: all content lost). The slab
-// is kept for reuse.
+// drop empties the cache (node failure: all content lost; a recycled
+// tier: the state newCache returns). The index keeps its buckets and the
+// slab its capacity.
 func (c *cache) drop() {
-	for k := range c.idx {
-		delete(c.idx, k)
-	}
-	for i := range c.ent {
-		c.ent[i].next = int32(i) - 1
-	}
-	if n := len(c.ent); n > 0 {
-		c.free = int32(n - 1)
-	} else {
-		c.free = nilEnt
-	}
-	c.head, c.tail = nilEnt, nilEnt
+	clear(c.idx)
+	c.ent = c.ent[:0]
+	c.free, c.head, c.tail = nilEnt, nilEnt, nilEnt
 	c.used = 0
 }

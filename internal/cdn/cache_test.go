@@ -26,8 +26,8 @@ func sumEntries(t *testing.T, c *cache) float64 {
 		if ent.prev != prev {
 			t.Fatalf("LRU list corrupt: entry %d has prev %d, want %d", e, ent.prev, prev)
 		}
-		if got, ok := c.idx[ent.obj]; !ok || got != e {
-			t.Fatalf("index out of sync for %v: got (%d,%v), want %d", ent.obj, got, ok, e)
+		if got, ok := c.idx[ent.key]; !ok || got != e {
+			t.Fatalf("index out of sync for %#x: got (%d,%v), want %d", ent.key, got, ok, e)
 		}
 		used += ent.size
 		n++
@@ -96,7 +96,7 @@ func TestCacheTTLBoundary(t *testing.T) {
 	if c.lookup(110, obj) {
 		t.Fatal("lookup at exactly now == expire hit; expiry must be strict")
 	}
-	if _, ok := c.idx[obj]; ok {
+	if _, ok := c.idx[obj.key()]; ok {
 		t.Fatal("expired entry not removed on lookup")
 	}
 	// Re-admission refreshes the clock.
@@ -119,7 +119,7 @@ func TestCacheNoTTL(t *testing.T) {
 // hit/miss sequences and identical final cache contents — eviction
 // order is a pure function of the stream.
 func TestCacheLRUDeterminism(t *testing.T) {
-	run := func() (hits []bool, final []Object) {
+	run := func() (hits []bool, final []uint64) {
 		rng := rand.New(rand.NewSource(7))
 		c := newCache(2000, 25)
 		now := 0.0
@@ -134,10 +134,7 @@ func TestCacheLRUDeterminism(t *testing.T) {
 				c.admit(now, obj, size)
 			}
 		}
-		for e := c.head; e != nilEnt; e = c.ent[e].next {
-			final = append(final, c.ent[e].obj)
-		}
-		return hits, final
+		return hits, lruKeys(c)
 	}
 	h1, f1 := run()
 	h2, f2 := run()
@@ -218,5 +215,49 @@ func TestCacheDrop(t *testing.T) {
 	}
 	if got := sumEntries(t, c); got != c.used {
 		t.Fatalf("post-drop accounting: used %.0f, entries %.0f", c.used, got)
+	}
+}
+
+// TestObjectKey: the packed key keeps every in-range object distinct —
+// the corners of each field against its neighbours — and an object a
+// field cannot hold panics naming the field, never aliases.
+func TestObjectKey(t *testing.T) {
+	corners := []Object{
+		{},
+		{Index: maxIndex - 1},
+		{Track: 1},
+		{Track: maxTrack - 1, Index: maxIndex - 1},
+		{Kind: KindAudio},
+		{Kind: KindAudio, Track: maxTrack - 1, Index: maxIndex - 1},
+		{Catalog: 1},
+		{Catalog: maxCatalog - 1, Kind: KindAudio, Track: maxTrack - 1, Index: maxIndex - 1},
+	}
+	c := newCache(0, 0)
+	for i, obj := range corners {
+		if c.lookup(0, obj) {
+			t.Fatalf("%+v aliases one of %+v", obj, corners[:i])
+		}
+		c.admit(0, obj, 1)
+	}
+	for _, tc := range []struct {
+		obj  Object
+		want string
+	}{
+		{Object{Catalog: -1}, "cdn: object {Catalog:-1 Kind:0 Track:0 Index:0}: Catalog out of range [0, 65536)"},
+		{Object{Catalog: 1 << 16, Index: 3}, "cdn: object {Catalog:65536 Kind:0 Track:0 Index:3}: Catalog out of range [0, 65536)"},
+		{Object{Kind: 2}, "cdn: object {Catalog:0 Kind:2 Track:0 Index:0}: Kind out of range [0, 2)"},
+		{Object{Track: 1 << 16}, "cdn: object {Catalog:0 Kind:0 Track:65536 Index:0}: Track out of range [0, 65536)"},
+		{Object{Track: -7}, "cdn: object {Catalog:0 Kind:0 Track:-7 Index:0}: Track out of range [0, 65536)"},
+		{Object{Index: 1 << 24}, "cdn: object {Catalog:0 Kind:0 Track:0 Index:16777216}: Index out of range [0, 16777216)"},
+		{Object{Index: -1}, "cdn: object {Catalog:0 Kind:0 Track:0 Index:-1}: Index out of range [0, 16777216)"},
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != tc.want {
+					t.Errorf("%+v: panic %v, want %q", tc.obj, got, tc.want)
+				}
+			}()
+			c.admit(0, tc.obj, 1)
+		}()
 	}
 }

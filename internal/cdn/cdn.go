@@ -44,7 +44,11 @@
 // 0) unless the cell is in the configured cold set.
 package cdn
 
-import "repro/internal/simnet"
+import (
+	"fmt"
+
+	"repro/internal/simnet"
+)
 
 // Object kinds.
 const (
@@ -62,6 +66,40 @@ type Object struct {
 	Kind    uint8
 	Track   int32
 	Index   int32
+}
+
+// The packed key's field widths: what one cache namespace can hold.
+const (
+	maxCatalog = 1 << 16
+	maxTrack   = 1 << 16
+	maxIndex   = 1 << 24
+)
+
+// key packs the object into the one machine word the cache index is
+// keyed by: Catalog<<48 | Kind<<40 | Track<<24 | Index. A coordinate
+// outside its field would alias another object's key, so it panics
+// naming the field instead (a fleet cell reports it as that cell's
+// error).
+func (o Object) key() uint64 {
+	if uint32(o.Catalog) >= maxCatalog || o.Kind > KindAudio || uint32(o.Track) >= maxTrack || uint32(o.Index) >= maxIndex {
+		o.badKey()
+	}
+	return uint64(o.Catalog)<<48 | uint64(o.Kind)<<40 | uint64(o.Track)<<24 | uint64(o.Index)
+}
+
+// badKey is key's cold half: it names the first coordinate that does
+// not fit. The uint32 conversions fold negatives into the upper range.
+func (o Object) badKey() {
+	field, limit := "Index", maxIndex
+	switch {
+	case uint32(o.Catalog) >= maxCatalog:
+		field, limit = "Catalog", maxCatalog
+	case o.Kind > KindAudio:
+		field, limit = "Kind", int(KindAudio)+1
+	case uint32(o.Track) >= maxTrack:
+		field, limit = "Track", maxTrack
+	}
+	panic(fmt.Sprintf("cdn: object %+v: %s out of range [0, %d)", o, field, limit))
 }
 
 // Route is a resolver's verdict on one request: where the response is

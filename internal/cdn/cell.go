@@ -66,23 +66,39 @@ type Metro struct {
 // cell's simnet by the caller). metro may be nil. The caller warms the
 // edge nodes via Catalog.Warm unless the cell is cold.
 func NewCell(cfg CacheConfig, cellIdx int, metro *Metro, backhaul *simnet.AccessLink) *Cell {
-	nodes := make([]*cache, cfg.EdgeNodes)
-	for i := range nodes {
-		nodes[i] = newCache(cfg.EdgeBytes, cfg.TTLSec)
+	c := new(Cell)
+	c.Reset(cfg, cellIdx, metro, backhaul)
+	return c
+}
+
+// Reset makes c the cell NewCell would return for the same arguments —
+// empty live nodes, zero load and Stats, the failure re-armed — inside
+// the memory c already holds: node indexes keep their buckets and entry
+// slabs their capacity, so warming and running a recycled cell refills
+// what its predecessors grew instead of allocating it again. Clients of
+// the previous cell must not be used again.
+func (c *Cell) Reset(cfg CacheConfig, cellIdx int, metro *Metro, backhaul *simnet.AccessLink) {
+	if len(c.nodes) != cfg.EdgeNodes {
+		c.nodes = make([]*cache, cfg.EdgeNodes)
+		for i := range c.nodes {
+			c.nodes[i] = newCache(cfg.EdgeBytes, cfg.TTLSec)
+		}
+		c.load = make([]float64, cfg.EdgeNodes)
+		c.dead = make([]bool, cfg.EdgeNodes)
 	}
-	var mc *cache
+	for i, n := range c.nodes {
+		n.cap, n.ttl = cfg.EdgeBytes, cfg.TTLSec
+		n.drop()
+		c.load[i], c.dead[i] = 0, false
+	}
+	c.cfg = cfg
+	c.metro = nil
 	if metro != nil {
-		mc = metro.c
+		c.metro = metro.c
 	}
-	return &Cell{
-		cfg:       cfg,
-		nodes:     nodes,
-		load:      make([]float64, cfg.EdgeNodes),
-		dead:      make([]bool, cfg.EdgeNodes),
-		metro:     mc,
-		backhaul:  backhaul,
-		failArmed: cfg.FailAtSec > 0 && cellIdx == cfg.FailCell,
-	}
+	c.backhaul = backhaul
+	c.failArmed = cfg.FailAtSec > 0 && cellIdx == cfg.FailCell
+	c.Stats = Stats{}
 }
 
 // NewMetro builds one shard's metro cache, or nil when the tier is
@@ -96,6 +112,15 @@ func NewMetro(cfg CacheConfig) *Metro {
 		capBytes = 0 // cache treats <= 0 as unlimited
 	}
 	return &Metro{c: newCache(capBytes, cfg.TTLSec)}
+}
+
+// Reset empties the metro cache — the state NewMetro returned it in —
+// keeping its memory, for the next shard of whoever owns it. No-op on
+// the nil Metro of a disabled tier.
+func (m *Metro) Reset() {
+	if m != nil {
+		m.c.drop()
+	}
 }
 
 // checkFail applies the configured edge-node failure once its virtual

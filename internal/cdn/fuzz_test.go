@@ -66,7 +66,7 @@ func checkStructure(t *testing.T, c *cache) {
 		if c.ent[e].prev != prev {
 			t.Fatalf("list corrupt at %d", e)
 		}
-		if got, ok := c.idx[c.ent[e].obj]; !ok || got != e {
+		if got, ok := c.idx[c.ent[e].key]; !ok || got != e {
 			t.Fatalf("index out of sync at %d", e)
 		}
 		used += c.ent[e].size

@@ -550,6 +550,11 @@ func RunWithOptions(ctx context.Context, cfg Config, opts RunOptions) (*Report, 
 		pending  = make([]*fleetAgg, nShards)
 		foldNext int
 		focusOut []FocusSession
+		// Scratches between shards. A shard takes one when it starts and
+		// hands it back with its fold, so no more exist than shards ever
+		// run at once — at most the worker count. A shard that fails keeps
+		// its (possibly half-written) scratch to itself.
+		free []*shardScratch
 	)
 	_, err = sched.RunStealing(ctx, nShards, workers, opts.Steal, func(sh int) error {
 		shardAgg := newFleetAgg(len(cfg.Services))
@@ -558,16 +563,23 @@ func RunWithOptions(ctx context.Context, cfg Config, opts RunOptions) (*Report, 
 		if hi > nCells {
 			hi = nCells
 		}
-		// The dense scratch every cell of this shard folds into, one after
-		// the other; its slabs wait for the first cell that is simulated.
-		scratch := new(cellAgg)
-		// The metro cache is shard state: created here, warmed once,
+		var scratch *shardScratch
+		mu.Lock()
+		if n := len(free); n > 0 {
+			scratch, free = free[n-1], free[:n-1]
+		}
+		mu.Unlock()
+		if scratch == nil {
+			scratch = new(shardScratch)
+		}
+		// The metro cache is shard state: emptied here, warmed once,
 		// and touched only by this shard's cells, which run strictly
 		// sequentially below — so its evolution is a pure function of
-		// the shard's cell order regardless of worker or schedule.
+		// the shard's cell order regardless of worker, schedule or which
+		// shard held the scratch before.
 		var metro *cdn.Metro
 		if cfg.Cache != nil {
-			metro = cdn.NewMetro(*cfg.Cache)
+			metro = scratch.freshMetro(*cfg.Cache)
 			tab.catalog.WarmMetro(metro)
 		}
 		for c := lo; c < hi; c++ {
@@ -611,6 +623,7 @@ func RunWithOptions(ctx context.Context, cfg Config, opts RunOptions) (*Report, 
 			shardFocus = append(shardFocus, fs...)
 		}
 		mu.Lock()
+		free = append(free, scratch)
 		pending[sh] = shardAgg
 		for foldNext < nShards && pending[foldNext] != nil {
 			fleet.mergeFleet(pending[foldNext])
@@ -707,13 +720,67 @@ func cdnCatalog(origins []*origin.Origin) *cdn.Catalog {
 	return cdn.NewCatalog(titles)
 }
 
+// shardScratch is the memory one worker lends to the shards it runs, one
+// after the other: everything a cell needs only while it is simulated and
+// whose size settles after the first few cells. Each piece is put back
+// into its initial state before use, so a cell cannot tell a recycled
+// scratch from a new one. A scratch serves one run (one runSpec).
+type shardScratch struct {
+	// agg is the dense scratch every cell folds into; its slabs wait for
+	// the first cell that is simulated.
+	agg cellAgg
+	// The cache tier: the current cell's edge nodes and the current
+	// shard's metro cache. The scratch owns both; a cell or shard borrows
+	// them through freshCell/freshMetro, which reset instead of rebuild.
+	cell  *cdn.Cell
+	metro *cdn.Metro
+	// One-second samples of the run's two constant links, grown to the
+	// longest horizon seen and never rewritten: a cell's edge and backhaul
+	// profiles are prefixes of them.
+	edgeSamples, backhaulSamples []float64
+}
+
+// freshMetro returns the scratch's metro cache in the state cdn.NewMetro
+// returns one (nil when the tier is disabled).
+func (s *shardScratch) freshMetro(cfg cdn.CacheConfig) *cdn.Metro {
+	if s.metro == nil {
+		s.metro = cdn.NewMetro(cfg)
+	} else {
+		s.metro.Reset()
+	}
+	return s.metro
+}
+
+// freshCell returns the scratch's cell in the state cdn.NewCell returns
+// one for the same arguments.
+func (s *shardScratch) freshCell(cfg cdn.CacheConfig, cellIdx int, metro *cdn.Metro, backhaul *simnet.AccessLink) *cdn.Cell {
+	if s.cell == nil {
+		s.cell = cdn.NewCell(cfg, cellIdx, metro, backhaul)
+	} else {
+		s.cell.Reset(cfg, cellIdx, metro, backhaul)
+	}
+	return s.cell
+}
+
+// constantOver is netem.Constant(name, bps, dur) over a lent slab: the
+// same samples, but shared with every other profile cut from *slab, which
+// must hold nothing but bps. Growing the slab leaves earlier profiles
+// (immutable prefixes) intact.
+func constantOver(slab *[]float64, name string, bps, dur float64) *netem.Profile {
+	n := max(int(math.Ceil(dur)), 1)
+	for len(*slab) < n {
+		*slab = append(*slab, bps)
+	}
+	return &netem.Profile{Name: name, SampleDur: 1, Samples: (*slab)[:n:n]}
+}
+
 // runCell runs cell k of a normalized config from its specs and labels
 // what comes out: focus records carry k, and an error or a panic anywhere
 // below comes back naming the cell, so a helper goroutine's crash
 // surfaces through RunStealing like any other cell failure instead of
 // killing the process. cfg and k are labels only — the simulation itself
 // (simCell) sees nothing but the two specs.
-func runCell(cfg Config, k int, run *runSpec, cell cellSpec, tab *cellTables, metro *cdn.Metro, focusMembers []int, scratch *cellAgg) (_ *finishedCell, fs []FocusSession, err error) {
+func runCell(cfg Config, k int, run *runSpec, cell cellSpec, tab *cellTables, metro *cdn.Metro, focusMembers []int, scratch *shardScratch) (_ *finishedCell, fs []FocusSession, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("panicked: %v\n%s", p, debug.Stack())
@@ -736,16 +803,21 @@ func runCell(cfg Config, k int, run *runSpec, cell cellSpec, tab *cellTables, me
 // unless selected as focus members — and background members run the
 // coarse analytic tier over the same network. The cell is strictly
 // single-threaded and a pure function of (run, cell, focusMembers) and,
-// when metro-coupled, the metro cache's state; agg only lends its memory.
-func simCell(run *runSpec, cell cellSpec, tab *cellTables, metro *cdn.Metro, focusMembers []int, agg *cellAgg) (*finishedCell, []FocusSession, error) {
+// when metro-coupled, the metro cache's state; scratch only lends its
+// memory.
+func simCell(run *runSpec, cell cellSpec, tab *cellTables, metro *cdn.Metro, focusMembers []int, scratch *shardScratch) (*finishedCell, []FocusSession, error) {
 	members := drawClients(run, cell)
-	horizon := 0.0
+	horizon, nFull := 0.0, 0
 	for _, m := range members {
 		if e := m.Arrival + m.Watch; e > horizon {
 			horizon = e
 		}
+		if m.Full {
+			nFull++
+		}
 	}
-	edge := netem.Constant("edge", run.EdgeMbps*1e6, horizon+1)
+	nBackground := len(members) - nFull
+	edge := constantOver(&scratch.edgeSamples, "edge", run.EdgeMbps*1e6, horizon+1)
 	scfg := simnet.DefaultConfig()
 	scfg.Engine = simnet.EngineCell
 	net := simnet.New(scfg, edge)
@@ -754,20 +826,21 @@ func simCell(run *runSpec, cell cellSpec, tab *cellTables, metro *cdn.Metro, foc
 	// are cell-private; the metro cache (possibly nil) is shard state.
 	var cdnCell *cdn.Cell
 	if run.Cache != nil {
-		backhaul := net.NewAccessLink(netem.Constant("backhaul", run.Cache.BackhaulMbps*1e6, horizon+1))
+		backhaul := net.NewAccessLink(constantOver(&scratch.backhaulSamples, "backhaul", run.Cache.BackhaulMbps*1e6, horizon+1))
 		// The run's config names no failing cell, so this cell is its own
 		// FailCell: armed iff its spec carries a failure time.
 		cc := *run.Cache
 		cc.FailAtSec = cell.FailAtSec
-		cdnCell = cdn.NewCell(cc, cc.FailCell, metro, backhaul)
+		cdnCell = scratch.freshCell(cc, cc.FailCell, metro, backhaul)
 		if !cell.Cold {
 			tab.catalog.Warm(cdnCell)
 		}
 	}
 
+	agg := &scratch.agg
 	agg.begin(len(run.Services))
 	var focusOut []FocusSession
-	meta := make(map[*player.Session]sessMeta, len(members))
+	meta := make(map[*player.Session]sessMeta, nFull)
 	g := player.NewGroup()
 	g.SetObserver(func(s *player.Session, r *player.Result) {
 		sm := meta[s]
@@ -780,7 +853,8 @@ func simCell(run *runSpec, cell cellSpec, tab *cellTables, metro *cdn.Metro, foc
 	// group-heap entry and contiguous per-member slabs, each member
 	// folded into the aggregates by the observer as it finishes.
 	cohort := player.NewCohort(net)
-	var coSvc []int
+	cohort.Grow(nBackground)
+	coSvc := make([]int, 0, nBackground)
 	isFocus := make(map[int]bool, len(focusMembers))
 	for _, m := range focusMembers {
 		isFocus[m] = true

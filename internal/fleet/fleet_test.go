@@ -605,7 +605,7 @@ func TestRunCellContainsPanic(t *testing.T) {
 		origins:     []*origin.Origin{org},
 		bgTemplates: []player.BackgroundConfig{backgroundTemplate(org)},
 	}
-	_, _, err = runCell(cfg, 1, newRunSpec(cfg), newCellSpec(cfg, 1, false), tab, nil, nil, new(cellAgg))
+	_, _, err = runCell(cfg, 1, newRunSpec(cfg), newCellSpec(cfg, 1, false), tab, nil, nil, new(shardScratch))
 	if err == nil {
 		t.Fatal("runCell with no traces returned no error")
 	}

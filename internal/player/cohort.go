@@ -2,6 +2,7 @@ package player
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/cdn"
 	"repro/internal/simnet"
@@ -70,8 +71,13 @@ const (
 //
 // Members are appended with Add (each carrying its own
 // BackgroundConfig — fleet cells mix service templates and per-viewer
-// session durations) before the cohort joins a Group; AddCohort
-// freezes the slabs, so the run itself allocates nothing.
+// session durations) before the cohort joins a Group; AddCohort freezes
+// the per-member slabs. What is sized by the population is what must
+// answer for every member after the run: the draw, the control state and
+// the Summary slabs. The segment FIFO is not — a member queues media only
+// between its first completed segment and its finish — so FIFO rings are
+// pooled: the run allocates a ring slab that grows to the peak number of
+// members buffering at once, and nothing else.
 type Cohort struct {
 	net *simnet.Network
 
@@ -101,15 +107,19 @@ type Cohort struct {
 	conn []*simnet.Conn
 	refs []cohortRef // Transfer.Meta targets: pointers into this slab
 
-	// Segment FIFO rings: member m owns qTrack/qDur/qMark[m*qCap :
-	// (m+1)*qCap], a ring of at most qCap buffered stretches (the buffer
-	// pauses at bgMaxBufferSec, so the ring is small and bounded).
-	qCap   int
-	qTrack []int32
-	qDur   []float64
-	qMark  []uint8 // counted flag: switch accounting done at first consumption
-	qHead  []int32
-	qLen   []int32
+	// Segment FIFO rings: ring r is rings[r*qCap : (r+1)*qCap], at most
+	// qCap buffered stretches (the buffer pauses at bgMaxBufferSec, so a
+	// ring is small and bounded). Member m holds ring fifo[m].ring from
+	// its first completed segment until finishMember returns it to the
+	// free stack, which is threaded through the free rings' first slots
+	// (freeRing is its top, -1 empty). Which ring a member got is
+	// invisible outside these fields: a ring is empty when handed over
+	// and every slot is written before it is read, so no Summary can
+	// depend on ring identity or reuse order.
+	qCap     int
+	rings    []ringSlot
+	freeRing int32
+	fifo     []memberFIFO
 
 	// Per-member Summary slabs; timeOnTrack packs each member's ladder-
 	// width row at toOff[m] (ladders differ across service templates).
@@ -145,6 +155,24 @@ const (
 	coInflight
 )
 
+// ringSlot is one buffered stretch of media: a downloaded segment, or
+// what is left of it once playback has begun to consume it. In a free
+// ring, slot 0's track is the next free ring's index.
+type ringSlot struct {
+	dur     float64
+	track   int32
+	counted bool // switch accounting done at first consumption
+}
+
+// memberFIFO is a member's window onto its ring (-1: none held).
+type memberFIFO struct {
+	ring, head, n int32
+}
+
+// ringQuantum is the smallest step the ring slab grows by, in rings;
+// beyond it the slab doubles.
+const ringQuantum = 8
+
 // cohortRef identifies one cohort member as a transfer's Meta: a
 // pointer into the cohort's refs slab, so starting a request boxes a
 // pointer (no allocation) and a completion routes back to the member.
@@ -156,7 +184,18 @@ type cohortRef struct {
 // NewCohort starts an empty cohort over the shared network; append
 // members with Add, then register it with Group.AddCohort.
 func NewCohort(net *simnet.Network) *Cohort {
-	return &Cohort{net: net}
+	return &Cohort{net: net, freeRing: -1}
+}
+
+// Grow reserves room for n more members, so the Adds that follow fill
+// the draw slabs in place instead of doubling their way up to n.
+func (c *Cohort) Grow(n int) {
+	c.cfgs = slices.Grow(c.cfgs, n)
+	c.segCnt = slices.Grow(c.segCnt, n)
+	c.startAt = slices.Grow(c.startAt, n)
+	c.link = slices.Grow(c.link, n)
+	c.resolve = slices.Grow(c.resolve, n)
+	c.catID = slices.Grow(c.catID, n)
 }
 
 // Add appends one member with its own config (zero fields take the
@@ -209,8 +248,9 @@ func (c *Cohort) SetResolver(i int, r cdn.Resolver, catalog int32) {
 // don't retain it.
 func (c *Cohort) SetObserver(fn func(i int, s *Summary)) { c.observer = fn }
 
-// freeze sizes every slab for the member set (called by AddCohort; the
-// group run itself allocates nothing).
+// freeze sizes the per-member slabs for the member set and fixes the ring
+// stride (called by AddCohort). Rings themselves are taken as members
+// start buffering.
 func (c *Cohort) freeze() {
 	if c.frozen {
 		return
@@ -248,11 +288,7 @@ func (c *Cohort) freeze() {
 	c.totBytes = make([]float64, n)
 	c.conn = make([]*simnet.Conn, n)
 	c.refs = make([]cohortRef, n)
-	c.qTrack = make([]int32, n*c.qCap)
-	c.qDur = make([]float64, n*c.qCap)
-	c.qMark = make([]uint8, n*c.qCap)
-	c.qHead = make([]int32, n)
-	c.qLen = make([]int32, n)
+	c.fifo = make([]memberFIFO, n)
 	c.sumStartup = make([]float64, n)
 	c.sumStallCnt = make([]int32, n)
 	c.sumStallSec = make([]float64, n)
@@ -270,6 +306,7 @@ func (c *Cohort) freeze() {
 		c.lastTime[m] = c.startAt[m]
 		c.prevTrak[m] = -1
 		c.sumStartup[m] = -1
+		c.fifo[m].ring = -1
 		c.refs[m] = cohortRef{c: c, idx: m}
 	}
 	c.toOff[n] = off
@@ -383,16 +420,41 @@ func (c *Cohort) onComplete(m int, tr *simnet.Transfer) {
 	c.samples[m]++
 	c.totBytes[m] += tr.Size
 	c.bufferSec[m] += c.pendDur[m]
-	if int(c.qLen[m]) >= c.qCap {
+	q := &c.fifo[m]
+	if q.ring < 0 {
+		q.ring = c.takeRing()
+	}
+	if int(q.n) >= c.qCap {
 		panic("player: cohort segment ring overflow")
 	}
-	slot := m*c.qCap + int(c.qHead[m]+c.qLen[m])%c.qCap
-	c.qTrack[slot] = c.pendTrak[m]
-	c.qDur[slot] = c.pendDur[m]
-	c.qMark[slot] = 0
-	c.qLen[m]++
+	c.rings[int(q.ring)*c.qCap+int(q.head+q.n)%c.qCap] = ringSlot{dur: c.pendDur[m], track: c.pendTrak[m]}
+	q.n++
 	c.nextSeg[m]++
 	c.maybeStartPlayback(m, tr.Completed)
+}
+
+// takeRing pops a free ring, growing the slab when none is left.
+func (c *Cohort) takeRing() int32 {
+	if c.freeRing < 0 {
+		c.growRings()
+	}
+	r := c.freeRing
+	c.freeRing = c.rings[int(r)*c.qCap].track
+	return r
+}
+
+// growRings is takeRing's cold half: it extends the slab by as many
+// rings as it holds (at least ringQuantum) and stacks the new ones,
+// lowest index on top. It runs O(log peak) times per cohort, where peak
+// is the most members ever buffering at once.
+func (c *Cohort) growRings() {
+	have := len(c.rings) / c.qCap
+	add := max(have, ringQuantum)
+	c.rings = slices.Grow(c.rings, add*c.qCap)[:(have+add)*c.qCap]
+	for r := have + add - 1; r >= have; r-- {
+		c.rings[r*c.qCap].track = c.freeRing
+		c.freeRing = int32(r)
+	}
 }
 
 func (c *Cohort) maybeStartPlayback(m int, now float64) {
@@ -455,28 +517,29 @@ func (c *Cohort) consume(m int, adv float64) {
 	c.playhead[m] += adv
 	c.bufferSec[m] = math.Max(0, c.bufferSec[m]-adv)
 	to := int(c.toOff[m])
+	q := &c.fifo[m]
 	rem := adv
-	for rem > eps && c.qLen[m] > 0 {
-		slot := m*c.qCap + int(c.qHead[m])
-		if c.qMark[slot] == 0 {
-			if c.prevTrak[m] >= 0 && c.qTrack[slot] != c.prevTrak[m] {
+	for rem > eps && q.n > 0 {
+		s := &c.rings[int(q.ring)*c.qCap+int(q.head)]
+		if !s.counted {
+			if c.prevTrak[m] >= 0 && s.track != c.prevTrak[m] {
 				c.sumSwitch[m]++
-				if d := c.qTrack[slot] - c.prevTrak[m]; d > 1 || d < -1 {
+				if d := s.track - c.prevTrak[m]; d > 1 || d < -1 {
 					c.sumNonCons[m]++
 				}
 			}
-			c.prevTrak[m] = c.qTrack[slot]
-			c.qMark[slot] = 1
+			c.prevTrak[m] = s.track
+			s.counted = true
 		}
-		d := math.Min(rem, c.qDur[slot])
-		c.sumWeighted[m] += c.cfgs[m].Declared[c.qTrack[slot]] * d
+		d := math.Min(rem, s.dur)
+		c.sumWeighted[m] += c.cfgs[m].Declared[s.track] * d
 		c.sumMedia[m] += d
-		c.timeOnTrack[to+int(c.qTrack[slot])] += d
-		c.qDur[slot] -= d
+		c.timeOnTrack[to+int(s.track)] += d
+		s.dur -= d
 		rem -= d
-		if c.qDur[slot] <= eps {
-			c.qHead[m] = int32((int(c.qHead[m]) + 1) % c.qCap)
-			c.qLen[m]--
+		if s.dur <= eps {
+			q.head = int32((int(q.head) + 1) % c.qCap)
+			q.n--
 		}
 	}
 }
@@ -495,9 +558,9 @@ func (c *Cohort) nextDeadline(m int, now float64) float64 {
 	return d
 }
 
-// finishMember finalizes member m once, releases its connection, and
-// hands the observer a scratch Summary assembled from the slabs (the
-// TimeOnTrack slice is a view into the cohort's slab, not a copy).
+// finishMember finalizes member m once, releases its connection and its
+// ring, and hands the observer a scratch Summary assembled from the slabs
+// (the TimeOnTrack slice is a view into the cohort's slab, not a copy).
 func (c *Cohort) finishMember(m int) {
 	if c.flags[m]&coDone != 0 {
 		return
@@ -512,6 +575,10 @@ func (c *Cohort) finishMember(m int) {
 	}
 	if c.conn[m] != nil {
 		c.conn[m].Close()
+	}
+	if q := &c.fifo[m]; q.ring >= 0 {
+		c.rings[int(q.ring)*c.qCap].track = c.freeRing
+		c.freeRing, q.ring = q.ring, -1
 	}
 	c.flags[m] |= coDone
 	if c.observer != nil {

@@ -430,3 +430,83 @@ func TestCohortRejectsLateAdd(t *testing.T) {
 	}()
 	c.Add(BackgroundConfig{Declared: []float64{1e5}, SegmentDuration: 4, MediaDuration: 20})
 }
+
+// ringsTouched counts the rings some member has written a segment into.
+func ringsTouched(c *Cohort) int {
+	n := 0
+	for r := 0; r < len(c.rings)/c.qCap; r++ {
+		for _, s := range c.rings[r*c.qCap : (r+1)*c.qCap] {
+			if s.dur != 0 || s.counted {
+				n++
+				break
+			}
+		}
+	}
+	return n
+}
+
+// TestCohortRingPool pins what the ring slab is sized by: the members
+// buffering at once, not the members. Six viewers whose sessions never
+// overlap pass one ring along; twenty who all watch together take twenty,
+// growing the slab twice. (That a Summary cannot tell which ring served
+// it is the differential suite's job: a singleton cohort always plays out
+// of ring 0, its batched twin out of whichever was free.)
+func TestCohortRingPool(t *testing.T) {
+	cfg := BackgroundConfig{Declared: []float64{2e5, 6e5}, SegmentDuration: 4, MediaDuration: 60, SessionDuration: 20}
+	run := func(n int, gap float64) *Cohort {
+		net := simnet.New(simnet.DefaultConfig(), netem.Constant("edge", 40e6, 400))
+		c := NewCohort(net)
+		c.Grow(n)
+		next := 0
+		add := func() {
+			c.SetStartAt(c.Add(cfg), gap*float64(next))
+			next++
+		}
+		// AllocsPerRun calls add once to warm up, then n-1 times.
+		if allocs := testing.AllocsPerRun(n-1, add); allocs != 0 || c.Len() != n {
+			t.Fatalf("%d Adds after Grow(%d) allocate %.1f times each", c.Len(), n, allocs)
+		}
+		for i := 0; i < n; i++ {
+			c.SetAccessLink(i, net.NewAccessLink(netem.Constant("access", 5e6, 400)))
+		}
+		g := NewGroup()
+		if err := g.AddCohort(c); err != nil {
+			t.Fatal(err)
+		}
+		g.Run()
+		for i := 0; i < n; i++ {
+			if s := c.MemberSummary(i); s.PlayedSec < 10 {
+				t.Fatalf("member %d of %d played %.1f s: the scenario does not buffer", i, n, s.PlayedSec)
+			}
+			if c.fifo[i].ring != -1 {
+				t.Fatalf("member %d of %d finished holding ring %d", i, n, c.fifo[i].ring)
+			}
+		}
+		return c
+	}
+	if c := run(6, 30); ringsTouched(c) != 1 || len(c.rings) != ringQuantum*c.qCap {
+		t.Errorf("6 disjoint members touched %d rings of %d, want 1 of %d", ringsTouched(c), len(c.rings)/c.qCap, ringQuantum)
+	}
+	if c := run(20, 0); ringsTouched(c) != 20 || len(c.rings) != 4*ringQuantum*c.qCap {
+		t.Errorf("20 concurrent members touched %d rings of %d, want 20 of %d", ringsTouched(c), len(c.rings)/c.qCap, 4*ringQuantum)
+	}
+}
+
+// TestCohortRingOverflowPanics: the per-ring bound survives pooling — a
+// member whose FIFO already holds qCap stretches cannot queue another.
+func TestCohortRingOverflowPanics(t *testing.T) {
+	net := simnet.New(simnet.DefaultConfig(), netem.Constant("edge", 40e6, 60))
+	c := NewCohort(net)
+	c.Add(BackgroundConfig{Declared: []float64{2e5}, SegmentDuration: 4, MediaDuration: 60, SessionDuration: 30})
+	g := NewGroup()
+	if err := g.AddCohort(c); err != nil {
+		t.Fatal(err)
+	}
+	c.fifo[0].n = int32(c.qCap)
+	defer func() {
+		if got, want := recover(), "player: cohort segment ring overflow"; got != want {
+			t.Fatalf("panic %v, want %q", got, want)
+		}
+	}()
+	g.Run()
+}
