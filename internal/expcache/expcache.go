@@ -40,7 +40,7 @@ import (
 // generation, adaptation, origin) can alter any session result. The
 // committed REPORT.md is the ground truth a bumped engine must be
 // re-verified against.
-const EngineVersion = "10"
+const EngineVersion = "11"
 
 // Stats is a snapshot of the cache counters.
 type Stats struct {

@@ -819,7 +819,6 @@ func simCell(run *runSpec, cell cellSpec, tab *cellTables, metro *cdn.Metro, foc
 	nBackground := len(members) - nFull
 	edge := constantOver(&scratch.edgeSamples, "edge", run.EdgeMbps*1e6, horizon+1)
 	scfg := simnet.DefaultConfig()
-	scfg.Engine = simnet.EngineCell
 	net := simnet.New(scfg, edge)
 
 	// The cell's edge-cache tier: its nodes, balancer and backhaul link

@@ -10,13 +10,13 @@ import (
 )
 
 // fleetGoldenCases are four small populations whose report bytes pin
-// the whole fleet stack: cells that stay on the cell engine, a flash
-// crowd that saturates cell 0 through the virtual-time engine with the
-// benchmark's cache tier on, a partially loaded crowd where capped and
-// uncapped flows coexist in the virtual-time engine, and a crowd of
+// the whole fleet stack: cells that stay on simnet's anchored loop, a
+// flash crowd that saturates cell 0 through the virtual-time loop with
+// the benchmark's cache tier on, a partially loaded crowd where capped
+// and uncapped flows coexist in the virtual-time loop, and a crowd of
 // full players only, whose parallel connections share one access link
 // each — capped and uncapped flows on the same link. The last two are
-// the ones sensitive to float accumulation order in that engine.
+// the ones sensitive to float accumulation order in that loop.
 var fleetGoldenCases = []struct {
 	name string
 	cfg  Config
@@ -36,15 +36,11 @@ var fleetGoldenCases = []struct {
 //
 //	go test ./internal/fleet -run TestFleetReportGolden | grep -oE '"[a-z0-9]+": +"[0-9a-f]{64}",'
 //
-// The "10" row was recorded when the virtual-time engine's uncCap heap
-// began holding lower bounds of the uncapped flows' caps: mixed4800,
-// flash20000 and partial3000 are the "9" digests, unchanged; full1500
-// moved (flows with equal caps demote in a different order, so R and
-// capRT accumulate in a different order); on the commit before, at
-// EngineVersion "9", it was
-// f8a82c80ae3a60642a34835b7ea8c3ec57e7b69132180ede6e2dabe6609f08f9.
+// The "11" row is the "10" row, digest for digest: version 11 put the
+// paper harness on the two loops the fleet already ran and moved no
+// fleet byte.
 var fleetGolden = map[string]map[string]string{
-	"10": {
+	"11": {
 		"mixed4800":   "563bd4276602b9df4710318988fafa29d110331b0bc08ed12ff1475d12972a88",
 		"flash20000":  "3b16551bfaf6931aa76e3b538101799e379d8a5e8b60e1a25f6d57fbe5996d86",
 		"partial3000": "853a188f958aed04ab1e932fa21b86e227ba35c96a2461dc920be538527e1538",

@@ -1,7 +1,9 @@
 package simnet
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/netem"
@@ -9,8 +11,8 @@ import (
 
 // These tests pin the upstream-role AccessLink semantics the cdn tier
 // builds on: StartVia's extra first-byte latency and the even-split
-// backhaul cap that cache misses share — across all three engines,
-// since the upstream fold runs inside each engine's recompute.
+// backhaul cap that cache misses share — in both regimes, since each
+// loop folds the upstream share into its own cap recompute.
 
 // TestStartViaExtraLatency: a cache-miss transfer pays the extra
 // latency before its first byte, nothing else changes.
@@ -29,10 +31,11 @@ func TestStartViaExtraLatency(t *testing.T) {
 // with ample edge and access capacity, sharing one 8 Mbit/s upstream
 // link: the backhaul cap halves their rates.
 func TestBackhaulEvenSplit(t *testing.T) {
-	for _, engine := range []Engine{EngineScan, EngineVTime, EngineCell} {
-		cfg := cfgNoRamp()
-		cfg.Engine = engine
-		n := New(cfg, netem.Constant("edge", 100e6, 100))
+	for _, vtime := range []bool{false, true} {
+		n := New(cfgNoRamp(), netem.Constant("edge", 100e6, 100))
+		if vtime {
+			pinVTime(n)
+		}
 		backhaul := n.NewAccessLink(netem.Constant("backhaul", 8e6, 100))
 		a := n.Dial().StartVia(1e6, 0, backhaul, nil)
 		b := n.Dial().StartVia(1e6, 0, backhaul, nil)
@@ -42,7 +45,7 @@ func TestBackhaulEvenSplit(t *testing.T) {
 		}
 		// 0.2 s latency + 1e6 bytes at 0.5 MB/s each = 2.2 s.
 		if math.Abs(a.Completed-2.2) > 1e-6 || math.Abs(b.Completed-2.2) > 1e-6 {
-			t.Fatalf("engine %v: completions %.4f/%.4f, want 2.2 (even backhaul split)", engine, a.Completed, b.Completed)
+			t.Fatalf("vtime %v: completions %.4f/%.4f, want 2.2 (even backhaul split)", vtime, a.Completed, b.Completed)
 		}
 	}
 }
@@ -50,9 +53,7 @@ func TestBackhaulEvenSplit(t *testing.T) {
 // TestBackhaulDoesNotCapHits: a transfer without an upstream link
 // (edge hit) is unaffected by a congested backhaul carrying others.
 func TestBackhaulDoesNotCapHits(t *testing.T) {
-	cfg := cfgNoRamp()
-	cfg.Engine = EngineCell
-	n := New(cfg, netem.Constant("edge", 100e6, 100))
+	n := New(cfgNoRamp(), netem.Constant("edge", 100e6, 100))
 	backhaul := n.NewAccessLink(netem.Constant("backhaul", 1e6, 100))
 	miss := n.Dial().StartVia(1e6, 0, backhaul, nil)
 	hit := n.Dial().Start(1e6, nil)
@@ -75,10 +76,8 @@ func TestBackhaulDoesNotCapHits(t *testing.T) {
 // TestBackhaulConservation: bytes delivered through a shared backhaul
 // never exceed its capacity integral.
 func TestBackhaulConservation(t *testing.T) {
-	cfg := cfgNoRamp()
-	cfg.Engine = EngineCell
 	prof := netem.Constant("backhaul", 4e6, 100)
-	n := New(cfg, netem.Constant("edge", 100e6, 100))
+	n := New(cfgNoRamp(), netem.Constant("edge", 100e6, 100))
 	backhaul := n.NewAccessLink(prof)
 	var trs []*Transfer
 	for i := 0; i < 6; i++ {
@@ -98,5 +97,27 @@ func TestBackhaulConservation(t *testing.T) {
 	capBytes := prof.Integral(0, last) / 8
 	if delivered > capBytes*1.001 {
 		t.Fatalf("delivered %.0f B through a backhaul that carried at most %.0f B", float64(delivered), capBytes)
+	}
+}
+
+// TestBackhaulEquivalence holds both regimes to the reference with the
+// upstream role in play: the seeded high-fan-in scripts over cellular
+// access links, every odd slot's responses arriving 80 ms later through
+// one shared 12 Mbit/s backhaul — a flow capped by its window, its access
+// share, its backhaul share or the edge, whichever is tightest.
+func TestBackhaulEquivalence(t *testing.T) {
+	for seed := int64(200); seed < 208; seed++ {
+		for _, vtime := range []bool{false, true} {
+			t.Run(fmt.Sprintf("seed%d/vtime=%v", seed, vtime), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed))
+				nconn := 8 + rng.Intn(64)
+				w := workload{
+					ops: buildWorkload(rng, nconn, 4, 60), nconn: nconn, nlinks: 4,
+					linkP:    netem.Cellular(1 + int(seed)%netem.CellularCount),
+					backhaul: netem.Constant("backhaul", 12e6, 100),
+				}
+				checkWorkload(t, DefaultConfig(), netem.Constant("edge", 40e6, 600), vtime, w)
+			})
+		}
 	}
 }

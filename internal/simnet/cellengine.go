@@ -2,17 +2,12 @@ package simnet
 
 import "math"
 
-// The cell engine: EngineCell's anchored-flow event loop.
+// The anchored loop: Step's regime below vtimeEnter flowing transfers.
 //
 // A fleet cell is many mostly-idle clients behind one constant-capacity
-// edge link, each throttled by its own 1 Hz cellular access trace. The
-// scan engine (scanStepOnce) is already O(F) per event, but it must wake
-// at every profile sample boundary — including the edge profile's, whose
-// samples never change — and it materializes every flow's delivery at
-// every event, splitting each constant-rate stretch into one float
-// accumulation per boundary.
-//
-// The cell engine removes both costs while staying event-exact:
+// edge link, each throttled by its own 1 Hz cellular access trace; the
+// paper harness is a dozen flows on one trace. Both are O(F)-per-event
+// territory, and the loop keeps the per-event constant small:
 //
 //   - Flow progress is anchored: each flowing transfer carries
 //     (remaining-at-anchor, anchor time aT, rate, finish time finishT)
@@ -32,7 +27,7 @@ import "math"
 //     to its next arrival.
 //
 //   - Each flowing transfer caches its effective cap (tr.cap), and the
-//     engine tracks exactly which caps changed since the last rate
+//     loop tracks exactly which caps changed since the last rate
 //     assignment (n.dirtyFlows). An event that changed nothing does no
 //     allocation work at all; an event that changed some caps — a trace
 //     sample flip, a window doubling, a flow arriving at or leaving a
@@ -40,91 +35,50 @@ import "math"
 //     flow is cap-bound below the edge capacity (rates are independent
 //     in that regime: rate_i = cap_i, so arrivals and departures leave
 //     the other links' flows untouched); only a capacity change or
-//     leaving the all-capped regime reruns the full water-filling.
+//     leaving the all-capped regime reruns the full water-filling
+//     (waterfill).
 //
 //   - Slow-start doublings are applied lazily. A doubling only matters
 //     when the window is the flow's binding constraint (capBps <= cap);
 //     a link- or static-bound connection generates no doubling events —
 //     its window is synced forward in one loop whenever its cap is next
-//     recomputed, and fully at completion, so the window trajectory is
-//     identical to the eager engine's.
+//     recomputed, and fully at completion: the doubling schedule is a
+//     pure function of time.
 //
 //   - The event loop is fluid: cellStepOnce consumes rate-boundary
 //     events (trace flips, doublings, arrivals) internally and only
-//     returns to Step's dispatch loop on a completion batch, the
-//     deadline, or a flow-count handoff to the virtual-time engine.
-//
-// Rates themselves are computed by the same progressive water-filling as
-// the scan engine (waterfill), with the all-capped fast path: when every
-// flowing connection is capped and the caps sum below the edge capacity
-// — the common state of a cell, where the access links are the
-// bottleneck — max-min assigns every flow exactly its cap, no sort
-// needed.
-//
-// The rate trajectory rate_i(t) is identical to the eager formulation;
-// only the instants where progress is folded into `remaining` differ
-// (fewer, longer constant-rate stretches), so completion times agree
-// with the scan engine within float accumulation order — the same
-// tolerance contract the vtime engine carries.
-//
-// Above vtimeEnter flowing transfers the network hands the flows to the
-// virtual-time engine exactly as EngineAuto does (hotspot cells), and the
-// cell engine takes them back below vtimeExit.
+//     returns to Step on a completion batch, the deadline, or the
+//     flow-count hand-off to the virtual-time loop (hotspot cells).
 
-// enterCell turns the anchored engine on: every flowing transfer is
-// re-anchored at the current instant and the next event recomputes rates.
-// Called when the engine starts and whenever the virtual-time engine
-// hands the flows back.
-func (n *Network) enterCell() {
-	for _, tr := range n.flowing {
-		tr.aT = n.now
+// double applies one slow-start window doubling; a window past steadyCap
+// can never bind again and stops generating doublings.
+//
+//vodlint:hotpath — window step: a few per connection ramp
+func (c *Conn) double() {
+	c.capBps *= 2
+	c.nextGrow += c.net.cfg.RTT
+	if c.capBps >= c.net.steadyCap {
+		c.capBps = math.Inf(1)
 	}
-	n.cellDirty = true
-	n.edgeNextChg = n.now          // force a capacity refresh at the next event
-	n.linksNextChg = n.now         // force a link-sample refresh at the next event
-	n.capSum, n.numUncapped = 0, 0 // rebuilt by the forced full realloc
-	n.cmode = true
-}
-
-// exitCell materializes every anchored flow and syncs its window state,
-// then turns the engine off, so `remaining`, capBps and nextGrow are all
-// current when another engine (enterVTime) takes over.
-func (n *Network) exitCell() {
-	for _, tr := range n.flowing {
-		tr.Conn.syncGrow(n.now)
-		n.cellMaterialize(tr)
-	}
-	n.allocDirty = true
-	n.cmode = false
 }
 
 // syncGrow applies every window doubling due at or before now. The
 // doubling schedule is a pure function of time (nextGrow + k·RTT until
-// steadyCap), so applying it lazily here produces the exact capBps the
-// eager per-event grow loop would have.
+// steadyCap), so applying it lazily is exact.
 //
 //vodlint:hotpath — window sync: a few iterations, only when a cap is recomputed
 func (c *Conn) syncGrow(now float64) {
-	for c.nextGrow <= now && !math.IsInf(c.capBps, 1) {
-		c.capBps *= 2
-		c.nextGrow += c.net.cfg.RTT
-		if c.capBps >= c.net.steadyCap {
-			c.capBps = math.Inf(1)
-		}
+	for c.nextGrow <= now && c.InSlowStart() {
+		c.double()
 	}
 }
 
 // syncGrowBefore applies the doublings strictly before t. Completion
-// uses it: the eager engine removed a completed flow from the flowing
-// set before its end-of-event grow pass, so a doubling scheduled exactly
-// at the completion instant never applied.
+// uses it: a doubling scheduled exactly at the completion instant
+// belongs to the next request, not to the flow that just left.
 func (c *Conn) syncGrowBefore(t float64) {
-	for c.nextGrow < t && !math.IsInf(c.capBps, 1) {
-		c.capBps *= 2
-		c.nextGrow += c.net.cfg.RTT
-		if c.capBps >= c.net.steadyCap {
-			c.capBps = math.Inf(1)
-		}
+	for c.nextGrow < t && c.InSlowStart() {
+		c.double()
 	}
 }
 
@@ -279,7 +233,7 @@ func (n *Network) cellAllCapped() bool {
 // rate assignment under the current capacity, and refreshes each flow's
 // completion instant.
 //
-//vodlint:hotpath — cell-engine water-filling: runs on capacity changes and regime shifts
+//vodlint:hotpath — anchored-loop water-filling: runs on capacity changes and regime shifts
 func (n *Network) cellReallocFull() {
 	now := n.now
 	sum := 0.0
@@ -320,22 +274,20 @@ func (n *Network) cellReallocFull() {
 	}
 }
 
-// cellStepOnce advances the cell engine and returns the next completion
-// batch (nil when the deadline, a pending handoff to the virtual-time
-// engine, or `until` arrived first). Rate-boundary events — trace
-// sample flips, binding window doublings, transfer arrivals — are
-// consumed inside the loop; the event set is the scan engine's minus
-// the no-change profile boundaries and the doublings of windows that
-// are not their flow's binding constraint.
+// cellStepOnce advances the anchored loop and returns the next
+// completion batch (nil when the hand-off to the virtual-time loop or
+// `until` arrived first). Rate-boundary events — trace sample flips,
+// binding window doublings, transfer arrivals — are consumed inside the
+// loop; profile boundaries that change no value and doublings of windows
+// that are not their flow's binding constraint are not events at all.
 //
-//vodlint:hotpath — cell-engine event core: runs once per event across million-session fleets
+//vodlint:hotpath — anchored-loop event core: runs once per event across million-session fleets
 func (n *Network) cellStepOnce(until float64) []*Transfer {
 	for {
-		// Yield to Step's autoShift at the flow-count handoff threshold:
-		// the virtual-time engine takes over at the same decision point
-		// the per-event dispatch loop had (after the promoting event was
-		// processed here, before the next one).
-		if len(n.flowing) >= vtimeEnter {
+		// Yield to Step at the flow-count hand-off threshold: the
+		// virtual-time loop takes over after the promoting event was
+		// processed here, before the next one.
+		if len(n.flowing) >= n.vtimeEnter {
 			return nil
 		}
 		n.promote()
@@ -354,7 +306,7 @@ func (n *Network) cellStepOnce(until float64) []*Transfer {
 					// Exact comparison on purpose: an unchanged piecewise-
 					// constant sample means the memoized rates are still
 					// valid; any real profile change flips the sample value
-					// exactly (same idiom as the scan engine).
+					// exactly.
 					if r != l.rateBps { //vodlint:allow floateq — memo invalidation on a stored, never-recomputed sample value
 						l.rateBps = r
 						if !n.cellDirty {
@@ -391,8 +343,7 @@ func (n *Network) cellStepOnce(until float64) []*Transfer {
 		if now >= n.edgeNextChg {
 			v, nxt := n.cursor.ValueNext(now)
 			// Exact comparison on purpose: an unchanged piecewise-constant
-			// capacity yields bit-identical rates (same idiom as the scan
-			// engine's memo).
+			// capacity yields bit-identical rates.
 			if c := v / 8; c != n.lastCapacity { //vodlint:allow floateq — memo invalidation on a stored, never-recomputed sample value
 				n.lastCapacity = c
 				n.cellDirty = true
@@ -499,7 +450,3 @@ func (n *Network) cellStepOnce(until float64) []*Transfer {
 		}
 	}
 }
-
-// CellActive reports whether the anchored cell engine currently owns the
-// live flows (exported for tests and benchmarks).
-func (n *Network) CellActive() bool { return n.cmode }

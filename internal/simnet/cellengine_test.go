@@ -1,17 +1,15 @@
 package simnet
 
-// Differential and property tests for the cell engine (cellengine.go).
+// Differential and property tests for the anchored loop (cellengine.go)
+// and its hand-off with the virtual-time loop.
 //
-// The cell engine computes the same max-min rates as the scan engine but
-// anchors flow progress between rate changes and wakes only on profile
-// VALUE changes (netem NextChange), not on every sample boundary. Like
-// the vtime suite, the differential contract is tolerance-bounded on
-// completion times (the scan engine declares completion with up to
-// epsBytes remaining; the cell engine completes exactly) plus exact
-// structural requirements: same transfers complete, per-engine byte
-// conservation holds, and — stronger than either other engine — a
-// completed transfer's residual is folded exactly, so Remaining() is
-// precisely zero with no epsilon dust.
+// Like the vtime suite, the differential contract against the reference
+// is tolerance-bounded on completion times (the reference declares
+// completion with up to epsBytes remaining; the anchored loop completes
+// exactly) plus exact structural requirements: same transfers complete,
+// each side's byte ledger balances, and a completed transfer's residual
+// is folded exactly, so Remaining() is precisely zero with no epsilon
+// dust.
 
 import (
 	"fmt"
@@ -22,40 +20,17 @@ import (
 	"repro/internal/netem"
 )
 
-// TestCellEquivalenceSeeded replays the vtime suite's scripted
-// high-fan-in workloads (shared access links included) on the scan and
-// cell engines: same transfers, tolerance-equal completion times, exact
-// per-engine byte conservation.
-func TestCellEquivalenceSeeded(t *testing.T) {
-	for seed := int64(0); seed < 25; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			nconn := 1 + rng.Intn(96)
-			nlinks := rng.Intn(6)
-			p := randomProfile(rng)
-			for i, s := range p.Samples {
-				if s == 0 {
-					p.Samples[i] = 5e5
-				}
-			}
-			linkP := netem.Constant("access", 4e6, 7)
-			cfg := randomConfig(rng)
-			ops := buildWorkload(rng, nconn, nlinks, 80)
-			scan := runWorkload(t, cfg, p, linkP, EngineScan, ops, nconn, nlinks)
-			cell := runWorkload(t, cfg, p, linkP, EngineCell, ops, nconn, nlinks)
-			checkConservation(t, scan, "scan")
-			checkConservation(t, cell, "cell")
-			compareRuns(t, scan, cell)
-		})
-	}
-}
+// TestCellEquivalenceSeeded replays the vtime suite's scripted workloads
+// (shared access links included) on a network left to pick its regime by
+// flow count: the anchored loop below 40 flows, and on the larger seeds
+// the hand-off to the virtual-time loop and back.
+func TestCellEquivalenceSeeded(t *testing.T) { equivalenceSeeded(t, false) }
 
-// TestCellCellularTraceEquivalence runs the two engines over real
-// cellular access traces — the fleet's actual per-client bottleneck,
-// where the access sample changes every second — so the NextChange-based
-// wakeups are exercised against profiles that DO change, not only the
-// constant edge where they fire never.
+// TestCellCellularTraceEquivalence runs the reference and the anchored
+// loop over real cellular access traces — the fleet's actual per-client
+// bottleneck, where the access sample changes every second — so the
+// NextChange-based wakeups are exercised against profiles that DO change,
+// not only the constant edge where they fire never.
 func TestCellCellularTraceEquivalence(t *testing.T) {
 	for seed := int64(100); seed < 110; seed++ {
 		seed := seed
@@ -63,26 +38,44 @@ func TestCellCellularTraceEquivalence(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			edge := netem.Constant("edge", 100e6, 600)
 			linkP := netem.CellularSetSeed(seed)[int(seed)%netem.CellularCount]
-			cfg := DefaultConfig()
 			nconn := 4 + rng.Intn(24)
-			ops := buildWorkload(rng, nconn, 3, 60)
-			scan := runWorkload(t, cfg, edge, linkP, EngineScan, ops, nconn, 3)
-			cell := runWorkload(t, cfg, edge, linkP, EngineCell, ops, nconn, 3)
-			checkConservation(t, scan, "scan")
-			checkConservation(t, cell, "cell")
-			compareRuns(t, scan, cell)
+			checkWorkload(t, DefaultConfig(), edge, false, workload{ops: buildWorkload(rng, nconn, 3, 60), nconn: nconn, nlinks: 3, linkP: linkP})
 		})
 	}
 }
 
-// TestCellExactResidualFold pins the cell engine's conservation upgrade:
+// TestCellDoublingAtCompletionInstant pins the one window step lazy
+// syncing could get wrong: a doubling scheduled for exactly the instant a
+// flow completes is not applied (the reference's end-of-event pass never
+// sees the departed flow), so the connection's next request, inside the
+// idle-reset grace, starts from the window the flow finished with — in
+// either regime. The sizes make the coincidence exact: 14 600 B at the
+// 146 kB/s initial window take one RTT.
+func TestCellDoublingAtCompletionInstant(t *testing.T) {
+	cfg, edge := Config{RTT: 0.1}, netem.Constant("edge", 100e6, 100)
+	ops := []workloadOp{
+		{kind: 0, conn: 0, size: 14600, via: -1},
+		{kind: 2, until: 0.35},
+		{kind: 0, conn: 0, size: 2e5, via: -1},
+		{kind: 2, until: 100},
+	}
+	ref := runWorkload(t, newRefTarget(cfg, edge), "reference", workload{ops: ops, nconn: 1})
+	for _, vtime := range []bool{false, true} {
+		pt := newProdTarget(t, cfg, edge, vtime)
+		prod := runWorkload(t, pt, fmt.Sprintf("production (vtime %v)", vtime), workload{ops: ops, nconn: 1})
+		if got, grow := prod.completed[0].completed, pt.transfers[0].FlowAt+cfg.RTT; got != grow {
+			t.Fatalf("%s: first flow completed at %v, not on its doubling instant %v: the case no longer tests the tie", prod.label, got, grow)
+		}
+		compareRuns(t, ref, prod)
+	}
+}
+
+// TestCellExactResidualFold pins the anchored loop's exact conservation:
 // a completed transfer has exactly zero remaining bytes — the residual
 // is folded at completion, not abandoned as sub-epsilon dust — and the
 // network's delivered total equals the sum of completed sizes exactly.
 func TestCellExactResidualFold(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Engine = EngineCell
-	n := New(cfg, netem.Constant("edge", 10e6, 1000))
+	n := New(DefaultConfig(), netem.Constant("edge", 10e6, 1000))
 	var sizes []float64
 	var trs []*Transfer
 	rng := rand.New(rand.NewSource(9))
@@ -110,22 +103,17 @@ func TestCellExactResidualFold(t *testing.T) {
 	}
 }
 
-// TestCellVTimeHandoff drives EngineCell through both hysteresis
+// TestCellVTimeHandoff drives a network through both hysteresis
 // crossings — a fan-in spike past vtimeEnter hands the flows to the
-// virtual-time engine, a drain below vtimeExit takes them back — and
-// requires the outcome to match EngineScan within tolerance. Two long
+// virtual-time loop, a drain below vtimeExit takes them back — and
+// requires the outcome to match the reference within tolerance. Two long
 // flows ride through on access links whose sample changes every second:
 // one active before the hand-off, one first activated inside vtime. Both
-// must follow their profile while the vtime engine owns them and still
-// carry the current sample once the cell engine has them back.
+// must follow their profile while the vtime loop owns them and still
+// carry the current sample once the anchored loop has them back.
 func TestCellVTimeHandoff(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	p := randomProfile(rng)
-	for i, s := range p.Samples {
-		if s == 0 {
-			p.Samples[i] = 5e5
-		}
-	}
+	p := drainableProfile(rng)
 	linkP := &netem.Profile{Name: "flip", SampleDur: 1, Samples: []float64{3e6, 5e6, 2e6, 6e6, 4e6, 7e6, 2.5e6}}
 	cfg := randomConfig(rng)
 	nconn := vtimeEnter + 24
@@ -146,32 +134,21 @@ func TestCellVTimeHandoff(t *testing.T) {
 	}
 	ops = append(ops, workloadOp{kind: 2, until: 4000})
 
-	scan := runWorkload(t, cfg, p, linkP, EngineScan, ops, nconn+2, 2)
+	ref := runWorkload(t, newRefTarget(cfg, p), "reference", workload{ops: ops, nconn: nconn + 2, nlinks: 2, linkP: linkP})
 
-	cfg.Engine = EngineCell
-	n := New(cfg, p)
-	links := []*AccessLink{n.NewAccessLink(linkP), n.NewAccessLink(linkP)}
-	conns := make([]*Conn, nconn)
-	for i := range conns {
-		conns[i] = n.Dial()
-		conns[i].Start(ops[i].size, nil)
+	// The same script on the production network, by hand, probing the
+	// regime and the link memos at each stage.
+	pt := newProdTarget(t, cfg, p, false)
+	n, prod := pt.n, &scriptRun{simTarget: pt, label: "production"}
+	prod.newLink(linkP)
+	prod.newLink(linkP)
+	links := pt.links
+	for i := 0; i < nconn; i++ {
+		prod.start(prod.dial(-1), ops[i].size, 0, -1)
 	}
-	n.DialVia(links[0]).Start(linkBytes, nil)
-	var cell []completionRec
+	prod.start(prod.dial(0), linkBytes, 0, -1)
 	sawVtime := false
-	collect := func(until float64) {
-		for {
-			done := n.Step(until)
-			sawVtime = sawVtime || n.VTimeActive()
-			checkVTimeCapBounds(t, n) // from the first event after enterVTime on
-			if len(done) == 0 {
-				return
-			}
-			for _, tr := range done {
-				cell = append(cell, completionRec{tr.Conn.seq, tr.Size, tr.Completed})
-			}
-		}
-	}
+	pt.afterStep = func() { sawVtime = sawVtime || n.vmode }
 	// current reports whether every given link carries its profile's
 	// sample for the present instant.
 	current := func(when string, ls ...*AccessLink) {
@@ -182,50 +159,43 @@ func TestCellVTimeHandoff(t *testing.T) {
 			}
 		}
 	}
-	collect(2.5)
+	prod.stepTo(t, 2.5)
 	if !sawVtime {
-		t.Fatalf("EngineCell not in vtime mode at %d concurrent flows", nconn+1)
+		t.Fatalf("not in the virtual-time loop at %d concurrent flows", nconn+1)
 	}
 	current("in vtime, t=2.5", links[0])
-	n.DialVia(links[1]).Start(linkBytes, nil)
-	collect(4.5)
+	prod.start(prod.dial(1), linkBytes, 0, -1)
+	prod.stepTo(t, 4.5)
 	current("in vtime, t=4.5", links...)
 	// Step half-second deadlines to the hand-back, then one more: the
 	// deadlines sit mid-sample, so a link's memo is current there exactly
-	// when the owning engine honoured the boundary before it.
-	for until := 5.5; n.VTimeActive(); until++ {
-		collect(until)
+	// when the owning loop honoured the boundary before it.
+	for until := 5.5; n.vmode; until++ {
+		prod.stepTo(t, until)
 	}
-	if !n.CellActive() {
-		t.Fatal("EngineCell not back in cell mode after the drain")
-	}
-	collect(math.Floor(n.Now()) + 1.5)
+	prod.stepTo(t, math.Floor(n.Now())+1.5)
 	current("after hand-back", links...)
-	collect(1500)
-	if n.VTimeActive() || !n.CellActive() {
-		t.Error("EngineCell not in cell mode after the fleet drained to zero")
+	prod.stepTo(t, 1500)
+	if n.vmode {
+		t.Error("still in the virtual-time loop after the network drained to zero")
 	}
 	sawVtime = false
-	for i, c := range conns {
-		c.Start(ops[spike2+i].size, nil)
+	for i := 0; i < nconn; i++ {
+		prod.start(i, ops[spike2+i].size, 0, -1)
 	}
-	collect(4000)
+	prod.stepTo(t, 4000)
 	if !sawVtime {
-		t.Error("EngineCell never re-entered vtime mode on the second spike")
+		t.Error("never re-entered the virtual-time loop on the second spike")
 	}
-	if len(cell) != len(scan.completed) {
-		t.Fatalf("completion count: cell %d != scan %d", len(cell), len(scan.completed))
-	}
-	compareRuns(t, scan, &engineRun{n: n, completed: cell})
+	checkConservation(t, prod)
+	compareRuns(t, ref, prod)
 }
 
 // TestCellMidFlightReads pins the anchored-view folds: Remaining() and
 // Delivered() read mid-run, between materializations, must reflect the
 // anchored progress (rate times elapsed) without perturbing the run.
 func TestCellMidFlightReads(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Engine = EngineCell
-	n := New(cfg, netem.Constant("edge", 8e6, 1000)) // 1e6 bytes/s
+	n := New(DefaultConfig(), netem.Constant("edge", 8e6, 1000)) // 1e6 bytes/s
 	c := n.Dial()
 	tr := c.Start(4e6, nil)
 	// Step far past slow start so the flow is in a long constant-rate
@@ -253,13 +223,11 @@ func TestCellMidFlightReads(t *testing.T) {
 	}
 }
 
-// TestCellCloseMaterializes pins abandonment accounting under the cell
-// engine: closing a connection mid-flight folds the anchored progress
+// TestCellCloseMaterializes pins abandonment accounting under the
+// anchored loop: closing a connection mid-flight folds the anchored progress
 // into the delivered total before the flow is dropped.
 func TestCellCloseMaterializes(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Engine = EngineCell
-	n := New(cfg, netem.Constant("edge", 8e6, 1000))
+	n := New(DefaultConfig(), netem.Constant("edge", 8e6, 1000))
 	c := n.Dial()
 	c.Start(8e6, nil)
 	n.Step(3)
@@ -277,15 +245,12 @@ func TestCellCloseMaterializes(t *testing.T) {
 	}
 }
 
-// TestCellHotPathZeroAlloc extends the zero-allocation promise to the
-// cell engine: once warmed, a start/step/recycle cycle allocates
-// nothing — the anchored event loop runs on scratch state only. The
-// fan-in stays at smallSortLen so rate allocation uses the insertion-
-// sort fast path, the same bound the scan engine's promise carries.
+// TestCellHotPathZeroAlloc holds the anchored loop to the zero-allocation
+// promise at its widest insertion-sort fan-in (TestStepHotPathZeroAlloc
+// has the three-flow case): once warmed, a start/step/recycle cycle
+// allocates nothing — the event loop runs on scratch state only.
 func TestCellHotPathZeroAlloc(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Engine = EngineCell
-	n := New(cfg, netem.Constant("c", 50e6, 100))
+	n := New(DefaultConfig(), netem.Constant("c", 50e6, 100))
 	conns := make([]*Conn, smallSortLen)
 	for i := range conns {
 		conns[i] = n.Dial()
@@ -310,29 +275,19 @@ func TestCellHotPathZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkCellIdleBoundaries measures the NextChange win in isolation:
+// BenchmarkCellIdleBoundaries measures what the NextChange wake-ups buy:
 // one small transfer at the start of a long horizon on a constant edge.
-// The scan engine wakes at every one of the ~1000 sample boundaries;
-// the cell engine sees zero profile events and jumps straight through.
+// None of the ~1000 sample boundaries is an event; the loop jumps
+// straight through the idle tail.
 func BenchmarkCellIdleBoundaries(b *testing.B) {
-	for _, eng := range []struct {
-		name string
-		e    Engine
-	}{{"scan", EngineScan}, {"cell", EngineCell}} {
-		b.Run(eng.name, func(b *testing.B) {
-			cfg := DefaultConfig()
-			cfg.Engine = eng.e
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				n := New(cfg, netem.Constant("edge", 10e6, 1000))
-				c := n.Dial()
-				c.Start(1e6, nil)
-				for done := 0; done < 1; {
-					done += len(n.Step(1e9))
-				}
-				n.Step(1000) // idle tail across the rest of the horizon
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		n := New(DefaultConfig(), netem.Constant("edge", 10e6, 1000))
+		c := n.Dial()
+		c.Start(1e6, nil)
+		for done := 0; done < 1; {
+			done += len(n.Step(1e9))
+		}
+		n.Step(1000) // idle tail across the rest of the horizon
 	}
 }

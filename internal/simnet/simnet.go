@@ -14,25 +14,23 @@
 //
 // # Engine
 //
-// Step is an incremental event engine. The flowing-transfer set is
-// maintained across intervals — a transfer enters it when its first byte
-// arrives (FlowAt) and leaves on completion or connection close — instead
-// of being rebuilt from the connection list every constant-rate interval.
-// Max-min water-filling reruns only when the flowing set, a connection
-// cap, or the link capacity actually changed; between such events the
-// previously computed rates stay valid. Profile lookups go through a
-// monotone netem.Cursor, so bandwidth queries are O(1) amortised over a
-// forward simulation. The hot path performs no heap allocations:
-// scratch buffers are reused across intervals and completed Transfer
-// objects can be returned to a free list with Recycle.
+// Step is an incremental event engine with one network model and two
+// regimes, chosen by flow count alone. Below vtimeEnter flowing transfers
+// the anchored loop (cellengine.go) runs: O(F) per event, flow progress
+// held as a (remaining, anchor time, rate) triple that is folded only
+// when the flow's own rate changes, wake-ups only where a profile's
+// value changes. At or above it the virtual-time loop (vtime.go) takes
+// the same flow records over at O(log F) per event, and hands them back
+// once vtimeExit or fewer remain. Both regimes compute max-min fair
+// rates under the same caps and agree up to float accumulation order;
+// the differential tests hold each to an independent rebuild-and-sort-
+// every-interval reference kept in the package's tests.
 //
-// Everything the engine does is bit-identical to the straightforward
-// rebuild-and-sort-every-interval formulation (kept as the reference
-// implementation in the package's tests): the flowing set is ordered by
-// connection dial order exactly as the rebuild produced it, water-filling
-// applies the same arithmetic in the same order (ascending cap, stable
-// for ties), and skipped recomputations would have produced the values
-// already in place.
+// Profile lookups go through a monotone netem.Cursor, so bandwidth
+// queries are O(1) amortised over a forward simulation. The hot path
+// performs no heap allocations: scratch buffers are reused across
+// intervals and completed Transfer objects can be returned to a free
+// list with Recycle.
 package simnet
 
 import (
@@ -72,49 +70,29 @@ type Config struct {
 	// about sub-segment split points becomes visible: a work-conserving
 	// shared link alone makes split points irrelevant.
 	ConnCapSequence []float64
-	// Engine selects the Step event engine (see the Engine constants).
-	// The zero value, EngineAuto, picks per flow count.
+	// Engine is a shim for bench/probes.go and selects nothing: every
+	// network runs the same two regimes. CellActive is its only reader.
+	// To be deleted with ROADMAP item 1 (f).
 	Engine Engine
 }
 
-// Engine selects Network.Step's event engine.
+// Engine and EngineCell are shims for bench/probes.go, which may not be
+// edited here; ROADMAP item 1 (f) deletes them with Config.Engine,
+// CellActive and VTimeActive.
 type Engine int
 
-const (
-	// EngineAuto switches on flow count: the O(F)-scan engine below
-	// vtimeEnter flowing transfers, the O(log F) virtual-time engine at
-	// or above it, with hysteresis (vtimeExit) so workloads hovering
-	// near the threshold don't thrash between engines. Every workload
-	// that stays below the threshold is bit-identical to EngineScan.
-	EngineAuto Engine = iota
-	// EngineScan forces the incremental scan engine: O(F) per event,
-	// bit-identical to the PR 3 reference formulation.
-	EngineScan
-	// EngineVTime forces the virtual-service-time (fair-queuing) engine:
-	// O(log F) per event, equivalent to EngineScan up to float
-	// accumulation order (see the differential tests).
-	EngineVTime
-	// EngineCell selects the anchored-flow engine built for fleet cells
-	// (cellengine.go): flow progress is a (rate, anchor-time) pair
-	// materialized only when rates actually change, and profile sample
-	// boundaries where the value does not change generate no events at
-	// all — a constant edge profile is event-free, and idle-cell seconds
-	// cost nothing. Equivalent to EngineScan up to float accumulation
-	// order (delivery is accumulated in one multiply per constant-rate
-	// stretch instead of one per boundary). Above vtimeEnter flowing
-	// transfers it hands off to the virtual-time engine exactly as
-	// EngineAuto does, and takes the flows back below vtimeExit.
-	EngineCell
-)
+// EngineCell is the one non-zero Engine: what bench/probes.go sets on the
+// networks it expects CellActive of.
+const EngineCell Engine = 1
 
 const (
-	// vtimeEnter is the flowing-transfer count at which EngineAuto
-	// switches to the virtual-time engine. High enough that every
-	// experiment workload (≤ a dozen concurrent flows) stays on the
-	// bit-exact scan engine.
+	// vtimeEnter is the flowing-transfer count at which Step hands the
+	// flows to the virtual-time loop. High enough that every experiment
+	// workload and every ordinary fleet cell stays on the anchored loop.
 	vtimeEnter = 40
-	// vtimeExit is the active-flow count at which EngineAuto switches
-	// back to the scan engine.
+	// vtimeExit is the active-flow count at which the anchored loop takes
+	// them back; the gap keeps a workload hovering near the threshold from
+	// paying the hand-off per event.
 	vtimeExit = 12
 )
 
@@ -165,70 +143,55 @@ type Transfer struct {
 	// nil for responses served at the edge.
 	upstream *AccessLink
 
+	// The flow record both loops share: while the transfer flows,
+	// `remaining` is the value at the last re-anchor aT and the flow drains
+	// at `rate` from there; progress is folded in only when the rate
+	// changes, on abandonment, at completion, or by an observer read. aT is
+	// a wall-clock instant, except for a virtual-time uncapped flow (vUnc),
+	// where it is V at the anchor and the rate is the shared slope.
 	remaining float64
-	rate      float64 // last allocated rate, bytes/s (for inspection)
-	pos       int     // index in Network.flowing; -1 while not flowing
+	rate      float64 // bytes/s since aT
+	aT        float64
+	pos       int // index in Network.flowing; -1 while not flowing there
 
-	// Virtual-time engine state (see vtime.go). While attached to the
-	// vtime engine (vClass != vNone), remaining and rate above are stale:
-	// progress lives in the (vAnchor, vRem, vCap) triple and is
-	// materialized lazily on completion, removal, or observer read.
-	vClass  uint8   // vNone, vUnc (uncapped) or vCapd (capped)
-	vCap    float64 // capped-class service rate, bytes/s
-	vRem    float64 // remaining bytes at the last anchor
-	vAnchor float64 // anchor: V at last re-anchor (uncapped) or wall time (capped)
-	hFin    int     // position in vtimeState.uncFin/capFin; -1 outside
-	hCap    int     // position in vtimeState.uncCap/capCap; -1 outside
-	hPend   int     // position in Network.pendHeap; -1 outside
-	accPos  int     // position in Conn.access.members; -1 while not attached
-	upPos   int     // position in upstream.upMembers; -1 while not attached
-
-	// Cell-engine state (cellengine.go). While the cell engine owns the
-	// flow, `remaining` is the value at the last re-anchor (aT) and the
-	// flow drains at `rate` from there; finishT is the precomputed
-	// completion instant under the current rate.
-	aT      float64
+	// Anchored loop (cellengine.go): finishT is the precomputed completion
+	// instant under the current rate; cap memoizes the connection's
+	// effective cap as of the last cap-changing event. waterfill reads it.
 	finishT float64
-	// cap memoizes the connection's effective cap as of the last time it
-	// was recomputed: per allocate on the scan engine, per cap-changing
-	// event on the cell engine. waterfill reads it.
-	cap float64
+	cap     float64
+
+	// Virtual-time loop (vtime.go).
+	vClass uint8 // vNone, vUnc (uncapped) or vCapd (capped)
+	hFin   int   // position in vtimeState.uncFin/capFin; -1 outside
+	hCap   int   // position in vtimeState.uncCap/capCap; -1 outside
+
+	hPend  int // position in Network.pendHeap; -1 outside
+	accPos int // position in Conn.access.members; -1 while not attached
+	upPos  int // position in upstream.upMembers; -1 while not attached
 }
 
 // Remaining returns the bytes not yet delivered, as of the last engine
-// event. Flows attached to the virtual-time engine materialize the
-// value on demand from their service anchor.
+// event: a flowing transfer's progress since its anchor is folded in on
+// demand.
 func (t *Transfer) Remaining() float64 {
-	switch t.vClass {
-	case vUnc:
-		if r := t.vRem - (t.Conn.net.v.vNow - t.vAnchor); r > 0 {
-			return r
-		}
-		return 0
-	case vCapd:
-		if r := t.vRem - t.vCap*(t.Conn.net.now-t.vAnchor); r > 0 {
-			return r
-		}
-		return 0
+	r := t.remaining
+	switch {
+	case t.vClass == vUnc:
+		r -= t.Conn.net.v.vNow - t.aT
+	case t.vClass == vCapd || t.pos >= 0:
+		r -= t.rate * (t.Conn.net.now - t.aT)
 	}
-	if t.pos >= 0 && t.Conn.net.cmode {
-		if r := t.remaining - t.rate*(t.Conn.net.now-t.aT); r > 0 {
-			return r
-		}
-		return 0
+	if r > 0 {
+		return r
 	}
-	return t.remaining
+	return 0
 }
 
-// Rate returns the most recently allocated delivery rate in bytes/s.
-// Under the virtual-time engine an uncapped flow's rate is the shared
-// equal-share slope; a capped flow's is its cap.
+// Rate returns the most recently allocated delivery rate in bytes/s. A
+// virtual-time uncapped flow's rate is the shared equal-share slope.
 func (t *Transfer) Rate() float64 {
-	switch t.vClass {
-	case vUnc:
+	if t.vClass == vUnc {
 		return t.Conn.net.v.slope
-	case vCapd:
-		return t.vCap
 	}
 	return t.rate
 }
@@ -261,7 +224,7 @@ type AccessLink struct {
 	cursor   netem.Cursor
 	profile  *netem.Profile
 	rateBps  float64 // profile sample at the last refresh (bits/s)
-	nextChg  float64 // rateBps holds until here: NextChange (cell engine) or NextBoundary (vtime)
+	nextChg  float64 // rateBps holds until here: NextChange (anchored loop) or NextBoundary (vtime)
 	flows    int     // flowing transfers currently carried by the link
 	capFloor float64 // vtime: no uncapped flow here has an uncCap key above this; +Inf if any flow here is capped
 
@@ -339,13 +302,13 @@ func (c *Conn) Close() {
 	}
 	c.closed = true
 	if tr := c.cur; tr != nil {
-		if tr.vClass != vNone {
+		switch {
+		case tr.vClass != vNone:
 			c.net.v.abandon(c.net, tr)
-		} else {
-			if c.net.cmode {
-				c.net.cellMaterialize(tr)
-			}
+		case tr.pos >= 0:
+			c.net.cellMaterialize(tr)
 			c.net.removeFlowing(tr)
+		default:
 			c.net.removePending(tr)
 		}
 	}
@@ -418,31 +381,31 @@ type Network struct {
 	delivered float64 // total bytes delivered (for conservation checks)
 
 	// Incrementally maintained transfer sets (see the package comment).
-	flowing  []*Transfer     // first byte arrived, ordered by Conn.seq (dial order)
+	flowing  []*Transfer     // anchored loop: first byte arrived, ordered by Conn.seq (dial order)
 	pendHeap fheap[Transfer] // latency not yet elapsed, keyed by FlowAt
 	links    []*AccessLink   // access links with at least one flowing transfer
-	// Water-filling memo: rates stored on the flowing transfers stay
-	// valid until the flowing set, a cap, or the capacity changes.
-	allocDirty   bool
-	lastCapacity float64
 
-	// Virtual-time engine (vtime.go); vmode reports which engine owns
-	// the live flows right now.
-	v     *vtimeState
-	vmode bool
+	// Virtual-time loop (vtime.go); vmode reports that it, not the
+	// anchored loop, owns the live flows right now. The two thresholds
+	// are the vtimeEnter and vtimeExit constants on every network New
+	// returns; in-package tests move them to pin a regime.
+	v          *vtimeState
+	vmode      bool
+	vtimeEnter int
+	vtimeExit  int
 
-	// Cell engine (cellengine.go); cmode reports whether the anchored
-	// engine owns the live flows right now. cellDirty schedules a full
+	// Anchored loop (cellengine.go). cellDirty schedules a full
 	// water-filling (flow set or capacity changed); dirtyFlows queues
 	// flows whose cached cap changed since the last rate assignment;
 	// ratesAreCaps records that the last assignment gave every flow
 	// exactly its cap (the regime where changed flows can be re-rated
-	// independently); edgeNextChg caches the edge profile's next value
+	// independently); lastCapacity is the edge sample the rates were
+	// computed under; edgeNextChg caches the edge profile's next value
 	// change and linksNextChg the minimum nextChg across active access
-	// links, shared with the vtime engine (conservative: a detached link
+	// links, shared with the vtime loop (conservative: a detached link
 	// may leave it low, costing one wasted scan, never a missed refresh).
-	cmode        bool
 	cellDirty    bool
+	lastCapacity float64
 	ratesAreCaps bool
 	edgeNextChg  float64
 	linksNextChg float64
@@ -463,7 +426,10 @@ type capItem struct {
 // New creates a network over the given bandwidth profile.
 func New(cfg Config, p *netem.Profile) *Network {
 	cfg = cfg.withDefaults()
-	n := &Network{cfg: cfg, profile: p, cursor: p.Cursor()}
+	// The anchored loop owns a new network: its first event refreshes the
+	// edge and link samples (both next-change instants are zero) and runs
+	// a full water-filling.
+	n := &Network{cfg: cfg, profile: p, cursor: p.Cursor(), vtimeEnter: vtimeEnter, vtimeExit: vtimeExit, cellDirty: true}
 	n.pendHeap.set = func(tr *Transfer, i int) { tr.hPend = i }
 	// Once a connection's cap exceeds twice the link's peak rate it can
 	// never be the bottleneck again; stop generating doubling events.
@@ -483,32 +449,36 @@ func (n *Network) Config() Config { return n.cfg }
 // Profile returns the bandwidth profile driving the link.
 func (n *Network) Profile() *netem.Profile { return n.profile }
 
-// Delivered returns the total bytes delivered so far (all transfers).
-// Under the virtual-time engine the un-materialized service of every
-// attached flow is folded in from the aggregate anchors in O(1).
+// Delivered returns the total bytes delivered so far (all transfers),
+// the un-materialized progress of every live flow included: in O(1) from
+// the aggregate anchors under the virtual-time loop, flow by flow under
+// the anchored one.
 func (n *Network) Delivered() float64 {
 	if n.vmode {
 		return n.v.deliveredAt(n)
 	}
-	if n.cmode {
-		d := n.delivered
-		for _, tr := range n.flowing {
-			if dt := n.now - tr.aT; dt > 0 {
-				x := tr.rate * dt
-				if x > tr.remaining {
-					x = tr.remaining
-				}
-				d += x
+	d := n.delivered
+	for _, tr := range n.flowing {
+		if dt := n.now - tr.aT; dt > 0 {
+			x := tr.rate * dt
+			if x > tr.remaining {
+				x = tr.remaining
 			}
+			d += x
 		}
-		return d
 	}
-	return n.delivered
+	return d
 }
 
-// VTimeActive reports whether the virtual-time engine currently owns
-// the live flows (exported for tests and benchmarks).
+// VTimeActive reports whether the virtual-time loop owns the live flows.
+// A shim for bench/probes.go, like CellActive: ROADMAP item 1 (f) deletes
+// both.
 func (n *Network) VTimeActive() bool { return n.vmode }
+
+// CellActive reports whether the anchored loop owns the live flows of a
+// network configured with EngineCell — the one place Config.Engine is
+// read.
+func (n *Network) CellActive() bool { return n.cfg.Engine == EngineCell && !n.vmode }
 
 // Dial creates a new, not-yet-established connection.
 func (n *Network) Dial() *Conn {
@@ -674,9 +644,8 @@ func (n *Network) linkDetachOne(l *AccessLink, tr *Transfer, up bool) {
 	}
 }
 
-// insertFlowing adds a transfer to the flowing set, keeping it ordered
-// by connection dial order (the iteration order the reference engine's
-// per-interval rebuild produced).
+// insertFlowing adds a transfer to the anchored loop's flowing set,
+// keeping it ordered by connection dial order (waterfill's tie order).
 func (n *Network) insertFlowing(tr *Transfer) {
 	i := len(n.flowing)
 	for i > 0 && n.flowing[i-1].Conn.seq > tr.Conn.seq {
@@ -689,28 +658,25 @@ func (n *Network) insertFlowing(tr *Transfer) {
 		n.flowing[j].pos = j
 	}
 	n.linkAttach(tr)
-	n.allocDirty = true
-	if n.cmode {
-		// Queue the new flow for rating unconditionally (its recycled cap,
-		// rate and finish time are blank) and refresh its link siblings'
-		// caps — their even shares changed. In the all-capped regime that
-		// is the entire effect of an arrival; outside it the re-rate pass
-		// falls back to the full water-filling anyway.
-		if l := tr.Conn.access; l != nil && l.nextChg < n.linksNextChg {
-			n.linksNextChg = l.nextChg
-		}
-		if l := tr.upstream; l != nil && l.nextChg < n.linksNextChg {
-			n.linksNextChg = l.nextChg
-		}
-		tr.cap = tr.Conn.effCap()
-		n.cellCapAdd(tr.cap)
-		n.dirtyFlows = append(n.dirtyFlows, tr)
-		n.cellTouchLink(tr)
+	// Queue the new flow for rating unconditionally (its recycled cap,
+	// rate and finish time are blank) and refresh its link siblings'
+	// caps — their even shares changed. In the all-capped regime that
+	// is the entire effect of an arrival; outside it the re-rate pass
+	// falls back to the full water-filling anyway.
+	if l := tr.Conn.access; l != nil && l.nextChg < n.linksNextChg {
+		n.linksNextChg = l.nextChg
 	}
+	if l := tr.upstream; l != nil && l.nextChg < n.linksNextChg {
+		n.linksNextChg = l.nextChg
+	}
+	tr.cap = tr.Conn.effCap()
+	n.cellCapAdd(tr.cap)
+	n.dirtyFlows = append(n.dirtyFlows, tr)
+	n.cellTouchLink(tr)
 }
 
-// removeFlowing drops a transfer from the flowing set (completion or
-// close). No-op if the transfer is not flowing.
+// removeFlowing drops a transfer from the anchored loop's flowing set
+// (completion or close). No-op if the transfer is not flowing there.
 func (n *Network) removeFlowing(tr *Transfer) {
 	i := tr.pos
 	if i < 0 || i >= len(n.flowing) || n.flowing[i] != tr {
@@ -725,19 +691,16 @@ func (n *Network) removeFlowing(tr *Transfer) {
 	}
 	tr.pos = -1
 	n.linkDetach(tr)
-	n.allocDirty = true
-	if n.cmode {
-		n.cellCapSub(tr.cap)
-		if n.ratesAreCaps {
-			// All-capped regime: a departure frees capacity without moving
-			// anyone off their cap — only the departed flow's link siblings
-			// change (their even shares grew). Refresh just those.
-			n.cellTouchLink(tr)
-		} else {
-			// Water-filling regime: the freed share redistributes across
-			// every remaining flow — full realloc at the next event.
-			n.cellDirty = true
-		}
+	n.cellCapSub(tr.cap)
+	if n.ratesAreCaps {
+		// All-capped regime: a departure frees capacity without moving
+		// anyone off their cap — only the departed flow's link siblings
+		// change (their even shares grew). Refresh just those.
+		n.cellTouchLink(tr)
+	} else {
+		// Water-filling regime: the freed share redistributes across
+		// every remaining flow — full realloc at the next event.
+		n.cellDirty = true
 	}
 }
 
@@ -780,15 +743,21 @@ func (n *Network) Step(until float64) []*Transfer {
 		return nil
 	}
 	for n.now < until {
-		n.autoShift()
+		// Pick the regime by flow count, with hysteresis: the anchored
+		// loop yields once vtimeEnter transfers flow, and takes the flows
+		// back when vtimeExit or fewer are left.
 		var completed []*Transfer
 		switch {
+		case n.vmode && n.v.active() <= n.vtimeExit:
+			n.exitVTime()
+			completed = n.cellStepOnce(until)
 		case n.vmode:
 			completed = n.vStepOnce(until)
-		case n.cmode:
-			completed = n.cellStepOnce(until)
+		case len(n.flowing) >= n.vtimeEnter:
+			n.enterVTime()
+			completed = n.vStepOnce(until)
 		default:
-			completed = n.scanStepOnce(until)
+			completed = n.cellStepOnce(until)
 		}
 		if len(completed) > 0 {
 			return completed
@@ -797,191 +766,15 @@ func (n *Network) Step(until float64) []*Transfer {
 	return nil
 }
 
-// autoShift applies the engine-selection policy before each event. With
-// EngineAuto the switch is hysteretic: enter virtual time at vtimeEnter
-// flowing transfers, leave at vtimeExit active flows, so a workload
-// hovering around the threshold doesn't pay the switch cost per event.
-func (n *Network) autoShift() {
-	switch n.cfg.Engine {
-	case EngineScan:
-		if n.vmode {
-			n.exitVTime()
-		}
-	case EngineVTime:
-		if !n.vmode {
-			n.enterVTime()
-		}
-	case EngineCell:
-		// Same hysteresis as EngineAuto, with the cell engine playing the
-		// scan engine's role below the threshold.
-		switch {
-		case n.vmode:
-			if n.v.active() <= vtimeExit {
-				n.exitVTime()
-				n.enterCell()
-			}
-		case !n.cmode:
-			n.enterCell()
-		case len(n.flowing) >= vtimeEnter:
-			n.exitCell()
-			n.enterVTime()
-		}
-	default:
-		if n.vmode {
-			if n.v.active() <= vtimeExit {
-				n.exitVTime()
-			}
-		} else if len(n.flowing) >= vtimeEnter {
-			n.enterVTime()
-		}
-	}
-}
-
-// scanStepOnce advances the scan engine by one event and returns any
-// completions (nil when the event was not a completion). One iteration
-// of the PR 3 loop, bit-identical to the reference formulation.
-//
-//vodlint:hotpath — scan-engine event: O(F) per event below the vtime threshold
-func (n *Network) scanStepOnce(until float64) []*Transfer {
-	const epsBytes = 1e-6
-	n.promote()
-
-	// Next state-change event: the deadline, a pending transfer's
-	// first byte, a slow-start window doubling, a bandwidth boundary
-	// in the edge profile, or one in an active access link's profile.
-	// The same pass refreshes each access link's cached rate at the
-	// current time — all reads happen at n.now and each active link is
-	// visited exactly once, so the refresh is order-independent.
-	next := until
-	if k := n.pendHeap.MinKey(); k < next {
-		next = k
-	}
-	for _, tr := range n.flowing {
-		c := tr.Conn
-		if c.InSlowStart() && c.nextGrow < next {
-			next = c.nextGrow
-		}
-	}
-	for _, l := range n.links {
-		if b := l.cursor.NextBoundary(n.now); b < next {
-			next = b
-		}
-		// Exact comparison on purpose: an unchanged piecewise-constant
-		// sample means the memoized rates are still valid; any real
-		// profile change flips the sample value exactly (same idiom as
-		// lastCapacity below).
-		if r := l.cursor.At(n.now); r != l.rateBps { //vodlint:allow floateq — memo invalidation on a stored, never-recomputed sample value
-			l.rateBps = r
-			n.allocDirty = true
-		}
-	}
-	if b := n.cursor.NextBoundary(n.now); b < next {
-		next = b
-	}
-
-	if len(n.flowing) == 0 {
-		n.now = next
-		n.grow()
-		return nil
-	}
-
-	// Allocate rates max-min fairly under the connection caps —
-	// but only if something changed since the last water-filling.
-	capacity := n.cursor.At(n.now) / 8 // bytes/s
-	// Exact comparison on purpose: an unchanged piecewise-constant
-	// capacity yields bit-identical rates, so recomputation is pure
-	// waste; any real profile change flips the sample value exactly.
-	if n.allocDirty || capacity != n.lastCapacity { //vodlint:allow floateq — memo invalidation on a stored, never-recomputed sample value
-		n.allocate(capacity)
-		n.lastCapacity = capacity
-		n.allocDirty = false
-	}
-
-	// Earliest completion in this constant-rate interval.
-	tEvent := next
-	for _, tr := range n.flowing {
-		if tr.rate > 0 {
-			if tDone := n.now + tr.remaining/tr.rate; tDone < tEvent {
-				tEvent = tDone
-			}
-		}
-	}
-	if tEvent <= n.now {
-		// Degenerate interval (floating point); nudge forward.
-		tEvent = math.Nextafter(n.now, math.Inf(1))
-	}
-
-	dt := tEvent - n.now
-	completed := n.completed[:0]
-	for _, tr := range n.flowing {
-		d := tr.rate * dt
-		if d > tr.remaining {
-			d = tr.remaining
-		}
-		tr.remaining -= d
-		n.delivered += d
-		if tr.remaining <= epsBytes {
-			tr.remaining = 0
-			tr.Done = true
-			tr.Completed = tEvent
-			tr.Conn.cur = nil
-			tr.Conn.lastActive = tEvent
-			completed = append(completed, tr)
-		}
-	}
-	n.completed = completed
-	for _, tr := range completed {
-		n.removeFlowing(tr)
-	}
-	n.now = tEvent
-	n.grow()
-	return completed
-}
-
-// grow applies slow-start window doubling for connections whose doubling
-// time has arrived. Only flowing transfers can grow: a pending
-// transfer's first doubling (FlowAt+RTT) is always in the future, and an
-// idle connection has no doubling events scheduled.
-func (n *Network) grow() {
-	for _, tr := range n.flowing {
-		c := tr.Conn
-		if !c.InSlowStart() {
-			continue
-		}
-		for c.nextGrow <= n.now && c.InSlowStart() {
-			c.capBps *= 2
-			c.nextGrow += n.cfg.RTT
-			if c.capBps >= n.steadyCap {
-				c.capBps = math.Inf(1)
-			}
-			n.allocDirty = true
-		}
-	}
-}
-
 // smallSortLen is the largest slice length for which the standard
 // library's pdqsort is an insertion sort (and therefore stable); see its
-// cutoff. Up to this length the engine sorts caps with its own insertion
+// cutoff. Up to this length waterfill sorts caps with its own insertion
 // sort — the exact same permutation, including for ties — and the
 // uncapped fast path may skip sorting entirely (stability makes the
-// sorted order the connection order). Beyond it the reference sorts
-// with package sort's pdqsort, whose tie order is unspecified, so the
-// engine runs the same pdqsort (slices.SortFunc: same algorithm, same
-// permutation, no allocation) to stay bit-identical (no shipped
-// experiment has that many concurrent flows).
+// sorted order the connection order). Beyond it, it runs pdqsort
+// (slices.SortFunc: no allocation), whose tie order is unspecified but
+// deterministic.
 const smallSortLen = 12
-
-// allocate is the scan engine's rate assignment: recompute every flowing
-// transfer's effective cap, then water-fill. (The cell engine maintains
-// the tr.cap memo itself and calls waterfill directly.)
-//
-//vodlint:hotpath — water-filling: runs on every flow-set change
-func (n *Network) allocate(capacity float64) {
-	for _, tr := range n.flowing {
-		tr.cap = tr.Conn.effCap()
-	}
-	n.waterfill(capacity)
-}
 
 // waterfill distributes capacity (bytes/s) over the flowing transfers
 // using max-min fairness with per-connection caps (progressive water

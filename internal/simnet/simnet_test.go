@@ -294,3 +294,39 @@ func TestConnCapSequence(t *testing.T) {
 		t.Fatalf("third conn took %v, want 2.2 (cycled cap)", got)
 	}
 }
+
+// TestEngineShimContract pins the three shapes bench/probes.go asserts of
+// the Engine/CellActive/VTimeActive shims while the flows are live, so a
+// cleanup of the shims cannot fail the benchmark's probe.simnet op
+// silently. ROADMAP item 1 (f) re-keys those probes on flow shape; the PR
+// that does deletes the shims and this test together.
+func TestEngineShimContract(t *testing.T) {
+	cellCfg := DefaultConfig()
+	cellCfg.Engine = EngineCell
+	for _, tc := range []struct {
+		name        string
+		cfg         Config
+		flows       int
+		cell, vtime bool
+	}{
+		{"8 direct flows, DefaultConfig", DefaultConfig(), 8, false, false},
+		{"24 via-access flows, EngineCell", cellCfg, 24, true, false},
+		{"512 via-access flows, EngineCell", cellCfg, 512, false, true},
+	} {
+		n := New(tc.cfg, netem.Constant("edge", 40e6, 1000))
+		for i := 0; i < tc.flows; i++ {
+			var l *AccessLink
+			if tc.cfg.Engine == EngineCell {
+				l = n.NewAccessLink(netem.Cellular(1 + i%netem.CellularCount))
+			}
+			n.DialVia(l).Start(1e6, nil)
+		}
+		if done := n.Step(1e12); len(done) == 0 {
+			t.Fatalf("%s: nothing completed", tc.name)
+		}
+		if n.CellActive() != tc.cell || n.VTimeActive() != tc.vtime {
+			t.Errorf("%s: CellActive %v, VTimeActive %v after the first completion; want %v, %v",
+				tc.name, n.CellActive(), n.VTimeActive(), tc.cell, tc.vtime)
+		}
+	}
+}

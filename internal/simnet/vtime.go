@@ -6,12 +6,13 @@ import (
 	"slices"
 )
 
-// Virtual-service-time engine (GPS / fair-queuing style).
+// The virtual-service-time loop (GPS / fair-queuing style): Step's regime
+// at vtimeEnter flowing transfers and above.
 //
-// The scan engine pays O(F) per event on a busy link: it scans every
-// flowing transfer for the next slow-start doubling, reruns the
-// water-filling, and applies rate·dt to every flow. This engine makes
-// each event O(log F) by tracking a cumulative equal-share service
+// The anchored loop pays O(F) per event on a busy link: it scans every
+// flowing transfer for the next doubling and completion, and a capacity
+// change reruns the water-filling. This loop makes each event O(log F)
+// by tracking a cumulative equal-share service
 // counter V(t) — "bytes served per uncapped flow so far" — whose slope
 // s = (C − R)/U re-anchors only when the capacity C, the capped-rate
 // sum R, or the uncapped count U changes:
@@ -27,13 +28,17 @@ import (
 //     further heap.
 //   - Access-link profile boundaries are not heap events: they reuse the
 //     per-link (rateBps, nextChg) memo and the Network.linksNextChg
-//     minimum the cell engine maintains, refreshed by one gated pass over
+//     minimum the anchored loop maintains, refreshed by one gated pass over
 //     the active links (see vStepOnce).
 //
-// Per-flow progress is never written per event. It is materialized
-// lazily — on completion, removal, cap change, engine exit, or observer
-// read (Transfer.Remaining/Rate, Network.Delivered) — from the flow's
-// (anchor, remaining-at-anchor) pair. Network.Delivered stays O(1) via
+// Per-flow progress is never written per event. The flow record is the
+// anchored loop's (Transfer.remaining, aT, rate), with aT holding V
+// instead of a time for an uncapped flow, and is materialized lazily — on
+// completion, removal, cap change, hand-back, or observer read
+// (Transfer.Remaining/Rate, Network.Delivered). Unlike the anchored
+// loop's fold, the arithmetic here is unclamped: a residual within
+// epsBytes of zero, either sign, is folded at completion so a flow's
+// total lands exactly on Size. Network.Delivered stays O(1) via
 // aggregate anchors: capped flows have collectively delivered
 // R·now − Σ capᵢ·anchorᵢ, uncapped flows U·V − Σ anchorᵢ.
 //
@@ -52,17 +57,17 @@ import (
 // touches none. A capped flow serves at its exact cap, so its links hold
 // the floor at +Inf and re-key their members on every flip.
 //
-// The engine is equivalent to the scan engine up to float accumulation
-// order (uncapped shares are s exactly instead of the water-filling's
-// sequential remainder divisions); the differential fuzz target pins
-// the equivalence with tolerance-bounded completion times and exact
-// per-flow byte conservation.
+// The loop agrees with the anchored one up to float accumulation order
+// (uncapped shares are s exactly instead of the water-filling's
+// sequential remainder divisions); the differential fuzz target holds
+// both to the tests' reference network with tolerance-bounded completion
+// times and exact per-flow byte conservation.
 
 // Transfer.vClass values.
 const (
-	vNone uint8 = iota // not attached to the vtime engine
+	vNone uint8 = iota // not attached to the vtime loop
 	vUnc               // uncapped: serves at the shared slope
-	vCapd              // capped: serves at its own vCap
+	vCapd              // capped: serves at its own rate, its exact cap
 )
 
 // vtimeState carries the engine's anchors, aggregates and event heaps
@@ -73,9 +78,9 @@ type vtimeState struct {
 	C     float64 // edge capacity at the last refresh, bytes/s
 
 	uncN  int     // uncapped flow count U
-	uncAV float64 // Σ vAnchor over uncapped flows
-	R     float64 // Σ vCap over capped flows
-	capRT float64 // Σ vCap·vAnchor over capped flows
+	uncAV float64 // Σ aT over uncapped flows
+	R     float64 // Σ rate over capped flows
+	capRT float64 // Σ rate·aT over capped flows
 
 	uncFin fheap[Transfer] // uncapped flows keyed by finish-V
 	uncCap fheap[Transfer] // uncapped flows keyed by a lower bound of their effective cap (min on top)
@@ -108,24 +113,24 @@ func (v *vtimeState) deliveredAt(n *Network) float64 {
 }
 
 // addUnc attaches tr as an uncapped flow anchored at the current V.
-// tr.vRem must hold its remaining bytes.
+// tr.remaining must be current.
 func (v *vtimeState) addUnc(tr *Transfer, cap float64) {
 	tr.vClass = vUnc
-	tr.vAnchor = v.vNow
+	tr.aT = v.vNow
 	v.uncN++
-	v.uncAV += tr.vAnchor
-	v.uncFin.Push(tr, tr.vAnchor+tr.vRem)
+	v.uncAV += tr.aT
+	v.uncFin.Push(tr, tr.aT+tr.remaining)
 	v.uncCap.Push(tr, cap)
 }
 
 // removeUnc detaches tr from the uncapped class, materializing its
-// service since the anchor into Network.delivered and tr.vRem.
+// service since the anchor into Network.delivered and tr.remaining.
 func (v *vtimeState) removeUnc(n *Network, tr *Transfer) {
-	d := v.vNow - tr.vAnchor
+	d := v.vNow - tr.aT
 	n.delivered += d
-	tr.vRem -= d
+	tr.remaining -= d
 	v.uncN--
-	v.uncAV -= tr.vAnchor
+	v.uncAV -= tr.aT
 	v.uncFin.Remove(tr.hFin)
 	v.uncCap.Remove(tr.hCap)
 	tr.vClass = vNone
@@ -138,11 +143,11 @@ func (v *vtimeState) removeUnc(n *Network, tr *Transfer) {
 // construction: rebalance and updateCap route infinite caps to addUnc).
 func (v *vtimeState) addCap(n *Network, tr *Transfer, cap float64) {
 	tr.vClass = vCapd
-	tr.vCap = cap
-	tr.vAnchor = n.now
+	tr.rate = cap
+	tr.aT = n.now
 	v.R += cap
-	v.capRT += cap * tr.vAnchor
-	v.capFin.Push(tr, capFinishT(n.now, tr.vRem, cap))
+	v.capRT += cap * tr.aT
+	v.capFin.Push(tr, capFinishT(n.now, tr.remaining, cap))
 	v.capCap.Push(tr, -cap)
 	if l := tr.Conn.access; l != nil {
 		l.capFloor = math.Inf(1)
@@ -154,11 +159,11 @@ func (v *vtimeState) addCap(n *Network, tr *Transfer, cap float64) {
 
 // removeCap is addCap's inverse, materializing service at the cap.
 func (v *vtimeState) removeCap(n *Network, tr *Transfer) {
-	d := tr.vCap * (n.now - tr.vAnchor)
+	d := tr.rate * (n.now - tr.aT)
 	n.delivered += d
-	tr.vRem -= d
-	v.R -= tr.vCap
-	v.capRT -= tr.vCap * tr.vAnchor
+	tr.remaining -= d
+	v.R -= tr.rate
+	v.capRT -= tr.rate * tr.aT
 	v.capFin.Remove(tr.hFin)
 	v.capCap.Remove(tr.hCap)
 	tr.vClass = vNone
@@ -194,7 +199,7 @@ func (v *vtimeState) updateCap(n *Network, tr *Transfer) {
 			v.uncCap.Fix(tr.hCap, cap)
 		}
 	case vCapd:
-		if cap == tr.vCap { //vodlint:allow floateq — skip no-op re-anchors of an unchanged cap
+		if cap == tr.rate { //vodlint:allow floateq — skip no-op re-anchors of an unchanged cap
 			return
 		}
 		v.removeCap(n, tr)
@@ -292,7 +297,6 @@ func (v *vtimeState) rebalance(n *Network) {
 // insertFlowing).
 func (n *Network) vAttach(tr *Transfer) {
 	v := n.v
-	tr.vRem = tr.remaining
 	n.linkAttach(tr)
 	al, ul := tr.Conn.access, tr.upstream
 	if al != nil && al.flows == 1 {
@@ -347,7 +351,7 @@ func (n *Network) vDetach(tr *Transfer) {
 }
 
 // abandon drops an attached in-flight transfer (connection close),
-// materializing its progress into tr.remaining.
+// materializing its progress.
 func (v *vtimeState) abandon(n *Network, tr *Transfer) {
 	switch tr.vClass {
 	case vUnc:
@@ -357,7 +361,6 @@ func (v *vtimeState) abandon(n *Network, tr *Transfer) {
 	default:
 		return
 	}
-	tr.remaining = tr.vRem
 	if tr.remaining < 0 {
 		tr.remaining = 0
 	}
@@ -365,10 +368,11 @@ func (v *vtimeState) abandon(n *Network, tr *Transfer) {
 	v.rebalance(n)
 }
 
-// enterVTime hands the live flows from the scan engine to the
-// virtual-time engine. V restarts at 0; the active links refresh first,
-// so every flowing transfer attaches uncapped keyed by its cap as of now,
-// and the first rebalance derives the true partition.
+// enterVTime hands the live flows from the anchored loop to the
+// virtual-time loop: windows are synced and progress folded, so every
+// flow record is current as of now. V restarts at 0; the active links
+// refresh first, so every flowing transfer attaches uncapped keyed by its
+// cap as of now, and the first rebalance derives the true partition.
 func (n *Network) enterVTime() {
 	if n.v == nil {
 		n.v = newVtimeState()
@@ -380,15 +384,15 @@ func (n *Network) enterVTime() {
 	for _, l := range n.links {
 		n.vActivateLink(l)
 	}
-	for _, tr := range n.flowing {
+	for i, tr := range n.flowing {
+		c := tr.Conn
+		c.syncGrow(n.now)
+		n.cellMaterialize(tr)
 		tr.pos = -1
-		tr.vRem = tr.remaining
-		v.addUnc(tr, tr.Conn.effCap())
-		if c := tr.Conn; c.InSlowStart() && c.hGrow < 0 {
+		v.addUnc(tr, c.effCap())
+		if c.InSlowStart() && c.hGrow < 0 {
 			v.grow.Push(c, c.nextGrow)
 		}
-	}
-	for i := range n.flowing {
 		n.flowing[i] = nil
 	}
 	n.flowing = n.flowing[:0]
@@ -397,41 +401,42 @@ func (n *Network) enterVTime() {
 }
 
 // exitVTime hands the flows back: every attached flow materializes its
-// remaining bytes and the scan engine's flowing set is rebuilt in dial
-// order.
+// remaining bytes, the flowing set is rebuilt in dial order with every
+// flow re-anchored at the current instant, and the anchored loop's next
+// event refreshes the edge and link samples and recomputes every rate.
 func (n *Network) exitVTime() {
 	v := n.v
 	for v.uncFin.Len() > 0 {
 		tr := v.uncFin.Min()
 		v.removeUnc(n, tr)
-		tr.remaining = tr.vRem
 		n.flowing = append(n.flowing, tr)
 	}
 	for v.capFin.Len() > 0 {
 		tr := v.capFin.Min()
 		v.removeCap(n, tr)
-		tr.remaining = tr.vRem
 		n.flowing = append(n.flowing, tr)
 	}
 	v.grow.clear()
 	slices.SortFunc(n.flowing, func(a, b *Transfer) int { return cmp.Compare(a.Conn.seq, b.Conn.seq) })
 	for i, tr := range n.flowing {
 		tr.pos = i
+		tr.aT = n.now
 		if tr.remaining < 0 {
 			tr.remaining = 0
 		}
 	}
-	n.allocDirty = true
+	n.cellDirty = true
+	n.edgeNextChg, n.linksNextChg = n.now, n.now
+	n.capSum, n.numUncapped = 0, 0 // rebuilt by the forced full realloc
 	n.vmode = false
 }
 
-// vStepOnce advances the virtual-time engine by one event and returns
-// any completions. Event processing mirrors scanStepOnce: promote
-// pending arrivals, find the next event, advance real and virtual time
-// together, then apply completions, doublings and boundary re-anchors
-// due at the new time, and rebalance once.
+// vStepOnce advances the virtual-time loop by one event and returns any
+// completions: promote pending arrivals, find the next event, advance
+// real and virtual time together, then apply completions, doublings and
+// boundary re-anchors due at the new time, and rebalance once.
 //
-//vodlint:hotpath — vtime-engine event: O(log F) per event at high fan-in
+//vodlint:hotpath — vtime event: O(log F) per event at high fan-in
 func (n *Network) vStepOnce(until float64) []*Transfer {
 	const epsBytes = 1e-6
 	v := n.v
@@ -443,7 +448,7 @@ func (n *Network) vStepOnce(until float64) []*Transfer {
 		dirty = true
 	}
 	// Refresh edge capacity at the current time (cursor reads are O(1)
-	// amortised; the exact comparison is the scan engine's memo idiom).
+	// amortised; the exact comparison is the anchored loop's memo idiom).
 	if c := n.cursor.At(n.now) / 8; c != v.C { //vodlint:allow floateq — memo invalidation on a stored, never-recomputed sample value
 		v.C = c
 		dirty = true
@@ -507,18 +512,17 @@ func (n *Network) vStepOnce(until float64) []*Transfer {
 	for v.capFin.Len() > 0 {
 		tr := v.capFin.Min()
 		k := v.capFin.MinKey()
-		if !(k <= n.now || tr.vCap*(k-n.now) <= epsBytes) {
+		if !(k <= n.now || tr.rate*(k-n.now) <= epsBytes) {
 			break
 		}
 		v.removeCap(n, tr)
 		completed = append(completed, tr)
 	}
 	for _, tr := range completed {
-		// The residual vRem is within epsBytes of zero (either sign):
-		// folding it into delivered lands the flow's total exactly on
-		// Size, keeping byte conservation exact.
-		n.delivered += tr.vRem
-		tr.vRem = 0
+		// The residual is within epsBytes of zero (either sign): folding
+		// it into delivered lands the flow's total exactly on Size,
+		// keeping byte conservation exact.
+		n.delivered += tr.remaining
 		tr.remaining = 0
 		tr.Done = true
 		tr.Completed = n.now
@@ -531,13 +535,10 @@ func (n *Network) vStepOnce(until float64) []*Transfer {
 	// Slow-start doublings due now.
 	for v.grow.Len() > 0 && v.grow.MinKey() <= n.now {
 		c := v.grow.Min()
-		c.capBps *= 2
-		c.nextGrow += n.cfg.RTT
-		if c.capBps >= n.steadyCap {
-			c.capBps = math.Inf(1)
-			v.grow.Remove(c.hGrow)
-		} else {
+		if c.double(); c.InSlowStart() {
 			v.grow.Fix(c.hGrow, c.nextGrow)
+		} else {
+			v.grow.Remove(c.hGrow)
 		}
 		if tr := c.cur; tr != nil && tr.vClass != vNone {
 			v.updateCap(n, tr)
@@ -577,8 +578,8 @@ func (n *Network) vStepOnce(until float64) []*Transfer {
 		v.rebalance(n)
 	}
 
-	// Deterministic dial-order batches, mirroring the scan engine's
-	// flowing-set order.
+	// Deterministic dial-order batches, as the anchored loop's
+	// flowing-set order gives.
 	if len(completed) > 1 {
 		for i := 1; i < len(completed); i++ {
 			for j := i; j > 0 && completed[j].Conn.seq < completed[j-1].Conn.seq; j-- {

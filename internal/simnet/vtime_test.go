@@ -1,15 +1,11 @@
 package simnet
 
-// Differential and property tests for the virtual-time engine (vtime.go).
-//
-// The vtime engine is equivalent to the scan engine up to float
-// accumulation order: uncapped flows receive the exact equal share s
-// instead of the water-filling's sequential remainder divisions, and
-// completions land within the scan engine's epsBytes residue. The tests
-// here therefore use tolerance-bounded comparisons for times and totals
-// — unlike reference_test.go's bit-exact contract for the scan engine —
+// Differential and property tests for the virtual-time loop (vtime.go),
+// and the script harness every differential test in the package replays:
+// once on the reference network (reference_test.go), once on the
+// production one. Comparisons are tolerance-bounded on times and totals,
 // plus exact structural requirements: the same transfers complete, in a
-// consistent order, with per-engine byte conservation holding exactly.
+// consistent order, with each side's byte ledger balancing.
 
 import (
 	"fmt"
@@ -20,30 +16,15 @@ import (
 	"repro/internal/netem"
 )
 
-// timeTol bounds the completion-time disagreement between the two
-// engines: the scan engine declares completion with up to epsBytes
-// (1e-6) remaining, so times differ by at most eps/rate plus float
-// accumulation dust over a long run.
+// timeTol bounds the completion-time disagreement between the reference
+// and the production network: the reference declares completion with up
+// to epsBytes (1e-6) remaining, so times differ by at most eps/rate plus
+// float accumulation dust over a long run.
 const timeTol = 1e-5
 
-// engineRun is the observable outcome of one scripted workload on one
-// engine: completion records in completion order plus final totals.
-type engineRun struct {
-	n         *Network
-	conns     []*Conn
-	transfers []*Transfer
-	completed []completionRec
-}
-
-type completionRec struct {
-	connSeq   int
-	size      float64
-	completed float64
-}
-
 // workloadOp is one scripted event; the script is generated once and
-// replayed identically on every engine so the engines see the same
-// requests at the same times regardless of tolerance-level divergence.
+// replayed identically on both sides so they see the same requests at the
+// same times regardless of tolerance-level divergence.
 type workloadOp struct {
 	kind  int // 0 start, 1 close+redial, 2 step
 	conn  int
@@ -55,7 +36,7 @@ type workloadOp struct {
 // buildWorkload generates a seeded high-fan-in script: nconn
 // connections (optionally spread over a few shared access links),
 // random starts, occasional mid-flight closes, and absolute step
-// deadlines so both engines advance in lockstep.
+// deadlines so both sides advance in lockstep.
 func buildWorkload(rng *rand.Rand, nconn, nlinks, events int) []workloadOp {
 	ops := make([]workloadOp, 0, events+2*nconn)
 	now := 0.0
@@ -90,63 +71,71 @@ func buildWorkload(rng *rand.Rand, nconn, nlinks, events int) []workloadOp {
 	return ops
 }
 
-// runWorkload replays a script on a fresh Network with the given engine
-// and nconn connection slots over nlinks shared access links. A start
-// on a busy or pending connection is skipped — the script is identical
-// across engines, and with deadline-driven steps the busy state at each
-// op is too, because both engines complete the same transfers between
-// the same deadlines (checked post-hoc by comparing completion counts).
-func runWorkload(t *testing.T, cfg Config, p *netem.Profile, linkP *netem.Profile, engine Engine, ops []workloadOp, nconn, nlinks int) *engineRun {
+// workload is a script and the topology it runs over: nconn connection
+// slots, nlinks shared access links on linkP and, when backhaul is set,
+// one upstream link on it that the odd slots' responses also traverse,
+// from 80 ms further away — cache misses, every other client.
+type workload struct {
+	ops           []workloadOp
+	nconn, nlinks int
+	linkP         *netem.Profile
+	backhaul      *netem.Profile
+}
+
+// runWorkload replays a workload on a fresh target. A start on a busy
+// connection is skipped — the script is identical on both sides, and with
+// deadline-driven steps the busy state at each op is too, because both
+// complete the same transfers between the same deadlines (checked
+// post-hoc by comparing completion counts).
+func runWorkload(t *testing.T, tgt simTarget, label string, w workload) *scriptRun {
 	t.Helper()
-	cfg.Engine = engine
-	n := New(cfg, p)
-	links := make([]*AccessLink, nlinks)
-	for i := range links {
-		links[i] = n.NewAccessLink(linkP)
+	r := &scriptRun{simTarget: tgt, label: label}
+	for i := 0; i < w.nlinks; i++ {
+		r.newLink(w.linkP)
 	}
-	r := &engineRun{n: n, conns: make([]*Conn, nconn)}
-	dial := func(via int) *Conn {
-		if via >= 0 {
-			return n.DialVia(links[via])
-		}
-		return n.Dial()
+	backhaul := -1
+	if w.backhaul != nil {
+		backhaul = r.newLink(w.backhaul)
 	}
-	lastCompleted := 0.0
-	step := func(until float64) {
-		for {
-			done := n.Step(until)
-			checkVTimeCapBounds(t, n)
-			if len(done) == 0 {
-				return
-			}
-			for _, tr := range done {
-				if tr.Completed < lastCompleted {
-					t.Fatalf("engine %d: completion time went backwards: %v after %v", engine, tr.Completed, lastCompleted)
-				}
-				lastCompleted = tr.Completed
-				r.completed = append(r.completed, completionRec{tr.Conn.seq, tr.Size, tr.Completed})
-			}
-		}
+	slots := make([]int, w.nconn)
+	for i := range slots {
+		slots[i] = -1
 	}
-	for _, op := range ops {
+	for _, op := range w.ops {
 		switch op.kind {
 		case 0:
-			if r.conns[op.conn] == nil {
-				r.conns[op.conn] = dial(op.via)
+			if slots[op.conn] < 0 {
+				slots[op.conn] = r.dial(op.via)
 			}
-			if c := r.conns[op.conn]; !c.Busy() {
-				r.transfers = append(r.transfers, c.Start(op.size, nil))
+			switch c := slots[op.conn]; {
+			case r.busy(c):
+			case backhaul >= 0 && op.conn%2 == 1:
+				r.start(c, op.size, 0.08, backhaul)
+			default:
+				r.start(c, op.size, 0, -1)
 			}
 		case 1:
-			if c := r.conns[op.conn]; c != nil {
-				c.Close()
-				r.conns[op.conn] = dial(op.via)
+			if c := slots[op.conn]; c >= 0 {
+				r.close(c)
+				slots[op.conn] = r.dial(op.via)
 			}
 		case 2:
-			step(op.until)
+			r.stepTo(t, op.until)
 		}
 	}
 	return r
+}
+
+// checkWorkload replays one workload on the reference and on a production
+// network — pinned to the virtual-time loop, or left to pick its regime
+// by flow count — and holds the two runs to the differential contract.
+func checkWorkload(t *testing.T, cfg Config, p *netem.Profile, vtime bool, w workload) {
+	t.Helper()
+	ref := runWorkload(t, newRefTarget(cfg, p), "reference", w)
+	prod := runWorkload(t, newProdTarget(t, cfg, p, vtime), "production", w)
+	checkConservation(t, ref)
+	checkConservation(t, prod)
+	compareRuns(t, ref, prod)
 }
 
 // checkVTimeCapBounds asserts the rebalance heaps' cap invariant on a
@@ -173,8 +162,8 @@ func checkVTimeCapBounds(t *testing.T, n *Network) {
 		}
 	}
 	for _, tr := range v.capCap.val {
-		if c := tr.Conn.effCap(); tr.vClass != vCapd || tr.vCap != c {
-			t.Fatalf("t=%v conn %d: class %d, serving at %v, effective cap %v", n.now, tr.Conn.seq, tr.vClass, tr.vCap, c)
+		if c := tr.Conn.effCap(); tr.vClass != vCapd || tr.rate != c {
+			t.Fatalf("t=%v conn %d: class %d, serving at %v, effective cap %v", n.now, tr.Conn.seq, tr.vClass, tr.rate, c)
 		}
 		for _, l := range [...]*AccessLink{tr.Conn.access, tr.upstream} {
 			if l != nil && !math.IsInf(l.capFloor, 1) {
@@ -184,63 +173,74 @@ func checkVTimeCapBounds(t *testing.T, n *Network) {
 	}
 }
 
-// checkConservation asserts the exact per-engine byte ledger: delivered
-// bytes equal the bytes drained from every transfer ever started.
-func checkConservation(t *testing.T, r *engineRun, label string) {
+// checkConservation asserts one side's byte ledger: delivered bytes equal
+// the bytes drained from every transfer ever started, and a completed
+// transfer holds none.
+func checkConservation(t *testing.T, r *scriptRun) {
 	t.Helper()
-	var drained float64
-	for _, tr := range r.transfers {
-		drained += tr.Size - tr.Remaining()
+	delivered, drained, dust := r.ledger()
+	if diff := math.Abs(delivered - drained); diff > 1e-3 {
+		t.Fatalf("%s: delivered %v != drained %v (diff %g)", r.label, delivered, drained, diff)
 	}
-	if diff := math.Abs(r.n.Delivered() - drained); diff > 1e-3 {
-		t.Fatalf("%s: delivered %v != drained %v (diff %g)", label, r.n.Delivered(), drained, diff)
+	if dust != 0 {
+		t.Fatalf("%s: %d completed transfers still hold bytes", r.label, dust)
 	}
 }
 
-// compareRuns checks the two engines completed the same transfers with
+// compareRuns checks the two sides completed the same transfers with
 // tolerance-bounded times and totals. Completion order may legitimately
 // swap for transfers finishing within the tolerance of each other, so
 // records are matched per connection (per-conn order is program order:
 // one outstanding request per connection).
-func compareRuns(t *testing.T, scan, vt *engineRun) {
+func compareRuns(t *testing.T, ref, got *scriptRun) {
 	t.Helper()
-	if len(scan.completed) != len(vt.completed) {
-		t.Fatalf("completion count: scan %d != vtime %d", len(scan.completed), len(vt.completed))
+	if len(ref.completed) != len(got.completed) {
+		t.Fatalf("completion count: %s %d != %s %d", ref.label, len(ref.completed), got.label, len(got.completed))
 	}
-	perConn := func(r *engineRun) map[int][]completionRec {
+	perConn := func(r *scriptRun) map[int][]completionRec {
 		m := make(map[int][]completionRec)
 		for _, c := range r.completed {
 			m[c.connSeq] = append(m[c.connSeq], c)
 		}
 		return m
 	}
-	sm, vm := perConn(scan), perConn(vt)
-	for seq, sc := range sm {
-		vc := vm[seq]
-		if len(sc) != len(vc) {
-			t.Fatalf("conn %d: scan completed %d transfers, vtime %d", seq, len(sc), len(vc))
+	rm, gm := perConn(ref), perConn(got)
+	for seq, rc := range rm {
+		gc := gm[seq]
+		if len(rc) != len(gc) {
+			t.Fatalf("conn %d: %s completed %d transfers, %s %d", seq, ref.label, len(rc), got.label, len(gc))
 		}
-		for i := range sc {
-			if sc[i].size != vc[i].size {
-				t.Fatalf("conn %d transfer %d: size %v != %v", seq, i, sc[i].size, vc[i].size)
+		for i := range rc {
+			if rc[i].size != gc[i].size {
+				t.Fatalf("conn %d transfer %d: size %v != %v", seq, i, rc[i].size, gc[i].size)
 			}
-			tol := timeTol * (1 + math.Abs(sc[i].completed))
-			if d := math.Abs(sc[i].completed - vc[i].completed); d > tol {
-				t.Fatalf("conn %d transfer %d (size %v): completed %v (scan) vs %v (vtime), diff %g > %g",
-					seq, i, sc[i].size, sc[i].completed, vc[i].completed, d, tol)
+			tol := timeTol * (1 + math.Abs(rc[i].completed))
+			if d := math.Abs(rc[i].completed - gc[i].completed); d > tol {
+				t.Fatalf("conn %d transfer %d (size %v): completed %v (%s) vs %v (%s), diff %g > %g",
+					seq, i, rc[i].size, rc[i].completed, ref.label, gc[i].completed, got.label, d, tol)
 			}
 		}
 	}
-	dTol := 1e-3 + 1e-9*math.Abs(scan.n.Delivered())
-	if d := math.Abs(scan.n.Delivered() - vt.n.Delivered()); d > dTol {
-		t.Fatalf("delivered: scan %v vs vtime %v (diff %g)", scan.n.Delivered(), vt.n.Delivered(), d)
+	rd, _, _ := ref.ledger()
+	gd, _, _ := got.ledger()
+	if d := math.Abs(rd - gd); d > 1e-3+1e-9*math.Abs(rd) {
+		t.Fatalf("delivered: %s %v vs %s %v (diff %g)", ref.label, rd, got.label, gd, d)
 	}
+}
+
+// seededWorkload draws the fuzz harness's scenario from one stream: an
+// edge profile that can always drain (conservation needs it), a transport
+// config, and a script over up to 96 connections and 5 shared links.
+func seededWorkload(rng *rand.Rand, nconn, nlinks int) (Config, *netem.Profile, workload) {
+	p := drainableProfile(rng)
+	cfg := randomConfig(rng)
+	return cfg, p, workload{ops: buildWorkload(rng, nconn, nlinks, 80), nconn: nconn, nlinks: nlinks, linkP: netem.Constant("access", 4e6, 7)}
 }
 
 // FuzzEngineEquivalence is the seeded differential harness: a scripted
 // high-fan-in workload (shared access links included) replayed on the
-// scan and virtual-time engines must complete the same transfers at
-// tolerance-equal times with exact per-engine byte conservation.
+// reference and on the virtual-time loop must complete the same transfers
+// at tolerance-equal times with each side's ledger balancing.
 func FuzzEngineEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint8(0))
 	f.Add(int64(2), uint8(48), uint8(0))
@@ -250,124 +250,29 @@ func FuzzEngineEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, nconnB, nlinksB uint8) {
 		nconn := 1 + int(nconnB)%96
 		nlinks := int(nlinksB) % 6
-		rng := rand.New(rand.NewSource(seed))
-		p := randomProfile(rng)
-		// Conservation and drain need a link that can actually deliver.
-		for i, s := range p.Samples {
-			if s == 0 {
-				p.Samples[i] = 5e5
-			}
-		}
-		linkP := netem.Constant("access", 4e6, 7)
-		cfg := randomConfig(rng)
-		ops := buildWorkload(rng, nconn, nlinks, 80)
-
-		scan := runWorkload(t, cfg, p, linkP, EngineScan, ops, nconn, nlinks)
-		vt := runWorkload(t, cfg, p, linkP, EngineVTime, ops, nconn, nlinks)
-		checkConservation(t, scan, "scan")
-		checkConservation(t, vt, "vtime")
-		compareRuns(t, scan, vt)
+		cfg, p, w := seededWorkload(rand.New(rand.NewSource(seed)), nconn, nlinks)
+		checkWorkload(t, cfg, p, true, w)
 	})
 }
 
-// TestEngineEquivalenceSeeded replays the fuzz harness over a fixed
-// seed sweep so the differential property runs on every plain `go test`
-// (and under -race in CI), not only in fuzz mode.
-func TestEngineEquivalenceSeeded(t *testing.T) {
+// equivalenceSeeded replays the fuzz harness over a fixed seed sweep so
+// the differential property runs on every plain `go test` (and under
+// -race in CI), not only in fuzz mode.
+func equivalenceSeeded(t *testing.T, vtime bool) {
 	for seed := int64(0); seed < 25; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			nconn := 1 + rng.Intn(96)
 			nlinks := rng.Intn(6)
-			p := randomProfile(rng)
-			for i, s := range p.Samples {
-				if s == 0 {
-					p.Samples[i] = 5e5
-				}
-			}
-			linkP := netem.Constant("access", 4e6, 7)
-			cfg := randomConfig(rng)
-			ops := buildWorkload(rng, nconn, nlinks, 80)
-			scan := runWorkload(t, cfg, p, linkP, EngineScan, ops, nconn, nlinks)
-			vt := runWorkload(t, cfg, p, linkP, EngineVTime, ops, nconn, nlinks)
-			checkConservation(t, scan, "scan")
-			checkConservation(t, vt, "vtime")
-			compareRuns(t, scan, vt)
+			cfg, p, w := seededWorkload(rng, nconn, nlinks)
+			checkWorkload(t, cfg, p, vtime, w)
 		})
 	}
 }
 
-// TestEngineAutoSwitchEquivalence drives a workload that crosses the
-// auto-switch thresholds in both directions — a fan-in spike past
-// vtimeEnter, a drain below vtimeExit, then a second spike — and
-// requires EngineAuto's outcome to match EngineScan's within tolerance
-// while confirming the engine actually switched.
-func TestEngineAutoSwitchEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	p := randomProfile(rng)
-	for i, s := range p.Samples {
-		if s == 0 {
-			p.Samples[i] = 5e5
-		}
-	}
-	cfg := randomConfig(rng)
-	nconn := vtimeEnter + 24
-	var ops []workloadOp
-	for i := 0; i < nconn; i++ { // spike 1: everyone requests at t=0
-		ops = append(ops, workloadOp{kind: 0, conn: i, size: math.Round(rng.Float64()*2e6) + 1e5, via: -1})
-	}
-	ops = append(ops, workloadOp{kind: 2, until: 1500}) // drain to empty
-	for i := 0; i < nconn; i++ {                        // spike 2: idle-reset then re-request
-		ops = append(ops, workloadOp{kind: 0, conn: i, size: math.Round(rng.Float64()*2e6) + 1e5, via: -1})
-	}
-	ops = append(ops, workloadOp{kind: 2, until: 4000})
-
-	scan := runWorkload(t, cfg, p, nil, EngineScan, ops, nconn, 0)
-	if scan.n.VTimeActive() {
-		t.Fatal("EngineScan ended in vtime mode")
-	}
-
-	// Replay on EngineAuto, probing the mode at the spike and the drain.
-	cfg.Engine = EngineAuto
-	n := New(cfg, p)
-	conns := make([]*Conn, nconn)
-	for i := range conns {
-		conns[i] = n.Dial()
-		conns[i].Start(ops[i].size, nil)
-	}
-	n.Step(0.5) // past every FlowAt: the spike is flowing
-	sawVtime := n.VTimeActive()
-	var auto []completionRec
-	collect := func(until float64) {
-		for {
-			done := n.Step(until)
-			if len(done) == 0 {
-				return
-			}
-			for _, tr := range done {
-				auto = append(auto, completionRec{tr.Conn.seq, tr.Size, tr.Completed})
-			}
-			sawVtime = sawVtime || n.VTimeActive()
-		}
-	}
-	collect(1500)
-	if n.VTimeActive() {
-		t.Error("EngineAuto still in vtime mode after the fleet drained to zero")
-	}
-	for i, c := range conns {
-		c.Start(ops[nconn+1+i].size, nil)
-	}
-	collect(4000)
-	if !sawVtime {
-		t.Fatalf("EngineAuto never entered vtime mode at %d concurrent flows", nconn)
-	}
-	if len(auto) != len(scan.completed) {
-		t.Fatalf("completion count: auto %d != scan %d", len(auto), len(scan.completed))
-	}
-	vt := &engineRun{n: n, completed: auto}
-	compareRuns(t, scan, vt)
-}
+// TestEngineEquivalenceSeeded is the sweep on the virtual-time loop alone.
+func TestEngineEquivalenceSeeded(t *testing.T) { equivalenceSeeded(t, true) }
 
 // TestVTimeFairnessOrder pins the fairness property in closed form:
 // K uncapped flows sharing one link under processor sharing finish in
@@ -380,10 +285,9 @@ func TestVTimeFairnessOrder(t *testing.T) {
 		// A first window larger than the link keeps every flow uncapped
 		// from its first byte, so the closed form applies exactly.
 		InitialWindowSegments: 2e4,
-		Engine:                EngineVTime,
 	}
 	p := netem.Constant("flat", bps, 1000)
-	n := New(cfg, p)
+	n := pinVTime(New(cfg, p))
 	sizes := make([]float64, K)
 	for i := range sizes {
 		sizes[i] = float64(1+i) * 1e5 // distinct, ascending
@@ -428,32 +332,15 @@ func TestVTimeFairnessOrder(t *testing.T) {
 // bit-identical to an unprobed twin.
 func TestVTimeLazyReadConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	p := randomProfile(rng)
-	for i, s := range p.Samples {
-		if s == 0 {
-			p.Samples[i] = 5e5
-		}
-	}
-	linkP := netem.Constant("access", 3e6, 5)
+	p := drainableProfile(rng)
 	cfg := randomConfig(rng)
-	cfg.Engine = EngineVTime
-	ops := buildWorkload(rng, 40, 3, 60)
+	w := workload{ops: buildWorkload(rng, 40, 3, 60), nconn: 40, nlinks: 3, linkP: netem.Constant("access", 3e6, 5)}
 
-	probed := New(cfg, p)
-	silent := New(cfg, p)
-	mk := func(n *Network) (conns []*Conn, links []*AccessLink) {
-		links = []*AccessLink{n.NewAccessLink(linkP), n.NewAccessLink(linkP), n.NewAccessLink(linkP)}
-		conns = make([]*Conn, 40)
-		return
-	}
-	pc, pl := mk(probed)
-	sc, sl := mk(silent)
-
-	var pTrans, sTrans []*Transfer
+	probed, silent := newProdTarget(t, cfg, p, true), newProdTarget(t, cfg, p, true)
 	lastRem := map[*Transfer]float64{}
-	probe := func() {
+	probed.afterStep = func() {
 		var drained float64
-		for _, tr := range pTrans {
+		for _, tr := range probed.transfers {
 			rem := tr.Remaining()
 			if rem < 0 || rem > tr.Size {
 				t.Fatalf("Remaining %v outside [0, %v]", rem, tr.Size)
@@ -467,52 +354,23 @@ func TestVTimeLazyReadConsistency(t *testing.T) {
 			}
 			drained += tr.Size - rem
 		}
-		if d := math.Abs(probed.Delivered() - drained); d > 1e-3 {
-			t.Fatalf("Delivered %v != per-transfer drained %v (diff %g)", probed.Delivered(), drained, d)
+		if d := math.Abs(probed.n.Delivered() - drained); d > 1e-3 {
+			t.Fatalf("Delivered %v != per-transfer drained %v (diff %g)", probed.n.Delivered(), drained, d)
 		}
 	}
-	for _, op := range ops {
-		switch op.kind {
-		case 0:
-			if pc[op.conn] == nil {
-				if op.via >= 0 {
-					pc[op.conn], sc[op.conn] = probed.DialVia(pl[op.via]), silent.DialVia(sl[op.via])
-				} else {
-					pc[op.conn], sc[op.conn] = probed.Dial(), silent.Dial()
-				}
-			}
-			if !pc[op.conn].Busy() {
-				pTrans = append(pTrans, pc[op.conn].Start(op.size, nil))
-				sTrans = append(sTrans, sc[op.conn].Start(op.size, nil))
-			}
-		case 1:
-			if pc[op.conn] != nil {
-				pc[op.conn].Close()
-				sc[op.conn].Close()
-				pc[op.conn], sc[op.conn] = probed.Dial(), silent.Dial()
-			}
-		case 2:
-			for {
-				pd := probed.Step(op.until)
-				sd := silent.Step(op.until)
-				probe() // reads between every step on the probed twin only
-				if len(pd) != len(sd) {
-					t.Fatalf("probed run diverged: %d vs %d completions", len(pd), len(sd))
-				}
-				if len(pd) == 0 {
-					break
-				}
-			}
-		}
-	}
+	runWorkload(t, probed, "probed", w)
+	runWorkload(t, silent, "silent", w)
 	// Purity: every observable of the probed run equals the silent twin's.
-	if probed.Delivered() != silent.Delivered() {
-		t.Fatalf("reads perturbed Delivered: %v vs %v", probed.Delivered(), silent.Delivered())
+	if probed.n.Delivered() != silent.n.Delivered() {
+		t.Fatalf("reads perturbed Delivered: %v vs %v", probed.n.Delivered(), silent.n.Delivered())
 	}
-	for i := range pTrans {
-		if pTrans[i].Remaining() != sTrans[i].Remaining() || pTrans[i].Completed != sTrans[i].Completed {
+	if len(probed.transfers) != len(silent.transfers) {
+		t.Fatalf("probed run diverged: %d vs %d transfers started", len(probed.transfers), len(silent.transfers))
+	}
+	for i, pt := range probed.transfers {
+		if st := silent.transfers[i]; pt.Remaining() != st.Remaining() || pt.Completed != st.Completed {
 			t.Fatalf("reads perturbed transfer %d: remaining %v/%v completed %v/%v",
-				i, pTrans[i].Remaining(), sTrans[i].Remaining(), pTrans[i].Completed, sTrans[i].Completed)
+				i, pt.Remaining(), st.Remaining(), pt.Completed, st.Completed)
 		}
 	}
 }
@@ -543,103 +401,87 @@ type stormShape struct {
 // profs[i%len(profs)], sh.perLink connections each), under one constant
 // edge. Every connection fetches two objects; the second request goes
 // out at the first quarter-second deadline after the first completed, so
-// links go idle and re-activate mid-second and both engines see
-// identical request times. closeConn >= 0 closes that connection,
-// mid-transfer, at closeAt. The returned count is the number of Step
-// returns that found some link carrying a capped and an uncapped
-// virtual-time flow together.
-func runLinkStorm(t *testing.T, engine Engine, profs []*netem.Profile, sh stormShape, closeConn int, closeAt float64) (*engineRun, int) {
+// links go idle and re-activate mid-second and both sides see identical
+// request times. closeConn >= 0 closes that connection, mid-transfer, at
+// closeAt.
+func runLinkStorm(t *testing.T, tgt simTarget, label string, profs []*netem.Profile, sh stormShape, closeConn int, closeAt float64) *scriptRun {
 	t.Helper()
-	nconn := sh.nconn
-	cfg := DefaultConfig()
-	cfg.Engine = engine
-	cfg.ConnCapSequence = sh.connCaps
-	cfg.RTT = sh.rtt
-	n := New(cfg, netem.Constant("edge", sh.edgeBps, 1000))
-	r := &engineRun{n: n, conns: make([]*Conn, nconn)}
+	r := &scriptRun{simTarget: tgt, label: label}
 	rng := rand.New(rand.NewSource(17))
-	left := make([]int, nconn)
-	var l *AccessLink
-	for i := range r.conns {
+	left := make([]int, sh.nconn)
+	for i := range left {
 		if i%sh.perLink == 0 {
-			l = n.NewAccessLink(profs[i/sh.perLink%len(profs)])
+			r.newLink(profs[i/sh.perLink%len(profs)])
 		}
-		r.conns[i] = n.DialVia(l)
+		r.dial(i / sh.perLink)
 		left[i] = 2
 	}
-	mixedSteps := 0
-	want := 2 * nconn
+	want := 2 * sh.nconn
 	for deadline := 0.0; len(r.completed) < want; deadline += 0.25 {
 		if deadline > 2000 {
-			t.Fatalf("engine %d: %d of %d transfers completed by t=%v", engine, len(r.completed), want, deadline)
+			t.Fatalf("%s: %d of %d transfers completed by t=%v", label, len(r.completed), want, deadline)
 		}
 		if closeConn >= 0 && deadline >= closeAt {
-			if !r.conns[closeConn].Busy() {
+			if !r.busy(closeConn) {
 				t.Fatalf("conn %d has nothing in flight to abandon at t=%v", closeConn, deadline)
 			}
-			r.conns[closeConn].Close()
+			r.close(closeConn)
 			want -= 1 + left[closeConn]
 			left[closeConn], closeConn = 0, -1
 		}
-		for i, c := range r.conns {
-			if left[i] > 0 && !c.Busy() && deadline >= 0.25*float64(i%sh.perLink) {
+		for i := range left {
+			if left[i] > 0 && !r.busy(i) && deadline >= 0.25*float64(i%sh.perLink) {
 				left[i]--
-				r.transfers = append(r.transfers, c.Start(math.Round(rng.Float64()*4e5)+5e4, nil))
+				r.start(i, math.Round(rng.Float64()*4e5)+5e4, 0, -1)
 			}
 		}
-		for {
-			done := n.Step(deadline + 0.25)
-			checkVTimeCapBounds(t, n)
-			for _, l := range n.links {
-				var seen [vCapd + 1]bool
-				for _, m := range l.members {
-					seen[m.vClass] = true
-				}
-				if seen[vUnc] && seen[vCapd] {
-					mixedSteps++
-					break
-				}
+		r.stepTo(t, deadline+0.25)
+	}
+	return r
+}
+
+// checkLinkStorm runs one storm on the reference and on the virtual-time
+// loop and requires compareRuns' equivalence plus the order property:
+// completions arrive in the same order (two may swap only when the
+// reference finished them within the time tolerance of each other). The
+// returned count is the number of production Step returns that found
+// some link carrying a capped and an uncapped flow together.
+func checkLinkStorm(t *testing.T, profs []*netem.Profile, sh stormShape, closeConn int, closeAt float64) (mixedSteps int) {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.ConnCapSequence = sh.connCaps
+	cfg.RTT = sh.rtt
+	edge := netem.Constant("edge", sh.edgeBps, 1000)
+	pt := newProdTarget(t, cfg, edge, true)
+	pt.afterStep = func() {
+		for _, l := range pt.n.links {
+			var seen [vCapd + 1]bool
+			for _, m := range l.members {
+				seen[m.vClass] = true
 			}
-			if len(done) == 0 {
+			if seen[vUnc] && seen[vCapd] {
+				mixedSteps++
 				break
-			}
-			for _, tr := range done {
-				r.completed = append(r.completed, completionRec{tr.Conn.seq, tr.Size, tr.Completed})
 			}
 		}
 	}
-	return r, mixedSteps
-}
-
-// checkLinkStorm runs one storm on the scan and virtual-time engines and
-// requires compareRuns' equivalence plus the order and per-flow
-// properties: completions arrive in the same order (two may swap only
-// when the scan engine finished them within the time tolerance of each
-// other), and every completed transfer drained exactly to zero.
-func checkLinkStorm(t *testing.T, profs []*netem.Profile, sh stormShape, closeConn int, closeAt float64) (mixedSteps int) {
-	t.Helper()
-	scan, _ := runLinkStorm(t, EngineScan, profs, sh, closeConn, closeAt)
-	vt, mixedSteps := runLinkStorm(t, EngineVTime, profs, sh, closeConn, closeAt)
-	checkConservation(t, scan, "scan")
-	checkConservation(t, vt, "vtime")
-	compareRuns(t, scan, vt)
+	ref := runLinkStorm(t, newRefTarget(cfg, edge), "reference", profs, sh, closeConn, closeAt)
+	vt := runLinkStorm(t, pt, "vtime", profs, sh, closeConn, closeAt)
+	checkConservation(t, ref)
+	checkConservation(t, vt)
+	compareRuns(t, ref, vt)
 	type flowKey struct {
 		connSeq int
 		size    float64
 	}
-	scanAt := make(map[flowKey]float64, len(scan.completed))
-	for _, sc := range scan.completed {
-		scanAt[flowKey{sc.connSeq, sc.size}] = sc.completed
+	refAt := make(map[flowKey]float64, len(ref.completed))
+	for _, rc := range ref.completed {
+		refAt[flowKey{rc.connSeq, rc.size}] = rc.completed
 	}
-	for i, sc := range scan.completed {
+	for i, rc := range ref.completed {
 		vc := vt.completed[i]
-		if d := math.Abs(scanAt[flowKey{vc.connSeq, vc.size}] - sc.completed); d > timeTol*(1+sc.completed) {
-			t.Fatalf("completion %d: scan finished conn %d, vtime conn %d, which scan finished %g s apart", i, sc.connSeq, vc.connSeq, d)
-		}
-	}
-	for i, tr := range vt.transfers {
-		if tr.Done && tr.Remaining() != 0 {
-			t.Fatalf("vtime transfer %d: %g bytes left after completion", i, tr.Remaining())
+		if d := math.Abs(refAt[flowKey{vc.connSeq, vc.size}] - rc.completed); d > timeTol*(1+rc.completed) {
+			t.Fatalf("completion %d: the reference finished conn %d, vtime conn %d, which the reference finished %g s apart", i, rc.connSeq, vc.connSeq, d)
 		}
 	}
 	return mixedSteps
@@ -657,10 +499,13 @@ func TestVTimeAlignedBoundaryStorm(t *testing.T) {
 }
 
 // TestVTimeMixedSampleDur is the same storm with link sample durations
-// of 0.7, 1 and 1.3 s: boundaries do not align, so almost every instant
-// has only a few links due and the rest must be left alone.
+// of 0.75, 1 and 1.25 s: boundaries do not align, so almost every instant
+// has only a few links due and the rest must be left alone. (Binary-exact
+// durations on purpose: at k·0.7 a netem.Cursor seeks into the sample
+// before the boundary and holds it for the whole window, where Profile.At
+// — what the reference reads — is one sample ahead by mid-window.)
 func TestVTimeMixedSampleDur(t *testing.T) {
-	checkLinkStorm(t, stormProfiles(0.7, 1, 1.3), saturated256, -1, 0)
+	checkLinkStorm(t, stormProfiles(0.75, 1, 1.25), saturated256, -1, 0)
 }
 
 // TestVTimeSlowStartStorm stretches the round trip to half a second, so
@@ -688,7 +533,7 @@ func TestVTimeSharedLinkStorm(t *testing.T) {
 }
 
 // TestVTimeStaleCapBound walks one flow's cap bound through its whole
-// life cycle against the scan engine. 64 single-flow links share a
+// life cycle against the reference. 64 single-flow links share a
 // 32 Mbit/s edge, so the share starts at 62.5 kB/s, below every link's;
 // link 0 steps 1 -> 20 -> 0.5 Mbit/s in 4 s samples while the others
 // hold 16 Mbit/s. The rise to 20 Mbit/s leaves flow 0's bound at the
@@ -699,12 +544,13 @@ func TestVTimeSharedLinkStorm(t *testing.T) {
 func TestVTimeStaleCapBound(t *testing.T) {
 	const nlinks = 64
 	linkP := &netem.Profile{Name: "step", SampleDur: 4, Samples: []float64{1e6, 20e6, 0.5e6}}
-	run := func(engine Engine) (*engineRun, [3]float64) {
-		cfg := DefaultConfig()
-		cfg.InitialWindowSegments = 2e4 // no slow-start cap: link shares are the only caps
-		cfg.Engine = engine
-		n := New(cfg, netem.Constant("edge", 32e6, 1000))
-		r := &engineRun{n: n}
+	cfg := DefaultConfig()
+	cfg.InitialWindowSegments = 2e4 // no slow-start cap: link shares are the only caps
+	edge := netem.Constant("edge", 32e6, 1000)
+	pt, rt := newProdTarget(t, cfg, edge, true), newRefTarget(cfg, edge)
+	// run replays the script and reports flow 0's rate after each of the
+	// three phases.
+	run := func(r *scriptRun, rate0 func() float64, atRaisedShare func()) (rates [3]float64) {
 		for i := 0; i < nlinks; i++ {
 			p, size := netem.Constant("flat", 16e6, 1000), 3e5+2e3*float64(i)
 			if i == 0 {
@@ -713,46 +559,43 @@ func TestVTimeStaleCapBound(t *testing.T) {
 			if i < 4 {
 				size = 1e8 // outlives the script: the share settles at edge/4
 			}
-			r.transfers = append(r.transfers, n.DialVia(n.NewAccessLink(p)).Start(size, nil))
+			r.start(r.dial(r.newLink(p)), size, 0, -1)
 		}
-		var rates [3]float64
 		for i, until := range []float64{3.9, 7.9, 8.5} {
-			for {
-				done := n.Step(until)
-				checkVTimeCapBounds(t, n)
-				if len(done) == 0 {
-					break
-				}
-				for _, tr := range done {
-					if tr.Completed < 4 || tr.Completed > 7.9 {
-						t.Fatalf("engine %d: conn %d completed at %v, outside link 0's 20 Mbit/s sample", engine, tr.Conn.seq, tr.Completed)
-					}
-					r.completed = append(r.completed, completionRec{tr.Conn.seq, tr.Size, tr.Completed})
-				}
-			}
-			tr := r.transfers[0]
-			rates[i] = tr.Rate()
-			if i == 1 && n.vmode && (tr.vClass != vUnc || n.v.uncCap.key[tr.hCap] != 20e6/8) {
-				t.Errorf("at the raised share: class %d, bound %v, want uncapped with the bound at the exact cap %v", tr.vClass, n.v.uncCap.key[tr.hCap], 20e6/8)
+			r.stepTo(t, until)
+			rates[i] = rate0()
+			if i == 1 {
+				atRaisedShare()
 			}
 		}
-		return r, rates
+		for _, c := range r.completed {
+			if c.completed < 4 || c.completed > 7.9 {
+				t.Fatalf("%s: conn %d completed at %v, outside link 0's 20 Mbit/s sample", r.label, c.connSeq, c.completed)
+			}
+		}
+		return rates
 	}
-	scan, scanRates := run(EngineScan)
-	vt, rates := run(EngineVTime)
+	ref := &scriptRun{simTarget: rt, label: "reference"}
+	refRates := run(ref, func() float64 { return rt.transfers[0].rate }, func() {})
+	vt := &scriptRun{simTarget: pt, label: "vtime"}
+	rates := run(vt, func() float64 { return pt.transfers[0].Rate() }, func() {
+		if tr := pt.transfers[0]; tr.vClass != vUnc || pt.n.v.uncCap.key[tr.hCap] != 20e6/8 {
+			t.Errorf("at the raised share: class %d, bound %v, want uncapped with the bound at the exact cap %v", tr.vClass, pt.n.v.uncCap.key[tr.hCap], 20e6/8)
+		}
+	})
 	if len(vt.completed) != nlinks-4 {
 		t.Fatalf("%d of %d small flows completed", len(vt.completed), nlinks-4)
 	}
-	checkConservation(t, scan, "scan")
-	checkConservation(t, vt, "vtime")
-	compareRuns(t, scan, vt)
+	checkConservation(t, ref)
+	checkConservation(t, vt)
+	compareRuns(t, ref, vt)
 	want := [3]float64{32e6 / 8 / nlinks, 32e6 / 8 / 4, 0.5e6 / 8}
 	for i := range want {
-		if math.Abs(rates[i]-want[i]) > 1e-9*want[i] || math.Abs(scanRates[i]-want[i]) > 1e-9*want[i] {
-			t.Errorf("probe %d: flow 0 served at %v (vtime) / %v (scan), want %v", i, rates[i], scanRates[i], want[i])
+		if math.Abs(rates[i]-want[i]) > 1e-9*want[i] || math.Abs(refRates[i]-want[i]) > 1e-9*want[i] {
+			t.Errorf("probe %d: flow 0 served at %v (vtime) / %v (reference), want %v", i, rates[i], refRates[i], want[i])
 		}
 	}
-	if tr := vt.transfers[0]; tr.vClass != vCapd || rates[2] != want[2] {
+	if tr := pt.transfers[0]; tr.vClass != vCapd || rates[2] != want[2] {
 		t.Errorf("after the drop: class %d at %v B/s, want capped at exactly %v", tr.vClass, rates[2], want[2])
 	}
 }
@@ -767,14 +610,12 @@ func TestVTimeStaleLinkMinimum(t *testing.T) {
 	checkLinkStorm(t, profs, stormShape{nconn: 8, perLink: 1, edgeBps: 40e6}, 0, 0.5)
 }
 
-// TestVTimeHotPathZeroAlloc extends the PR 3 zero-allocation promise to
-// the virtual-time engine: once the heaps are warmed, a start/step/
+// TestVTimeHotPathZeroAlloc extends the zero-allocation promise to the
+// virtual-time loop: once the heaps are warmed, a start/step/
 // recycle cycle at high fan-in allocates nothing — neither on a bare
 // shared link nor with every connection behind its own access link and
 // the cycle running through a boundary instant where all 64 are due.
 func TestVTimeHotPathZeroAlloc(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Engine = EngineVTime
 	for _, tc := range []struct {
 		name  string
 		size  float64
@@ -783,7 +624,7 @@ func TestVTimeHotPathZeroAlloc(t *testing.T) {
 		{"shared", 2e5, nil},
 		{"linkBoundary", 4e5, stormProfiles(1)}, // 64 x 4e5 B over 6.25 MB/s: several seconds per cycle
 	} {
-		n := New(cfg, netem.Constant("c", 50e6, 100))
+		n := pinVTime(New(DefaultConfig(), netem.Constant("c", 50e6, 100)))
 		conns := make([]*Conn, 64)
 		for i := range conns {
 			if tc.links != nil {
@@ -818,41 +659,32 @@ func TestVTimeHotPathZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkFanIn512 measures one drain of 512 concurrent flows on a
-// shared link per engine — the regime the virtual-time engine exists
-// for (O(log F) vs O(F) per event).
+// shared link — the regime the virtual-time loop exists for, hand-off in
+// and out included.
 func BenchmarkFanIn512(b *testing.B) {
-	for _, eng := range []struct {
-		name string
-		e    Engine
-	}{{"scan", EngineScan}, {"vtime", EngineVTime}} {
-		b.Run(eng.name, func(b *testing.B) {
-			cfg := DefaultConfig()
-			cfg.Engine = eng.e
-			n := New(cfg, netem.Constant("edge", 200e6, 1000))
-			conns := make([]*Conn, 512)
-			for i := range conns {
-				conns[i] = n.Dial()
+	n := New(DefaultConfig(), netem.Constant("edge", 200e6, 1000))
+	conns := make([]*Conn, 512)
+	for i := range conns {
+		conns[i] = n.Dial()
+	}
+	rng := rand.New(rand.NewSource(1))
+	sizes := make([]float64, len(conns))
+	for i := range sizes {
+		sizes[i] = math.Round(rng.Float64()*2e6) + 1e5
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, c := range conns {
+			c.Start(sizes[j], nil)
+		}
+		for delivered := 0; delivered < len(conns); {
+			done := n.Step(1e12)
+			delivered += len(done)
+			for _, tr := range done {
+				n.Recycle(tr)
 			}
-			rng := rand.New(rand.NewSource(1))
-			sizes := make([]float64, len(conns))
-			for i := range sizes {
-				sizes[i] = math.Round(rng.Float64()*2e6) + 1e5
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j, c := range conns {
-					c.Start(sizes[j], nil)
-				}
-				for delivered := 0; delivered < len(conns); {
-					done := n.Step(1e12)
-					delivered += len(done)
-					for _, tr := range done {
-						n.Recycle(tr)
-					}
-				}
-			}
-		})
+		}
 	}
 }
 
@@ -868,8 +700,6 @@ func BenchmarkFanIn512(b *testing.B) {
 func BenchmarkVTimeBoundaryStorm(b *testing.B) {
 	const links, seconds = 4096, 30
 	profs := stormProfiles(1)
-	cfg := DefaultConfig()
-	cfg.Engine = EngineVTime
 	for _, bc := range []struct {
 		name    string
 		edgeBps float64
@@ -878,7 +708,7 @@ func BenchmarkVTimeBoundaryStorm(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				n := New(cfg, netem.Constant("edge", bc.edgeBps, 1000))
+				n := pinVTime(New(DefaultConfig(), netem.Constant("edge", bc.edgeBps, 1000)))
 				for j := 0; j < links; j++ {
 					n.DialVia(n.NewAccessLink(profs[j%len(profs)])).Start(1e9, nil)
 				}
