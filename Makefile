@@ -163,18 +163,19 @@ fleet-smoke:
 #      (its recycled edge/metro tier above all) is the one fleet state
 #      that outlives a shard, so which shards share a scratch must not
 #      reach the bytes. Both runs carry FLEET_FLASH_CEILING_MB, calibrated
-#      at 100k sessions: the sampler peaks at 103–108 MiB (workers 1, 2
-#      and 8 alike) with memory sized by what the hot cell's members
-#      touch; with a segment ring per member and a tier rebuilt per cell
-#      it peaked at 241 / 206–217 / 198–226 MiB — 150 MiB aborts that
-#      and leaves 1.4x headroom.
+#      at 100k sessions over five runs per worker count: the sampler peaks
+#      at 59–70 MiB at workers 2 and 63–70 at 8 (57–77 at 1) now that a
+#      member holds an access link, a connection and a transfer only while
+#      it plays; with those held per member for the whole cell it peaked at
+#      92–105 / 97–106 (82–105) MiB — 85 MiB aborts that at both of the
+#      job's worker counts and leaves the present peaks 1.2x headroom.
 # FLEET_CACHE_SESSIONS=100000 (with FLEET_CACHE_FIDELITY=0.05) is the
 # CI scale tier; the cached runs also carry the heap ceiling so the
 # cache slabs stay inside the fleet memory contract.
 FLEET_CACHE_SESSIONS ?= 600
 FLEET_CACHE_FIDELITY ?= 1
 FLEET_CACHE_CEILING_MB ?= 512
-FLEET_FLASH_CEILING_MB ?= 150
+FLEET_FLASH_CEILING_MB ?= 85
 FLEET_CACHE_SPEC ?= edge:64MiB,metro:2GiB,ttl=6h
 fleet-cache-cmp:
 	$(GO) build -o bin/vodfleet ./cmd/vodfleet

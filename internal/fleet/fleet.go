@@ -388,16 +388,20 @@ func newCellSpec(cfg Config, k int, cold bool) cellSpec {
 
 // CellClients draws cell k's members; the config must be normalized.
 func CellClients(cfg Config, k int) []Client {
-	return drawClients(newRunSpec(cfg), newCellSpec(cfg, k, false))
+	cell := newCellSpec(cfg, k, false)
+	return drawClients(newRunSpec(cfg), cell, rand.New(rand.NewSource(cell.Seed)))
 }
 
-// drawClients draws a cell's members from its private RNG stream. The
-// draw order — arrivals first (sorted within the cell), then per client
-// watch, service, trace and fidelity — is part of the determinism
-// contract: a stolen cell computes identical members on any worker.
-func drawClients(run *runSpec, cell cellSpec) []Client {
+// drawClients draws a cell's members from its private RNG stream: rng,
+// reseeded here with the cell's seed, so a generator can serve any number
+// of cells in turn. The draw order — arrivals first (sorted within the
+// cell), then per client watch, service, trace and fidelity — is part of
+// the determinism contract: a stolen cell computes identical members on
+// any worker.
+func drawClients(run *runSpec, cell cellSpec, rng *rand.Rand) []Client {
 	n := cell.Size
-	rng := rand.New(rand.NewSource(cell.Seed))
+	// Rand.Seed, not Source.Seed: it also drops the bytes Rand.Read buffers.
+	rng.Seed(cell.Seed)
 	arrivals := make([]float64, n)
 	for i := range arrivals {
 		arrivals[i] = rng.Float64() * run.ArrivalWindowSec
@@ -429,8 +433,9 @@ func drawClients(run *runSpec, cell cellSpec) []Client {
 func Workload(cfg Config) []Client {
 	clients := make([]Client, 0, cfg.Sessions)
 	run := newRunSpec(cfg)
+	rng := rand.New(rand.NewSource(0)) // reseeded per cell by drawClients
 	for k := 0; k < cellCount(cfg); k++ {
-		clients = append(clients, drawClients(run, newCellSpec(cfg, k, false))...)
+		clients = append(clients, drawClients(run, newCellSpec(cfg, k, false), rng)...)
 	}
 	return clients
 }
@@ -738,6 +743,17 @@ type shardScratch struct {
 	// longest horizon seen and never rewritten: a cell's edge and backhaul
 	// profiles are prefixes of them.
 	edgeSamples, backhaulSamples []float64
+	// rng draws each cell's members; drawClients reseeds it per cell.
+	rng *rand.Rand
+}
+
+// cellRand returns the scratch's member-draw generator; its state is
+// drawClients' to set.
+func (s *shardScratch) cellRand() *rand.Rand {
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(0))
+	}
+	return s.rng
 }
 
 // freshMetro returns the scratch's metro cache in the state cdn.NewMetro
@@ -806,7 +822,7 @@ func runCell(cfg Config, k int, run *runSpec, cell cellSpec, tab *cellTables, me
 // when metro-coupled, the metro cache's state; scratch only lends its
 // memory.
 func simCell(run *runSpec, cell cellSpec, tab *cellTables, metro *cdn.Metro, focusMembers []int, scratch *shardScratch) (*finishedCell, []FocusSession, error) {
-	members := drawClients(run, cell)
+	members := drawClients(run, cell, scratch.cellRand())
 	horizon, nFull := 0.0, 0
 	for _, m := range members {
 		if e := m.Arrival + m.Watch; e > horizon {
@@ -864,7 +880,7 @@ func simCell(run *runSpec, cell cellSpec, tab *cellTables, metro *cdn.Metro, foc
 			bcfg.SessionDuration = m.Watch
 			j := cohort.Add(bcfg)
 			cohort.SetStartAt(j, m.Arrival)
-			cohort.SetAccessLink(j, net.NewAccessLink(tab.traces[m.Trace-1]))
+			cohort.SetAccessProfile(j, tab.traces[m.Trace-1])
 			if cdnCell != nil {
 				cohort.SetResolver(j, cdnCell.NewClient(i), int32(m.Service))
 			}

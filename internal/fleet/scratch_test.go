@@ -50,13 +50,13 @@ func TestFlashCrowdScratchDeterminism(t *testing.T) {
 // TestHotCellAllocBudget holds one crowded cold cached cell — the flash
 // crowd's cell 0 at a sixteenth of bench/'s size, members and edge rate
 // alike: 5 000 on 2.5 Mbit/s — to a budget of allocated bytes per member.
-// Measured 1 189 B a member; with a segment ring per member, draw slabs
-// doubling their way up and bookkeeping sized by the population it was
-// 1 981 B, so 1 536 has 1.29x headroom and fails the old layout by as
-// much. The run around the cell (tables, report) is in the figure: about
-// 20 B a member.
+// Measured 828 B a member. With an access link, a connection and an
+// abandoned transfer per member instead of per live member it was 1 173 B,
+// and with a segment ring per member as well 1 981 B; 1 024 has 1.24x
+// headroom and fails the former by 1.15x. The run around the cell (tables,
+// report) is in the figure: about 20 B a member.
 func TestHotCellAllocBudget(t *testing.T) {
-	const members, budget = 5000, 1536
+	const members, budget = 5000, 1024
 	withSched(t, 1)
 	cfg := Config{
 		Seed: 9, Sessions: members, ClientsPerCell: members, FidelityFull: 0.02, EdgeMbps: 2.5,

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/cdn"
+	"repro/internal/netem"
 	"repro/internal/simnet"
 )
 
@@ -74,10 +75,14 @@ const (
 // session durations) before the cohort joins a Group; AddCohort freezes
 // the per-member slabs. What is sized by the population is what must
 // answer for every member after the run: the draw, the control state and
-// the Summary slabs. The segment FIFO is not — a member queues media only
-// between its first completed segment and its finish — so FIFO rings are
-// pooled: the run allocates a ring slab that grows to the peak number of
-// members buffering at once, and nothing else.
+// the Summary slabs. The rest is held only while a member plays. Its
+// access link and connection exist from its first request to its finish,
+// when they go back to the network's free lists with the transfer the
+// connection abandons, so the network holds as many of each as members
+// are live at once. The segment FIFO is held from the first completed
+// segment to the finish, so FIFO rings are pooled too: the run allocates
+// a ring slab that grows to the peak number of members buffering at once,
+// and nothing else.
 type Cohort struct {
 	net *simnet.Network
 
@@ -85,9 +90,9 @@ type Cohort struct {
 	cfgs    []BackgroundConfig
 	segCnt  []int32 // ceil(MediaDuration/SegmentDuration) per member
 	startAt []float64
-	link    []*simnet.AccessLink
-	resolve []cdn.Resolver // per-member edge-cache resolver, nil = origin
-	catID   []int32        // title index in the cache namespace
+	access  []*netem.Profile // per-member access-link profile, nil = none
+	resolve []cdn.Resolver   // per-member edge-cache resolver, nil = origin
+	catID   []int32          // title index in the cache namespace
 
 	// Per-member control state, one slab entry per member (freeze).
 	flags     []uint8 // coStarted..coInflight bit field
@@ -193,7 +198,7 @@ func (c *Cohort) Grow(n int) {
 	c.cfgs = slices.Grow(c.cfgs, n)
 	c.segCnt = slices.Grow(c.segCnt, n)
 	c.startAt = slices.Grow(c.startAt, n)
-	c.link = slices.Grow(c.link, n)
+	c.access = slices.Grow(c.access, n)
 	c.resolve = slices.Grow(c.resolve, n)
 	c.catID = slices.Grow(c.catID, n)
 }
@@ -210,7 +215,7 @@ func (c *Cohort) Add(cfg BackgroundConfig) int {
 	c.cfgs = append(c.cfgs, cfg)
 	c.segCnt = append(c.segCnt, int32(math.Ceil(cfg.MediaDuration/cfg.SegmentDuration)))
 	c.startAt = append(c.startAt, 0)
-	c.link = append(c.link, nil)
+	c.access = append(c.access, nil)
 	c.resolve = append(c.resolve, nil)
 	c.catID = append(c.catID, 0)
 	return m
@@ -231,8 +236,15 @@ func (c *Cohort) SetStartAt(i int, t float64) {
 	}
 }
 
-// SetAccessLink routes member i through a per-client access link.
-func (c *Cohort) SetAccessLink(i int, l *simnet.AccessLink) { c.link[i] = l }
+// SetAccessProfile routes member i through a private access link over
+// profile p (bits/s, looping). The member takes the link, and its
+// connection, from the network at its first request and gives both back
+// when it finishes.
+func (c *Cohort) SetAccessProfile(i int, p *netem.Profile) { c.access[i] = p }
+
+// SetAccessLink is SetAccessProfile(i, l.Profile()); l itself is not used.
+// A shim for bench/probes.go, to be deleted with ROADMAP item 1 (f).
+func (c *Cohort) SetAccessLink(i int, l *simnet.AccessLink) { c.SetAccessProfile(i, l.Profile()) }
 
 // SetResolver routes member i's segment requests through a cell's
 // edge-cache tier; catalog is the member's title index in the cache
@@ -392,7 +404,11 @@ func (c *Cohort) issueRequests(m int) {
 	dur := c.segDurAt(m, int(c.nextSeg[m]))
 	size := cfg.Declared[track] * dur / 8
 	if c.conn[m] == nil {
-		c.conn[m] = c.net.DialVia(c.link[m])
+		var l *simnet.AccessLink
+		if p := c.access[m]; p != nil {
+			l = c.net.NewAccessLink(p)
+		}
+		c.conn[m] = c.net.DialVia(l)
 	}
 	c.pendDur[m], c.pendTrak[m] = dur, int32(track)
 	if r := c.resolve[m]; r != nil {
@@ -558,9 +574,11 @@ func (c *Cohort) nextDeadline(m int, now float64) float64 {
 	return d
 }
 
-// finishMember finalizes member m once, releases its connection and its
-// ring, and hands the observer a scratch Summary assembled from the slabs
-// (the TimeOnTrack slice is a view into the cohort's slab, not a copy).
+// finishMember finalizes member m once, gives its access link, its
+// connection and any transfer the connection abandons back to the network
+// and its ring to the free stack, and hands the observer a scratch
+// Summary assembled from the slabs (the TimeOnTrack slice is a view into
+// the cohort's slab, not a copy).
 func (c *Cohort) finishMember(m int) {
 	if c.flags[m]&coDone != 0 {
 		return
@@ -573,8 +591,13 @@ func (c *Cohort) finishMember(m int) {
 		c.sumStallSec[m] += end - c.stallSt[m]
 		c.flags[m] &^= coStallOpen
 	}
-	if c.conn[m] != nil {
-		c.conn[m].Close()
+	if cn := c.conn[m]; cn != nil {
+		l := cn.Access()
+		c.net.ReleaseConn(cn)
+		if l != nil {
+			c.net.ReleaseLink(l)
+		}
+		c.conn[m] = nil
 	}
 	if q := &c.fifo[m]; q.ring >= 0 {
 		c.rings[int(q.ring)*c.qCap].track = c.freeRing

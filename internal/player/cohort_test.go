@@ -20,6 +20,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/cdn"
 	"repro/internal/media"
 	"repro/internal/netem"
 	"repro/internal/origin"
@@ -209,7 +210,7 @@ func (cc cohortCase) run(t *testing.T, part partition) (sessions, members []Summ
 		c := cohorts[len(cohorts)-1]
 		i := c.Add(d.cfg)
 		c.SetStartAt(i, d.startAt)
-		c.SetAccessLink(i, net.NewAccessLink(d.trace))
+		c.SetAccessProfile(i, d.trace)
 	}
 	for _, c := range cohorts {
 		if err := g.AddCohort(c); err != nil {
@@ -391,7 +392,7 @@ func TestCohortObserverStreaming(t *testing.T) {
 	for _, d := range draws {
 		i := c.Add(d.cfg)
 		c.SetStartAt(i, d.startAt)
-		c.SetAccessLink(i, net.NewAccessLink(d.trace))
+		c.SetAccessProfile(i, d.trace)
 	}
 	seen := make(map[int]Summary)
 	c.SetObserver(func(i int, s *Summary) {
@@ -468,7 +469,7 @@ func TestCohortRingPool(t *testing.T) {
 			t.Fatalf("%d Adds after Grow(%d) allocate %.1f times each", c.Len(), n, allocs)
 		}
 		for i := 0; i < n; i++ {
-			c.SetAccessLink(i, net.NewAccessLink(netem.Constant("access", 5e6, 400)))
+			c.SetAccessProfile(i, netem.Constant("access", 5e6, 400))
 		}
 		g := NewGroup()
 		if err := g.AddCohort(c); err != nil {
@@ -490,6 +491,77 @@ func TestCohortRingPool(t *testing.T) {
 	}
 	if c := run(20, 0); ringsTouched(c) != 20 || len(c.rings) != 4*ringQuantum*c.qCap {
 		t.Errorf("20 concurrent members touched %d rings of %d, want 20 of %d", ringsTouched(c), len(c.rings)/c.qCap, 4*ringQuantum)
+	}
+}
+
+// netSpy is a resolver that serves every request at the edge and records
+// the connection and access link each member's requests go out on.
+type netSpy struct {
+	c     *Cohort
+	conns [][]*simnet.Conn // per member, one entry per request
+	links map[*simnet.AccessLink]bool
+}
+
+// memberSpy is member m's view of the spy (Resolve does not name the
+// member).
+type memberSpy struct {
+	s *netSpy
+	m int
+}
+
+func (ms memberSpy) Resolve(float64, cdn.Object, float64) cdn.Route {
+	s, cn := ms.s, ms.s.c.conn[ms.m]
+	s.conns[ms.m] = append(s.conns[ms.m], cn)
+	s.links[cn.Access()] = true
+	return cdn.Route{}
+}
+
+// TestCohortLinkPool pins what the network's access links and
+// connections are sized by: the members live at once, not the members.
+// Six viewers whose sessions never overlap each hold one link and one
+// connection for their whole session, and all six get the same link and
+// the same connection; twenty who all watch together hold twenty of each.
+// (That a Summary cannot tell which objects served it is
+// TestCohortGolden's job: its member draws overlap in every pattern.)
+func TestCohortLinkPool(t *testing.T) {
+	cfg := BackgroundConfig{Declared: []float64{2e5, 6e5}, SegmentDuration: 4, MediaDuration: 60, SessionDuration: 20}
+	run := func(n int, gap float64) (conns map[*simnet.Conn]bool, links int) {
+		net := simnet.New(simnet.DefaultConfig(), netem.Constant("edge", 40e6, 400))
+		c := NewCohort(net)
+		spy := &netSpy{c: c, conns: make([][]*simnet.Conn, n), links: map[*simnet.AccessLink]bool{}}
+		for i := 0; i < n; i++ {
+			j := c.Add(cfg)
+			c.SetStartAt(j, gap*float64(i))
+			c.SetAccessProfile(j, netem.Constant("access", 5e6, 400))
+			c.SetResolver(j, memberSpy{spy, j}, 0)
+		}
+		g := NewGroup()
+		if err := g.AddCohort(c); err != nil {
+			t.Fatal(err)
+		}
+		g.Run()
+		conns = map[*simnet.Conn]bool{}
+		for m, cs := range spy.conns {
+			if len(cs) < 2 {
+				t.Fatalf("member %d of %d made %d requests", m, n, len(cs))
+			}
+			for _, cn := range cs {
+				if cn != cs[0] {
+					t.Fatalf("member %d of %d changed connection mid-session", m, n)
+				}
+			}
+			if c.conn[m] != nil {
+				t.Fatalf("member %d of %d finished holding its connection", m, n)
+			}
+			conns[cs[0]] = true
+		}
+		return conns, len(spy.links)
+	}
+	if conns, links := run(6, 30); len(conns) != 1 || links != 1 {
+		t.Errorf("6 disjoint members used %d connections and %d links, want one of each", len(conns), links)
+	}
+	if conns, links := run(20, 0); len(conns) != 20 || links != 20 {
+		t.Errorf("20 concurrent members used %d connections and %d links, want 20 of each", len(conns), links)
 	}
 }
 

@@ -381,7 +381,11 @@ func (n *Network) cellStepOnce(until float64) []*Transfer {
 			if n.ratesAreCaps && n.cellCappedFast() {
 				for _, tr := range n.dirtyFlows {
 					if tr.pos < 0 {
-						continue // left the flowing set after being queued
+						// Left the flowing set after being queued. A transfer
+						// recycled since then and issued again is pending, or
+						// flowing and queued a second time by insertFlowing;
+						// re-rating it twice is idempotent.
+						continue
 					}
 					n.cellMaterialize(tr)
 					tr.rate = tr.cap

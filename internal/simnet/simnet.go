@@ -29,8 +29,22 @@
 // Profile lookups go through a monotone netem.Cursor, so bandwidth
 // queries are O(1) amortised over a forward simulation. The hot path
 // performs no heap allocations: scratch buffers are reused across
-// intervals and completed Transfer objects can be returned to a free
-// list with Recycle.
+// intervals.
+//
+// # Free lists
+//
+// A Network keeps three free lists, one per object kind a caller holds:
+// Recycle returns a completed Transfer, ReleaseConn a connection (closing
+// it, and recycling the transfer the close abandoned), ReleaseLink an idle
+// access link. Start, Dial/DialVia and NewAccessLink take from them before
+// allocating, and reset what they take to exactly what a new object would
+// be — a connection's dial sequence number included — so reuse is
+// invisible to the simulation. Releasing is optional, the lists are plain
+// per-network slices (never sync.Pool: reuse must not depend on GC
+// timing), and releasing an object twice, or a link something still uses,
+// panics. A caller that releases what its idle clients held keeps the
+// network's objects proportional to the clients active at once rather than
+// to every client it ever had.
 package simnet
 
 import (
@@ -236,6 +250,9 @@ type AccessLink struct {
 	members   []*Transfer
 	upMembers []*Transfer
 	lpos      int // position in Network.links while flows > 0; -1 outside
+
+	open   int  // connections dialed via the link and not yet closed
+	pooled bool // on the network's link free list (ReleaseLink)
 }
 
 // Profile returns the bandwidth profile driving the link.
@@ -246,6 +263,7 @@ type Conn struct {
 	net         *Network
 	established bool
 	closed      bool
+	pooled      bool    // on the network's connection free list (ReleaseConn)
 	capBps      float64 // slow-start cap in bytes/s; +Inf when steady
 	staticCap   float64 // per-connection ceiling in bytes/s; +Inf when none
 	access      *AccessLink
@@ -259,6 +277,10 @@ type Conn struct {
 
 // Busy reports whether a transfer is in flight on the connection.
 func (c *Conn) Busy() bool { return c.cur != nil }
+
+// Access returns the access link the connection was dialed via (nil for
+// Dial).
+func (c *Conn) Access() *AccessLink { return c.access }
 
 // Established reports whether the TCP handshake has completed (i.e. the
 // connection has carried at least one request).
@@ -301,6 +323,9 @@ func (c *Conn) Close() {
 		return
 	}
 	c.closed = true
+	if l := c.access; l != nil {
+		l.open--
+	}
 	if tr := c.cur; tr != nil {
 		switch {
 		case tr.vClass != vNone:
@@ -415,7 +440,12 @@ type Network struct {
 
 	items     []capItem   // scratch for waterfill
 	completed []*Transfer // scratch returned by Step; valid until the next Step
-	free      []*Transfer // Recycle'd Transfer objects awaiting reuse
+
+	// The free lists (see the package comment): released objects awaiting
+	// reuse, the most recently released on top.
+	freeTransfers []*Transfer
+	freeConns     []*Conn
+	freeLinks     []*AccessLink
 }
 
 type capItem struct {
@@ -480,9 +510,17 @@ func (n *Network) VTimeActive() bool { return n.vmode }
 // read.
 func (n *Network) CellActive() bool { return n.cfg.Engine == EngineCell && !n.vmode }
 
-// Dial creates a new, not-yet-established connection.
+// Dial creates a new, not-yet-established connection, reusing a released
+// one if there is one.
 func (n *Network) Dial() *Conn {
-	c := &Conn{net: n, capBps: math.Inf(1), staticCap: math.Inf(1), idx: len(n.conns), seq: n.dialed, hGrow: -1}
+	c := take(&n.freeConns)
+	if c == nil {
+		c = new(Conn)
+	}
+	// The dial sequence number orders the flowing set and completion
+	// batches, so a reused connection takes the next one, as a new one
+	// would.
+	*c = Conn{net: n, capBps: math.Inf(1), staticCap: math.Inf(1), idx: len(n.conns), seq: n.dialed, hGrow: -1}
 	if seq := n.cfg.ConnCapSequence; len(seq) > 0 {
 		c.staticCap = seq[n.dialed%len(seq)] / 8
 	}
@@ -492,17 +530,28 @@ func (n *Network) Dial() *Conn {
 }
 
 // NewAccessLink creates an access link over the given profile (bits/s,
-// looping). Connections attach with DialVia; a link shared by several
-// connections divides its budget evenly among their flowing transfers.
+// looping), reusing a released one if there is one. Connections attach
+// with DialVia; a link shared by several connections divides its budget
+// evenly among their flowing transfers.
 func (n *Network) NewAccessLink(p *netem.Profile) *AccessLink {
-	return &AccessLink{profile: p, cursor: p.Cursor(), rateBps: -1, lpos: -1}
+	l := take(&n.freeLinks)
+	if l == nil {
+		l = new(AccessLink)
+	}
+	// A released link carries no flows, so its member lists are empty;
+	// they keep their capacity.
+	*l = AccessLink{profile: p, cursor: p.Cursor(), rateBps: -1, lpos: -1, members: l.members[:0], upMembers: l.upMembers[:0]}
+	return l
 }
 
 // DialVia creates a connection carried by the given access link; a nil
 // link makes DialVia identical to Dial.
 func (n *Network) DialVia(l *AccessLink) *Conn {
 	c := n.Dial()
-	c.access = l
+	if l != nil {
+		c.access = l
+		l.open++
+	}
 	return c
 }
 
@@ -519,7 +568,54 @@ func (n *Network) Recycle(tr *Transfer) {
 		panic("simnet: Recycle of in-flight transfer")
 	}
 	*tr = blankTransfer
-	n.free = append(n.free, tr)
+	n.freeTransfers = append(n.freeTransfers, tr)
+}
+
+// ReleaseConn closes c if it is still open, recycles the transfer the
+// close abandoned, and puts c on the network's connection free list for a
+// later Dial or DialVia. The caller asserts it holds no other reference to
+// either; c's access link stays the caller's (ReleaseLink). Releasing a
+// connection twice panics.
+func (n *Network) ReleaseConn(c *Conn) {
+	if c.pooled {
+		panic(fmt.Sprintf("simnet: ReleaseConn of conn %d: already released", c.seq))
+	}
+	c.Close()
+	if tr := c.cur; tr != nil {
+		c.cur = nil
+		n.Recycle(tr)
+	}
+	c.pooled = true
+	n.freeConns = append(n.freeConns, c)
+}
+
+// ReleaseLink puts an access link on the network's link free list for a
+// later NewAccessLink. The link must carry no flows and no open
+// connection may use it; releasing it anyway, or twice, panics.
+func (n *Network) ReleaseLink(l *AccessLink) {
+	switch {
+	case l.pooled:
+		panic(fmt.Sprintf("simnet: ReleaseLink of link %q: already released", l.profile.Name))
+	case l.flows > 0:
+		panic(fmt.Sprintf("simnet: ReleaseLink of link %q: %d flows still on it", l.profile.Name, l.flows))
+	case l.open > 0:
+		panic(fmt.Sprintf("simnet: ReleaseLink of link %q: %d connections still open on it", l.profile.Name, l.open))
+	}
+	l.pooled = true
+	n.freeLinks = append(n.freeLinks, l)
+}
+
+// take pops the most recently released object off a free list (nil when
+// the list is empty).
+func take[T any](free *[]*T) *T {
+	k := len(*free) - 1
+	if k < 0 {
+		return nil
+	}
+	x := (*free)[k]
+	(*free)[k] = nil
+	*free = (*free)[:k]
+	return x
 }
 
 // blankTransfer is the reset value for new and recycled transfers:
@@ -527,10 +623,7 @@ func (n *Network) Recycle(tr *Transfer) {
 var blankTransfer = Transfer{pos: -1, hFin: -1, hCap: -1, hPend: -1, accPos: -1, upPos: -1}
 
 func (n *Network) newTransfer() *Transfer {
-	if k := len(n.free); k > 0 {
-		tr := n.free[k-1]
-		n.free[k-1] = nil
-		n.free = n.free[:k-1]
+	if tr := take(&n.freeTransfers); tr != nil {
 		return tr
 	}
 	tr := &Transfer{} //vodlint:allow hotalloc — free-list miss: bounded by peak concurrent transfers, then zero
