@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt fmt-check lint verify test race bench bench-smoke bench-pair bench-record report report-cmp fuzz-smoke fleet-smoke fleet-cache-cmp fleet-scale
+.PHONY: build vet fmt fmt-check lint verify test race bench bench-smoke bench-pair bench-record report report-cmp fuzz-smoke fleet-smoke fleet-cache-cmp fleet-crowd-cmp fleet-scale
 
 build:
 	$(GO) build ./...
@@ -164,18 +164,18 @@ fleet-smoke:
 #      that outlives a shard, so which shards share a scratch must not
 #      reach the bytes. Both runs carry FLEET_FLASH_CEILING_MB, calibrated
 #      at 100k sessions over five runs per worker count: the sampler peaks
-#      at 59–70 MiB at workers 2 and 63–70 at 8 (57–77 at 1) now that a
-#      member holds an access link, a connection and a transfer only while
-#      it plays; with those held per member for the whole cell it peaked at
-#      92–105 / 97–106 (82–105) MiB — 85 MiB aborts that at both of the
-#      job's worker counts and leaves the present peaks 1.2x headroom.
+#      at 41–55 MiB at workers 2 and 42–57 at 8 (47–49 at 1) now that a
+#      member holds its control and Summary state, like its access link,
+#      connection and transfer, only while it plays; with that state sized
+#      by the population it peaked at 64–73 / 63–71 (52–55) MiB — 70 MiB
+#      is 1.25x the present worst case.
 # FLEET_CACHE_SESSIONS=100000 (with FLEET_CACHE_FIDELITY=0.05) is the
 # CI scale tier; the cached runs also carry the heap ceiling so the
 # cache slabs stay inside the fleet memory contract.
 FLEET_CACHE_SESSIONS ?= 600
 FLEET_CACHE_FIDELITY ?= 1
 FLEET_CACHE_CEILING_MB ?= 512
-FLEET_FLASH_CEILING_MB ?= 85
+FLEET_FLASH_CEILING_MB ?= 70
 FLEET_CACHE_SPEC ?= edge:64MiB,metro:2GiB,ttl=6h
 fleet-cache-cmp:
 	$(GO) build -o bin/vodfleet ./cmd/vodfleet
@@ -206,6 +206,25 @@ fleet-cache-cmp:
 		-json "$$dir/h8.json" && \
 	cmp "$$dir/h2.json" "$$dir/h8.json" && \
 	echo "fleet-cache-cmp: transparent cache byte-identical to disabled; cached fleet and cached flash crowd byte-identical across worker counts"
+
+# The million-viewer flash crowd (nightly): -hotspot 0.8 puts 800k
+# members on cell 0, no cache tier. Workers 2 and 8 must emit
+# byte-identical JSON under FLEET_CROWD_CEILING_MB: the sampler peaks at
+# 364–432 MiB at workers 2 and 410–417 at 8 over six and five runs
+# (616–625 while the cohort's control and Summary state was sized by the
+# population); 540 MiB is 1.25x the worst case. About 20 s a run on one
+# core.
+FLEET_CROWD_SESSIONS ?= 1000000
+FLEET_CROWD_CEILING_MB ?= 540
+fleet-crowd-cmp:
+	$(GO) build -o bin/vodfleet ./cmd/vodfleet
+	dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	bin/vodfleet -sessions $(FLEET_CROWD_SESSIONS) -hotspot 0.8 -fidelity 0.02 \
+		-seed 1 -workers 2 -q -memceiling-mb $(FLEET_CROWD_CEILING_MB) -json "$$dir/w2.json" && \
+	bin/vodfleet -sessions $(FLEET_CROWD_SESSIONS) -hotspot 0.8 -fidelity 0.02 \
+		-seed 1 -workers 8 -q -memceiling-mb $(FLEET_CROWD_CEILING_MB) -json "$$dir/w8.json" && \
+	cmp "$$dir/w2.json" "$$dir/w8.json" && \
+	echo "fleet-crowd-cmp: $(FLEET_CROWD_SESSIONS)-session flash crowd byte-identical across worker counts under $(FLEET_CROWD_CEILING_MB) MiB"
 
 # Scale gate: a 100k-session mixed-fidelity fleet (5% full player, 95%
 # background tier, 8 focus members) run at two worker counts must emit

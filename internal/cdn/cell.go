@@ -176,8 +176,17 @@ type Client struct {
 // NewClient returns the resolver for one session. member disambiguates
 // locality across the cell's population (fleet passes the member
 // index).
-func (c *Cell) NewClient(member int) *Client {
-	return &Client{cell: c, member: member, node: -1}
+func (c *Cell) NewClient(member int) *Client { return c.ReuseClient(nil, member) }
+
+// ReuseClient is NewClient(member) in cl's memory (a new Client when cl
+// is nil): whatever cl was bound to before, it starts unrouted. A pool of
+// live viewers hands one Client from a finished viewer to the next.
+func (c *Cell) ReuseClient(cl *Client, member int) *Client {
+	if cl == nil {
+		cl = new(Client)
+	}
+	*cl = Client{cell: c, member: member, node: -1}
+	return cl
 }
 
 // Resolve classifies one media request. Edge hit: served at edge rate,

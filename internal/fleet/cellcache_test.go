@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/cdn"
 )
@@ -148,11 +149,24 @@ func TestCellCacheRetainedBytes(t *testing.T) {
 	// Everything a first run leaves behind that is not the cache — the
 	// origin memo, the canonical traces — is built before the baseline.
 	fleetBytes(t, budgetCfg, RunOptions{Workers: 1})
+	// The live heap once it holds still across a collection: read right
+	// after a run, it could still count tens of KB the run let go of a
+	// moment later, and about one run in thirty read as cache bytes freed.
 	heap := func() uint64 {
-		runtime.GC()
+		t.Helper()
 		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
+		last := uint64(0)
+		for range 50 {
+			time.Sleep(time.Millisecond)
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			if ms.HeapAlloc == last {
+				return last
+			}
+			last = ms.HeapAlloc
+		}
+		t.Fatalf("the live heap never held still across two collections in 50 tries (last %d B)", last)
+		return 0
 	}
 	before := heap()
 	cache := NewCellCache()

@@ -66,6 +66,10 @@ import (
 // core count.
 var sched = schedpkg.Global
 
+// cohortDone, when set, sees each cell's cohort once the cell has run.
+// Tests set it to read what the cohort held (PeakLive).
+var cohortDone func(*player.Cohort)
+
 // cellsPerShard fixes the shard granularity. It is a constant on
 // purpose: deriving it from the worker count would make the shard fold
 // tree — and the report's floats — depend on parallelism. 16 cells
@@ -507,22 +511,9 @@ func RunWithOptions(ctx context.Context, cfg Config, opts RunOptions) (*Report, 
 	if err != nil {
 		return nil, err
 	}
-	// The run-wide tables every cell shares, immutable after this point.
-	tab := &cellTables{
-		svcs:        make([]*services.Service, len(cfg.Services)),
-		origins:     make([]*origin.Origin, len(cfg.Services)),
-		bgTemplates: make([]player.BackgroundConfig, len(cfg.Services)),
-		traces:      netem.CanonicalCellularSet(),
-	}
-	for i, name := range cfg.Services {
-		tab.svcs[i] = services.ByName(name)
-		if tab.origins[i], err = expcache.Origin(tab.svcs[i]); err != nil {
-			return nil, fmt.Errorf("fleet: origin for %s: %w", name, err)
-		}
-		tab.bgTemplates[i] = backgroundTemplate(tab.origins[i])
-	}
-	if cfg.Cache != nil {
-		tab.catalog = cdnCatalog(tab.origins)
+	tab, err := newCellTables(cfg)
+	if err != nil {
+		return nil, err
 	}
 
 	nCells := cellCount(cfg)
@@ -651,6 +642,29 @@ func RunWithOptions(ctx context.Context, cfg Config, opts RunOptions) (*Report, 
 		return focusOut[i].Member < focusOut[j].Member
 	})
 	return fleet.report(cfg, nCells, focusOut), nil
+}
+
+// newCellTables builds the run-wide tables every cell of a normalized
+// config shares, immutable once built.
+func newCellTables(cfg Config) (*cellTables, error) {
+	tab := &cellTables{
+		svcs:        make([]*services.Service, len(cfg.Services)),
+		origins:     make([]*origin.Origin, len(cfg.Services)),
+		bgTemplates: make([]player.BackgroundConfig, len(cfg.Services)),
+		traces:      netem.CanonicalCellularSet(),
+	}
+	for i, name := range cfg.Services {
+		var err error
+		tab.svcs[i] = services.ByName(name)
+		if tab.origins[i], err = expcache.Origin(tab.svcs[i]); err != nil {
+			return nil, fmt.Errorf("fleet: origin for %s: %w", name, err)
+		}
+		tab.bgTemplates[i] = backgroundTemplate(tab.origins[i])
+	}
+	if cfg.Cache != nil {
+		tab.catalog = cdnCatalog(tab.origins)
+	}
+	return tab, nil
 }
 
 // bgSafetyFactor calibrates the background tier's rung selection to the
@@ -865,15 +879,16 @@ func simCell(run *runSpec, cell cellSpec, tab *cellTables, metro *cdn.Metro, foc
 		}
 	})
 	// The whole background tier of the cell runs as one cohort: one
-	// group-heap entry and contiguous per-member slabs, each member
-	// folded into the aggregates by the observer as it finishes.
+	// group-heap entry per member and per-member state only while it
+	// plays, each member folded into the aggregates by the observer as
+	// it finishes. A member's catalog id is its service index.
 	cohort := player.NewCohort(net)
 	cohort.Grow(nBackground)
-	coSvc := make([]int, 0, nBackground)
 	isFocus := make(map[int]bool, len(focusMembers))
 	for _, m := range focusMembers {
 		isFocus[m] = true
 	}
+	var fullAt []int // member indices of the full sessions, ascending
 	for i, m := range members {
 		if !m.Full {
 			bcfg := tab.bgTemplates[m.Service]
@@ -881,13 +896,11 @@ func simCell(run *runSpec, cell cellSpec, tab *cellTables, metro *cdn.Metro, foc
 			j := cohort.Add(bcfg)
 			cohort.SetStartAt(j, m.Arrival)
 			cohort.SetAccessProfile(j, tab.traces[m.Trace-1])
-			if cdnCell != nil {
-				cohort.SetResolver(j, cdnCell.NewClient(i), int32(m.Service))
-			}
-			coSvc = append(coSvc, m.Service)
+			cohort.SetCatalog(j, int32(m.Service))
 			agg.background++
 			continue
 		}
+		fullAt = append(fullAt, i)
 		svc := tab.svcs[m.Service]
 		pcfg := services.Resolve(svc.Player, m.Watch, nil)
 		sess, err := player.NewSession(pcfg, tab.origins[m.Service], net)
@@ -909,14 +922,27 @@ func simCell(run *runSpec, cell cellSpec, tab *cellTables, metro *cdn.Metro, foc
 		agg.full++
 	}
 	if cohort.Len() > 0 {
+		if cdnCell != nil {
+			// A cohort member's locality key is its member index in the
+			// cell: background member j follows j members and the full
+			// sessions drawn before it.
+			cohort.SetResolvers(func(j int, r cdn.Resolver) cdn.Resolver {
+				i := j + sort.Search(len(fullAt), func(p int) bool { return fullAt[p]-p > j })
+				cl, _ := r.(*cdn.Client)
+				return cdnCell.ReuseClient(cl, i)
+			})
+		}
 		cohort.SetObserver(func(j int, s *player.Summary) {
-			agg.observe(coSvc[j], qoe.FromSummary(s))
+			agg.observe(int(cohort.Catalog(j)), qoe.FromSummary(s))
 		})
 		if err := g.AddCohort(cohort); err != nil {
 			return nil, nil, err
 		}
 	}
 	g.Run()
+	if cohortDone != nil {
+		cohortDone(cohort)
+	}
 	var cacheStats *cdn.Stats
 	if cdnCell != nil {
 		cacheStats = &cdnCell.Stats

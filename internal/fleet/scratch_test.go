@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"bytes"
-	"context"
 	"math"
 	"reflect"
 	"runtime"
@@ -48,39 +47,123 @@ func TestFlashCrowdScratchDeterminism(t *testing.T) {
 }
 
 // TestHotCellAllocBudget holds one crowded cold cached cell — the flash
-// crowd's cell 0 at a sixteenth of bench/'s size, members and edge rate
-// alike: 5 000 on 2.5 Mbit/s — to a budget of allocated bytes per member.
-// Measured 828 B a member. With an access link, a connection and an
-// abandoned transfer per member instead of per live member it was 1 173 B,
-// and with a segment ring per member as well 1 981 B; 1 024 has 1.24x
-// headroom and fails the former by 1.15x. The run around the cell (tables,
-// report) is in the figure: about 20 B a member.
+// crowd's cell 0 scaled down, members and edge rate alike: 2.5 Mbit/s per
+// 5 000 members — to two budgets, at 5 000 and at 50 000 members.
+//
+// The whole cell is held to 1 024 allocated bytes per member, so nothing
+// in it — network, caches, fleet, Group or cohort — is sized by the
+// population again unnoticed. Measured 496 B a member at 5 000 and 366 B
+// at 50 000. With the control and Summary slabs sized by the population
+// it was about 810 B at 5 000, and with an access link, a connection and
+// an abandoned transfer per member as well about 1 150 B.
+//
+// The cohort tier is held to bytes per drawn member plus bytes per
+// peak-live member (Cohort.PeakLive). A full-rate heap profile splits
+// what the cell allocates by stack (cohortAllocs): the per-live term is
+// what the cohort allocates as a member takes a slot or a ring, the
+// per-drawn term the rest of what it allocates, plus the edge-cache
+// clients made outside a slot (the full sessions', a fiftieth of the
+// members). Measured: 34 B per drawn member at 5 000 and 32 B at 50 000
+// (the draw slab, 32 B a member, and the cell's interned templates), 481
+// and 396 B per peak-live member (817 and 7 848 live; slot and ring
+// chunks grow by doubling, so up to half of the last one is spare). With
+// the control and Summary slabs, the configs and a client per drawn
+// member it was 341 and 331 B per drawn member. The budgets leave 1.9x
+// and 1.33x headroom.
 func TestHotCellAllocBudget(t *testing.T) {
-	const members, budget = 5000, 1024
-	withSched(t, 1)
-	cfg := Config{
-		Seed: 9, Sessions: members, ClientsPerCell: members, FidelityFull: 0.02, EdgeMbps: 2.5,
-		Cache: &cdn.CacheConfig{EdgeBytes: 64 << 20, MetroBytes: 2 << 30, TTLSec: 6 * 3600, ColdCells: "0"},
-	}
-	run := func() {
-		rep, err := RunWithOptions(context.Background(), cfg, RunOptions{Workers: 1})
+	const wholeBudget, drawnBudget, liveBudget = 1024, 64, 640
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	peak := 0
+	defer func(hook func(*player.Cohort)) { cohortDone = hook }(cohortDone)
+	cohortDone = func(c *player.Cohort) { peak = c.PeakLive() }
+	for _, members := range []int{5000, 50000} {
+		cfg, cold, err := Config{
+			Seed: 9, Sessions: members, ClientsPerCell: members, FidelityFull: 0.02, EdgeMbps: 2.5 * float64(members) / 5000,
+			Cache: &cdn.CacheConfig{EdgeBytes: 64 << 20, MetroBytes: 2 << 30, TTLSec: 6 * 3600, ColdCells: "0"},
+		}.normalize()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.Cells != 1 {
-			t.Fatalf("%d cells, want the one crowded cell", rep.Cells)
+		tab, err := newCellTables(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			scratch := new(shardScratch)
+			metro := scratch.freshMetro(*cfg.Cache)
+			tab.catalog.WarmMetro(metro)
+			if _, _, err := runCell(cfg, 0, newRunSpec(cfg), newCellSpec(cfg, 0, cold[0]), tab, metro, nil, scratch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // the origins are built once per process
+		var ms0, ms1 runtime.MemStats
+		before := cohortAllocs()
+		runtime.ReadMemStats(&ms0)
+		run()
+		runtime.ReadMemStats(&ms1)
+		after := cohortAllocs()
+		whole := float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(members)
+		perDrawn := float64(after.drawn-before.drawn) / float64(members)
+		perLive := float64(after.live-before.live) / float64(peak)
+		t.Logf("%d members, %d live at peak: the cell allocates %.0f B per member; its cohort tier %.0f B per drawn member + %.0f B per peak-live member", members, peak, whole, perDrawn, perLive)
+		if whole > wholeBudget {
+			t.Errorf("%d members: the cell allocates %.0f B per member, budget %d: something is sized by the population again", members, whole, wholeBudget)
+		}
+		if perDrawn > drawnBudget {
+			t.Errorf("%d members: the cohort tier allocates %.0f B per drawn member, budget %d: something is sized by the population again", members, perDrawn, drawnBudget)
+		}
+		if perLive > liveBudget {
+			t.Errorf("%d members: the cohort tier allocates %.0f B per peak-live member, budget %d", members, perLive, liveBudget)
 		}
 	}
-	run() // the origins are built once per process
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	run()
-	runtime.ReadMemStats(&after)
-	perMember := (after.TotalAlloc - before.TotalAlloc) / members
-	t.Logf("a %d-member cold cached cell allocates %d B per member", members, perMember)
-	if perMember > budget {
-		t.Errorf("a %d-member cell allocates %d B per member, budget %d: something is sized by the population again", members, perMember, budget)
+}
+
+// tierBytes is what the cohort tier allocated, split by whom it is for.
+type tierBytes struct{ drawn, live uint64 }
+
+// cohortAllocs sums the heap profile over every allocation so far made
+// for the cohort tier: the innermost frame of this module is an
+// edge-cache client constructor, or a player function called from a
+// Cohort method (not a simnet or cdn one: the network and the caches are
+// not the tier). Under Cohort.takeSlot or Cohort.takeRing it is per-live,
+// else per-drawn. Only exact while runtime.MemProfileRate is 1.
+func cohortAllocs() tierBytes {
+	runtime.GC() // publishes the profile of everything allocated before it
+	n, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, n+64)
+	for {
+		var ok bool
+		if n, ok = runtime.MemProfile(recs, true); ok {
+			break
+		}
+		recs = make([]runtime.MemProfileRecord, n+64)
 	}
+	var b tierBytes
+	for _, r := range recs[:n] {
+		inner, cohort, live := "", false, false
+		frames := runtime.CallersFrames(r.Stack())
+		for more := true; more; {
+			var f runtime.Frame
+			f, more = frames.Next()
+			fn := f.Function
+			if inner == "" && strings.HasPrefix(fn, "repro/") {
+				inner = fn
+			}
+			cohort = cohort || strings.HasPrefix(fn, "repro/internal/player.(*Cohort).")
+			live = live || strings.HasPrefix(fn, "repro/internal/player.(*Cohort).take")
+		}
+		client := inner == "repro/internal/cdn.(*Cell).NewClient" || inner == "repro/internal/cdn.(*Cell).ReuseClient"
+		switch {
+		case !client && !(cohort && strings.HasPrefix(inner, "repro/internal/player.")):
+		case live:
+			b.live += uint64(r.AllocBytes)
+		default:
+			b.drawn += uint64(r.AllocBytes)
+		}
+	}
+	return b
 }
 
 // TestConstantOverMatchesConstant: a profile cut from a lent slab is the

@@ -1,6 +1,7 @@
 package player
 
 import (
+	"fmt"
 	"math"
 	"slices"
 
@@ -55,12 +56,9 @@ const (
 // are declared-rate sized, startup/recovery share one buffer gate, no
 // pipeline/connection effects).
 //
-// Every coarse session of one cell is stored as structure-of-arrays
-// slabs, so a wake walks contiguous memory in member order instead of
-// touching a dozen cache lines of one heap object before jumping to an
-// unrelated one. The cohort is a client model only: Group.Run schedules
-// its members — each a group member with id base+index — on the same
-// deadline heap and wake list as the full sessions.
+// The cohort is a client model only: Group.Run schedules its members —
+// each a group member with id base+index — on the same deadline heap and
+// wake list as the full sessions.
 //
 // Members are independent flows: a member's Summary depends only on its
 // own config, start, link and the shared network, never on how members
@@ -72,72 +70,62 @@ const (
 //
 // Members are appended with Add (each carrying its own
 // BackgroundConfig — fleet cells mix service templates and per-viewer
-// session durations) before the cohort joins a Group; AddCohort freezes
-// the per-member slabs. What is sized by the population is what must
-// answer for every member after the run: the draw, the control state and
-// the Summary slabs. The rest is held only while a member plays. Its
-// access link and connection exist from its first request to its finish,
-// when they go back to the network's free lists with the transfer the
-// connection abandons, so the network holds as many of each as members
-// are live at once. The segment FIFO is held from the first completed
-// segment to the finish, so FIFO rings are pooled too: the run allocates
-// a ring slab that grows to the peak number of members buffering at once,
-// and nothing else.
+// session durations) before the cohort joins a Group. What is sized by
+// the population is the draw alone, 32 bytes a member: start, session
+// duration, catalog id, an index into the cohort's interned templates
+// (configs that differ only in SessionDuration share one), an index into
+// its interned access profiles, and a state word — unarrived, done, or
+// the slot the member holds. Everything else is held only while a member
+// plays, from its first wake at or after its start to its finish:
+//   - a slot: the control state, the Summary accumulators and a
+//     time-on-track row as wide as the cohort's widest ladder, the
+//     connection, the in-flight transfer and the edge-cache resolver
+//     state. Slots are a free stack that grows by doubling to the peak
+//     number of members live at once (PeakLive); a taken slot is reset
+//     to a fresh member's state, and returned right after the observer
+//     has read the member's Summary, so a Summary outlives nothing.
+//   - an access link and a connection, from the member's first request;
+//     they go back to the network's free lists at its finish with the
+//     transfer the connection abandons.
+//   - a segment FIFO ring, from the first completed segment; rings are
+//     pooled the same way as slots, to the peak number of members
+//     buffering at once.
 type Cohort struct {
 	net *simnet.Network
 
-	// Per-member immutable draw, set by Add.
-	cfgs    []BackgroundConfig
-	segCnt  []int32 // ceil(MediaDuration/SegmentDuration) per member
-	startAt []float64
-	access  []*netem.Profile // per-member access-link profile, nil = none
-	resolve []cdn.Resolver   // per-member edge-cache resolver, nil = origin
-	catID   []int32          // title index in the cache namespace
+	// Per-member draw, set by Add and the setters.
+	draw []memberDraw
 
-	// Per-member control state, one slab entry per member (freeze).
-	flags     []uint8 // coStarted..coInflight bit field
-	lastTime  []float64
-	playhead  []float64
-	bufferSec []float64
-	stallSt   []float64 // stall open instant (valid while coStallOpen)
+	// Interned configs (tmpls[i] is tmplKeys.keys[i]'s template) and
+	// access profiles (profiles.keys).
+	tmpls    []cohortTemplate
+	tmplKeys interner[tmplKey]
+	profiles interner[*netem.Profile]
 
-	nextSeg  []int32
-	samples  []int32
-	prevTrak []int32
-	pendTrak []int32
-	pendDur  []float64
-	ewma     []float64
-	totBytes []float64
+	// bind hands a member that takes a slot its resolver (nil: origin).
+	bind func(m int, r cdn.Resolver) cdn.Resolver
 
-	conn []*simnet.Conn
-	refs []cohortRef // Transfer.Meta targets: pointers into this slab
+	// Slot s is *slots[s]; free is the stack of slots no member holds,
+	// lowest index on top. Slots live in chunks that never move (a
+	// transfer's Meta points into one), the first slotQuantum long, each
+	// later one as long as all before it; toW is the width of a slot's
+	// time-on-track row.
+	slots      []*memberSlot
+	free       []int32
+	toW        int
+	live, peak int
 
-	// Segment FIFO rings: ring r is rings[r*qCap : (r+1)*qCap], at most
-	// qCap buffered stretches (the buffer pauses at bgMaxBufferSec, so a
-	// ring is small and bounded). Member m holds ring fifo[m].ring from
-	// its first completed segment until finishMember returns it to the
-	// free stack, which is threaded through the free rings' first slots
-	// (freeRing is its top, -1 empty). Which ring a member got is
-	// invisible outside these fields: a ring is empty when handed over
-	// and every slot is written before it is read, so no Summary can
-	// depend on ring identity or reuse order.
-	qCap     int
-	rings    []ringSlot
-	freeRing int32
-	fifo     []memberFIFO
-
-	// Per-member Summary slabs; timeOnTrack packs each member's ladder-
-	// width row at toOff[m] (ladders differ across service templates).
-	sumStartup  []float64
-	sumStallCnt []int32
-	sumStallSec []float64
-	sumPlayed   []float64
-	sumWeighted []float64
-	sumMedia    []float64
-	sumSwitch   []int32
-	sumNonCons  []int32
-	toOff       []int32
-	timeOnTrack []float64
+	// Segment FIFO rings of qCap buffered stretches each (the buffer
+	// pauses at bgMaxBufferSec, so a ring is small and bounded), chunked
+	// and stacked the same way as slots: nRings exist, freeRings are the
+	// ones no slot holds. A slot holds a ring from its member's first
+	// completed segment to its finish. Which ring or slot a member got is
+	// invisible outside these fields: both are reset when handed over and
+	// every field is written before it is read, so no Summary can depend
+	// on their identity or reuse order.
+	qCap      int
+	nRings    int
+	freeRings [][]ringSlot
 
 	frozen bool
 
@@ -149,38 +137,124 @@ type Cohort struct {
 	base int
 }
 
+// memberDraw is what a member is before it plays: fixed by Add and the
+// setters, read for the whole run.
+type memberDraw struct {
+	startAt float64
+	dur     float64 // SessionDuration
+	tmpl    int32   // index into tmpls
+	access  int32   // index into profiles, -1 = no access link
+	catalog int32   // title index in the cache namespace
+	state   int32   // slot index while live, else stateUnarrived/stateDone
+}
+
+// Member states other than a held slot.
+const (
+	stateUnarrived int32 = -1
+	stateDone      int32 = -2
+)
+
+// cohortTemplate is one interned config: everything but SessionDuration.
+type cohortTemplate struct {
+	declared []float64
+	segDur   float64
+	mediaDur float64
+	safety   float64
+	segCnt   int32 // ceil(mediaDur/segDur)
+}
+
+// tmplKey identifies a template: configs sharing the Declared backing
+// array and the scalar fields intern to one entry.
+type tmplKey struct {
+	declared           *float64
+	n                  int
+	seg, media, safety float64
+}
+
+// interner numbers distinct keys in order of first sight. It scans: a
+// fleet cell has a dozen templates and fourteen access traces.
+type interner[K comparable] struct {
+	keys []K
+}
+
+func (in *interner[K]) index(k K) int32 {
+	for i, have := range in.keys {
+		if have == k {
+			return int32(i)
+		}
+	}
+	in.keys = append(in.keys, k)
+	return int32(len(in.keys) - 1)
+}
+
+// memberSlot is a live member's state; a free slot keeps row and res for
+// the next member to reuse.
+type memberSlot struct {
+	ref      cohortRef // Transfer.Meta of the slot's requests
+	row      []float64 // time on track, toW wide
+	conn     *simnet.Conn
+	inflight *simnet.Transfer // the one request in flight, nil = none
+	res      cdn.Resolver
+
+	lastTime  float64
+	playhead  float64 // media played so far: the Summary's PlayedSec
+	bufferSec float64
+	stallSt   float64 // stall open instant (valid while coStallOpen)
+	pendDur   float64
+	ewma      float64
+	totBytes  float64
+
+	sumStartup  float64
+	sumStallSec float64
+	sumWeighted float64
+	sumMedia    float64
+
+	nextSeg     int32
+	samples     int32
+	prevTrak    int32
+	pendTrak    int32
+	sumStallCnt int32
+	sumSwitch   int32
+	sumNonCons  int32
+	flags       uint8 // coStarted..coPausedDl bit field
+
+	fifo memberFIFO
+}
+
 // Per-member flag bits.
 const (
 	coStarted uint8 = 1 << iota
 	coPlaying
 	coFinished
-	coDone
 	coStallOpen
 	coPausedDl
-	coInflight
 )
 
 // ringSlot is one buffered stretch of media: a downloaded segment, or
-// what is left of it once playback has begun to consume it. In a free
-// ring, slot 0's track is the next free ring's index.
+// what is left of it once playback has begun to consume it.
 type ringSlot struct {
 	dur     float64
 	track   int32
 	counted bool // switch accounting done at first consumption
 }
 
-// memberFIFO is a member's window onto its ring (-1: none held).
+// memberFIFO is a member's window onto its ring (nil: none held).
 type memberFIFO struct {
-	ring, head, n int32
+	ring    []ringSlot
+	head, n int32
 }
 
-// ringQuantum is the smallest step the ring slab grows by, in rings;
-// beyond it the slab doubles.
-const ringQuantum = 8
+// ringQuantum and slotQuantum are the first chunk's length, in rings and
+// in slots; a chunk never holds more than the members that could use it.
+const (
+	ringQuantum = 8
+	slotQuantum = 8
+)
 
-// cohortRef identifies one cohort member as a transfer's Meta: a
-// pointer into the cohort's refs slab, so starting a request boxes a
-// pointer (no allocation) and a completion routes back to the member.
+// cohortRef routes a transfer's completion to the member holding the
+// slot that started it: it lives in the slot, which never moves, so
+// starting a request boxes a pointer (no allocation). idx is re-pointed
+// whenever the slot changes hands.
 type cohortRef struct {
 	c   *Cohort
 	idx int
@@ -189,18 +263,17 @@ type cohortRef struct {
 // NewCohort starts an empty cohort over the shared network; append
 // members with Add, then register it with Group.AddCohort.
 func NewCohort(net *simnet.Network) *Cohort {
-	return &Cohort{net: net, freeRing: -1}
+	return &Cohort{net: net}
 }
 
 // Grow reserves room for n more members, so the Adds that follow fill
-// the draw slabs in place instead of doubling their way up to n.
+// the draw slab in place instead of doubling their way up to n. (Not
+// slices.Grow: under the race detector its append(s, make(…)...) builds
+// the made slice too, doubling the slab's cost.)
 func (c *Cohort) Grow(n int) {
-	c.cfgs = slices.Grow(c.cfgs, n)
-	c.segCnt = slices.Grow(c.segCnt, n)
-	c.startAt = slices.Grow(c.startAt, n)
-	c.access = slices.Grow(c.access, n)
-	c.resolve = slices.Grow(c.resolve, n)
-	c.catID = slices.Grow(c.catID, n)
+	if cap(c.draw)-len(c.draw) < n {
+		c.draw = append(make([]memberDraw, 0, len(c.draw)+n), c.draw...)
+	}
 }
 
 // Add appends one member with its own config (zero fields take the
@@ -211,139 +284,161 @@ func (c *Cohort) Add(cfg BackgroundConfig) int {
 		panic("player: Cohort.Add after the cohort joined a group")
 	}
 	cfg = cfg.withDefaults()
-	m := len(c.cfgs)
-	c.cfgs = append(c.cfgs, cfg)
-	c.segCnt = append(c.segCnt, int32(math.Ceil(cfg.MediaDuration/cfg.SegmentDuration)))
-	c.startAt = append(c.startAt, 0)
-	c.access = append(c.access, nil)
-	c.resolve = append(c.resolve, nil)
-	c.catID = append(c.catID, 0)
-	return m
+	k := tmplKey{n: len(cfg.Declared), seg: cfg.SegmentDuration, media: cfg.MediaDuration, safety: cfg.SafetyFactor}
+	if k.n > 0 {
+		k.declared = &cfg.Declared[0]
+	}
+	t := c.tmplKeys.index(k)
+	if int(t) == len(c.tmpls) {
+		c.tmpls = append(c.tmpls, cohortTemplate{
+			declared: cfg.Declared,
+			segDur:   cfg.SegmentDuration,
+			mediaDur: cfg.MediaDuration,
+			safety:   cfg.SafetyFactor,
+			segCnt:   int32(math.Ceil(cfg.MediaDuration / cfg.SegmentDuration)),
+		})
+	}
+	c.draw = append(c.draw, memberDraw{dur: cfg.SessionDuration, tmpl: t, access: -1, state: stateUnarrived})
+	return len(c.draw) - 1
 }
 
 // Len returns the member count.
-func (c *Cohort) Len() int { return len(c.cfgs) }
+func (c *Cohort) Len() int { return len(c.draw) }
+
+// PeakLive returns the most members that held a slot at once so far:
+// what the cohort's per-live-member state is sized by.
+func (c *Cohort) PeakLive() int { return c.peak }
 
 // SetStartAt schedules member i's arrival on the shared clock; call
 // before the group runs.
-func (c *Cohort) SetStartAt(i int, t float64) {
-	if t < 0 {
-		t = 0
-	}
-	c.startAt[i] = t
-	if c.frozen {
-		c.lastTime[i] = t
-	}
-}
+func (c *Cohort) SetStartAt(i int, t float64) { c.draw[i].startAt = max(t, 0) }
 
 // SetAccessProfile routes member i through a private access link over
 // profile p (bits/s, looping). The member takes the link, and its
 // connection, from the network at its first request and gives both back
 // when it finishes.
-func (c *Cohort) SetAccessProfile(i int, p *netem.Profile) { c.access[i] = p }
+func (c *Cohort) SetAccessProfile(i int, p *netem.Profile) {
+	c.draw[i].access = -1
+	if p != nil {
+		c.draw[i].access = c.profiles.index(p)
+	}
+}
 
 // SetAccessLink is SetAccessProfile(i, l.Profile()); l itself is not used.
 // A shim for bench/probes.go, to be deleted with ROADMAP item 1 (f).
 func (c *Cohort) SetAccessLink(i int, l *simnet.AccessLink) { c.SetAccessProfile(i, l.Profile()) }
 
-// SetResolver routes member i's segment requests through a cell's
-// edge-cache tier; catalog is the member's title index in the cache
-// namespace.
-func (c *Cohort) SetResolver(i int, r cdn.Resolver, catalog int32) {
-	c.resolve[i] = r
-	c.catID[i] = catalog
-}
+// SetResolvers routes every member's segment requests through a cell's
+// edge-cache tier. bind is called as member m takes its slot, with the
+// resolver the slot's previous holder used (nil on a fresh slot), and
+// returns m's resolver for as long as it plays; it may reset r in place
+// and return it, so resolver state is held per live member, not per
+// member. A nil result sends m to the origin.
+func (c *Cohort) SetResolvers(bind func(m int, r cdn.Resolver) cdn.Resolver) { c.bind = bind }
+
+// SetCatalog names member i's title in the cache namespace (0 unless
+// set); the resolver keys member i's segments by it.
+func (c *Cohort) SetCatalog(i int, catalog int32) { c.draw[i].catalog = catalog }
+
+// Catalog returns member i's title in the cache namespace.
+func (c *Cohort) Catalog(i int) int32 { return c.draw[i].catalog }
 
 // SetObserver registers fn, called exactly once per member as it
 // finishes with a scratch Summary valid only for the duration of the
-// call (the TimeOnTrack slice aliases the cohort's slab) — fold it,
-// don't retain it.
+// call (the TimeOnTrack slice aliases the member's slot, which the next
+// member to arrive reuses) — fold it, don't retain it. It is the only
+// way to read a member's Summary.
 func (c *Cohort) SetObserver(fn func(i int, s *Summary)) { c.observer = fn }
 
-// freeze sizes the per-member slabs for the member set and fixes the ring
-// stride (called by AddCohort). Rings themselves are taken as members
-// start buffering.
+// freeze fixes the ring stride and the time-on-track row width from the
+// templates and drops the template index (called by AddCohort). Slots and
+// rings themselves are taken as members arrive and start buffering.
 func (c *Cohort) freeze() {
 	if c.frozen {
 		return
 	}
 	c.frozen = true
-	n := len(c.cfgs)
 	// Ring bound: a member's buffer pauses at bgMaxBufferSec and one
 	// in-flight segment can still land, so at most
 	// ceil(bgMaxBufferSec/segDur) full stretches plus a partially-consumed
 	// head, the clipped final segment and the just-landed one are ever
-	// queued at once. The stride is the population maximum.
+	// queued at once. The stride is the maximum over the templates.
 	c.qCap = 1
-	toSum := 0
-	for m := 0; m < n; m++ {
-		cap := int(math.Ceil(bgMaxBufferSec/c.cfgs[m].SegmentDuration)) + 4
-		if sc := int(c.segCnt[m]); cap > sc {
+	for i := range c.tmpls {
+		t := &c.tmpls[i]
+		cap := int(math.Ceil(bgMaxBufferSec/t.segDur)) + 4
+		if sc := int(t.segCnt); cap > sc {
 			cap = sc
 		}
-		if cap > c.qCap {
-			c.qCap = cap
-		}
-		toSum += len(c.cfgs[m].Declared)
+		c.qCap = max(c.qCap, cap)
+		c.toW = max(c.toW, len(t.declared))
 	}
-	c.flags = make([]uint8, n)
-	c.lastTime = make([]float64, n)
-	c.playhead = make([]float64, n)
-	c.bufferSec = make([]float64, n)
-	c.stallSt = make([]float64, n)
-	c.nextSeg = make([]int32, n)
-	c.samples = make([]int32, n)
-	c.prevTrak = make([]int32, n)
-	c.pendTrak = make([]int32, n)
-	c.pendDur = make([]float64, n)
-	c.ewma = make([]float64, n)
-	c.totBytes = make([]float64, n)
-	c.conn = make([]*simnet.Conn, n)
-	c.refs = make([]cohortRef, n)
-	c.fifo = make([]memberFIFO, n)
-	c.sumStartup = make([]float64, n)
-	c.sumStallCnt = make([]int32, n)
-	c.sumStallSec = make([]float64, n)
-	c.sumPlayed = make([]float64, n)
-	c.sumWeighted = make([]float64, n)
-	c.sumMedia = make([]float64, n)
-	c.sumSwitch = make([]int32, n)
-	c.sumNonCons = make([]int32, n)
-	c.toOff = make([]int32, n+1)
-	c.timeOnTrack = make([]float64, toSum)
-	off := int32(0)
-	for m := 0; m < n; m++ {
-		c.toOff[m] = off
-		off += int32(len(c.cfgs[m].Declared))
-		c.lastTime[m] = c.startAt[m]
-		c.prevTrak[m] = -1
-		c.sumStartup[m] = -1
-		c.fifo[m].ring = -1
-		c.refs[m] = cohortRef{c: c, idx: m}
-	}
-	c.toOff[n] = off
+	c.tmplKeys = interner[tmplKey]{}
 }
 
-func (c *Cohort) endAt(m int) float64 { return c.startAt[m] + c.cfgs[m].SessionDuration }
+func (c *Cohort) endAt(m int) float64 { return c.draw[m].startAt + c.draw[m].dur }
 
-func (c *Cohort) memberDone(m int) bool { return c.flags[m]&coDone != 0 }
+func (c *Cohort) memberDone(m int) bool { return c.draw[m].state == stateDone }
 
-// segDurAt returns member m's segment i media duration (the last one is
-// clipped to the presentation end).
-func (c *Cohort) segDurAt(m, i int) float64 {
-	cfg := &c.cfgs[m]
-	if start := float64(i) * cfg.SegmentDuration; start+cfg.SegmentDuration > cfg.MediaDuration {
-		return cfg.MediaDuration - start
+// slotOf returns member m's slot, taking one if m has arrived but holds
+// none yet. A finished member has no slot: asking for one is a bug, and
+// panics naming the member rather than aliasing whoever holds its old
+// slot now.
+func (c *Cohort) slotOf(m int, op string) *memberSlot {
+	switch s := c.draw[m].state; {
+	case s >= 0:
+		return c.slots[s]
+	case s == stateUnarrived:
+		return c.takeSlot(m)
 	}
-	return cfg.SegmentDuration
+	panic(fmt.Sprintf("player: cohort member %d %s after it finished: it holds no slot", m, op))
+}
+
+// takeSlot gives member m a free slot, growing the slab when none is
+// left, and resets it to what a fresh member starts from.
+func (c *Cohort) takeSlot(m int) *memberSlot {
+	if len(c.free) == 0 {
+		c.growSlots()
+	}
+	s := c.free[len(c.free)-1]
+	c.free = c.free[:len(c.free)-1]
+	c.live++
+	c.peak = max(c.peak, c.live)
+	sl := c.slots[s]
+	*sl = memberSlot{ref: cohortRef{c: c, idx: m}, row: sl.row, res: sl.res, lastTime: c.draw[m].startAt, prevTrak: -1, sumStartup: -1}
+	clear(sl.row)
+	c.draw[m].state = s
+	if c.bind != nil {
+		sl.res = c.bind(m, sl.res)
+	}
+	return sl
+}
+
+// growSlots is takeSlot's cold half: it adds a chunk of as many slots as
+// exist (slotQuantum at first), never more than the members without one,
+// and stacks them, lowest index on top. It runs O(log peak) times per
+// cohort.
+func (c *Cohort) growSlots() {
+	have := len(c.slots)
+	add := min(max(have, slotQuantum), len(c.draw)-have)
+	chunk := make([]memberSlot, add)   //vodlint:allow hotalloc — slot growth, O(log peak live) times per cohort
+	rows := make([]float64, add*c.toW) //vodlint:allow hotalloc — slot growth, O(log peak live) times per cohort
+	c.free = slices.Grow(c.free, have+add)
+	for i := add - 1; i >= 0; i-- {
+		chunk[i].row = rows[i*c.toW : (i+1)*c.toW : (i+1)*c.toW]
+		c.free = append(c.free, int32(have+i))
+	}
+	for i := range chunk {
+		c.slots = append(c.slots, &chunk[i])
+	}
 }
 
 // inflightSum counts in-flight transfers across live members (the
 // Group's defensive no-deadline branch needs the total).
 func (c *Cohort) inflightSum() int {
 	s := 0
-	for m := range c.flags {
-		if c.flags[m]&coDone == 0 && c.flags[m]&coInflight != 0 {
+	for _, sl := range c.slots {
+		if sl.inflight != nil {
 			s++
 		}
 	}
@@ -356,14 +451,15 @@ func (c *Cohort) inflightSum() int {
 //
 //vodlint:hotpath — cohort service step: once per woken member per iteration
 func (c *Cohort) service(m int, now float64) (nextKey float64, finished bool) {
-	if now < c.startAt[m]-eps {
-		return c.startAt[m], false
+	if st := c.draw[m].startAt; now < st-eps {
+		return st, false
 	}
-	if now >= c.endAt(m)-eps || c.flags[m]&coFinished != 0 {
+	sl := c.slotOf(m, "serviced")
+	if now >= c.endAt(m)-eps || sl.flags&coFinished != 0 {
 		return 0, true
 	}
-	c.issueRequests(m)
-	d := c.nextDeadline(m, now)
+	c.issueRequests(m, sl)
+	d := c.nextDeadline(m, sl, now)
 	if e := c.endAt(m); e < d {
 		d = e
 	}
@@ -377,145 +473,158 @@ func (c *Cohort) service(m int, now float64) (nextKey float64, finished bool) {
 // sample); the segment is declared-rate sized.
 //
 //vodlint:hotpath — cohort request issue: once per serviced member
-func (c *Cohort) issueRequests(m int) {
-	if c.flags[m]&coInflight != 0 || int(c.nextSeg[m]) >= int(c.segCnt[m]) {
+func (c *Cohort) issueRequests(m int, sl *memberSlot) {
+	d := &c.draw[m]
+	t := &c.tmpls[d.tmpl]
+	if sl.inflight != nil || sl.nextSeg >= t.segCnt {
 		return
 	}
-	cfg := &c.cfgs[m]
-	if c.flags[m]&coPausedDl != 0 {
-		if c.bufferSec[m] > bgResumeBufferSec+1e-6 {
+	if sl.flags&coPausedDl != 0 {
+		if sl.bufferSec > bgResumeBufferSec+1e-6 {
 			return
 		}
-		c.flags[m] &^= coPausedDl
-	} else if c.bufferSec[m] >= bgMaxBufferSec-1e-6 {
-		c.flags[m] |= coPausedDl
+		sl.flags &^= coPausedDl
+	} else if sl.bufferSec >= bgMaxBufferSec-1e-6 {
+		sl.flags |= coPausedDl
 		return
 	}
 	track := 0
-	if c.samples[m] > 0 {
-		budget := cfg.SafetyFactor * c.ewma[m]
-		for t := len(cfg.Declared) - 1; t > 0; t-- {
-			if cfg.Declared[t] <= budget {
-				track = t
+	if sl.samples > 0 {
+		budget := t.safety * sl.ewma
+		for r := len(t.declared) - 1; r > 0; r-- {
+			if t.declared[r] <= budget {
+				track = r
 				break
 			}
 		}
 	}
-	dur := c.segDurAt(m, int(c.nextSeg[m]))
-	size := cfg.Declared[track] * dur / 8
-	if c.conn[m] == nil {
+	dur := t.segDur
+	if start := float64(sl.nextSeg) * t.segDur; start+t.segDur > t.mediaDur {
+		dur = t.mediaDur - start // the last segment is clipped to the presentation end
+	}
+	size := t.declared[track] * dur / 8
+	if sl.conn == nil {
 		var l *simnet.AccessLink
-		if p := c.access[m]; p != nil {
-			l = c.net.NewAccessLink(p)
+		if d.access >= 0 {
+			l = c.net.NewAccessLink(c.profiles.keys[d.access])
 		}
-		c.conn[m] = c.net.DialVia(l)
+		sl.conn = c.net.DialVia(l)
 	}
-	c.pendDur[m], c.pendTrak[m] = dur, int32(track)
-	if r := c.resolve[m]; r != nil {
-		rt := r.Resolve(c.net.Now(), cdn.Object{Catalog: c.catID[m], Kind: cdn.KindVideo, Track: int32(track), Index: c.nextSeg[m]}, size)
-		c.conn[m].StartVia(size, rt.ExtraLatency, rt.Upstream, &c.refs[m])
+	sl.pendDur, sl.pendTrak = dur, int32(track)
+	if sl.res != nil {
+		rt := sl.res.Resolve(c.net.Now(), cdn.Object{Catalog: d.catalog, Kind: cdn.KindVideo, Track: int32(track), Index: sl.nextSeg}, size)
+		sl.inflight = sl.conn.StartVia(size, rt.ExtraLatency, rt.Upstream, &sl.ref)
 	} else {
-		c.conn[m].Start(size, &c.refs[m])
+		sl.inflight = sl.conn.Start(size, &sl.ref)
 	}
-	c.flags[m] |= coInflight
 }
 
 // onComplete books member m's finished segment transfer: fold its rate
 // into the EWMA, queue the media on the member's ring, and start (or
-// resume) playback if the buffer gate is met.
+// resume) playback if the buffer gate is met. The transfer must be the
+// one m's slot has in flight: anything else is a completion routed to a
+// slot that changed hands, and panics naming both.
 //
 //vodlint:hotpath — cohort completion fold: once per completed transfer
 func (c *Cohort) onComplete(m int, tr *simnet.Transfer) {
-	c.flags[m] &^= coInflight
-	rate := tr.Size * 8 / math.Max(tr.Completed-tr.Started, 1e-3)
-	if c.samples[m] == 0 {
-		c.ewma[m] = rate
-	} else {
-		c.ewma[m] = bgEWMAAlpha*rate + (1-bgEWMAAlpha)*c.ewma[m]
+	s := c.draw[m].state
+	if s < 0 || c.slots[s].inflight != tr {
+		panic(fmt.Sprintf("player: cohort member %d (state %d) completed a transfer its slot does not have in flight", m, s))
 	}
-	c.samples[m]++
-	c.totBytes[m] += tr.Size
-	c.bufferSec[m] += c.pendDur[m]
-	q := &c.fifo[m]
-	if q.ring < 0 {
+	sl := c.slots[s]
+	sl.inflight = nil
+	rate := tr.Size * 8 / math.Max(tr.Completed-tr.Started, 1e-3)
+	if sl.samples == 0 {
+		sl.ewma = rate
+	} else {
+		sl.ewma = bgEWMAAlpha*rate + (1-bgEWMAAlpha)*sl.ewma
+	}
+	sl.samples++
+	sl.totBytes += tr.Size
+	sl.bufferSec += sl.pendDur
+	q := &sl.fifo
+	if q.ring == nil {
 		q.ring = c.takeRing()
 	}
 	if int(q.n) >= c.qCap {
 		panic("player: cohort segment ring overflow")
 	}
-	c.rings[int(q.ring)*c.qCap+int(q.head+q.n)%c.qCap] = ringSlot{dur: c.pendDur[m], track: c.pendTrak[m]}
+	q.ring[int(q.head+q.n)%c.qCap] = ringSlot{dur: sl.pendDur, track: sl.pendTrak}
 	q.n++
-	c.nextSeg[m]++
-	c.maybeStartPlayback(m, tr.Completed)
+	sl.nextSeg++
+	c.maybeStartPlayback(m, sl, tr.Completed)
 }
 
-// takeRing pops a free ring, growing the slab when none is left.
-func (c *Cohort) takeRing() int32 {
-	if c.freeRing < 0 {
+// takeRing pops a free ring, adding a chunk when none is left.
+func (c *Cohort) takeRing() []ringSlot {
+	if len(c.freeRings) == 0 {
 		c.growRings()
 	}
-	r := c.freeRing
-	c.freeRing = c.rings[int(r)*c.qCap].track
+	r := c.freeRings[len(c.freeRings)-1]
+	c.freeRings = c.freeRings[:len(c.freeRings)-1]
 	return r
 }
 
-// growRings is takeRing's cold half: it extends the slab by as many
-// rings as it holds (at least ringQuantum) and stacks the new ones,
-// lowest index on top. It runs O(log peak) times per cohort, where peak
-// is the most members ever buffering at once.
+// growRings is takeRing's cold half: it adds a chunk of as many rings as
+// exist (ringQuantum at first), never more than the members without one,
+// and stacks them, lowest address on top. It runs O(log peak) times per
+// cohort, where peak is the most members ever buffering at once.
 func (c *Cohort) growRings() {
-	have := len(c.rings) / c.qCap
-	add := max(have, ringQuantum)
-	c.rings = slices.Grow(c.rings, add*c.qCap)[:(have+add)*c.qCap]
-	for r := have + add - 1; r >= have; r-- {
-		c.rings[r*c.qCap].track = c.freeRing
-		c.freeRing = int32(r)
+	add := min(max(c.nRings, ringQuantum), len(c.draw)-c.nRings)
+	chunk := make([]ringSlot, add*c.qCap) //vodlint:allow hotalloc — ring growth, O(log peak buffering) times per cohort
+	c.nRings += add
+	c.freeRings = slices.Grow(c.freeRings, c.nRings)
+	for r := add - 1; r >= 0; r-- {
+		c.freeRings = append(c.freeRings, chunk[r*c.qCap:(r+1)*c.qCap:(r+1)*c.qCap])
 	}
 }
 
-func (c *Cohort) maybeStartPlayback(m int, now float64) {
-	if c.flags[m]&(coPlaying|coFinished) != 0 {
+func (c *Cohort) maybeStartPlayback(m int, sl *memberSlot, now float64) {
+	if sl.flags&(coPlaying|coFinished) != 0 {
 		return
 	}
-	allDown := int(c.nextSeg[m]) >= int(c.segCnt[m])
-	if c.bufferSec[m] >= bgStartupBufferSec-eps || (allDown && c.bufferSec[m] > eps) {
-		c.flags[m] |= coPlaying
-		if c.flags[m]&coStarted == 0 {
-			c.flags[m] |= coStarted
-			c.sumStartup[m] = now - c.startAt[m]
-		} else if c.flags[m]&coStallOpen != 0 {
-			c.sumStallCnt[m]++
-			c.sumStallSec[m] += now - c.stallSt[m]
-			c.flags[m] &^= coStallOpen
+	allDown := sl.nextSeg >= c.tmpls[c.draw[m].tmpl].segCnt
+	if sl.bufferSec >= bgStartupBufferSec-eps || (allDown && sl.bufferSec > eps) {
+		sl.flags |= coPlaying
+		if sl.flags&coStarted == 0 {
+			sl.flags |= coStarted
+			sl.sumStartup = now - c.draw[m].startAt
+		} else if sl.flags&coStallOpen != 0 {
+			sl.sumStallCnt++
+			sl.sumStallSec += now - sl.stallSt
+			sl.flags &^= coStallOpen
 		}
 	}
 }
 
 // advancePlayback drains member m's fluid buffer to wall time t: play
 // at rate 1 until the buffer or the media runs out, then either finish
-// (media end) or open a stall.
+// (media end) or open a stall. A member woken for the first time has
+// just arrived, and takes its slot here.
 //
 //vodlint:hotpath — cohort playback drain: once per woken member per iteration
 func (c *Cohort) advancePlayback(m int, t float64) {
-	for c.lastTime[m] < t-eps {
-		if c.flags[m]&coPlaying == 0 {
-			c.lastTime[m] = t
+	sl := c.slotOf(m, "advanced")
+	mediaDur := c.tmpls[c.draw[m].tmpl].mediaDur
+	for sl.lastTime < t-eps {
+		if sl.flags&coPlaying == 0 {
+			sl.lastTime = t
 			return
 		}
-		limit := math.Min(c.bufferSec[m], c.cfgs[m].MediaDuration-c.playhead[m])
-		dt := t - c.lastTime[m]
+		limit := math.Min(sl.bufferSec, mediaDur-sl.playhead)
+		dt := t - sl.lastTime
 		adv := math.Min(dt, math.Max(0, limit))
-		c.consume(m, adv)
-		c.lastTime[m] += adv
+		c.consume(m, sl, adv)
+		sl.lastTime += adv
 		if adv < dt-eps {
-			c.flags[m] &^= coPlaying
-			if c.playhead[m] >= c.cfgs[m].MediaDuration-eps {
-				c.flags[m] |= coFinished
-				c.lastTime[m] = t
+			sl.flags &^= coPlaying
+			if sl.playhead >= mediaDur-eps {
+				sl.flags |= coFinished
+				sl.lastTime = t
 				return
 			}
-			c.flags[m] |= coStallOpen
-			c.stallSt[m] = c.lastTime[m]
+			sl.flags |= coStallOpen
+			sl.stallSt = sl.lastTime
 		}
 	}
 }
@@ -525,32 +634,31 @@ func (c *Cohort) advancePlayback(m int, t float64) {
 // stretch is shown.
 //
 //vodlint:hotpath — cohort FIFO drain: inner loop of every playback advance
-func (c *Cohort) consume(m int, adv float64) {
+func (c *Cohort) consume(m int, sl *memberSlot, adv float64) {
 	if adv <= 0 {
 		return
 	}
-	c.sumPlayed[m] += adv
-	c.playhead[m] += adv
-	c.bufferSec[m] = math.Max(0, c.bufferSec[m]-adv)
-	to := int(c.toOff[m])
-	q := &c.fifo[m]
+	sl.playhead += adv
+	sl.bufferSec = math.Max(0, sl.bufferSec-adv)
+	declared := c.tmpls[c.draw[m].tmpl].declared
+	q := &sl.fifo
 	rem := adv
 	for rem > eps && q.n > 0 {
-		s := &c.rings[int(q.ring)*c.qCap+int(q.head)]
+		s := &q.ring[q.head]
 		if !s.counted {
-			if c.prevTrak[m] >= 0 && s.track != c.prevTrak[m] {
-				c.sumSwitch[m]++
-				if d := s.track - c.prevTrak[m]; d > 1 || d < -1 {
-					c.sumNonCons[m]++
+			if sl.prevTrak >= 0 && s.track != sl.prevTrak {
+				sl.sumSwitch++
+				if d := s.track - sl.prevTrak; d > 1 || d < -1 {
+					sl.sumNonCons++
 				}
 			}
-			c.prevTrak[m] = s.track
+			sl.prevTrak = s.track
 			s.counted = true
 		}
 		d := math.Min(rem, s.dur)
-		c.sumWeighted[m] += c.cfgs[m].Declared[s.track] * d
-		c.sumMedia[m] += d
-		c.timeOnTrack[to+int(s.track)] += d
+		sl.sumWeighted += declared[s.track] * d
+		sl.sumMedia += d
+		sl.row[s.track] += d
 		s.dur -= d
 		rem -= d
 		if s.dur <= eps {
@@ -563,78 +671,83 @@ func (c *Cohort) consume(m int, adv float64) {
 // nextDeadline is the next time member m's control state can change
 // without a download completing: the buffer running dry, the media
 // ending, or a paused download crossing the resume threshold.
-func (c *Cohort) nextDeadline(m int, now float64) float64 {
-	if c.flags[m]&coPlaying == 0 {
+func (c *Cohort) nextDeadline(m int, sl *memberSlot, now float64) float64 {
+	if sl.flags&coPlaying == 0 {
 		return math.Inf(1)
 	}
-	d := now + math.Min(c.bufferSec[m], c.cfgs[m].MediaDuration-c.playhead[m])
-	if c.flags[m]&coPausedDl != 0 && int(c.nextSeg[m]) < int(c.segCnt[m]) {
-		d = math.Min(d, now+math.Max(0, c.bufferSec[m]-bgResumeBufferSec))
+	t := &c.tmpls[c.draw[m].tmpl]
+	d := now + math.Min(sl.bufferSec, t.mediaDur-sl.playhead)
+	if sl.flags&coPausedDl != 0 && sl.nextSeg < t.segCnt {
+		d = math.Min(d, now+math.Max(0, sl.bufferSec-bgResumeBufferSec))
 	}
 	return d
 }
 
-// finishMember finalizes member m once, gives its access link, its
-// connection and any transfer the connection abandons back to the network
-// and its ring to the free stack, and hands the observer a scratch
-// Summary assembled from the slabs (the TimeOnTrack slice is a view into
-// the cohort's slab, not a copy).
+// finishMember finalizes member m once — taking a slot first if it never
+// arrived — gives its access link, its connection and any transfer the
+// connection abandons back to the network and its ring to the free
+// stack, hands the observer a scratch Summary assembled from the slot
+// (the TimeOnTrack slice is a view into the slot's row, not a copy), and
+// then frees the slot.
 func (c *Cohort) finishMember(m int) {
-	if c.flags[m]&coDone != 0 {
+	if c.draw[m].state == stateDone {
 		return
 	}
+	sl := c.slotOf(m, "finished")
 	end := math.Min(c.net.Now(), c.endAt(m))
 	c.advancePlayback(m, end)
-	c.flags[m] &^= coPlaying
-	if c.flags[m]&coStallOpen != 0 {
-		c.sumStallCnt[m]++
-		c.sumStallSec[m] += end - c.stallSt[m]
-		c.flags[m] &^= coStallOpen
+	sl.flags &^= coPlaying
+	if sl.flags&coStallOpen != 0 {
+		sl.sumStallCnt++
+		sl.sumStallSec += end - sl.stallSt
+		sl.flags &^= coStallOpen
 	}
-	if cn := c.conn[m]; cn != nil {
+	if cn := sl.conn; cn != nil {
 		l := cn.Access()
 		c.net.ReleaseConn(cn)
 		if l != nil {
 			c.net.ReleaseLink(l)
 		}
-		c.conn[m] = nil
+		sl.conn, sl.inflight = nil, nil
 	}
-	if q := &c.fifo[m]; q.ring >= 0 {
-		c.rings[int(q.ring)*c.qCap].track = c.freeRing
-		c.freeRing, q.ring = q.ring, -1
+	if q := &sl.fifo; q.ring != nil {
+		c.freeRings = append(c.freeRings, q.ring)
+		q.ring = nil
 	}
-	c.flags[m] |= coDone
 	if c.observer != nil {
-		c.scratch = c.MemberSummary(m)
+		c.scratch = c.summary(m)
 		c.observer(m, &c.scratch)
 	}
+	c.free = append(c.free, c.draw[m].state)
+	c.live--
+	c.draw[m].state = stateDone
 }
 
-// finishAll finalizes every live member at the current time (the
+// finishAll finalizes every member not yet done at the current time (the
 // Group's defensive no-deadline branch).
 func (c *Cohort) finishAll() {
-	for m := range c.flags {
-		if c.flags[m]&coDone == 0 {
+	for m := range c.draw {
+		if c.draw[m].state != stateDone {
 			c.finishMember(m)
 		}
 	}
 }
 
-// MemberSummary assembles member m's digest from the slabs. The
-// TimeOnTrack slice aliases the cohort's slab — copy it to retain it
-// beyond the cohort's lifetime.
-func (c *Cohort) MemberSummary(m int) Summary {
-	lo, hi := int(c.toOff[m]), int(c.toOff[m+1])
+// summary assembles live member m's digest from its slot. The
+// TimeOnTrack slice aliases the slot's row.
+func (c *Cohort) summary(m int) Summary {
+	sl := c.slots[c.draw[m].state]
+	n := len(c.tmpls[c.draw[m].tmpl].declared)
 	return Summary{
-		StartupDelay:       c.sumStartup[m],
-		StallCount:         int(c.sumStallCnt[m]),
-		StallSec:           c.sumStallSec[m],
-		PlayedSec:          c.sumPlayed[m],
-		TimeOnTrack:        c.timeOnTrack[lo:hi:hi],
-		Switches:           int(c.sumSwitch[m]),
-		NonConsecutive:     int(c.sumNonCons[m]),
-		WeightedBitrateSec: c.sumWeighted[m],
-		PlayedMediaSec:     c.sumMedia[m],
-		TotalBytes:         c.totBytes[m],
+		StartupDelay:       sl.sumStartup,
+		StallCount:         int(sl.sumStallCnt),
+		StallSec:           sl.sumStallSec,
+		PlayedSec:          sl.playhead,
+		TimeOnTrack:        sl.row[:n:n],
+		Switches:           int(sl.sumSwitch),
+		NonConsecutive:     int(sl.sumNonCons),
+		WeightedBitrateSec: sl.sumWeighted,
+		PlayedMediaSec:     sl.sumMedia,
+		TotalBytes:         sl.totBytes,
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cdn"
@@ -212,7 +213,9 @@ func (cc cohortCase) run(t *testing.T, part partition) (sessions, members []Summ
 		c.SetStartAt(i, d.startAt)
 		c.SetAccessProfile(i, d.trace)
 	}
+	var observed [][]Summary
 	for _, c := range cohorts {
+		observed = append(observed, observeAll(c))
 		if err := g.AddCohort(c); err != nil {
 			t.Fatal(err)
 		}
@@ -221,12 +224,19 @@ func (cc cohortCase) run(t *testing.T, part partition) (sessions, members []Summ
 	for _, s := range ss {
 		sessions = append(sessions, cloneSummary(*s.Summary()))
 	}
-	for _, c := range cohorts {
-		for i := 0; i < c.Len(); i++ {
-			members = append(members, cloneSummary(c.MemberSummary(i)))
-		}
+	for _, sums := range observed {
+		members = append(members, sums...)
 	}
 	return sessions, members
+}
+
+// observeAll makes c's observer keep a deep copy of every member's
+// Summary — the only way to read one — in the returned slice, indexed by
+// member; call it once every member is added.
+func observeAll(c *Cohort) []Summary {
+	sums := make([]Summary, c.Len())
+	c.SetObserver(func(i int, s *Summary) { sums[i] = cloneSummary(*s) })
+	return sums
 }
 
 // compareSummaries requires byte-identical digests.
@@ -380,38 +390,43 @@ func TestCohortGolden(t *testing.T) {
 }
 
 // TestCohortObserverStreaming pins the observer contract: called
-// exactly once per member, with a scratch Summary equal to the member's
-// final digest.
+// exactly once per member, with a scratch Summary whose TimeOnTrack is as
+// wide as the member's own ladder (a view into a slot row as wide as the
+// widest), and the same digests on a second run.
 func TestCohortObserverStreaming(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	draws := drawBackgrounds(rng, 8, false)
 	p := steppedEdge(rng, 8, 200)
-	net := simnet.New(simnet.DefaultConfig(), p)
-	g := NewGroup()
-	c := NewCohort(net)
-	for _, d := range draws {
-		i := c.Add(d.cfg)
-		c.SetStartAt(i, d.startAt)
-		c.SetAccessProfile(i, d.trace)
-	}
-	seen := make(map[int]Summary)
-	c.SetObserver(func(i int, s *Summary) {
-		if _, dup := seen[i]; dup {
-			t.Errorf("observer called twice for member %d", i)
+	run := func() map[int]Summary {
+		net := simnet.New(simnet.DefaultConfig(), p)
+		g := NewGroup()
+		c := NewCohort(net)
+		for _, d := range draws {
+			i := c.Add(d.cfg)
+			c.SetStartAt(i, d.startAt)
+			c.SetAccessProfile(i, d.trace)
 		}
-		seen[i] = cloneSummary(*s)
-	})
-	if err := g.AddCohort(c); err != nil {
-		t.Fatal(err)
-	}
-	g.Run()
-	if len(seen) != c.Len() {
-		t.Fatalf("observer saw %d members, want %d", len(seen), c.Len())
-	}
-	for i := 0; i < c.Len(); i++ {
-		if want := cloneSummary(c.MemberSummary(i)); !reflect.DeepEqual(seen[i], want) {
-			t.Errorf("member %d: observed %+v, final %+v", i, seen[i], want)
+		seen := make(map[int]Summary)
+		c.SetObserver(func(i int, s *Summary) {
+			if _, dup := seen[i]; dup {
+				t.Errorf("observer called twice for member %d", i)
+			}
+			if got, want := len(s.TimeOnTrack), len(draws[i].cfg.Declared); got != want {
+				t.Errorf("member %d: TimeOnTrack has %d rungs, its ladder %d", i, got, want)
+			}
+			seen[i] = cloneSummary(*s)
+		})
+		if err := g.AddCohort(c); err != nil {
+			t.Fatal(err)
 		}
+		g.Run()
+		if len(seen) != c.Len() {
+			t.Fatalf("observer saw %d members, want %d", len(seen), c.Len())
+		}
+		return seen
+	}
+	if first, second := run(), run(); !reflect.DeepEqual(first, second) {
+		t.Errorf("observed digests differ between two runs:\n%+v\n%+v", first, second)
 	}
 }
 
@@ -433,11 +448,12 @@ func TestCohortRejectsLateAdd(t *testing.T) {
 	c.Add(BackgroundConfig{Declared: []float64{1e5}, SegmentDuration: 4, MediaDuration: 20})
 }
 
-// ringsTouched counts the rings some member has written a segment into.
+// ringsTouched counts the rings some member has written a segment into
+// (once the run is over every ring is back on the free stack).
 func ringsTouched(c *Cohort) int {
 	n := 0
-	for r := 0; r < len(c.rings)/c.qCap; r++ {
-		for _, s := range c.rings[r*c.qCap : (r+1)*c.qCap] {
+	for _, r := range c.freeRings {
+		for _, s := range r {
 			if s.dur != 0 || s.counted {
 				n++
 				break
@@ -447,12 +463,13 @@ func ringsTouched(c *Cohort) int {
 	return n
 }
 
-// TestCohortRingPool pins what the ring slab is sized by: the members
-// buffering at once, not the members. Six viewers whose sessions never
-// overlap pass one ring along; twenty who all watch together take twenty,
-// growing the slab twice. (That a Summary cannot tell which ring served
-// it is the differential suite's job: a singleton cohort always plays out
-// of ring 0, its batched twin out of whichever was free.)
+// TestCohortRingPool pins what rings are sized by: the members buffering
+// at once, not the members. Six viewers whose sessions never overlap pass
+// one ring along; twenty who all watch together take twenty, in three
+// chunks (8, 8, 4: a chunk never holds more rings than members lack one).
+// (That a Summary cannot tell which ring served it is the differential
+// suite's job: a singleton cohort always plays out of its one ring, its
+// batched twin out of whichever was free.)
 func TestCohortRingPool(t *testing.T) {
 	cfg := BackgroundConfig{Declared: []float64{2e5, 6e5}, SegmentDuration: 4, MediaDuration: 60, SessionDuration: 20}
 	run := func(n int, gap float64) *Cohort {
@@ -471,26 +488,29 @@ func TestCohortRingPool(t *testing.T) {
 		for i := 0; i < n; i++ {
 			c.SetAccessProfile(i, netem.Constant("access", 5e6, 400))
 		}
+		c.SetObserver(func(i int, s *Summary) {
+			if s.PlayedSec < 10 {
+				t.Fatalf("member %d of %d played %.1f s: the scenario does not buffer", i, n, s.PlayedSec)
+			}
+			if r := c.slots[c.draw[i].state].fifo.ring; r != nil {
+				t.Fatalf("member %d of %d finished holding a ring", i, n)
+			}
+		})
 		g := NewGroup()
 		if err := g.AddCohort(c); err != nil {
 			t.Fatal(err)
 		}
 		g.Run()
-		for i := 0; i < n; i++ {
-			if s := c.MemberSummary(i); s.PlayedSec < 10 {
-				t.Fatalf("member %d of %d played %.1f s: the scenario does not buffer", i, n, s.PlayedSec)
-			}
-			if c.fifo[i].ring != -1 {
-				t.Fatalf("member %d of %d finished holding ring %d", i, n, c.fifo[i].ring)
-			}
+		if len(c.freeRings) != c.nRings {
+			t.Fatalf("%d of %d rings free after the run", len(c.freeRings), c.nRings)
 		}
 		return c
 	}
-	if c := run(6, 30); ringsTouched(c) != 1 || len(c.rings) != ringQuantum*c.qCap {
-		t.Errorf("6 disjoint members touched %d rings of %d, want 1 of %d", ringsTouched(c), len(c.rings)/c.qCap, ringQuantum)
+	if c := run(6, 30); ringsTouched(c) != 1 || c.nRings != 6 {
+		t.Errorf("6 disjoint members touched %d rings of %d, want 1 of 6", ringsTouched(c), c.nRings)
 	}
-	if c := run(20, 0); ringsTouched(c) != 20 || len(c.rings) != 4*ringQuantum*c.qCap {
-		t.Errorf("20 concurrent members touched %d rings of %d, want 20 of %d", ringsTouched(c), len(c.rings)/c.qCap, 4*ringQuantum)
+	if c := run(20, 0); ringsTouched(c) != 20 || c.nRings != 20 {
+		t.Errorf("20 concurrent members touched %d rings of %d, want 20 of 20", ringsTouched(c), c.nRings)
 	}
 }
 
@@ -510,7 +530,7 @@ type memberSpy struct {
 }
 
 func (ms memberSpy) Resolve(float64, cdn.Object, float64) cdn.Route {
-	s, cn := ms.s, ms.s.c.conn[ms.m]
+	s, cn := ms.s, ms.s.c.slots[ms.s.c.draw[ms.m].state].conn
 	s.conns[ms.m] = append(s.conns[ms.m], cn)
 	s.links[cn.Access()] = true
 	return cdn.Route{}
@@ -533,8 +553,8 @@ func TestCohortLinkPool(t *testing.T) {
 			j := c.Add(cfg)
 			c.SetStartAt(j, gap*float64(i))
 			c.SetAccessProfile(j, netem.Constant("access", 5e6, 400))
-			c.SetResolver(j, memberSpy{spy, j}, 0)
 		}
+		c.SetResolvers(func(m int, _ cdn.Resolver) cdn.Resolver { return memberSpy{spy, m} })
 		g := NewGroup()
 		if err := g.AddCohort(c); err != nil {
 			t.Fatal(err)
@@ -550,10 +570,12 @@ func TestCohortLinkPool(t *testing.T) {
 					t.Fatalf("member %d of %d changed connection mid-session", m, n)
 				}
 			}
-			if c.conn[m] != nil {
-				t.Fatalf("member %d of %d finished holding its connection", m, n)
-			}
 			conns[cs[0]] = true
+		}
+		for s := range c.slots {
+			if c.slots[s].conn != nil {
+				t.Fatalf("slot %d of %d still holds a connection after the run", s, len(c.slots))
+			}
 		}
 		return conns, len(spy.links)
 	}
@@ -571,15 +593,153 @@ func TestCohortRingOverflowPanics(t *testing.T) {
 	net := simnet.New(simnet.DefaultConfig(), netem.Constant("edge", 40e6, 60))
 	c := NewCohort(net)
 	c.Add(BackgroundConfig{Declared: []float64{2e5}, SegmentDuration: 4, MediaDuration: 60, SessionDuration: 30})
+	c.SetResolvers(func(m int, _ cdn.Resolver) cdn.Resolver {
+		c.slots[c.draw[m].state].fifo.n = int32(c.qCap)
+		return nil
+	})
 	g := NewGroup()
 	if err := g.AddCohort(c); err != nil {
 		t.Fatal(err)
 	}
-	c.fifo[0].n = int32(c.qCap)
 	defer func() {
 		if got, want := recover(), "player: cohort segment ring overflow"; got != want {
 			t.Fatalf("panic %v, want %q", got, want)
 		}
 	}()
 	g.Run()
+}
+
+// TestCohortStaleSlotPanics: a member that holds no live slot cannot be
+// serviced or completed — the call panics naming the member instead of
+// touching whichever member holds its old slot now — and neither can a
+// live member complete a transfer its slot does not have in flight.
+func TestCohortStaleSlotPanics(t *testing.T) {
+	cfg := BackgroundConfig{Declared: []float64{2e5}, SegmentDuration: 4, MediaDuration: 20, SessionDuration: 10}
+	net := simnet.New(simnet.DefaultConfig(), netem.Constant("edge", 40e6, 60))
+	c := NewCohort(net)
+	c.Add(cfg)
+	c.SetStartAt(c.Add(cfg), 20) // member 1 takes member 0's slot
+	g := NewGroup()
+	if err := g.AddCohort(c); err != nil {
+		t.Fatal(err)
+	}
+	wantPanic := func(what, want string, f func()) {
+		t.Helper()
+		defer func() {
+			if got := fmt.Sprint(recover()); !strings.Contains(got, want) {
+				t.Errorf("%s: panic %q, want it to contain %q", what, got, want)
+			}
+		}()
+		f()
+	}
+	wantPanic("completion before arrival", "member 0 (state -1)", func() { c.onComplete(0, &simnet.Transfer{}) })
+	g.Run()
+	if c.PeakLive() != 1 {
+		t.Fatalf("peak live %d, want the one slot both members share", c.PeakLive())
+	}
+	wantPanic("service after finish", "member 0 serviced after it finished", func() { c.service(0, net.Now()) })
+	wantPanic("completion after finish", "member 1 (state -2)", func() { c.onComplete(1, &simnet.Transfer{}) })
+	c.draw[1].state = 0 // pretend member 1 is still live, with nothing in flight
+	wantPanic("completion not in flight", "member 1 (state 0) completed a transfer its slot does not have in flight", func() { c.onComplete(1, &simnet.Transfer{}) })
+}
+
+// TestCohortSlotReuseInvisible: viewers whose sessions never overlap
+// pass one slot along (PeakLive 1, and every one of them finishes in
+// slot 0), and a viewer that inherits a used slot — its row, its
+// resolver, the Summary accumulators of its predecessors — produces the
+// Summary it produces in a fresh one-member cohort of its own.
+func TestCohortSlotReuseInvisible(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	draws := drawBackgrounds(rng, 6, false)
+	for i := range draws {
+		draws[i].startAt = 130 * float64(i) // sessions last at most 105 s
+	}
+	edge := netem.Constant("edge", 3e6, 900)
+	run := func(part partition) []Summary {
+		net := simnet.New(simnet.DefaultConfig(), edge)
+		g := NewGroup()
+		var cohorts []*Cohort
+		var observed [][]Summary
+		for _, d := range draws {
+			if len(cohorts) == 0 || part == singletons {
+				cohorts = append(cohorts, NewCohort(net))
+			}
+			c := cohorts[len(cohorts)-1]
+			c.SetStartAt(c.Add(d.cfg), d.startAt)
+		}
+		for _, c := range cohorts {
+			sums := make([]Summary, c.Len())
+			c.SetObserver(func(i int, s *Summary) {
+				if st := c.draw[i].state; part == oneCohort && st != 0 {
+					t.Errorf("member %d finished in slot %d, want the shared slot 0", i, st)
+				}
+				sums[i] = cloneSummary(*s)
+			})
+			observed = append(observed, sums)
+			if err := g.AddCohort(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		g.Run()
+		if part == oneCohort && cohorts[0].PeakLive() != 1 {
+			t.Errorf("%d disjoint members peaked at %d live, want 1", len(draws), cohorts[0].PeakLive())
+		}
+		var out []Summary
+		for _, sums := range observed {
+			out = append(out, sums...)
+		}
+		return out
+	}
+	compareSummaries(t, run(singletons), run(oneCohort))
+}
+
+// TestCohortRefsStayPut: a transfer's Meta points into its slot, so slots
+// must never move. Members arrive a second apart while the earlier ones
+// download, so the slot table grows past its first chunk under transfers
+// in flight; every completion must still reach the member that started
+// it (onComplete panics otherwise) and every slot must keep the address
+// its first holder's requests carried.
+func TestCohortRefsStayPut(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	draws := drawBackgrounds(rng, 40, false)
+	for i := range draws {
+		draws[i].startAt = float64(i)
+		draws[i].cfg.SessionDuration = 60
+	}
+	net := simnet.New(simnet.DefaultConfig(), netem.Constant("edge", 4e6, 200))
+	c := NewCohort(net)
+	for _, d := range draws {
+		i := c.Add(d.cfg)
+		c.SetStartAt(i, d.startAt)
+		c.SetAccessProfile(i, d.trace)
+	}
+	refs := map[int32]*cohortRef{}
+	grewInFlight := false
+	c.SetResolvers(func(m int, _ cdn.Resolver) cdn.Resolver {
+		s := c.draw[m].state
+		if ref, ok := refs[s]; ok && ref != &c.slots[s].ref {
+			t.Errorf("slot %d moved: its ref was at %p, is at %p", s, ref, &c.slots[s].ref)
+		}
+		refs[s] = &c.slots[s].ref
+		if int(s) == len(c.slots)/2 { // the first slot of a doubled chunk
+			for _, sl := range c.slots[:s] {
+				grewInFlight = grewInFlight || sl.inflight != nil
+			}
+		}
+		return nil
+	})
+	sums := observeAll(c)
+	g := NewGroup()
+	if err := g.AddCohort(c); err != nil {
+		t.Fatal(err)
+	}
+	g.Run()
+	if len(c.slots) <= slotQuantum || !grewInFlight {
+		t.Fatalf("%d slots, grown under a transfer in flight: %v — the scenario does not exercise growth", len(c.slots), grewInFlight)
+	}
+	for m, s := range sums {
+		if s.TotalBytes <= 0 {
+			t.Errorf("member %d downloaded nothing", m)
+		}
+	}
 }

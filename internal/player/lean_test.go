@@ -170,13 +170,16 @@ func TestBackgroundFlowSmoke(t *testing.T) {
 	if err := g.AddCohort(c); err != nil {
 		t.Fatal(err)
 	}
+	var s Summary
 	finished := 0
-	c.SetObserver(func(int, *Summary) { finished++ })
+	c.SetObserver(func(_ int, sum *Summary) {
+		finished++
+		s = cloneSummary(*sum)
+	})
 	g.Run()
 	if finished != 1 {
 		t.Fatalf("background observer fired %d times", finished)
 	}
-	s := c.MemberSummary(0)
 	if s.StartupDelay < 0 {
 		t.Fatal("background flow never started")
 	}
@@ -213,6 +216,7 @@ func TestBackgroundCompetesForLink(t *testing.T) {
 			MediaDuration:   600,
 			SessionDuration: 600,
 		})
+		sums := observeAll(c)
 		if err := g.AddCohort(c); err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +230,7 @@ func TestBackgroundCompetesForLink(t *testing.T) {
 			}
 		}
 		g.Run()
-		return c.MemberSummary(0)
+		return sums[0]
 	}
 	alone := run(false)
 	contended := run(true)
