@@ -21,13 +21,13 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$files"; exit 1; \
 	fi
 
-# The contract analyzers — determinism (simclock, seededrand, maprange,
-# floateq, bpsunits) plus the dataflow contracts (stepalias, hotalloc,
-# foldorder, goctx) — over the whole module, with the stale-suppression
-# audit: every //vodlint:allow in the tree must still suppress a
-# diagnostic of a known analyzer. Loads from source: no network needed.
+# The contract analyzers (simclock, maprange, floateq, hotalloc, goctx)
+# over the whole module, with the stale-suppression audit: every
+# //vodlint:allow in the tree must still suppress a diagnostic of a
+# known analyzer. TestRepoLintClean makes the same check inside
+# `make test`. Loads from source: no network needed.
 lint:
-	$(GO) run ./cmd/vodlint -unused-allow .
+	$(GO) run ./cmd/vodlint .
 
 # Everything a PR must pass, in the order CI runs it.
 verify: build vet fmt-check lint test report-cmp

@@ -387,7 +387,7 @@ func AblAbandon(ctx context.Context) ([]*textplot.Table, []string, error) {
 				wasted := unwatchedBytes(res)
 				if cut == 120 {
 					w120 = append(w120, wasted/1e6)
-					s120 = append(s120, wasted/res.TotalBytes)
+					s120 = append(s120, wasted/res.Summary.TotalBytes)
 				} else {
 					w300 = append(w300, wasted/1e6)
 				}
@@ -507,7 +507,7 @@ func AblFairness(ctx context.Context) ([]*textplot.Table, []string, error) {
 			rates = append(rates, rep.AvgBitrate)
 			switches = append(switches, float64(rep.Switches))
 			stalls = append(stalls, rep.StallSec)
-			bytes += res.TotalBytes
+			bytes += res.Summary.TotalBytes
 			if res.EndTime > endTime {
 				endTime = res.EndTime
 			}

@@ -42,10 +42,10 @@ func srStats(svc *services.Service, p *netem.Profile) (srRunStats, error) {
 
 func srStatsFromResult(res *player.Result) srRunStats {
 	st := srRunStats{
-		dataBytes: res.TotalBytes,
-		baseBytes: res.TotalBytes,
+		dataBytes: res.Summary.TotalBytes,
+		baseBytes: res.Summary.TotalBytes,
 		stallSec:  res.TotalStall(),
-		wasted:    res.WastedBytes,
+		wasted:    res.Summary.WastedBytes,
 	}
 	first := map[int]int{} // index -> track of its first download
 	inBurst := false

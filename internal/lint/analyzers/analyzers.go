@@ -1,35 +1,26 @@
-// Package analyzers is the registry of every vodlint analyzer: the
-// determinism-contract suite from PR 2 (simclock, seededrand,
-// maprange, floateq, bpsunits) and the dataflow contract suite
-// (stepalias, hotalloc, foldorder, goctx). The vodlint driver and the
-// repository self-check test share this list so they can never
-// disagree about what "the full suite" means.
+// Package analyzers is the registry of every vodlint analyzer: simclock,
+// maprange, floateq, hotalloc and goctx, each the only gate that catches
+// at least one seeded violation of its contract (DESIGN.md §6). The
+// vodlint driver and the repository self-check test share this list so
+// they can never disagree about what "the full suite" means.
 package analyzers
 
 import (
 	"repro/internal/lint"
-	"repro/internal/lint/bpsunits"
 	"repro/internal/lint/floateq"
-	"repro/internal/lint/foldorder"
 	"repro/internal/lint/goctx"
 	"repro/internal/lint/hotalloc"
 	"repro/internal/lint/maprange"
-	"repro/internal/lint/seededrand"
 	"repro/internal/lint/simclock"
-	"repro/internal/lint/stepalias"
 )
 
 // All returns the full analyzer suite in reporting order.
 func All() []*lint.Analyzer {
 	return []*lint.Analyzer{
 		simclock.Analyzer,
-		seededrand.Analyzer,
 		maprange.Analyzer,
 		floateq.Analyzer,
-		bpsunits.Analyzer,
-		stepalias.Analyzer,
 		hotalloc.Analyzer,
-		foldorder.Analyzer,
 		goctx.Analyzer,
 	}
 }

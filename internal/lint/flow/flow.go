@@ -1,19 +1,13 @@
-// Package flow is the shared dataflow substrate under the contract
-// analyzers (stepalias, hotalloc, foldorder, goctx). It builds, per
-// type-checked package, a lightweight call graph over declared
-// functions and function literals, indexes //vodlint:<name> function
-// annotations (hotpath, fold), and offers a bounded escape/retention
-// tracker that reports every site where a tracked value outlives its
-// function's frame — returned, stored into a field or package
-// variable, appended to a longer-lived slice, sent on a channel, or
-// passed to an intra-package callee that retains its argument.
+// Package flow is the call-graph layer under the hotalloc and goctx
+// analyzers. It builds, per type-checked package, a lightweight call
+// graph over declared functions and function literals, resolves calls
+// through single-assignment closure variables, and indexes
+// //vodlint:<name> function annotations (hotpath).
 //
-// The analysis is deliberately intra-package and flow-insensitive:
-// precise enough to enforce the repository's hot-path contracts,
-// cheap enough to run on every package of the module on each lint,
-// and conservative in the direction of silence —
-// a construct the tracker cannot resolve (dynamic call, cross-package
-// callee) is not reported, so every diagnostic is actionable.
+// The graph is deliberately intra-package: a call it cannot resolve
+// (dynamic, cross-package) has no edge, which keeps the analyzers
+// built on it cheap enough to run on every package of the module on
+// each lint.
 package flow
 
 import (
@@ -60,14 +54,6 @@ func (n *Node) Pos() token.Pos {
 	return n.Lit.Pos()
 }
 
-// End returns the node's end position.
-func (n *Node) End() token.Pos {
-	if n.Decl != nil {
-		return n.Decl.End()
-	}
-	return n.Lit.End()
-}
-
 // Name returns a display name: Recv.Method for methods, the function
 // name for functions, and "func literal in X" for literals.
 func (n *Node) Name() string {
@@ -90,29 +76,25 @@ type Graph struct {
 	// Nodes lists every function body in source order.
 	Nodes []*Node
 
-	info     *types.Info
-	fset     *token.FileSet
-	pkgScope *types.Scope
-	byObj    map[*types.Func]*Node
-	byLit    map[*ast.FuncLit]*Node
-	parent   map[ast.Node]ast.Node
+	info   *types.Info
+	fset   *token.FileSet
+	byObj  map[*types.Func]*Node
+	byLit  map[*ast.FuncLit]*Node
+	parent map[ast.Node]ast.Node
 	// closure maps single-assignment function-typed variables to the
 	// literal they hold, so `work := func(...){...}; work(x)` resolves.
 	closure map[types.Object]*ast.FuncLit
-	retMemo map[retainKey]bool
 }
 
 // New builds the call graph for one analyzer pass.
 func New(pass *lint.Pass) *Graph {
 	g := &Graph{
-		info:     pass.TypesInfo,
-		fset:     pass.Fset,
-		pkgScope: pass.Pkg.Scope(),
-		byObj:    map[*types.Func]*Node{},
-		byLit:    map[*ast.FuncLit]*Node{},
-		parent:   map[ast.Node]ast.Node{},
-		closure:  map[types.Object]*ast.FuncLit{},
-		retMemo:  map[retainKey]bool{},
+		info:    pass.TypesInfo,
+		fset:    pass.Fset,
+		byObj:   map[*types.Func]*Node{},
+		byLit:   map[*ast.FuncLit]*Node{},
+		parent:  map[ast.Node]ast.Node{},
+		closure: map[types.Object]*ast.FuncLit{},
 	}
 	// Directive lines per file: //vodlint:<name> on the line of or
 	// directly above a function marks it; doc comments also count.
@@ -307,25 +289,9 @@ func (g *Graph) Parent(n ast.Node) ast.Node { return g.parent[n] }
 // other packages.
 func (g *Graph) NodeOf(fn *types.Func) *Node { return g.byObj[fn] }
 
-// LitNode returns the graph node of a function literal.
-func (g *Graph) LitNode(lit *ast.FuncLit) *Node { return g.byLit[lit] }
-
-// EnclosingNode returns the innermost function body containing pos.
-func (g *Graph) EnclosingNode(pos token.Pos) *Node {
-	var best *Node
-	for _, n := range g.Nodes {
-		if n.Pos() <= pos && pos <= n.End() {
-			if best == nil || n.Pos() > best.Pos() {
-				best = n
-			}
-		}
-	}
-	return best
-}
-
-// StaticCallee resolves a call to the declared function or method it
+// staticCallee resolves a call to the declared function or method it
 // invokes, or nil for builtins, conversions, and dynamic calls.
-func (g *Graph) StaticCallee(call *ast.CallExpr) *types.Func {
+func (g *Graph) staticCallee(call *ast.CallExpr) *types.Func {
 	var id *ast.Ident
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -343,7 +309,7 @@ func (g *Graph) StaticCallee(call *ast.CallExpr) *types.Func {
 // function or method, or a literal held by a single-assignment
 // variable (`work := func(...){...}; work(x)`).
 func (g *Graph) CalleeNode(call *ast.CallExpr) *Node {
-	if fn := g.StaticCallee(call); fn != nil {
+	if fn := g.staticCallee(call); fn != nil {
 		return g.byObj[fn]
 	}
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {

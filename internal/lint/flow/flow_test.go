@@ -14,8 +14,6 @@ import (
 
 const src = `package p
 
-var global []byte
-
 //vodlint:hotpath
 func Root() {
 	work := func(n int) { Leaf(n) }
@@ -25,25 +23,6 @@ func Root() {
 func Leaf(n int) {}
 
 func Unreached() {}
-
-func Keep(b []byte) { global = b }
-
-func Relay(b []byte) { Keep(b) }
-
-func Drop(b []byte) { _ = len(b) }
-
-func mk() []byte { return nil }
-
-func Esc() []byte {
-	x := mk()
-	global = x
-	return x
-}
-
-func NoEsc() int {
-	x := mk()
-	return len(x)
-}
 `
 
 func build(t *testing.T) (*flow.Graph, *lint.Pass) {
@@ -99,62 +78,5 @@ func TestAnnotatedAndReachability(t *testing.T) {
 	trace := g.Trace(reach, leaf)
 	if !strings.Contains(trace, "Root") || !strings.Contains(trace, "Leaf") {
 		t.Fatalf("Trace(Leaf) = %q, want Root ... Leaf provenance", trace)
-	}
-}
-
-func TestRetains(t *testing.T) {
-	g, pass := build(t)
-	cases := []struct {
-		name string
-		want bool
-	}{
-		{"Keep", true},  // stores its arg in a package variable
-		{"Relay", true}, // hands its arg to Keep, which retains it
-		{"Drop", false}, // only reads the length
-	}
-	for _, c := range cases {
-		node := g.NodeOf(fn(t, pass, c.name))
-		if node == nil {
-			t.Fatalf("no node for %s", c.name)
-		}
-		if got := g.Retains(node, 0); got != c.want {
-			t.Errorf("Retains(%s, 0) = %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
-// seedCalls collects every call to mk inside node as escape seeds.
-func seedCalls(g *flow.Graph, node *flow.Node) []ast.Expr {
-	var seeds []ast.Expr
-	flow.WalkOwn(node, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "mk" {
-				seeds = append(seeds, call)
-			}
-		}
-		return true
-	})
-	return seeds
-}
-
-func TestEscapes(t *testing.T) {
-	g, pass := build(t)
-	esc := g.NodeOf(fn(t, pass, "Esc"))
-	sinks := g.Escapes(esc, seedCalls(g, esc), flow.EscapeOpts{})
-	var whats []string
-	for _, s := range sinks {
-		whats = append(whats, s.What)
-	}
-	joined := strings.Join(whats, "; ")
-	if !strings.Contains(joined, "global") {
-		t.Errorf("Esc sinks = %q, want a package-variable store on global", joined)
-	}
-	if !strings.Contains(joined, "returned") {
-		t.Errorf("Esc sinks = %q, want a return sink", joined)
-	}
-
-	noEsc := g.NodeOf(fn(t, pass, "NoEsc"))
-	if sinks := g.Escapes(noEsc, seedCalls(g, noEsc), flow.EscapeOpts{}); len(sinks) != 0 {
-		t.Errorf("NoEsc sinks = %v, want none (len() does not retain)", sinks)
 	}
 }

@@ -30,30 +30,9 @@ func CalleePkgFunc(info *types.Info, call *ast.CallExpr) (pkgPath, name string) 
 	return fn.Pkg().Path(), fn.Name()
 }
 
-// ContainsCallTo reports whether the expression tree contains a call to
-// a package-level function of pkgPath (any name, or a specific one when
-// name is non-empty).
-func ContainsCallTo(info *types.Info, expr ast.Node, pkgPath, name string) bool {
-	found := false
-	ast.Inspect(expr, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		p, fn := CalleePkgFunc(info, call)
-		if p == pkgPath && (name == "" || fn == name) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
 // RootIdent returns the identifier naming an expression's value: x for
 // x, the field y for x.y, the element name for x[i], and the converted
-// operand for conversions like float64(x) — the name most likely to
-// carry the unit convention of the value.
+// operand for conversions like float64(x).
 func RootIdent(expr ast.Expr) *ast.Ident {
 	for {
 		switch e := ast.Unparen(expr).(type) {

@@ -1,9 +1,8 @@
 // Package lint is the home of vodlint, the static-analysis suite that
-// enforces this repository's determinism contract: every experiment,
-// table and figure must be bit-for-bit reproducible, so the simulation
-// packages may not read the wall clock, draw from unseeded randomness,
-// iterate maps into ordered output, compare floats exactly, or mix
-// bits-per-second with byte quantities unconverted.
+// guards the contracts no runtime gate sees: simulation packages may not
+// read the wall clock, accumulate in map order or compare floats
+// exactly; the hot path may not allocate; and a goroutine needs a way to
+// be stopped or awaited.
 //
 // The framework deliberately mirrors the golang.org/x/tools/go/analysis
 // API (Analyzer, Pass, Diagnostic) but is built on the standard library
@@ -35,7 +34,7 @@ type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// //vodlint:allow directives.
 	Name string
-	// Doc is the one-paragraph help text shown by vodlint -help.
+	// Doc is the one-paragraph help text, as in analysis.Analyzer.
 	Doc string
 	// Run inspects one package via the Pass and reports findings.
 	Run func(*Pass) error
@@ -200,6 +199,30 @@ func RunWithAudit(pkg *Package, analyzers []*Analyzer, audit *Audit) ([]Diagnost
 	}
 	SortDiagnostics(out)
 	return out, nil
+}
+
+// CheckModule loads the module rooted at root and runs the analyzers
+// over every unit, then audits the //vodlint:allow directives against
+// them. It returns the unsuppressed findings and the stale directives
+// together, sorted by position. vodlint prints them; TestRepoLintClean
+// wants none.
+func CheckModule(root string, analyzers []*Analyzer) ([]Diagnostic, error) {
+	pkgs, err := Load(root)
+	if err != nil {
+		return nil, err
+	}
+	audit := NewAudit(analyzers)
+	var found []Diagnostic
+	for _, pkg := range pkgs {
+		diags, err := RunWithAudit(pkg, analyzers, audit)
+		if err != nil {
+			return nil, err
+		}
+		found = append(found, diags...)
+	}
+	found = append(found, audit.Stale()...)
+	SortDiagnostics(found)
+	return found, nil
 }
 
 // SortDiagnostics orders findings by file, line, column, analyzer.

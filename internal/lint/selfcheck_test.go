@@ -10,11 +10,10 @@ import (
 )
 
 // TestRepoLintClean runs the full analyzer suite plus the stale-
-// suppression audit over this module and asserts zero unsuppressed
-// findings and zero dead //vodlint:allow directives — the same
-// invariant `make lint` gates in CI, enforced here so plain
-// `go test ./...` (and the nightly -race run) catches a contract
-// violation even when the make targets are skipped.
+// suppression audit over this module, through the same lint.CheckModule
+// call `make lint` makes, and asserts zero unsuppressed findings and
+// zero dead //vodlint:allow directives. Plain `go test ./...` (and the
+// -race tier) therefore carries the lint verdict.
 func TestRepoLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping full-module lint load in -short mode")
@@ -23,23 +22,12 @@ func TestRepoLintClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("module root: %v", err)
 	}
-	pkgs, err := lint.Load(root)
+	found, err := lint.CheckModule(root, analyzers.All())
 	if err != nil {
-		t.Fatalf("load: %v", err)
+		t.Fatal(err)
 	}
-	suite := analyzers.All()
-	audit := lint.NewAudit(suite)
-	for _, pkg := range pkgs {
-		diags, err := lint.RunWithAudit(pkg, suite, audit)
-		if err != nil {
-			t.Fatalf("run %s: %v", pkg.Path, err)
-		}
-		for _, d := range diags {
-			t.Errorf("unsuppressed finding: %s", d)
-		}
-	}
-	for _, d := range audit.Stale() {
-		t.Errorf("suppression audit: %s", d)
+	for _, d := range found {
+		t.Errorf("%s", d)
 	}
 }
 

@@ -137,8 +137,8 @@ func checkRandomSession(seed int64) error {
 	if res.EndTime > cfg.SessionDuration+1e-6 || res.EndTime < 0 {
 		return fmt.Errorf("seed %d: end time %v", seed, res.EndTime)
 	}
-	if res.WastedBytes < 0 || res.WastedBytes > res.TotalBytes+1 {
-		return fmt.Errorf("seed %d: waste %v of %v", seed, res.WastedBytes, res.TotalBytes)
+	if res.Summary.WastedBytes < 0 || res.Summary.WastedBytes > res.Summary.TotalBytes+1 {
+		return fmt.Errorf("seed %d: waste %v of %v", seed, res.Summary.WastedBytes, res.Summary.TotalBytes)
 	}
 	for i, st := range res.Stalls {
 		if st.End < st.Start {
@@ -156,8 +156,8 @@ func checkRandomSession(seed int64) error {
 			txBytes += float64(tx.Bytes)
 		}
 	}
-	if diff := txBytes - res.TotalBytes; diff < -(1 + res.TotalBytes/1e3) {
-		return fmt.Errorf("seed %d: transactions %v < total %v", seed, txBytes, res.TotalBytes)
+	if diff := txBytes - res.Summary.TotalBytes; diff < -(1 + res.Summary.TotalBytes/1e3) {
+		return fmt.Errorf("seed %d: transactions %v < total %v", seed, txBytes, res.Summary.TotalBytes)
 	}
 	return nil
 }
@@ -210,8 +210,8 @@ func FuzzSessionDeterminism(f *testing.F) {
 			return sess.Run()
 		}
 		a, b := run(), run()
-		if a.EndTime != b.EndTime || a.TotalBytes != b.TotalBytes ||
-			a.WastedBytes != b.WastedBytes || a.StartupDelay != b.StartupDelay ||
+		if a.EndTime != b.EndTime || a.Summary.TotalBytes != b.Summary.TotalBytes ||
+			a.Summary.WastedBytes != b.Summary.WastedBytes || a.StartupDelay != b.StartupDelay ||
 			len(a.Stalls) != len(b.Stalls) || len(a.Transactions) != len(b.Transactions) {
 			t.Fatalf("seed %d: two runs diverged:\n%+v\n%+v", seed, a, b)
 		}

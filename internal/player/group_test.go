@@ -28,7 +28,7 @@ func TestGroupSharesBandwidthFairly(t *testing.T) {
 	p := netem.Constant("c", 1.6e6, 600)
 
 	solo := runSession(t, aggressive(), org, p)
-	soloBytes := solo.TotalBytes
+	soloBytes := solo.Summary.TotalBytes
 
 	net := simnet.New(simnet.DefaultConfig(), p)
 	g := NewGroup()
@@ -56,13 +56,13 @@ func TestGroupSharesBandwidthFairly(t *testing.T) {
 		}
 	}
 	// Identical configs over a fair link: near-identical outcomes.
-	if rel := math.Abs(a.TotalBytes-b.TotalBytes) / a.TotalBytes; rel > 0.1 {
-		t.Errorf("peers diverged: %.1f vs %.1f MB", a.TotalBytes/1e6, b.TotalBytes/1e6)
+	if rel := math.Abs(a.Summary.TotalBytes-b.Summary.TotalBytes) / a.Summary.TotalBytes; rel > 0.1 {
+		t.Errorf("peers diverged: %.1f vs %.1f MB", a.Summary.TotalBytes/1e6, b.Summary.TotalBytes/1e6)
 	}
 	// Each peer gets roughly half the solo session's bytes (both are
 	// quality-capped, so allow a broad band).
-	if a.TotalBytes > 0.85*soloBytes {
-		t.Errorf("peer used %.1f MB, solo used %.1f MB — no contention visible", a.TotalBytes/1e6, soloBytes/1e6)
+	if a.Summary.TotalBytes > 0.85*soloBytes {
+		t.Errorf("peer used %.1f MB, solo used %.1f MB — no contention visible", a.Summary.TotalBytes/1e6, soloBytes/1e6)
 	}
 }
 
@@ -182,7 +182,7 @@ func TestSoloEqualsGroupOfOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := g.Run()[0]
-	if a.TotalBytes != b.TotalBytes || a.StartupDelay != b.StartupDelay ||
+	if a.Summary.TotalBytes != b.Summary.TotalBytes || a.StartupDelay != b.StartupDelay ||
 		a.TotalStall() != b.TotalStall() || len(a.Downloads) != len(b.Downloads) {
 		t.Fatalf("solo Run diverges from explicit group: %+v vs %+v", a, b)
 	}

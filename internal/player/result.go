@@ -109,12 +109,6 @@ type Result struct {
 	// Events is the annotated timeline.
 	Events []Event
 
-	// TotalBytes is all media+document bytes downloaded.
-	TotalBytes float64
-	// WastedBytes is the bytes of downloads that never displayed
-	// (discarded by replacement or unplayed replacements).
-	WastedBytes float64
-
 	// Summary is the session's online QoE digest, copied when the
 	// session finishes; its TimeOnTrack slice is shared with the session.
 	Summary Summary

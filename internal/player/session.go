@@ -93,9 +93,9 @@ type Session struct {
 
 	lean bool
 	res  *Result
-	// firstFwd[i] is 1 + the lowest Downloads position among the
-	// completed forward (non-replacement) video downloads of segment i,
-	// 0 while there is none; it exists with res (prevDownloadedTrack).
+	// firstFwd[i] is 1 + the Downloads position of the first completed
+	// forward (non-replacement) video download of segment i, 0 while
+	// there is none; it exists with res (prevDownloadedTrack).
 	firstFwd []int32
 
 	// gidx is the session's member id in the Group run driving it (set
@@ -1112,7 +1112,7 @@ func (s *Session) finishSegmentCore(m *reqMeta, size, completed float64) {
 	if s.res != nil && m.dlIdx >= 0 && m.dlIdx < len(s.res.Downloads) {
 		s.res.Downloads[m.dlIdx].End = completed
 		if m.typ == media.TypeVideo && !m.replace {
-			if cur := s.firstFwd[m.index]; cur == 0 || int32(m.dlIdx) < cur-1 {
+			if s.firstFwd[m.index] == 0 {
 				s.firstFwd[m.index] = int32(m.dlIdx) + 1
 			}
 		}
@@ -1167,8 +1167,7 @@ func (s *Session) finishSegmentCore(m *reqMeta, size, completed float64) {
 }
 
 // prevDownloadedTrack returns the track of the forward video download
-// with the highest index below the given one, or -1. When an index was
-// fetched forward twice (a seek back), the earlier log entry answers.
+// with the highest index below the given one, or -1.
 func (s *Session) prevDownloadedTrack(index int) int {
 	for i := index - 1; i >= 0; i-- {
 		if at := s.firstFwd[i]; at != 0 {
@@ -1201,8 +1200,6 @@ func (s *Session) finalize() {
 	s.sum.WastedBytes = s.wastedBytes
 	if s.res != nil {
 		s.res.EndTime = end
-		s.res.TotalBytes = s.totalBytes
-		s.res.WastedBytes = s.wastedBytes
 		s.res.Summary = s.sum
 	}
 }

@@ -222,7 +222,7 @@ func TestDropTailAccounting(t *testing.T) {
 	if replaced == 0 {
 		t.Fatal("expected segment replacement on the recovery profile")
 	}
-	if res.WastedBytes <= 0 {
+	if res.Summary.WastedBytes <= 0 {
 		t.Fatal("replacement must account wasted bytes")
 	}
 	discarded := 0
@@ -381,8 +381,8 @@ func checkInvariants(t *testing.T, res *Result) {
 		t.Fatalf("displayed %.1f s vs played %.1f s", displayedSec, played)
 	}
 	// Byte accounting.
-	if res.WastedBytes < 0 || res.WastedBytes > res.TotalBytes {
-		t.Fatalf("wasted %v of total %v", res.WastedBytes, res.TotalBytes)
+	if res.Summary.WastedBytes < 0 || res.Summary.WastedBytes > res.Summary.TotalBytes {
+		t.Fatalf("wasted %v of total %v", res.Summary.WastedBytes, res.Summary.TotalBytes)
 	}
 	sum := 0.0
 	for _, tx := range res.Transactions {
@@ -390,8 +390,8 @@ func checkInvariants(t *testing.T, res *Result) {
 			sum += float64(tx.Bytes)
 		}
 	}
-	if math.Abs(sum-res.TotalBytes) > 1+res.TotalBytes/1e3 {
-		t.Fatalf("transactions sum %v vs TotalBytes %v", sum, res.TotalBytes)
+	if math.Abs(sum-res.Summary.TotalBytes) > 1+res.Summary.TotalBytes/1e3 {
+		t.Fatalf("transactions sum %v vs TotalBytes %v", sum, res.Summary.TotalBytes)
 	}
 	// Downloads that completed have sane timing.
 	for i, d := range res.Downloads {

@@ -24,7 +24,9 @@ type Summary struct {
 	// bitrate is their ratio.
 	WeightedBitrateSec float64
 	PlayedMediaSec     float64
-	// TotalBytes and WastedBytes mirror the Result accounting.
+	// TotalBytes is all media+document bytes downloaded; WastedBytes the
+	// bytes of downloads that never displayed (discarded by replacement,
+	// or replacements of positions already played).
 	TotalBytes  float64
 	WastedBytes float64
 }

@@ -819,10 +819,9 @@ func (n *Network) promote() {
 // advances the clock.
 //
 // The returned slice is reused by the next Step call: consume (or copy)
-// it before stepping again, and do not append to it. The stepalias
-// analyzer enforces that contract at call sites; hotalloc holds Step
-// itself (and everything it reaches) to the zero-allocation discipline
-// PR 3 bought.
+// it before stepping again, and do not append to it. The hotalloc
+// analyzer holds Step itself (and everything it reaches) to zero
+// allocations.
 //
 //vodlint:hotpath — per-event engine core: runs once per transfer completion across million-session fleets
 func (n *Network) Step(until float64) []*Transfer {

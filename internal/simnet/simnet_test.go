@@ -54,7 +54,7 @@ func TestFairSharing(t *testing.T) {
 	b := n.Dial().Start(1e6, "b")
 	var done []*Transfer
 	for len(done) < 2 {
-		done = append(done, n.Step(100)...) //vodlint:allow stepalias — test never Recycles, so the accumulated transfers stay live under GC
+		done = append(done, n.Step(100)...) // never Recycled, so the transfers stay valid
 	}
 	// Equal sizes, equal shares: both finish together at
 	// 0.2 (latency) + 2e6 bytes / 1e6 B/s = 2.2 s.
