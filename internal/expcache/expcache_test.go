@@ -149,7 +149,8 @@ func TestFingerprintUncacheable(t *testing.T) {
 // session key was re-recorded when player.Config lost its user-seek field:
 // the fingerprint walks every struct field, so one field fewer is a
 // different byte stream for every config; the three hasher rows did not
-// move.
+// move. It was re-recorded again when profiles became 1 s samples only:
+// Profile.Fingerprint no longer mixes a sample duration.
 func TestFingerprintGoldenKeys(t *testing.T) {
 	type node struct {
 		V    int
@@ -184,7 +185,7 @@ func TestFingerprintGoldenKeys(t *testing.T) {
 			"c": {3: {strings.Repeat("z", 600)}},
 		}, "tail"), "71acb78a680ef4c4251e776c6d81440f32502d60086b3a5119daffb98739e59e"},
 		{"shared pointer and cycle", mustKey(t, pair{shared, shared}, cyc), "2dcf04c47560247d94a2909bfcf99beabeac7fa17c0859d03d4860972c7b1899"},
-		{"session key", session, "c8862bb982609328c5a15913b6207c27de972cd52eb40002fc06217d6989faa2"},
+		{"session key", session, "3a6722ab52296edb290d7cb309daa00703a720a977276d39cdd031871597666f"},
 	} {
 		if got := hex.EncodeToString(c.got[:]); got != c.want {
 			t.Errorf("%s: key %s, want %s", c.name, got, c.want)

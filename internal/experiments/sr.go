@@ -112,7 +112,7 @@ func Fig10(ctx context.Context) ([]*textplot.Table, []string, error) {
 	// High → low → brief recovery → low: the recovery triggers the
 	// up-switch and SR, which dumps the buffered tail right before the
 	// second dip — the self-inflicted stall of Figure 10.
-	p := &netem.Profile{Name: "dip-recover-dip", SampleDur: 1}
+	p := &netem.Profile{Name: "dip-recover-dip"}
 	for i := 0; i < 600; i++ {
 		switch {
 		case i < 150:

@@ -29,7 +29,7 @@ func Fig14(ctx context.Context) ([]*textplot.Table, []string, error) {
 	var minis []*netem.Profile
 	rng := rand.New(rand.NewSource(1414))
 	for i := 0; i < 30; i++ {
-		p := &netem.Profile{Name: fmt.Sprintf("marginal-%02d", i+1), SampleDur: 1}
+		p := &netem.Profile{Name: fmt.Sprintf("marginal-%02d", i+1)}
 		for t := 0; t < 60; t++ {
 			p.Samples = append(p.Samples, 0.9e6*(0.92+0.16*rng.Float64()))
 		}

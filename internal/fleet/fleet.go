@@ -801,7 +801,7 @@ func constantOver(slab *[]float64, name string, bps, dur float64) *netem.Profile
 	for len(*slab) < n {
 		*slab = append(*slab, bps)
 	}
-	return &netem.Profile{Name: name, SampleDur: 1, Samples: (*slab)[:n:n]}
+	return &netem.Profile{Name: name, Samples: (*slab)[:n:n]}
 }
 
 // runCell runs cell k of a normalized config from its specs and labels

@@ -134,5 +134,5 @@ func genCellular(i int, seed int64) *Profile {
 			samples[t] = floor
 		}
 	}
-	return &Profile{Name: "raw", SampleDur: 1, Samples: samples}
+	return &Profile{Name: "raw", Samples: samples}
 }

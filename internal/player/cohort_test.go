@@ -87,7 +87,7 @@ func steppedEdge(rng *rand.Rand, mbps float64, dur float64) *netem.Profile {
 		}
 		s[i] = math.Round(v)
 	}
-	return &netem.Profile{Name: "steppedEdge", SampleDur: 1, Samples: s}
+	return &netem.Profile{Name: "steppedEdge", Samples: s}
 }
 
 // cloneSummary deep-copies a Summary so slab-aliasing views survive

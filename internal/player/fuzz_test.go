@@ -116,7 +116,7 @@ func randomSession(seed int64) (Config, *origin.Origin, *netem.Profile, int, err
 	for i := range samples {
 		samples[i] = 100e3 + rng.Float64()*8e6
 	}
-	p := &netem.Profile{Name: "fz", SampleDur: 1, Samples: samples}
+	p := &netem.Profile{Name: "fz", Samples: samples}
 	return cfg, org, p, nTracks, nil
 }
 

@@ -88,7 +88,7 @@ func runScanChecked(cfg Config, org *origin.Origin, p *netem.Profile) (*Result, 
 // pipeline" was re-recorded at EngineVersion "11", when sessions moved
 // onto simnet's anchored loop: one completion time moves in the last ulp.)
 func TestPrevDownloadedTrackMatchesLogScan(t *testing.T) {
-	step := &netem.Profile{Name: "steps", SampleDur: 1}
+	step := &netem.Profile{Name: "steps"}
 	for i := 0; i < 600; i++ {
 		step.Samples = append(step.Samples, []float64{3e6, 0.5e6, 6e6, 1e6}[i/40%4])
 	}

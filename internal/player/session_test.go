@@ -194,7 +194,7 @@ func TestDropTailAccounting(t *testing.T) {
 	cfg.ResumeThresholdSec = 100
 	p := netem.Step("s", 6e6, 0.6e6, 60, 600)
 	// Down then up: force low-track segments, then recovery triggers SR.
-	p2 := &netem.Profile{Name: "updownup", SampleDur: 1}
+	p2 := &netem.Profile{Name: "updownup"}
 	for i := 0; i < 600; i++ {
 		switch {
 		case i < 60:
@@ -241,7 +241,7 @@ func TestPerSegmentReplacementImprovesBuffer(t *testing.T) {
 	cfg := baseConfig()
 	cfg.Replacement = replacement.PerSegment{MinBufferSec: 15, CapTrack: -1}
 	cfg.MidBufferDiscard = true
-	p := &netem.Profile{Name: "ud", SampleDur: 1}
+	p := &netem.Profile{Name: "ud"}
 	for i := 0; i < 600; i++ {
 		if i >= 60 && i < 120 {
 			p.Samples = append(p.Samples, 0.6e6)

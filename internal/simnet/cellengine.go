@@ -17,14 +17,11 @@ import "math"
 //     rate changes, any number of skipped boundaries collapse into a
 //     single rate·Δt multiply.
 //
-//   - Wake-ups use netem's NextChange instead of NextBoundary, and the
-//     next-change instant is cached per link (l.nextChg), across links
-//     (n.linksNextChg) and for the edge (n.edgeNextChg), so the
-//     steady-state event does one float compare instead of two cursor
-//     walks per link. A sample boundary where the profile value does
-//     not change generates no event; the fleet's constant edge profile
-//     contributes no events at all, and an idle cell advances straight
-//     to its next arrival.
+//   - Profiles are read on the network's one clock (readSecond): the
+//     next whole second is the only profile event the loop schedules,
+//     and only while transfers flow, so an idle cell advances straight
+//     to its next arrival. A second whose samples equal the stored rates
+//     costs one pass of float compares and re-rates nothing.
 //
 //   - Each flowing transfer caches its effective cap (tr.cap), and the
 //     loop tracks exactly which caps changed since the last rate
@@ -145,7 +142,7 @@ func (n *Network) cellCappedFast() bool {
 	if n.numUncapped != 0 {
 		return false
 	}
-	c := n.lastCapacity
+	c := n.edgeRate
 	if n.capSum <= 0.999*c {
 		return true
 	}
@@ -225,7 +222,7 @@ func (n *Network) cellAllCapped() bool {
 		}
 		sum += tr.cap
 	}
-	return sum <= n.lastCapacity
+	return sum <= n.edgeRate
 }
 
 // cellReallocFull re-anchors every flowing transfer at n.now, syncs the
@@ -260,13 +257,13 @@ func (n *Network) cellReallocFull() {
 	// Progressive water-filling assigns ascending caps before shares ever
 	// bind (cap_k ≤ Σcaps/N_k ≤ remaining/N_k by induction), so every
 	// flow gets exactly its cap and no sort is needed.
-	if allCapped && sum <= n.lastCapacity {
+	if allCapped && sum <= n.edgeRate {
 		for _, tr := range n.flowing {
 			tr.rate = tr.cap
 		}
 		n.ratesAreCaps = true
 	} else {
-		n.waterfill(n.lastCapacity)
+		n.waterfill(n.edgeRate)
 		n.ratesAreCaps = false
 	}
 	for _, tr := range n.flowing {
@@ -276,10 +273,10 @@ func (n *Network) cellReallocFull() {
 
 // cellStepOnce advances the anchored loop and returns the next
 // completion batch (nil when the hand-off to the virtual-time loop or
-// `until` arrived first). Rate-boundary events — trace sample flips,
-// binding window doublings, transfer arrivals — are consumed inside the
-// loop; profile boundaries that change no value and doublings of windows
-// that are not their flow's binding constraint are not events at all.
+// `until` arrived first). Rate-boundary events — whole seconds, binding
+// window doublings, transfer arrivals — are consumed inside the loop;
+// doublings of windows that are not their flow's binding constraint are
+// not events at all.
 //
 //vodlint:hotpath — anchored-loop event core: runs once per event across million-session fleets
 func (n *Network) cellStepOnce(until float64) []*Transfer {
@@ -293,34 +290,10 @@ func (n *Network) cellStepOnce(until float64) []*Transfer {
 		n.promote()
 		now := n.now
 
-		// Refresh access-link samples whose cached change instant has
-		// arrived, gated by the cached minimum across links. All reads
-		// happen at n.now and each link is visited exactly once, so the
-		// refresh is order-independent; a changed sample value recomputes
-		// the member flows' caps (windows synced first).
-		if now >= n.linksNextChg {
-			next := math.Inf(1)
-			for _, l := range n.links {
-				if now >= l.nextChg {
-					r, nxt := l.cursor.ValueNext(now)
-					// Exact comparison on purpose: an unchanged piecewise-
-					// constant sample means the memoized rates are still
-					// valid; any real profile change flips the sample value
-					// exactly.
-					if r != l.rateBps { //vodlint:allow floateq — memo invalidation on a stored, never-recomputed sample value
-						l.rateBps = r
-						if !n.cellDirty {
-							n.cellTouchMembers(l)
-						}
-					}
-					l.nextChg = nxt
-				}
-				if l.nextChg < next {
-					next = l.nextChg
-				}
-			}
-			n.linksNextChg = next
-		}
+		// The profile clock: at the first event of a new second, a changed
+		// edge sample schedules a full water-filling and a changed link
+		// sample recomputes its member flows' caps (windows synced first).
+		n.readSecond()
 
 		// Apply due window doublings that can change a cap: only a window
 		// that is its flow's binding constraint (capBps <= cap) generates
@@ -335,20 +308,6 @@ func (n *Network) cellStepOnce(until float64) []*Transfer {
 					n.cellRecompute(tr)
 				}
 			}
-		}
-
-		// Edge capacity, through the same cached change instant scheme.
-		// The fleet's constant edge never fires this after the first
-		// event.
-		if now >= n.edgeNextChg {
-			v, nxt := n.cursor.ValueNext(now)
-			// Exact comparison on purpose: an unchanged piecewise-constant
-			// capacity yields bit-identical rates.
-			if c := v / 8; c != n.lastCapacity { //vodlint:allow floateq — memo invalidation on a stored, never-recomputed sample value
-				n.lastCapacity = c
-				n.cellDirty = true
-			}
-			n.edgeNextChg = nxt
 		}
 
 		// Idle cell: advance straight to the next arrival (or the
@@ -398,8 +357,8 @@ func (n *Network) cellStepOnce(until float64) []*Transfer {
 		}
 
 		// Next event bound: the deadline, a pending transfer's first
-		// byte, a binding window doubling, a precomputed completion, a
-		// cached link change, or a cached edge change.
+		// byte, a binding window doubling, a precomputed completion, or
+		// the next whole second.
 		next := until
 		if k := n.pendHeap.MinKey(); k < next {
 			next = k
@@ -413,11 +372,8 @@ func (n *Network) cellStepOnce(until float64) []*Transfer {
 				next = tr.finishT
 			}
 		}
-		if n.linksNextChg < next {
-			next = n.linksNextChg
-		}
-		if n.edgeNextChg < next {
-			next = n.edgeNextChg
+		if n.nextSec < next {
+			next = n.nextSec
 		}
 
 		tEvent := next

@@ -29,8 +29,8 @@ func TestCellEquivalenceSeeded(t *testing.T) { equivalenceSeeded(t, false) }
 // TestCellCellularTraceEquivalence runs the reference and the anchored
 // loop over real cellular access traces — the fleet's actual per-client
 // bottleneck, where the access sample changes every second — so the
-// NextChange-based wakeups are exercised against profiles that DO change,
-// not only the constant edge where they fire never.
+// profile clock is exercised against samples that DO change, not only
+// the constant edge where every read compares equal.
 func TestCellCellularTraceEquivalence(t *testing.T) {
 	for seed := int64(100); seed < 110; seed++ {
 		seed := seed
@@ -114,7 +114,7 @@ func TestCellExactResidualFold(t *testing.T) {
 func TestCellVTimeHandoff(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	p := drainableProfile(rng)
-	linkP := &netem.Profile{Name: "flip", SampleDur: 1, Samples: []float64{3e6, 5e6, 2e6, 6e6, 4e6, 7e6, 2.5e6}}
+	linkP := &netem.Profile{Name: "flip", Samples: []float64{3e6, 5e6, 2e6, 6e6, 4e6, 7e6, 2.5e6}}
 	cfg := randomConfig(rng)
 	nconn := vtimeEnter + 24
 	const linkBytes = 1e7 // larger than any spike flow: still active at the hand-back
@@ -275,10 +275,10 @@ func TestCellHotPathZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkCellIdleBoundaries measures what the NextChange wake-ups buy:
-// one small transfer at the start of a long horizon on a constant edge.
-// None of the ~1000 sample boundaries is an event; the loop jumps
-// straight through the idle tail.
+// BenchmarkCellIdleBoundaries measures the idle tail: one small transfer
+// at the start of a long horizon on a constant edge. With no flows the
+// loop schedules no second, so it jumps straight through the ~1000 sample
+// boundaries after the transfer completes.
 func BenchmarkCellIdleBoundaries(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

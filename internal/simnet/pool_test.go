@@ -279,7 +279,7 @@ func TestReleaseReplaysChurn(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			sawVTime := false
 			checkLife(t, DefaultConfig(), edge, tc.vtime, func(tgt simTarget, label string) *scriptRun {
-				r := runChurn(t, tgt, label, stormProfiles(1), tc.nclients, tc.every, tc.stay)
+				r := runChurn(t, tgt, label, stormProfiles(), tc.nclients, tc.every, tc.stay)
 				if lt, ok := tgt.(*lifeTarget); ok {
 					sawVTime = sawVTime || lt.n.v != nil
 					if lt.release && len(lt.n.freeLinks) >= tc.nclients/2 {
@@ -385,7 +385,7 @@ func TestReleaseResets(t *testing.T) {
 	if n2 != l || cap(n2.members) == 0 {
 		t.Fatalf("NewAccessLink did not reuse the released link with its member capacity (same %v, cap %d)", n2 == l, cap(n2.members))
 	}
-	got, want := *n2, AccessLink{profile: p2, cursor: p2.Cursor(), rateBps: -1, lpos: -1}
+	got, want := *n2, AccessLink{profile: p2, lpos: -1}
 	got.members, got.upMembers = nil, nil
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("reused link %+v, want %+v", got, want)

@@ -488,7 +488,7 @@ func randomProfile(rng *rand.Rand) *netem.Profile {
 			s[i] = math.Round(rng.Float64()*9e6) + 1e5
 		}
 	}
-	return &netem.Profile{Name: "rand", SampleDur: 1, Samples: s}
+	return &netem.Profile{Name: "rand", Samples: s}
 }
 
 // drainableProfile is randomProfile with the dead samples lifted to

@@ -18,18 +18,20 @@
 // regimes, chosen by flow count alone. Below vtimeEnter flowing transfers
 // the anchored loop (cellengine.go) runs: O(F) per event, flow progress
 // held as a (remaining, anchor time, rate) triple that is folded only
-// when the flow's own rate changes, wake-ups only where a profile's
-// value changes. At or above it the virtual-time loop (vtime.go) takes
-// the same flow records over at O(log F) per event, and hands them back
-// once vtimeExit or fewer remain. Both regimes compute max-min fair
-// rates under the same caps and agree up to float accumulation order;
-// the differential tests hold each to an independent rebuild-and-sort-
-// every-interval reference kept in the package's tests.
+// when the flow's own rate changes. At or above it the virtual-time loop
+// (vtime.go) takes the same flow records over at O(log F) per event, and
+// hands them back once vtimeExit or fewer remain. Both regimes compute
+// max-min fair rates under the same caps and agree up to float
+// accumulation order; the differential tests hold each to an independent
+// rebuild-and-sort-every-interval reference kept in the package's tests.
 //
-// Profile lookups go through a monotone netem.Cursor, so bandwidth
-// queries are O(1) amortised over a forward simulation. The hot path
-// performs no heap allocations: scratch buffers are reused across
-// intervals.
+// Both loops read profiles on one clock (readSecond): a profile holds one
+// sample per second, and at the first event of whole second k, while
+// transfers flow, the loop reads sample k of the edge and of every active
+// access link; a link that joins later in the second reads it as it
+// joins. The next whole second is the only profile event either loop
+// schedules, so an idle network schedules none. The hot path performs no
+// heap allocations: scratch buffers are reused across intervals.
 //
 // # Free lists
 //
@@ -235,10 +237,8 @@ func (t *Transfer) Throughput() float64 {
 //
 // Create links with Network.NewAccessLink and attach them with DialVia.
 type AccessLink struct {
-	cursor   netem.Cursor
 	profile  *netem.Profile
-	rateBps  float64 // profile sample at the last refresh (bits/s)
-	nextChg  float64 // rateBps holds until here: NextChange (anchored loop) or NextBoundary (vtime)
+	rateBps  float64 // profile sample as of the last read (bits/s)
 	flows    int     // flowing transfers currently carried by the link
 	capFloor float64 // vtime: no uncapped flow here has an uncCap key above this; +Inf if any flow here is capped
 
@@ -257,6 +257,10 @@ type AccessLink struct {
 
 // Profile returns the bandwidth profile driving the link.
 func (l *AccessLink) Profile() *netem.Profile { return l.profile }
+
+// share is the link's even split of its current budget, bytes/s per
+// flowing transfer.
+func (l *AccessLink) share() float64 { return l.rateBps / 8 / float64(l.flows) }
 
 // Conn models one TCP connection.
 type Conn struct {
@@ -300,13 +304,13 @@ func (c *Conn) effCap() float64 {
 		r = c.staticCap
 	}
 	if l := c.access; l != nil && l.flows > 0 {
-		if share := l.rateBps / 8 / float64(l.flows); share < r {
+		if share := l.share(); share < r {
 			r = share
 		}
 	}
 	if tr := c.cur; tr != nil {
 		if l := tr.upstream; l != nil && l.flows > 0 {
-			if share := l.rateBps / 8 / float64(l.flows); share < r {
+			if share := l.share(); share < r {
 				r = share
 			}
 		}
@@ -398,8 +402,9 @@ func (c *Conn) StartVia(size, extraLatency float64, upstream *AccessLink, meta a
 type Network struct {
 	cfg       Config
 	profile   *netem.Profile
-	cursor    netem.Cursor
 	now       float64
+	nextSec   float64 // the profile clock: the first event at or after this whole second reads the samples
+	edgeRate  float64 // edge sample as of the last read, bytes/s; both loops rate flows under it
 	conns     []*Conn
 	dialed    int
 	steadyCap float64 // cap beyond which a conn is considered out of slow start
@@ -424,16 +429,9 @@ type Network struct {
 	// flows whose cached cap changed since the last rate assignment;
 	// ratesAreCaps records that the last assignment gave every flow
 	// exactly its cap (the regime where changed flows can be re-rated
-	// independently); lastCapacity is the edge sample the rates were
-	// computed under; edgeNextChg caches the edge profile's next value
-	// change and linksNextChg the minimum nextChg across active access
-	// links, shared with the vtime loop (conservative: a detached link
-	// may leave it low, costing one wasted scan, never a missed refresh).
+	// independently).
 	cellDirty    bool
-	lastCapacity float64
 	ratesAreCaps bool
-	edgeNextChg  float64
-	linksNextChg float64
 	capSum       float64     // running sum of the finite cached caps of flowing transfers
 	numUncapped  int         // flowing transfers whose cached cap is +Inf
 	dirtyFlows   []*Transfer // scratch: flows to re-rate, cleared every event
@@ -456,10 +454,9 @@ type capItem struct {
 // New creates a network over the given bandwidth profile.
 func New(cfg Config, p *netem.Profile) *Network {
 	cfg = cfg.withDefaults()
-	// The anchored loop owns a new network: its first event refreshes the
-	// edge and link samples (both next-change instants are zero) and runs
-	// a full water-filling.
-	n := &Network{cfg: cfg, profile: p, cursor: p.Cursor(), vtimeEnter: vtimeEnter, vtimeExit: vtimeExit, cellDirty: true}
+	// The anchored loop owns a new network: its first event reads the
+	// samples of second 0 (nextSec is zero) and runs a full water-filling.
+	n := &Network{cfg: cfg, profile: p, vtimeEnter: vtimeEnter, vtimeExit: vtimeExit, cellDirty: true}
 	n.pendHeap.set = func(tr *Transfer, i int) { tr.hPend = i }
 	// Once a connection's cap exceeds twice the link's peak rate it can
 	// never be the bottleneck again; stop generating doubling events.
@@ -540,7 +537,7 @@ func (n *Network) NewAccessLink(p *netem.Profile) *AccessLink {
 	}
 	// A released link carries no flows, so its member lists are empty;
 	// they keep their capacity.
-	*l = AccessLink{profile: p, cursor: p.Cursor(), rateBps: -1, lpos: -1, members: l.members[:0], upMembers: l.upMembers[:0]}
+	*l = AccessLink{profile: p, lpos: -1, members: l.members[:0], upMembers: l.upMembers[:0]}
 	return l
 }
 
@@ -653,7 +650,10 @@ func (n *Network) removeConn(c *Conn) {
 
 // linkAttach registers a transfer that just started flowing with its
 // connection's access link, with its per-request upstream link (if any),
-// and — on a link's first flow — with the network's active-link set.
+// and — on a link's first flow — with the network's active-link set. A
+// link joining the set reads its sample for the current instant, so its
+// flows are rated under this second's budget whichever loop runs and
+// however long the link sat idle.
 func (n *Network) linkAttach(tr *Transfer) {
 	n.linkAttachOne(tr.Conn.access, tr, false)
 	n.linkAttachOne(tr.upstream, tr, true)
@@ -667,6 +667,7 @@ func (n *Network) linkAttachOne(l *AccessLink, tr *Transfer, up bool) {
 	if l.flows == 0 {
 		l.lpos = len(n.links)
 		n.links = append(n.links, l)
+		l.rateBps = l.profile.At(n.now)
 	}
 	if up {
 		tr.upPos = len(l.upMembers)
@@ -680,8 +681,7 @@ func (n *Network) linkAttachOne(l *AccessLink, tr *Transfer, up bool) {
 
 // linkDetach is linkAttach's inverse; a link with no flows left leaves
 // the active-link set. Order within the member lists and links is
-// irrelevant (both are refreshed/min-folded, never accumulated), so
-// swap-delete.
+// irrelevant (both are refreshed, never accumulated), so swap-delete.
 func (n *Network) linkDetach(tr *Transfer) {
 	n.linkDetachOne(tr.Conn.access, tr, false)
 	n.linkDetachOne(tr.upstream, tr, true)
@@ -737,6 +737,50 @@ func (n *Network) linkDetachOne(l *AccessLink, tr *Transfer, up bool) {
 	}
 }
 
+// readSecond is the profile clock both loops share. At the first event of
+// whole second k it reads sample k of the edge and of every active access
+// link and compares each with the stored rate; the other events of the
+// second read nothing, and n.nextSec, k+1, is the only profile event
+// either loop schedules. A change is applied by regime: an edge change
+// marks the anchored loop dirty and asks the virtual-time loop to
+// rebalance; a changed link recomputes its members' caps in the anchored
+// loop unless a full water-filling is already due, and re-keys them in
+// the virtual-time loop only where its new share undercuts capFloor.
+// Links are read in Network.links order. It reports whether the
+// virtual-time loop must rebalance.
+//
+//vodlint:hotpath — profile clock: one pass over the active links per simulated second
+func (n *Network) readSecond() (changed bool) {
+	if n.now < n.nextSec {
+		return false
+	}
+	n.nextSec = math.Floor(n.now) + 1
+	// Exact comparisons on purpose: a stored, never-recomputed sample that
+	// compares equal leaves every memoized rate valid.
+	if c := n.profile.At(n.now) / 8; c != n.edgeRate { //vodlint:allow floateq — memo invalidation on a stored, never-recomputed sample value
+		n.edgeRate = c
+		n.cellDirty = true
+		changed = true
+	}
+	for _, l := range n.links {
+		r := l.profile.At(n.now)
+		if r == l.rateBps { //vodlint:allow floateq — memo invalidation on a stored, never-recomputed sample value
+			continue
+		}
+		l.rateBps = r
+		switch {
+		case n.vmode:
+			if l.share() < l.capFloor {
+				n.v.updateLinkCaps(n, l)
+				changed = true
+			}
+		case !n.cellDirty:
+			n.cellTouchMembers(l)
+		}
+	}
+	return changed
+}
+
 // insertFlowing adds a transfer to the anchored loop's flowing set,
 // keeping it ordered by connection dial order (waterfill's tie order).
 func (n *Network) insertFlowing(tr *Transfer) {
@@ -756,12 +800,6 @@ func (n *Network) insertFlowing(tr *Transfer) {
 	// caps — their even shares changed. In the all-capped regime that
 	// is the entire effect of an arrival; outside it the re-rate pass
 	// falls back to the full water-filling anyway.
-	if l := tr.Conn.access; l != nil && l.nextChg < n.linksNextChg {
-		n.linksNextChg = l.nextChg
-	}
-	if l := tr.upstream; l != nil && l.nextChg < n.linksNextChg {
-		n.linksNextChg = l.nextChg
-	}
 	tr.cap = tr.Conn.effCap()
 	n.cellCapAdd(tr.cap)
 	n.dirtyFlows = append(n.dirtyFlows, tr)

@@ -239,7 +239,7 @@ func TestQuickConservationAndCompletion(t *testing.T) {
 		for i := range samples {
 			samples[i] = rng.Float64()*10e6 + 0.1e6
 		}
-		p := &netem.Profile{Name: "q", SampleDur: 1, Samples: samples}
+		p := &netem.Profile{Name: "q", Samples: samples}
 		n := New(DefaultConfig(), p)
 		nConns := rng.Intn(4) + 1
 		var transfers []*Transfer

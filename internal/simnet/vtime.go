@@ -26,10 +26,10 @@ import (
 //     its own cap changes.
 //   - Pending first bytes and slow-start doublings each live in a
 //     further heap.
-//   - Access-link profile boundaries are not heap events: they reuse the
-//     per-link (rateBps, nextChg) memo and the Network.linksNextChg
-//     minimum the anchored loop maintains, refreshed by one gated pass over
-//     the active links (see vStepOnce).
+//   - Profile samples are not heap events: the loop reads the edge and
+//     every active access link on the network's one clock (readSecond),
+//     in one pass at the first event of each whole second, the next of
+//     which is the only profile event it schedules.
 //
 // Per-flow progress is never written per event. The flow record is the
 // anchored loop's (Transfer.remaining, aT, rate), with aT holding V
@@ -71,11 +71,11 @@ const (
 )
 
 // vtimeState carries the engine's anchors, aggregates and event heaps
-// (the pending heap and the access-link boundary memo live on Network).
+// (the pending heap, the profile clock and the edge rate C live on
+// Network).
 type vtimeState struct {
 	vNow  float64 // cumulative equal-share service, bytes per uncapped flow
 	slope float64 // dV/dt in bytes/s (0 when U == 0 or the link is saturated by caps)
-	C     float64 // edge capacity at the last refresh, bytes/s
 
 	uncN  int     // uncapped flow count U
 	uncAV float64 // Σ aT over uncapped flows
@@ -216,7 +216,7 @@ func (v *vtimeState) updateCap(n *Network, tr *Transfer) {
 // (membership or budget change), and re-bases l.capFloor on the new
 // share: every uncapped member is now keyed at or below it.
 func (v *vtimeState) updateLinkCaps(n *Network, l *AccessLink) {
-	floor := l.rateBps / 8 / float64(l.flows)
+	floor := l.share()
 	for _, m := range l.members {
 		if v.updateCap(n, m); m.vClass == vCapd {
 			floor = math.Inf(1)
@@ -244,7 +244,7 @@ func (v *vtimeState) updateLinkCaps(n *Network, l *AccessLink) {
 func (v *vtimeState) rebalance(n *Network) {
 	for {
 		if v.uncN == 0 {
-			if v.R <= v.C || v.capFin.Len() == 0 {
+			if v.R <= n.edgeRate || v.capFin.Len() == 0 {
 				break
 			}
 			// All-capped but infeasible (Σ caps > C): the largest cap
@@ -254,7 +254,7 @@ func (v *vtimeState) rebalance(n *Network) {
 			v.addUnc(tr, tr.Conn.effCap())
 			continue
 		}
-		s := (v.C - v.R) / float64(v.uncN)
+		s := (n.edgeRate - v.R) / float64(v.uncN)
 		if k := v.uncCap.MinKey(); k < s {
 			tr := v.uncCap.Min()
 			if c := tr.Conn.effCap(); c > k {
@@ -282,7 +282,7 @@ func (v *vtimeState) rebalance(n *Network) {
 		break
 	}
 	if v.uncN > 0 {
-		s := (v.C - v.R) / float64(v.uncN)
+		s := (n.edgeRate - v.R) / float64(v.uncN)
 		if s < 0 {
 			s = 0
 		}
@@ -294,16 +294,17 @@ func (v *vtimeState) rebalance(n *Network) {
 
 // vAttach moves a pending transfer into the live flow set as the clock
 // reaches its first byte (the vtime counterpart of promote →
-// insertFlowing).
+// insertFlowing). A link that joins the active set with it has just read
+// its sample; its capFloor starts at its share.
 func (n *Network) vAttach(tr *Transfer) {
 	v := n.v
 	n.linkAttach(tr)
 	al, ul := tr.Conn.access, tr.upstream
 	if al != nil && al.flows == 1 {
-		n.vActivateLink(al)
+		al.capFloor = al.share()
 	}
 	if ul != nil && ul != al && ul.flows == 1 {
-		n.vActivateLink(ul)
+		ul.capFloor = ul.share()
 	}
 	v.addUnc(tr, tr.Conn.effCap())
 	if c := tr.Conn; c.InSlowStart() && c.hGrow < 0 {
@@ -318,23 +319,9 @@ func (n *Network) vAttach(tr *Transfer) {
 	}
 }
 
-// vActivateLink refreshes a link's budget, boundary memo and capFloor as
-// it joins the active set, lowering the cross-link minimum to cover it.
-func (n *Network) vActivateLink(l *AccessLink) {
-	l.rateBps = l.cursor.At(n.now)
-	l.nextChg = l.cursor.NextBoundary(n.now)
-	l.capFloor = l.rateBps / 8 / float64(l.flows)
-	if l.nextChg < n.linksNextChg {
-		n.linksNextChg = l.nextChg
-	}
-}
-
 // vDetach removes a no-longer-serving flow's side effects: its conn's
 // doubling events, its access-link membership, and its siblings' caps.
-// The caller has already detached the flow from its class. A link left
-// without flows drops out of Network.links and may leave linksNextChg
-// stale-low: that costs one empty boundary pass, never a missed
-// boundary, and is cheaper than re-deriving the minimum per departure.
+// The caller has already detached the flow from its class.
 func (n *Network) vDetach(tr *Transfer) {
 	v := n.v
 	if c := tr.Conn; c.hGrow >= 0 {
@@ -370,19 +357,23 @@ func (v *vtimeState) abandon(n *Network, tr *Transfer) {
 
 // enterVTime hands the live flows from the anchored loop to the
 // virtual-time loop: windows are synced and progress folded, so every
-// flow record is current as of now. V restarts at 0; the active links
-// refresh first, so every flowing transfer attaches uncapped keyed by its
-// cap as of now, and the first rebalance derives the true partition.
+// flow record is current as of now. V restarts at 0; the profile clock
+// reads first (the hand-off may land on a new second), every link's
+// capFloor starts at its share, so every flowing transfer attaches
+// uncapped keyed by its cap as of now, and the first rebalance derives
+// the true partition.
 func (n *Network) enterVTime() {
 	if n.v == nil {
 		n.v = newVtimeState()
 	}
 	v := n.v
 	v.vNow = 0
-	v.C = n.cursor.At(n.now) / 8
-	n.linksNextChg = math.Inf(1)
+	n.vmode = true
+	// The clock reads as this loop's: no flow is keyed yet, so a changed
+	// link only moves its floor, which every link re-bases next.
+	n.readSecond()
 	for _, l := range n.links {
-		n.vActivateLink(l)
+		l.capFloor = l.share()
 	}
 	for i, tr := range n.flowing {
 		c := tr.Conn
@@ -397,13 +388,12 @@ func (n *Network) enterVTime() {
 	}
 	n.flowing = n.flowing[:0]
 	v.rebalance(n)
-	n.vmode = true
 }
 
 // exitVTime hands the flows back: every attached flow materializes its
 // remaining bytes, the flowing set is rebuilt in dial order with every
 // flow re-anchored at the current instant, and the anchored loop's next
-// event refreshes the edge and link samples and recomputes every rate.
+// event recomputes every rate under the samples the profile clock holds.
 func (n *Network) exitVTime() {
 	v := n.v
 	for v.uncFin.Len() > 0 {
@@ -426,7 +416,6 @@ func (n *Network) exitVTime() {
 		}
 	}
 	n.cellDirty = true
-	n.edgeNextChg, n.linksNextChg = n.now, n.now
 	n.capSum, n.numUncapped = 0, 0 // rebuilt by the forced full realloc
 	n.vmode = false
 }
@@ -434,7 +423,7 @@ func (n *Network) exitVTime() {
 // vStepOnce advances the virtual-time loop by one event and returns any
 // completions: promote pending arrivals, find the next event, advance
 // real and virtual time together, then apply completions, doublings and
-// boundary re-anchors due at the new time, and rebalance once.
+// the profile clock due at the new time, and rebalance once.
 //
 //vodlint:hotpath — vtime event: O(log F) per event at high fan-in
 func (n *Network) vStepOnce(until float64) []*Transfer {
@@ -447,21 +436,14 @@ func (n *Network) vStepOnce(until float64) []*Transfer {
 		n.vAttach(n.pendHeap.Pop())
 		dirty = true
 	}
-	// Refresh edge capacity at the current time (cursor reads are O(1)
-	// amortised; the exact comparison is the anchored loop's memo idiom).
-	if c := n.cursor.At(n.now) / 8; c != v.C { //vodlint:allow floateq — memo invalidation on a stored, never-recomputed sample value
-		v.C = c
-		dirty = true
-	}
 	if dirty {
 		v.rebalance(n)
 		dirty = false
 	}
 
 	// Next event: the deadline, a pending first byte, a slow-start
-	// doubling, an edge or access profile boundary, a capped
-	// completion, or — through the current slope — the nearest uncapped
-	// completion in V.
+	// doubling, the next whole second, a capped completion, or — through
+	// the current slope — the nearest uncapped completion in V.
 	next := until
 	if k := n.pendHeap.MinKey(); k < next {
 		next = k
@@ -469,11 +451,8 @@ func (n *Network) vStepOnce(until float64) []*Transfer {
 	if k := v.grow.MinKey(); k < next {
 		next = k
 	}
-	if b := n.cursor.NextBoundary(n.now); b < next {
-		next = b
-	}
-	if n.linksNextChg < next {
-		next = n.linksNextChg
+	if n.nextSec < next {
+		next = n.nextSec
 	}
 	if k := v.capFin.MinKey(); k < next {
 		next = k
@@ -546,32 +525,11 @@ func (n *Network) vStepOnce(until float64) []*Transfer {
 		dirty = true
 	}
 
-	// Access-link profile boundaries due now: one pass over the active
-	// links, gated by the cached minimum, refreshes the due ones in
-	// Network.links order — re-keying members only where the new share
-	// undercuts the link's capFloor — and re-derives the minimum. The
-	// fleet's traces all sample at 1 s, so every link is due at the same
-	// instant and the pass is O(K) per simulated second; profiles whose
-	// boundaries do not align would pay O(K) per distinct instant, which
-	// no caller produces.
-	if n.now >= n.linksNextChg {
-		minChg := math.Inf(1)
-		for _, l := range n.links {
-			if n.now >= l.nextChg {
-				l.nextChg = l.cursor.NextBoundary(n.now)
-				if r := l.cursor.At(n.now); r != l.rateBps { //vodlint:allow floateq — memo invalidation on a stored, never-recomputed sample value
-					l.rateBps = r
-					if r/8/float64(l.flows) < l.capFloor {
-						v.updateLinkCaps(n, l)
-						dirty = true
-					}
-				}
-			}
-			if l.nextChg < minChg {
-				minChg = l.nextChg
-			}
-		}
-		n.linksNextChg = minChg
+	// The profile clock at a new second: one O(K) pass over the active
+	// links, re-keying members only where the new share undercuts the
+	// link's capFloor.
+	if n.readSecond() {
+		dirty = true
 	}
 
 	if dirty {

@@ -375,17 +375,9 @@ func TestVTimeLazyReadConsistency(t *testing.T) {
 	}
 }
 
-// stormProfiles returns the 14 cellular traces re-timed to the given
-// sample durations (cycled across the traces): all 1 s reproduces the
-// fleet's aligned boundaries, anything else makes neighbouring links
-// flip at different instants.
-func stormProfiles(durs ...float64) []*netem.Profile {
-	ps := netem.CellularSet()
-	for i, p := range ps {
-		ps[i] = &netem.Profile{Name: p.Name, SampleDur: durs[i%len(durs)], Samples: p.Samples}
-	}
-	return ps
-}
+// stormProfiles returns the 14 cellular traces: like the fleet's links,
+// every one may flip at each whole second.
+func stormProfiles() []*netem.Profile { return netem.CellularSet() }
 
 // stormShape sizes a link storm: nconn connections, perLink of them
 // behind each access link, under a constant edge of edgeBps.
@@ -495,17 +487,7 @@ var saturated256 = stormShape{nconn: 256, perLink: 1, edgeBps: 40e6}
 // traces, so every active link's profile boundary falls on the same
 // instant.
 func TestVTimeAlignedBoundaryStorm(t *testing.T) {
-	checkLinkStorm(t, stormProfiles(1), saturated256, -1, 0)
-}
-
-// TestVTimeMixedSampleDur is the same storm with link sample durations
-// of 0.75, 1 and 1.25 s: boundaries do not align, so almost every instant
-// has only a few links due and the rest must be left alone. (Binary-exact
-// durations on purpose: at k·0.7 a netem.Cursor seeks into the sample
-// before the boundary and holds it for the whole window, where Profile.At
-// — what the reference reads — is one sample ahead by mid-window.)
-func TestVTimeMixedSampleDur(t *testing.T) {
-	checkLinkStorm(t, stormProfiles(0.75, 1, 1.25), saturated256, -1, 0)
+	checkLinkStorm(t, stormProfiles(), saturated256, -1, 0)
 }
 
 // TestVTimeSlowStartStorm stretches the round trip to half a second, so
@@ -516,7 +498,7 @@ func TestVTimeMixedSampleDur(t *testing.T) {
 func TestVTimeSlowStartStorm(t *testing.T) {
 	sh := saturated256
 	sh.rtt = 0.5
-	checkLinkStorm(t, stormProfiles(1), sh, -1, 0)
+	checkLinkStorm(t, stormProfiles(), sh, -1, 0)
 }
 
 // TestVTimeSharedLinkStorm puts three connections behind each of 128
@@ -527,7 +509,7 @@ func TestVTimeSlowStartStorm(t *testing.T) {
 // never skip.
 func TestVTimeSharedLinkStorm(t *testing.T) {
 	sh := stormShape{nconn: 384, perLink: 3, edgeBps: 300e6, connCaps: []float64{2e6, 8e6, 1e6}}
-	if mixed := checkLinkStorm(t, stormProfiles(1), sh, -1, 0); mixed < 100 {
+	if mixed := checkLinkStorm(t, stormProfiles(), sh, -1, 0); mixed < 100 {
 		t.Fatalf("only %d steps ended with a capped and an uncapped flow sharing a link; the storm no longer exercises mixed links", mixed)
 	}
 }
@@ -535,7 +517,7 @@ func TestVTimeSharedLinkStorm(t *testing.T) {
 // TestVTimeStaleCapBound walks one flow's cap bound through its whole
 // life cycle against the reference. 64 single-flow links share a
 // 32 Mbit/s edge, so the share starts at 62.5 kB/s, below every link's;
-// link 0 steps 1 -> 20 -> 0.5 Mbit/s in 4 s samples while the others
+// link 0 steps 1 -> 20 -> 0.5 Mbit/s, 4 s at each, while the others
 // hold 16 Mbit/s. The rise to 20 Mbit/s leaves flow 0's bound at the
 // 1 Mbit/s share; 60 small flows then complete and lift the share to
 // 1 MB/s, past that stale bound but below the true 2.5 MB/s cap — the
@@ -543,7 +525,7 @@ func TestVTimeSharedLinkStorm(t *testing.T) {
 // drop to 0.5 Mbit/s must then cap it at exactly the new share.
 func TestVTimeStaleCapBound(t *testing.T) {
 	const nlinks = 64
-	linkP := &netem.Profile{Name: "step", SampleDur: 4, Samples: []float64{1e6, 20e6, 0.5e6}}
+	linkP := &netem.Profile{Name: "step", Samples: []float64{1e6, 1e6, 1e6, 1e6, 20e6, 20e6, 20e6, 20e6, 0.5e6, 0.5e6, 0.5e6, 0.5e6}}
 	cfg := DefaultConfig()
 	cfg.InitialWindowSegments = 2e4 // no slow-start cap: link shares are the only caps
 	edge := netem.Constant("edge", 32e6, 1000)
@@ -600,16 +582,6 @@ func TestVTimeStaleCapBound(t *testing.T) {
 	}
 }
 
-// TestVTimeStaleLinkMinimum closes, mid-second, the one connection whose
-// link holds the earliest next boundary (a 0.4 s sample clock among 1 s
-// ones). Whatever the engine remembers about that link afterwards, the
-// surviving links' own next boundary must still be honoured.
-func TestVTimeStaleLinkMinimum(t *testing.T) {
-	profs := stormProfiles(1)[:8]
-	profs[0] = &netem.Profile{Name: "fast-clock", SampleDur: 0.4, Samples: profs[0].Samples}
-	checkLinkStorm(t, profs, stormShape{nconn: 8, perLink: 1, edgeBps: 40e6}, 0, 0.5)
-}
-
 // TestVTimeHotPathZeroAlloc extends the zero-allocation promise to the
 // virtual-time loop: once the heaps are warmed, a start/step/
 // recycle cycle at high fan-in allocates nothing — neither on a bare
@@ -622,7 +594,7 @@ func TestVTimeHotPathZeroAlloc(t *testing.T) {
 		links []*netem.Profile
 	}{
 		{"shared", 2e5, nil},
-		{"linkBoundary", 4e5, stormProfiles(1)}, // 64 x 4e5 B over 6.25 MB/s: several seconds per cycle
+		{"linkBoundary", 4e5, stormProfiles()}, // 64 x 4e5 B over 6.25 MB/s: several seconds per cycle
 	} {
 		n := pinVTime(New(DefaultConfig(), netem.Constant("c", 50e6, 100)))
 		conns := make([]*Conn, 64)
@@ -699,7 +671,7 @@ func BenchmarkFanIn512(b *testing.B) {
 // exact path on every flip.
 func BenchmarkVTimeBoundaryStorm(b *testing.B) {
 	const links, seconds = 4096, 30
-	profs := stormProfiles(1)
+	profs := stormProfiles()
 	for _, bc := range []struct {
 		name    string
 		edgeBps float64
