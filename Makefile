@@ -158,24 +158,26 @@ fleet-smoke:
 #   3. determinism is not vacuous: the cached run must differ from the
 #      uncached one (the tier actually changed delivery);
 #   4. the flash crowd — the same tier with -hotspot 0.8 -fidelity 0.02,
-#      bench/'s fleet_flashcrowd shape — at workers=2 vs workers=8: the
-#      one layout with a crowded cold cell, and the per-worker scratch
-#      (its recycled edge/metro tier above all) is the one fleet state
-#      that outlives a shard, so which shards share a scratch must not
-#      reach the bytes. Both runs carry FLEET_FLASH_CEILING_MB, calibrated
-#      at 100k sessions over five runs per worker count: the sampler peaks
-#      at 41–55 MiB at workers 2 and 42–57 at 8 (47–49 at 1) now that a
-#      member holds its control and Summary state, like its access link,
-#      connection and transfer, only while it plays; with that state sized
-#      by the population it peaked at 64–73 / 63–71 (52–55) MiB — 70 MiB
-#      is 1.25x the present worst case.
+#      bench/'s fleet_flashcrowd shape — at workers=1, 2 and 8: the one
+#      layout with a crowded cold cell, and the per-worker scratch (the
+#      network, cohort, group, full sessions and edge/metro tier it lends
+#      each cell) is the one fleet state that outlives a shard, so which
+#      shards share a scratch must not reach the bytes. At workers=1 one
+#      scratch serves every shard, hot cell first, the order the bench
+#      times. All three runs carry FLEET_FLASH_CEILING_MB, calibrated at
+#      100k sessions over five runs per worker count: the sampler peaks
+#      at 31.8–31.9 MiB at workers 1, 32.0–32.3 at 2 and 31.3–32.1 at 8
+#      now that a cell borrows its network, cohort and group and a full
+#      session exists only while it plays; with those built per cell and
+#      every full session built at the start it peaked at 47–49 / 41–55 /
+#      42–57 MiB — 41 MiB is 1.25x the present worst case.
 # FLEET_CACHE_SESSIONS=100000 (with FLEET_CACHE_FIDELITY=0.05) is the
 # CI scale tier; the cached runs also carry the heap ceiling so the
 # cache slabs stay inside the fleet memory contract.
 FLEET_CACHE_SESSIONS ?= 600
 FLEET_CACHE_FIDELITY ?= 1
 FLEET_CACHE_CEILING_MB ?= 512
-FLEET_FLASH_CEILING_MB ?= 70
+FLEET_FLASH_CEILING_MB ?= 41
 FLEET_CACHE_SPEC ?= edge:64MiB,metro:2GiB,ttl=6h
 fleet-cache-cmp:
 	$(GO) build -o bin/vodfleet ./cmd/vodfleet
@@ -197,6 +199,10 @@ fleet-cache-cmp:
 	cmp "$$dir/c2.json" "$$dir/c8.json" && \
 	! cmp -s "$$dir/off.json" "$$dir/c2.json" && \
 	bin/vodfleet -sessions $(FLEET_CACHE_SESSIONS) -hotspot 0.8 -fidelity 0.02 \
+		-seed 1 -workers 1 -q -memceiling-mb $(FLEET_FLASH_CEILING_MB) \
+		-cache $(FLEET_CACHE_SPEC) -coldcells 0-3 -cachefail cell=5,t=60s \
+		-json "$$dir/h1.json" && \
+	bin/vodfleet -sessions $(FLEET_CACHE_SESSIONS) -hotspot 0.8 -fidelity 0.02 \
 		-seed 1 -workers 2 -q -memceiling-mb $(FLEET_FLASH_CEILING_MB) \
 		-cache $(FLEET_CACHE_SPEC) -coldcells 0-3 -cachefail cell=5,t=60s \
 		-json "$$dir/h2.json" && \
@@ -204,25 +210,33 @@ fleet-cache-cmp:
 		-seed 1 -workers 8 -q -memceiling-mb $(FLEET_FLASH_CEILING_MB) \
 		-cache $(FLEET_CACHE_SPEC) -coldcells 0-3 -cachefail cell=5,t=60s \
 		-json "$$dir/h8.json" && \
+	cmp "$$dir/h1.json" "$$dir/h2.json" && \
 	cmp "$$dir/h2.json" "$$dir/h8.json" && \
 	echo "fleet-cache-cmp: transparent cache byte-identical to disabled; cached fleet and cached flash crowd byte-identical across worker counts"
 
 # The million-viewer flash crowd (nightly): -hotspot 0.8 puts 800k
-# members on cell 0, no cache tier. Workers 2 and 8 must emit
-# byte-identical JSON under FLEET_CROWD_CEILING_MB: the sampler peaks at
-# 364–432 MiB at workers 2 and 410–417 at 8 over six and five runs
-# (616–625 while the cohort's control and Summary state was sized by the
-# population); 540 MiB is 1.25x the worst case. About 20 s a run on one
-# core.
+# members on cell 0, no cache tier. Workers 1, 2 and 8 must emit
+# byte-identical JSON under FLEET_CROWD_CEILING_MB; at workers 1 one
+# scratch serves every shard, hot cell first. Over five runs per worker
+# count the sampler peaks at 255.4–255.5 MiB at workers 1, 251.7–255.2
+# at 2 and 248.8–255.0 at 8, with 260 MiB allocated a run, now that a
+# cell borrows its network, cohort and group and a full session exists
+# only while it plays (before: 364–432 at 2 and 410–417 at 8, 498 MiB
+# allocated; 616–625 while the cohort's control and Summary state was
+# sized by the population); 320 MiB is 1.25x the worst case. About 20 s
+# a run on one core.
 FLEET_CROWD_SESSIONS ?= 1000000
-FLEET_CROWD_CEILING_MB ?= 540
+FLEET_CROWD_CEILING_MB ?= 320
 fleet-crowd-cmp:
 	$(GO) build -o bin/vodfleet ./cmd/vodfleet
 	dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
 	bin/vodfleet -sessions $(FLEET_CROWD_SESSIONS) -hotspot 0.8 -fidelity 0.02 \
+		-seed 1 -workers 1 -q -memceiling-mb $(FLEET_CROWD_CEILING_MB) -json "$$dir/w1.json" && \
+	bin/vodfleet -sessions $(FLEET_CROWD_SESSIONS) -hotspot 0.8 -fidelity 0.02 \
 		-seed 1 -workers 2 -q -memceiling-mb $(FLEET_CROWD_CEILING_MB) -json "$$dir/w2.json" && \
 	bin/vodfleet -sessions $(FLEET_CROWD_SESSIONS) -hotspot 0.8 -fidelity 0.02 \
 		-seed 1 -workers 8 -q -memceiling-mb $(FLEET_CROWD_CEILING_MB) -json "$$dir/w8.json" && \
+	cmp "$$dir/w1.json" "$$dir/w2.json" && \
 	cmp "$$dir/w2.json" "$$dir/w8.json" && \
 	echo "fleet-crowd-cmp: $(FLEET_CROWD_SESSIONS)-session flash crowd byte-identical across worker counts under $(FLEET_CROWD_CEILING_MB) MiB"
 

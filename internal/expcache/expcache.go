@@ -51,8 +51,8 @@ type Stats struct {
 	// Dedup are concurrent requests that joined an in-flight computation
 	// of the same session instead of starting their own.
 	Dedup int64
-	// Bypass are sessions that skipped the cache (disabled cache or
-	// non-fingerprintable config).
+	// Bypass are sessions that skipped the cache (a non-fingerprintable
+	// config).
 	Bypass int64
 	// OriginBuilds and OriginHits count origin constructions and reuses.
 	OriginBuilds, OriginHits int64
@@ -60,8 +60,7 @@ type Stats struct {
 
 // Cache memoizes session results and origins.
 type Cache struct {
-	disabled atomic.Bool
-	bypass   atomic.Int64
+	bypass atomic.Int64
 
 	sessions Memo[Key, *player.Result]
 	origins  Memo[Key, *origin.Origin]
@@ -73,12 +72,8 @@ func New() *Cache { return &Cache{} }
 // Default is the process-wide cache every experiment routes through.
 var Default = New()
 
-// SetDisabled turns the whole cache off (true): every session runs
-// directly and is counted as a bypass.
-func (c *Cache) SetDisabled(v bool) { c.disabled.Store(v) }
-
 // Reset drops every memoized session and origin and zeroes the
-// counters; the disabled flag is untouched. Not safe to call
+// counters. Not safe to call
 // concurrently with session runs.
 func (c *Cache) Reset() {
 	c.sessions.Reset()
@@ -134,10 +129,6 @@ func runSession(cfg player.Config, org *origin.Origin, p *netem.Profile, netCfg 
 // network model config, computing it at most once. The result is shared:
 // treat it as read-only.
 func (c *Cache) RunNet(cfg player.Config, org *origin.Origin, p *netem.Profile, netCfg simnet.Config) (*player.Result, error) {
-	if c.disabled.Load() {
-		c.bypass.Add(1)
-		return runSession(cfg, org, p, netCfg)
-	}
 	key, err := sessionKey(cfg, org, p, netCfg)
 	if err != nil {
 		c.bypass.Add(1)

@@ -393,7 +393,14 @@ func newCellSpec(cfg Config, k int, cold bool) cellSpec {
 // CellClients draws cell k's members; the config must be normalized.
 func CellClients(cfg Config, k int) []Client {
 	cell := newCellSpec(cfg, k, false)
-	return drawClients(newRunSpec(cfg), cell, rand.New(rand.NewSource(cell.Seed)))
+	return drawClients(newRunSpec(cfg), cell, rand.New(rand.NewSource(cell.Seed)), new(drawBuf))
+}
+
+// drawBuf holds the arrays a cell's draw fills; the last draw's clients
+// stay valid until the next draw into the same buffer.
+type drawBuf struct {
+	arrivals []float64
+	clients  []Client
 }
 
 // drawClients draws a cell's members from its private RNG stream: rng,
@@ -401,19 +408,23 @@ func CellClients(cfg Config, k int) []Client {
 // of cells in turn. The draw order — arrivals first (sorted within the
 // cell), then per client watch, service, trace and fidelity — is part of
 // the determinism contract: a stolen cell computes identical members on
-// any worker.
-func drawClients(run *runSpec, cell cellSpec, rng *rand.Rand) []Client {
+// any worker. The members are buf's, until its next draw.
+func drawClients(run *runSpec, cell cellSpec, rng *rand.Rand, buf *drawBuf) []Client {
 	n := cell.Size
 	// Rand.Seed, not Source.Seed: it also drops the bytes Rand.Read buffers.
 	rng.Seed(cell.Seed)
-	arrivals := make([]float64, n)
+	if cap(buf.arrivals) < n {
+		buf.arrivals = make([]float64, n)
+		buf.clients = make([]Client, n)
+	}
+	arrivals := buf.arrivals[:n]
 	for i := range arrivals {
 		arrivals[i] = rng.Float64() * run.ArrivalWindowSec
 	}
 	// Sorted within the cell: each cell sees a stationary arrival
 	// process over the whole window.
 	sort.Float64s(arrivals)
-	clients := make([]Client, n)
+	clients := buf.clients[:n]
 	for i := range clients {
 		watch := run.WatchSec
 		if rng.Float64() < run.AbandonProb {
@@ -438,8 +449,9 @@ func Workload(cfg Config) []Client {
 	clients := make([]Client, 0, cfg.Sessions)
 	run := newRunSpec(cfg)
 	rng := rand.New(rand.NewSource(0)) // reseeded per cell by drawClients
+	var buf drawBuf
 	for k := 0; k < cellCount(cfg); k++ {
-		clients = append(clients, drawClients(run, newCellSpec(cfg, k, false), rng)...)
+		clients = append(clients, drawClients(run, newCellSpec(cfg, k, false), rng, &buf)...)
 	}
 	return clients
 }
@@ -692,12 +704,6 @@ func backgroundTemplate(org *origin.Origin) player.BackgroundConfig {
 	}
 }
 
-// sessMeta ties a finished session back to its population coordinates.
-type sessMeta struct {
-	client Client
-	member int
-}
-
 // cellTables is the run-wide immutable context cells share: the
 // per-service tables (indexed like Config.Services), the cellular traces
 // and, with a cache tier, the content catalog warm starts copy from.
@@ -753,12 +759,26 @@ type shardScratch struct {
 	// them through freshCell/freshMetro, which reset instead of rebuild.
 	cell  *cdn.Cell
 	metro *cdn.Metro
+	// The current cell's network, cohort and group, borrowed the same way
+	// (freshNet, freshCohort, freshGroup): each keeps what earlier cells
+	// grew — free lists, slot and ring chunks, heap and wake arrays.
+	net    *simnet.Network
+	cohort *player.Cohort
+	group  *player.Group
+	// sessions are full sessions given back by the members that played
+	// them, for the next member to arrive (fullSession).
+	sessions []*player.Session
 	// One-second samples of the run's two constant links, grown to the
 	// longest horizon seen and never rewritten: a cell's edge and backhaul
 	// profiles are prefixes of them.
 	edgeSamples, backhaulSamples []float64
-	// rng draws each cell's members; drawClients reseeds it per cell.
-	rng *rand.Rand
+	// checked[k] records that service k's config has built a session here.
+	checked []bool
+	// rng and draw draw each cell's members; drawClients reseeds rng per
+	// cell. fullAt maps the cell's full sessions to their members.
+	rng    *rand.Rand
+	draw   drawBuf
+	fullAt []int
 }
 
 // cellRand returns the scratch's member-draw generator; its state is
@@ -768,6 +788,90 @@ func (s *shardScratch) cellRand() *rand.Rand {
 		s.rng = rand.New(rand.NewSource(0))
 	}
 	return s.rng
+}
+
+// freshNet returns the scratch's network in the state simnet.New returns
+// one over edge.
+func (s *shardScratch) freshNet(edge *netem.Profile) *simnet.Network {
+	if s.net == nil {
+		s.net = simnet.New(simnet.DefaultConfig(), edge)
+	} else {
+		s.net.Reset(simnet.DefaultConfig(), edge)
+	}
+	return s.net
+}
+
+// freshCohort returns the scratch's cohort in the state player.NewCohort
+// returns one over net.
+func (s *shardScratch) freshCohort(net *simnet.Network) *player.Cohort {
+	if s.cohort == nil {
+		s.cohort = player.NewCohort(net)
+	} else {
+		s.cohort.Reset(net)
+	}
+	return s.cohort
+}
+
+// freshGroup returns the scratch's group in the state player.NewGroup
+// returns one.
+func (s *shardScratch) freshGroup() *player.Group {
+	if s.group == nil {
+		s.group = player.NewGroup()
+	} else {
+		s.group.Reset()
+	}
+	return s.group
+}
+
+// checkService builds service k's session once per scratch, so a config
+// no session accepts fails the cell before it runs rather than inside it,
+// as a lent member arrives. The session built joins the given-back ones.
+func (s *shardScratch) checkService(tab *cellTables, k int) error {
+	if len(s.checked) < len(tab.svcs) {
+		s.checked = make([]bool, len(tab.svcs))
+	}
+	if s.checked[k] {
+		return nil
+	}
+	var sess *player.Session
+	if n := len(s.sessions); n > 0 {
+		sess, s.sessions = s.sessions[n-1], s.sessions[:n-1]
+	}
+	sess, err := player.ReuseSession(sess, tab.svcs[k].Player, tab.origins[k], nil)
+	if err != nil {
+		return fmt.Errorf("%s session: %w", tab.svcs[k].Name, err)
+	}
+	s.giveBack(sess)
+	s.checked[k] = true
+	return nil
+}
+
+// giveBack takes a finished full session back for the next member.
+func (s *shardScratch) giveBack(sess *player.Session) { s.sessions = append(s.sessions, sess) }
+
+// fullSession builds member i's full session over net as the cell runs
+// it — in a given-back session's memory when one is free — with its own
+// access link and, with a cache tier, an edge-cache client.
+func (s *shardScratch) fullSession(tab *cellTables, net *simnet.Network, cdnCell *cdn.Cell, m Client, i int) (*player.Session, error) {
+	var sess *player.Session
+	if k := len(s.sessions) - 1; k >= 0 {
+		sess, s.sessions = s.sessions[k], s.sessions[:k]
+	}
+	var cl *cdn.Client
+	if sess != nil {
+		cl, _ = sess.Resolver().(*cdn.Client)
+	}
+	svc := tab.svcs[m.Service]
+	sess, err := player.ReuseSession(sess, services.Resolve(svc.Player, m.Watch, nil), tab.origins[m.Service], net)
+	if err != nil {
+		return nil, fmt.Errorf("%s session: %w", svc.Name, err)
+	}
+	sess.SetStartAt(m.Arrival)
+	sess.SetAccessLink(net.NewAccessLink(tab.traces[m.Trace-1]))
+	if cdnCell != nil {
+		sess.SetResolver(cdnCell.ReuseClient(cl, i), int32(m.Service))
+	}
+	return sess, nil
 }
 
 // freshMetro returns the scratch's metro cache in the state cdn.NewMetro
@@ -836,7 +940,7 @@ func runCell(cfg Config, k int, run *runSpec, cell cellSpec, tab *cellTables, me
 // when metro-coupled, the metro cache's state; scratch only lends its
 // memory.
 func simCell(run *runSpec, cell cellSpec, tab *cellTables, metro *cdn.Metro, focusMembers []int, scratch *shardScratch) (*finishedCell, []FocusSession, error) {
-	members := drawClients(run, cell, scratch.cellRand())
+	members := drawClients(run, cell, scratch.cellRand(), &scratch.draw)
 	horizon, nFull := 0.0, 0
 	for _, m := range members {
 		if e := m.Arrival + m.Watch; e > horizon {
@@ -848,14 +952,14 @@ func simCell(run *runSpec, cell cellSpec, tab *cellTables, metro *cdn.Metro, foc
 	}
 	nBackground := len(members) - nFull
 	edge := constantOver(&scratch.edgeSamples, "edge", run.EdgeMbps*1e6, horizon+1)
-	scfg := simnet.DefaultConfig()
-	net := simnet.New(scfg, edge)
+	net := scratch.freshNet(edge)
 
 	// The cell's edge-cache tier: its nodes, balancer and backhaul link
 	// are cell-private; the metro cache (possibly nil) is shard state.
 	var cdnCell *cdn.Cell
+	var backhaul *simnet.AccessLink
 	if run.Cache != nil {
-		backhaul := net.NewAccessLink(constantOver(&scratch.backhaulSamples, "backhaul", run.Cache.BackhaulMbps*1e6, horizon+1))
+		backhaul = net.NewAccessLink(constantOver(&scratch.backhaulSamples, "backhaul", run.Cache.BackhaulMbps*1e6, horizon+1))
 		// The run's config names no failing cell, so this cell is its own
 		// FailCell: armed iff its spec carries a failure time.
 		cc := *run.Cache
@@ -869,26 +973,35 @@ func simCell(run *runSpec, cell cellSpec, tab *cellTables, metro *cdn.Metro, foc
 	agg := &scratch.agg
 	agg.begin(len(run.Services))
 	var focusOut []FocusSession
-	meta := make(map[*player.Session]sessMeta, nFull)
-	g := player.NewGroup()
+	// Full session p is member fullAt[p]. A focus member's session is
+	// built now and keeps its Result; every other one is lent — built
+	// lean from the scratch's given-back sessions as its member arrives,
+	// and given back once the observer has read it.
+	fullAt := scratch.fullAt[:0]
+	g := scratch.freshGroup()
 	g.SetObserver(func(s *player.Session, r *player.Result) {
-		sm := meta[s]
-		agg.observe(sm.client.Service, qoe.FromSummary(s.Summary()))
+		i := fullAt[s.Member()]
+		m := members[i]
+		agg.observe(m.Service, qoe.FromSummary(s.Summary()))
 		if r != nil { // focus member: keep the full record
-			focusOut = append(focusOut, buildFocus(run.Services[sm.client.Service], sm, r))
+			focusOut = append(focusOut, buildFocus(run.Services[m.Service], m, i, r))
 		}
 	})
+	g.SetLender(net, func(p int) *player.Session {
+		i := fullAt[p]
+		sess, err := scratch.fullSession(tab, net, cdnCell, members[i], i)
+		if err != nil {
+			panic(err) // unreachable: checkService built the service's session
+		}
+		return sess
+	}, scratch.giveBack)
 	// The whole background tier of the cell runs as one cohort: one
 	// group-heap entry per member and per-member state only while it
 	// plays, each member folded into the aggregates by the observer as
 	// it finishes. A member's catalog id is its service index.
-	cohort := player.NewCohort(net)
+	cohort := scratch.freshCohort(net)
 	cohort.Grow(nBackground)
-	isFocus := make(map[int]bool, len(focusMembers))
-	for _, m := range focusMembers {
-		isFocus[m] = true
-	}
-	var fullAt []int // member indices of the full sessions, ascending
+	focus := focusMembers // ascending; the ones left are at or after member i
 	for i, m := range members {
 		if !m.Full {
 			bcfg := tab.bgTemplates[m.Service]
@@ -901,26 +1014,26 @@ func simCell(run *runSpec, cell cellSpec, tab *cellTables, metro *cdn.Metro, foc
 			continue
 		}
 		fullAt = append(fullAt, i)
-		svc := tab.svcs[m.Service]
-		pcfg := services.Resolve(svc.Player, m.Watch, nil)
-		sess, err := player.NewSession(pcfg, tab.origins[m.Service], net)
+		agg.full++
+		for len(focus) > 0 && focus[0] < i {
+			focus = focus[1:]
+		}
+		if len(focus) == 0 || focus[0] != i {
+			if err := scratch.checkService(tab, m.Service); err != nil {
+				return nil, nil, err
+			}
+			g.AddLent(m.Arrival)
+			continue
+		}
+		sess, err := scratch.fullSession(tab, net, cdnCell, m, i)
 		if err != nil {
-			return nil, nil, fmt.Errorf("%s session: %w", svc.Name, err)
-		}
-		if !isFocus[i] {
-			sess.SetLean()
-		}
-		sess.SetStartAt(m.Arrival)
-		sess.SetAccessLink(net.NewAccessLink(tab.traces[m.Trace-1]))
-		if cdnCell != nil {
-			sess.SetResolver(cdnCell.NewClient(i), int32(m.Service))
+			return nil, nil, err
 		}
 		if err := g.Add(sess); err != nil {
 			return nil, nil, err
 		}
-		meta[sess] = sessMeta{client: m, member: i}
-		agg.full++
 	}
+	scratch.fullAt = fullAt
 	if cohort.Len() > 0 {
 		if cdnCell != nil {
 			// A cohort member's locality key is its member index in the
@@ -946,6 +1059,9 @@ func simCell(run *runSpec, cell cellSpec, tab *cellTables, metro *cdn.Metro, foc
 	var cacheStats *cdn.Stats
 	if cdnCell != nil {
 		cacheStats = &cdnCell.Stats
+		// Every connection has closed, so nothing flows on the backhaul:
+		// the next cell's takes its memory.
+		net.ReleaseLink(backhaul)
 	}
 	fc, err := agg.finish(run.Services, net.Delivered(), edge.Integral(0, net.Now()), cacheStats)
 	return fc, focusOut, err
@@ -954,14 +1070,14 @@ func simCell(run *runSpec, cell cellSpec, tab *cellTables, metro *cdn.Metro, foc
 // buildFocus condenses a focus member's full Result into the report's
 // focus record: per-session QoE plus the displayed-track and buffer
 // timelines. The caller stamps the cell index.
-func buildFocus(service string, sm sessMeta, r *player.Result) FocusSession {
+func buildFocus(service string, c Client, member int, r *player.Result) FocusSession {
 	rep := qoe.FromResult(r)
 	fs := FocusSession{
-		Member:          sm.member,
+		Member:          member,
 		Service:         service,
-		Trace:           sm.client.Trace,
-		ArrivalSec:      sm.client.Arrival,
-		WatchSec:        sm.client.Watch,
+		Trace:           c.Trace,
+		ArrivalSec:      c.Arrival,
+		WatchSec:        c.Watch,
 		StartupDelaySec: rep.StartupDelay,
 		StallCount:      rep.StallCount,
 		StallSec:        rep.StallSec,

@@ -39,6 +39,9 @@ type Buffer struct {
 	cacheOK  bool
 }
 
+// emptied is an empty Buffer over b's arrays.
+func (b *Buffer) emptied() Buffer { return Buffer{segs: b.segs[:0], dropped: b.dropped[:0]} }
+
 // Insert adds a segment, keeping media order. Inserting an index that is
 // already buffered replaces it and returns the old segment.
 func (b *Buffer) Insert(s BufferedSegment) (old BufferedSegment, replaced bool) {

@@ -108,22 +108,23 @@ type Cohort struct {
 	// Slot s is *slots[s]; free is the stack of slots no member holds,
 	// lowest index on top. Slots live in chunks that never move (a
 	// transfer's Meta points into one), the first slotQuantum long, each
-	// later one as long as all before it; toW is the width of a slot's
-	// time-on-track row.
+	// later one as long as all before it; rowW is the width of every
+	// slot's time-on-track row, at least the widest ladder.
 	slots      []*memberSlot
 	free       []int32
-	toW        int
+	rowW       int
 	live, peak int
 
-	// Segment FIFO rings of qCap buffered stretches each (the buffer
+	// Segment FIFO rings holding up to qCap buffered stretches (the buffer
 	// pauses at bgMaxBufferSec, so a ring is small and bounded), chunked
-	// and stacked the same way as slots: nRings exist, freeRings are the
-	// ones no slot holds. A slot holds a ring from its member's first
-	// completed segment to its finish. Which ring or slot a member got is
-	// invisible outside these fields: both are reset when handed over and
+	// and stacked the same way as slots: nRings exist, each ringW ≥ qCap
+	// long, and freeRings are the ones no slot holds. A slot holds a ring
+	// from its member's first completed segment to its finish. Which ring
+	// or slot a member got is invisible outside these fields: both are reset when handed over and
 	// every field is written before it is read, so no Summary can depend
 	// on their identity or reuse order.
 	qCap      int
+	ringW     int
 	nRings    int
 	freeRings [][]ringSlot
 
@@ -191,7 +192,7 @@ func (in *interner[K]) index(k K) int32 {
 // the next member to reuse.
 type memberSlot struct {
 	ref      cohortRef // Transfer.Meta of the slot's requests
-	row      []float64 // time on track, toW wide
+	row      []float64 // time on track, rowW wide
 	conn     *simnet.Conn
 	inflight *simnet.Transfer // the one request in flight, nil = none
 	res      cdn.Resolver
@@ -264,6 +265,32 @@ type cohortRef struct {
 // members with Add, then register it with Group.AddCohort.
 func NewCohort(net *simnet.Network) *Cohort {
 	return &Cohort{net: net}
+}
+
+// Reset puts c into the state NewCohort(net) returns after a whole run,
+// keeping memory: its slot and ring chunks and the arrays of its draw
+// slab and interned templates. Its members, templates, profiles,
+// resolver binding and observer are forgotten; AddCohort derives the
+// widths anew, so a slot or ring narrower than the next run needs is
+// dropped then. Every member of a whole run has given its slot and ring
+// back, and which free one a member takes is invisible, so the free
+// stacks stay in the order the run left them.
+func (c *Cohort) Reset(net *simnet.Network) {
+	clear(c.tmpls)
+	clear(c.profiles.keys)
+	*c = Cohort{
+		net:       net,
+		draw:      c.draw[:0],
+		tmpls:     c.tmpls[:0],
+		tmplKeys:  interner[tmplKey]{keys: c.tmplKeys.keys[:0]},
+		profiles:  interner[*netem.Profile]{keys: c.profiles.keys[:0]},
+		slots:     c.slots,
+		free:      c.free,
+		rowW:      c.rowW,
+		ringW:     c.ringW,
+		nRings:    c.nRings,
+		freeRings: c.freeRings,
+	}
 }
 
 // Grow reserves room for n more members, so the Adds that follow fill
@@ -350,9 +377,10 @@ func (c *Cohort) Catalog(i int) int32 { return c.draw[i].catalog }
 // way to read a member's Summary.
 func (c *Cohort) SetObserver(fn func(i int, s *Summary)) { c.observer = fn }
 
-// freeze fixes the ring stride and the time-on-track row width from the
+// freeze fixes the ring bound and the time-on-track row width from the
 // templates and drops the template index (called by AddCohort). Slots and
-// rings themselves are taken as members arrive and start buffering.
+// rings themselves are taken as members arrive and start buffering; kept
+// ones (Reset) too narrow for the new widths are dropped here.
 func (c *Cohort) freeze() {
 	if c.frozen {
 		return
@@ -362,8 +390,9 @@ func (c *Cohort) freeze() {
 	// in-flight segment can still land, so at most
 	// ceil(bgMaxBufferSec/segDur) full stretches plus a partially-consumed
 	// head, the clipped final segment and the just-landed one are ever
-	// queued at once. The stride is the maximum over the templates.
+	// queued at once. The bound is the maximum over the templates.
 	c.qCap = 1
+	toW := 0
 	for i := range c.tmpls {
 		t := &c.tmpls[i]
 		cap := int(math.Ceil(bgMaxBufferSec/t.segDur)) + 4
@@ -371,9 +400,18 @@ func (c *Cohort) freeze() {
 			cap = sc
 		}
 		c.qCap = max(c.qCap, cap)
-		c.toW = max(c.toW, len(t.declared))
+		toW = max(toW, len(t.declared))
 	}
-	c.tmplKeys = interner[tmplKey]{}
+	if toW > c.rowW {
+		clear(c.slots)
+		c.slots, c.free, c.rowW = c.slots[:0], c.free[:0], toW
+	}
+	if c.qCap > c.ringW {
+		clear(c.freeRings)
+		c.freeRings, c.nRings, c.ringW = c.freeRings[:0], 0, c.qCap
+	}
+	clear(c.tmplKeys.keys)
+	c.tmplKeys.keys = c.tmplKeys.keys[:0]
 }
 
 func (c *Cohort) endAt(m int) float64 { return c.draw[m].startAt + c.draw[m].dur }
@@ -405,11 +443,12 @@ func (c *Cohort) takeSlot(m int) *memberSlot {
 	c.live++
 	c.peak = max(c.peak, c.live)
 	sl := c.slots[s]
-	*sl = memberSlot{ref: cohortRef{c: c, idx: m}, row: sl.row, res: sl.res, lastTime: c.draw[m].startAt, prevTrak: -1, sumStartup: -1}
+	res := sl.res
+	*sl = memberSlot{ref: cohortRef{c: c, idx: m}, row: sl.row, lastTime: c.draw[m].startAt, prevTrak: -1, sumStartup: -1}
 	clear(sl.row)
 	c.draw[m].state = s
 	if c.bind != nil {
-		sl.res = c.bind(m, sl.res)
+		sl.res = c.bind(m, res)
 	}
 	return sl
 }
@@ -421,11 +460,11 @@ func (c *Cohort) takeSlot(m int) *memberSlot {
 func (c *Cohort) growSlots() {
 	have := len(c.slots)
 	add := min(max(have, slotQuantum), len(c.draw)-have)
-	chunk := make([]memberSlot, add)   //vodlint:allow hotalloc — slot growth, O(log peak live) times per cohort
-	rows := make([]float64, add*c.toW) //vodlint:allow hotalloc — slot growth, O(log peak live) times per cohort
+	chunk := make([]memberSlot, add)    //vodlint:allow hotalloc — slot growth, O(log peak live) times per cohort
+	rows := make([]float64, add*c.rowW) //vodlint:allow hotalloc — slot growth, O(log peak live) times per cohort
 	c.free = slices.Grow(c.free, have+add)
 	for i := add - 1; i >= 0; i-- {
-		chunk[i].row = rows[i*c.toW : (i+1)*c.toW : (i+1)*c.toW]
+		chunk[i].row = rows[i*c.rowW : (i+1)*c.rowW : (i+1)*c.rowW]
 		c.free = append(c.free, int32(have+i))
 	}
 	for i := range chunk {
@@ -571,11 +610,11 @@ func (c *Cohort) takeRing() []ringSlot {
 // cohort, where peak is the most members ever buffering at once.
 func (c *Cohort) growRings() {
 	add := min(max(c.nRings, ringQuantum), len(c.draw)-c.nRings)
-	chunk := make([]ringSlot, add*c.qCap) //vodlint:allow hotalloc — ring growth, O(log peak buffering) times per cohort
+	chunk := make([]ringSlot, add*c.ringW) //vodlint:allow hotalloc — ring growth, O(log peak buffering) times per cohort
 	c.nRings += add
 	c.freeRings = slices.Grow(c.freeRings, c.nRings)
 	for r := add - 1; r >= 0; r-- {
-		c.freeRings = append(c.freeRings, chunk[r*c.qCap:(r+1)*c.qCap:(r+1)*c.qCap])
+		c.freeRings = append(c.freeRings, chunk[r*c.ringW:(r+1)*c.ringW:(r+1)*c.ringW])
 	}
 }
 

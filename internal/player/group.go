@@ -18,16 +18,46 @@ import (
 // same links as the sessions and are scheduled by the same loop.
 //
 // A single session's Run is the one-member special case of a Group.
+//
+// A full session can also be lent (AddLent): until it arrives it is a
+// start time, and it exists only while it plays.
 type Group struct {
-	net      *simnet.Network
+	net *simnet.Network
+	// sessions[id] is session member id, nil while a lent member waits to
+	// arrive and once it has been given back; lent[id] is a lent member's
+	// start, or lentEager for a session added with Add, or lentBack once
+	// a lent member has been given back.
 	sessions []*Session
+	lent     []float64
 	cohorts  []*Cohort
 	observer func(*Session, *Result)
+	lend     func(id int) *Session
+	giveBack func(*Session)
+
+	// Run's scheduling state, kept by Reset for the group's next run.
+	h     groupHeap
+	woken []bool
+	wake  []int
 }
+
+// lent values other than a waiting member's start.
+const (
+	lentEager = -1
+	lentBack  = -2
+)
 
 // NewGroup creates a coordinator; sessions added to it must share one
 // simnet.Network.
 func NewGroup() *Group { return &Group{} }
+
+// Reset puts g into the state NewGroup returns, keeping the memory its
+// runs sized by their member count. The sessions and cohorts it held stay
+// their callers'.
+func (g *Group) Reset() {
+	clear(g.sessions)
+	clear(g.cohorts)
+	*g = Group{sessions: g.sessions[:0], lent: g.lent[:0], cohorts: g.cohorts[:0], h: g.h, woken: g.woken, wake: g.wake[:0]}
+}
 
 // Add registers a session. Every member must have been created over the
 // same simnet.Network.
@@ -39,8 +69,38 @@ func (g *Group) Add(s *Session) error {
 	}
 	s.ensureResult()
 	g.sessions = append(g.sessions, s)
+	g.lent = append(g.lent, lentEager)
 	return nil
 }
+
+// AddLent registers a full session member that costs its start time until
+// it arrives: at its first service at or after start the group asks the
+// lender (SetLender) for its session, which it gives back after the
+// observer has read it, with its connections and access link returned to
+// the network. The lent session must be one NewSession or ReuseSession
+// built over the group's network, configured as the member — SetStartAt
+// at start included — and never run; the group runs it lean (SetLean),
+// so its Summary is its only output. Since the group touches a session
+// before its start only to learn the start, the member plays exactly as
+// that session added with Add, lean, would.
+func (g *Group) AddLent(start float64) {
+	g.sessions = append(g.sessions, nil)
+	g.lent = append(g.lent, max(start, 0))
+}
+
+// SetLender registers how lent members get their sessions: lend(id) builds
+// member id's over net, the group's network (ids count the sessions in
+// add order, Add and AddLent alike), and giveBack takes it back once it is
+// done and holds no network object, free for ReuseSession.
+func (g *Group) SetLender(net *simnet.Network, lend func(id int) *Session, giveBack func(*Session)) {
+	if g.net == nil {
+		g.net = net
+	}
+	g.lend, g.giveBack = lend, giveBack
+}
+
+// Member returns the session's member id in the Group run driving it.
+func (s *Session) Member() int { return s.gidx }
 
 // AddCohort registers a background cohort over the same network. Its
 // members become group members after all full sessions and the members
@@ -78,9 +138,12 @@ type groupHeap struct {
 }
 
 func (h *groupHeap) init(m int) {
-	h.key = make([]float64, 0, m) //vodlint:allow hotalloc — per-run heap storage, amortized over the whole group run
-	h.id = make([]int, 0, m)      //vodlint:allow hotalloc — per-run heap storage, amortized over the whole group run
-	h.pos = make([]int, m)        //vodlint:allow hotalloc — per-run heap storage, amortized over the whole group run
+	if cap(h.pos) < m {
+		h.key = make([]float64, 0, m) //vodlint:allow hotalloc — per-run heap storage, amortized over the whole group run
+		h.id = make([]int, 0, m)      //vodlint:allow hotalloc — per-run heap storage, amortized over the whole group run
+		h.pos = make([]int, m)        //vodlint:allow hotalloc — per-run heap storage, amortized over the whole group run
+	}
+	h.key, h.id, h.pos = h.key[:0], h.id[:0], h.pos[:m]
 	for i := range h.pos {
 		h.pos[i] = -1
 	}
@@ -211,7 +274,11 @@ func (g *Group) Run() []*Result {
 	nS := len(g.sessions)
 	nM := nS
 	for i, s := range g.sessions {
-		s.gidx = i
+		if s != nil {
+			s.gidx = i
+		} else if g.lend == nil {
+			panic("player: a group with lent members runs without a lender")
+		}
 	}
 	for _, c := range g.cohorts {
 		c.base = nM
@@ -221,10 +288,14 @@ func (g *Group) Run() []*Result {
 		return nil
 	}
 	net := g.net
-	var h groupHeap
+	h := &g.h
 	h.init(nM)
-	woken := make([]bool, nM)  //vodlint:allow hotalloc — per-run wake flags, amortized over the whole group run
-	wake := make([]int, 0, nM) //vodlint:allow hotalloc — per-run wake list, amortized over the whole group run
+	if cap(g.woken) < nM {
+		g.woken = make([]bool, nM)  //vodlint:allow hotalloc — per-run wake flags, amortized over the whole group run
+		g.wake = make([]int, 0, nM) //vodlint:allow hotalloc — per-run wake list, amortized over the whole group run
+	}
+	woken, wake := g.woken[:nM], g.wake[:0]
+	clear(woken)
 	addWake := func(id int) {
 		if !woken[id] {
 			woken[id] = true
@@ -246,9 +317,10 @@ func (g *Group) Run() []*Result {
 			var key float64
 			var fin bool
 			if id < nS {
-				s := g.sessions[id]
-				if key, fin = s.service(now); fin {
-					g.finish(s)
+				if s := g.arrived(id, now); s == nil {
+					key = g.lent[id]
+				} else if key, fin = s.service(now); fin {
+					g.finish(id, s)
 				}
 			} else {
 				c := g.cohortOf(id)
@@ -274,7 +346,7 @@ func (g *Group) Run() []*Result {
 			// event can ever arrive — finish everyone at the current time.
 			inflight := 0
 			for _, s := range g.sessions {
-				if !s.done {
+				if s != nil && !s.done {
 					inflight += s.inflight
 				}
 			}
@@ -282,9 +354,9 @@ func (g *Group) Run() []*Result {
 				inflight += c.inflightSum()
 			}
 			if inflight == 0 {
-				for _, s := range g.sessions {
-					if !s.done {
-						g.finish(s)
+				for id := range g.sessions {
+					if s := g.arrived(id, math.Inf(1)); s != nil && !s.done {
+						g.finish(id, s)
 					}
 				}
 				for _, c := range g.cohorts {
@@ -329,7 +401,9 @@ func (g *Group) Run() []*Result {
 		// their control state is untouched.
 		for _, id := range wake {
 			if id < nS {
-				g.sessions[id].advancePlayback(tnow)
+				if s := g.arrived(id, tnow); s != nil {
+					s.advancePlayback(tnow)
+				}
 			} else {
 				c := g.cohortOf(id)
 				c.advancePlayback(id-c.base, tnow)
@@ -350,14 +424,35 @@ func (g *Group) Run() []*Result {
 			net.Recycle(tr)
 		}
 	}
+	g.wake = wake
 	if g.observer != nil {
 		return nil
 	}
 	out := make([]*Result, len(g.sessions)) //vodlint:allow hotalloc — cold epilogue: runs once per group, only without an observer
 	for i, s := range g.sessions {
-		out[i] = s.res
+		if s != nil {
+			out[i] = s.res
+		}
 	}
 	return out
+}
+
+// arrived returns session member id as of time t: a lent member waiting
+// for a start after t has none yet (nil), one whose start has come is
+// lent its session here, and a given-back one has none any more (nil).
+func (g *Group) arrived(id int, t float64) *Session {
+	s := g.sessions[id]
+	if s != nil || g.lent[id] < 0 || t < g.lent[id]-eps {
+		return s
+	}
+	s = g.lend(id)
+	if s.net != g.net {
+		panic(fmt.Sprintf("player: lent member %d's session is over another network", id))
+	}
+	s.SetLean()
+	s.gidx = id
+	g.sessions[id] = s
+	return s
 }
 
 // cohortOf resolves a cohort member's id to its cohort (a backward scan
@@ -391,7 +486,10 @@ func (s *Session) service(now float64) (nextKey float64, finished bool) {
 // finish finalizes a session once, notifies the observer, and — in
 // observer mode — releases the Result so a population run never holds
 // more than the in-flight cell's worth of per-session state.
-func (g *Group) finish(s *Session) {
+//
+// A lent member then gives its connections and access link back to the
+// network and itself back to the lender.
+func (g *Group) finish(id int, s *Session) {
 	if s.done {
 		return
 	}
@@ -400,6 +498,21 @@ func (g *Group) finish(s *Session) {
 		g.observer(s, s.res)
 		s.res = nil
 	}
+	if g.lent[id] == lentEager {
+		return
+	}
+	for i, c := range s.conns {
+		if c != nil {
+			s.net.ReleaseConn(c)
+			s.conns[i] = nil
+		}
+	}
+	if s.link != nil {
+		s.net.ReleaseLink(s.link)
+		s.link = nil
+	}
+	g.sessions[id], g.lent[id] = nil, lentBack
+	g.giveBack(s)
 }
 
 // finishRun finalizes a session once and releases its connections so

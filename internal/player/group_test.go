@@ -1,6 +1,7 @@
 package player
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -185,5 +186,79 @@ func TestSoloEqualsGroupOfOne(t *testing.T) {
 	if a.Summary.TotalBytes != b.Summary.TotalBytes || a.StartupDelay != b.StartupDelay ||
 		a.TotalStall() != b.TotalStall() || len(a.Downloads) != len(b.Downloads) {
 		t.Fatalf("solo Run diverges from explicit group: %+v vs %+v", a, b)
+	}
+}
+
+// TestLentSessionsMatchEager: members lent their sessions as they arrive —
+// each built in a given-back session's memory, persistent, non-persistent
+// and split alike, over one shared access profile — emit byte-identical
+// Summaries to the same sessions added up front, lean, and the group
+// needs only as many sessions as play at once.
+func TestLentSessionsMatchEager(t *testing.T) {
+	org := buildOrigin(t, 4, true, media.VBR)
+	edge := netem.Constant("edge", 6e6, 900)
+	access := netem.Constant("access", 3e6, 900)
+	type member struct {
+		start, dur float64
+		persistent bool
+		sched      SchedulerKind
+	}
+	members := []member{
+		{0, 60, true, SchedulerSingle}, {5, 40, false, SchedulerParallel},
+		{70, 50, true, SchedulerSplit}, {72, 30, false, SchedulerSingle},
+		{130, 40, true, SchedulerParallel}, {131, 20, false, SchedulerSplit},
+	}
+	run := func(lent bool) (sums []string, built int) {
+		net := simnet.New(simnet.DefaultConfig(), edge)
+		build := func(s *Session, m member) *Session {
+			cfg := baseConfig()
+			cfg.SessionDuration, cfg.Persistent, cfg.Scheduler = m.dur, m.persistent, m.sched
+			if m.sched != SchedulerSingle {
+				cfg.MaxConnections = 2
+			}
+			s, err := ReuseSession(s, cfg, org, net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.SetStartAt(m.start)
+			s.SetAccessLink(net.NewAccessLink(access))
+			return s
+		}
+		g := NewGroup()
+		sums = make([]string, len(members))
+		g.SetObserver(func(s *Session, _ *Result) { sums[s.Member()] = fmt.Sprintf("%+v", *s.Summary()) })
+		var pool []*Session
+		g.SetLender(net, func(id int) *Session {
+			var s *Session
+			if k := len(pool); k > 0 {
+				s, pool = pool[k-1], pool[:k-1]
+			} else {
+				built++
+			}
+			return build(s, members[id])
+		}, func(s *Session) { pool = append(pool, s) })
+		for _, m := range members {
+			if lent {
+				g.AddLent(m.start)
+				continue
+			}
+			s := build(nil, m)
+			s.SetLean()
+			if err := g.Add(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		g.Run()
+		return sums, built
+	}
+	eager, _ := run(false)
+	lent, built := run(true)
+	for i := range members {
+		if lent[i] != eager[i] {
+			t.Errorf("member %d: lent %s\n eager %s", i, lent[i], eager[i])
+		}
+	}
+	if built != 2 {
+		t.Errorf("the lender built %d sessions for members at most two of whom play at once", built)
 	}
 }

@@ -62,10 +62,13 @@ type Session struct {
 	prevDecisionOcc        float64
 	fetchedDocs            map[string]bool
 	docQueue               []docReq
+	docNext                int // docQueue[docNext:] is still to fetch
 	inflight               int
 	downloadDead           bool
 	segSeq                 int
-	group                  *splitGroup
+	group                  *splitGroup // &split while a split segment is in flight
+	split                  splitGroup
+	splitWeights           []float64
 	lastVideoDone          float64
 	deliveredAtDone        float64
 	videoSamples           int
@@ -74,7 +77,9 @@ type Session struct {
 	// allocation-avoidance state (hot path)
 	metaFree    []*reqMeta // recycled request metadata
 	avgBitrates []float64  // ladder average bitrates, nil unless complete
+	avgBuf      []float64  // avgBitrates' backing array, kept by ReuseSession
 	segSizeFn   func(track, index int) float64
+	sizeFn      func(track, index int) float64 // s.viewSegmentSize, bound once per Session
 	replScratch []replacement.BufferedSegment
 
 	// Immutable media facts, duplicated out of the Result so lean
@@ -144,6 +149,16 @@ type splitGroup struct {
 // NewSession builds a session. The network must be freshly created for
 // the session (its clock starts at 0).
 func NewSession(cfg Config, org *origin.Origin, net *simnet.Network) (*Session, error) {
+	return ReuseSession(nil, cfg, org, net)
+}
+
+// ReuseSession is NewSession in s's memory (a new Session when s is nil):
+// whatever s played before, it comes back exactly as NewSession builds
+// one, keeping only the capacity of its connection table, buffers,
+// request metadata and scratch. s must be done and hold no network object:
+// a session a Group gave back (Group.SetLender) qualifies. On an error s
+// is left as it was.
+func ReuseSession(s *Session, cfg Config, org *origin.Origin, net *simnet.Network) (*Session, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -151,46 +166,79 @@ func NewSession(cfg Config, org *origin.Origin, net *simnet.Network) (*Session, 
 	if cfg.StartupTrack < 0 || cfg.StartupTrack >= len(org.Pres.Video) {
 		return nil, fmt.Errorf("player: startup track %d out of ladder range", cfg.StartupTrack)
 	}
-	s := &Session{
+	if s == nil {
+		s = &Session{fetchedDocs: map[string]bool{}}
+	}
+	for _, m := range s.live {
+		if m != nil {
+			s.freeMeta(m)
+		}
+	}
+	clear(s.fetchedDocs)
+	*s = Session{
 		cfg:            cfg,
 		org:            org,
 		pres:           org.Pres,
 		view:           org.ClientView(),
 		net:            net,
-		conns:          make([]*simnet.Conn, cfg.MaxConnections),
-		live:           make([]*reqMeta, cfg.MaxConnections),
+		conns:          resized(s.conns, cfg.MaxConnections),
+		live:           resized(s.live, cfg.MaxConnections),
 		lastVideoTrack: -1,
-		fetchedDocs:    map[string]bool{},
+		fetchedDocs:    s.fetchedDocs,
+		docQueue:       s.docQueue[:0],
+		videoBuf:       s.videoBuf.emptied(),
+		audioBuf:       s.audioBuf.emptied(),
+		metaFree:       s.metaFree,
+		replScratch:    s.replScratch[:0],
+		splitWeights:   s.splitWeights,
+		sizeFn:         s.sizeFn,
+		avgBuf:         s.avgBuf[:0],
+		declared:       s.declared[:0],
+		sum:            Summary{StartupDelay: -1, TimeOnTrack: s.sum.TimeOnTrack[:0]},
 	}
 	s.segCount = len(s.pres.Video[0].Segments)
 	s.segDur = s.pres.Video[0].SegmentDuration
-	s.declared = make([]float64, 0, len(s.pres.Video))
 	for _, r := range s.pres.Video {
 		s.declared = append(s.declared, r.DeclaredBitrate)
 	}
 	s.startupDelay = -1
-	s.sum = Summary{StartupDelay: -1, TimeOnTrack: make([]float64, len(s.declared))}
+	s.sum.TimeOnTrack = append(s.sum.TimeOnTrack, make([]float64, len(s.declared))...)
 	s.sumPrevTrack = -1
 	// The adaptation context inputs that never change over a session are
 	// computed once instead of per segment decision.
-	avgs := make([]float64, 0, len(s.view.Video))
 	for _, r := range s.view.Video {
 		if r.AverageBitrate > 0 {
-			avgs = append(avgs, r.AverageBitrate)
+			s.avgBuf = append(s.avgBuf, r.AverageBitrate)
 		}
 	}
-	if len(avgs) == len(s.view.Video) {
-		s.avgBitrates = avgs
+	if len(s.avgBuf) == len(s.view.Video) {
+		s.avgBitrates = s.avgBuf
 	}
 	if cfg.ExposeSegmentSizes && len(s.view.Video) > 0 && len(s.view.Video[0].Segments) > 0 &&
 		s.view.Video[0].Segments[0].Size > 0 {
-		view := s.view
-		s.segSizeFn = func(track, index int) float64 {
-			return float64(view.Video[track].Segments[index].Size)
+		if s.sizeFn == nil {
+			s.sizeFn = s.viewSegmentSize
 		}
+		s.segSizeFn = s.sizeFn
 	}
 	s.buildDocQueue()
 	return s, nil
+}
+
+// resized is s with length n and every element zero, reallocated only
+// when its capacity is short.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n) //vodlint:allow hotalloc — grows a kept slice: once per larger size its session meets, then reused
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// viewSegmentSize is the segment size the client's view exposes.
+func (s *Session) viewSegmentSize(track, index int) float64 {
+	return float64(s.view.Video[track].Segments[index].Size)
 }
 
 // SetStartAt schedules the session to arrive at virtual time t on the
@@ -219,6 +267,9 @@ func (s *Session) SetResolver(r cdn.Resolver, catalog int32) {
 	s.resolver = r
 	s.catalogID = catalog
 }
+
+// Resolver returns what SetResolver set (nil: none).
+func (s *Session) Resolver() cdn.Resolver { return s.resolver }
 
 // SetLean puts the session in lean mode: no Result is ever allocated —
 // no per-segment display arrays, no download/transaction/event logs, no
@@ -290,12 +341,14 @@ func (s *Session) buildDocQueue() {
 		push(p.Video[s.cfg.StartupTrack].PlaylistURL)
 	case manifest.DASH:
 		if p.Addressing == manifest.SidxRanges {
-			for _, r := range append(append([]*manifest.Rendition{}, p.Video...), p.Audio...) {
-				if body, ok := s.org.Sidx(r.MediaURL); ok {
-					s.docQueue = append(s.docQueue, docReq{
-						url: r.MediaURL, rs: r.IndexOffset, re: r.IndexOffset + r.IndexLength - 1,
-						body: body, wireSize: float64(r.IndexLength),
-					})
+			for _, rs := range [2][]*manifest.Rendition{p.Video, p.Audio} {
+				for _, r := range rs {
+					if body, ok := s.org.Sidx(r.MediaURL); ok {
+						s.docQueue = append(s.docQueue, docReq{
+							url: r.MediaURL, rs: r.IndexOffset, re: r.IndexOffset + r.IndexLength - 1,
+							body: body, wireSize: float64(r.IndexLength),
+						})
+					}
 				}
 			}
 		}
@@ -543,8 +596,8 @@ func (s *Session) startPlaying() {
 		s.sum.StartupDelay = s.startupDelay
 		if s.res != nil {
 			s.res.StartupDelay = s.startupDelay
+			s.eventf("startup", "playback started, delay %.2fs", s.startupDelay)
 		}
-		s.eventf("startup", "playback started, delay %.2fs", s.startupDelay)
 	} else if s.stallOpen {
 		st := Stall{Start: s.stallStart, End: s.net.Now()}
 		if s.res != nil {
@@ -553,7 +606,9 @@ func (s *Session) startPlaying() {
 		s.sum.StallCount++
 		s.sum.StallSec += st.End - st.Start
 		s.stallOpen = false
-		s.eventf("resume", "stall over after %.2fs", s.net.Now()-s.stallStart)
+		if s.res != nil {
+			s.eventf("resume", "stall over after %.2fs", s.net.Now()-s.stallStart)
+		}
 	}
 }
 
@@ -570,18 +625,17 @@ func (s *Session) stopPlaying(stall bool) {
 	if stall {
 		s.stallOpen = true
 		s.stallStart = s.lastTime
-		s.eventf("stall", "buffer empty at playhead %.1fs", s.playhead)
+		if s.res != nil {
+			s.eventf("stall", "buffer empty at playhead %.1fs", s.playhead)
+		}
 	}
 }
 
-// eventf records an annotated timeline event; in lean mode it is a
-// no-op, and the format string is never rendered — which keeps the
-// fmt.Sprintf cost out of the population hot path entirely.
+// eventf records an annotated timeline event. Callers check s.res first:
+// in lean mode no event is kept, and the check keeps the boxing of the
+// arguments, not only the fmt.Sprintf, out of the population hot path.
 func (s *Session) eventf(kind, format string, args ...any) {
-	if s.res == nil {
-		return
-	}
-	s.res.Events = append(s.res.Events, Event{T: s.net.Now(), Kind: kind, Detail: fmt.Sprintf(format, args...)}) //vodlint:allow hotalloc — observer-only: the res == nil guard above keeps lean sessions off this line
+	s.res.Events = append(s.res.Events, Event{T: s.net.Now(), Kind: kind, Detail: fmt.Sprintf(format, args...)}) //vodlint:allow hotalloc — observer-only: every caller checks res != nil, which keeps lean sessions off this line
 }
 
 // maybeStartPlayback applies the startup/recovery gates (§3.3.1, §4.3).
@@ -615,13 +669,17 @@ func (s *Session) updatePauseFlags() {
 func (s *Session) hysteresis(paused bool, occ float64, kind string) bool {
 	if paused {
 		if occ <= s.cfg.ResumeThresholdSec+1e-6 {
-			s.eventf("resume-dl", "%s buffer %.1fs ≤ resume threshold %.0fs", kind, occ, s.cfg.ResumeThresholdSec)
+			if s.res != nil {
+				s.eventf("resume-dl", "%s buffer %.1fs ≤ resume threshold %.0fs", kind, occ, s.cfg.ResumeThresholdSec)
+			}
 			return false
 		}
 		return true
 	}
 	if occ >= s.cfg.PauseThresholdSec-1e-6 {
-		s.eventf("pause-dl", "%s buffer %.1fs ≥ pause threshold %.0fs", kind, occ, s.cfg.PauseThresholdSec)
+		if s.res != nil {
+			s.eventf("pause-dl", "%s buffer %.1fs ≥ pause threshold %.0fs", kind, occ, s.cfg.PauseThresholdSec)
+		}
 		return true
 	}
 	return false
@@ -633,10 +691,10 @@ func (s *Session) issueRequests() {
 	if s.downloadDead {
 		return
 	}
-	if len(s.docQueue) > 0 {
+	if s.docNext < len(s.docQueue) {
 		if !s.conn(0).Busy() {
-			d := s.docQueue[0]
-			s.docQueue = s.docQueue[1:]
+			d := s.docQueue[s.docNext]
+			s.docNext++
 			s.startDoc(0, d)
 		}
 		return
@@ -799,7 +857,10 @@ func (s *Session) issueSplit() {
 	if float64(parts) > size {
 		parts = 1
 	}
-	g := &splitGroup{meta: *meta, remaining: parts, started: s.net.Now(), bytes: size} //vodlint:allow hotalloc — split mode only (SplitParts > 1): off by default in fleet runs
+	// One split is in flight at a time, so the session's own record serves
+	// every segment it splits.
+	g := &s.split
+	*g = splitGroup{meta: *meta, remaining: parts, started: s.net.Now(), bytes: size}
 	if meta.kind == reqSeg && s.resolver != nil {
 		// One cache verdict per segment; the ranged parts share it.
 		g.route = s.resolver.Resolve(s.net.Now(), s.objectOf(meta), size)
@@ -809,7 +870,8 @@ func (s *Session) issueSplit() {
 	// parts, modelling split points chosen without regard to the
 	// per-connection bandwidth (§3.2) — the segment then finishes only
 	// when the most overloaded connection does.
-	weights := make([]float64, parts) //vodlint:allow hotalloc — split mode only (SplitParts > 1): off by default in fleet runs
+	s.splitWeights = resized(s.splitWeights, parts)
+	weights := s.splitWeights
 	wsum := 0.0
 	for i := range weights {
 		weights[i] = 1 + s.cfg.SplitSkew*float64(i)
@@ -885,7 +947,9 @@ func (s *Session) prepareSegment(t media.MediaType) (*reqMeta, float64, bool) {
 				dropped := s.videoBuf.DropFromIndex(act.Index)
 				if len(dropped) > 0 {
 					s.discard(dropped)
-					s.eventf("sr-drop", "dropped %d buffered segments from index %d", len(dropped), act.Index)
+					if s.res != nil {
+						s.eventf("sr-drop", "dropped %d buffered segments from index %d", len(dropped), act.Index)
+					}
 					s.nextVideo = act.Index
 					index = act.Index
 				}
@@ -927,8 +991,8 @@ func (s *Session) prepareSegment(t media.MediaType) (*reqMeta, float64, bool) {
 					Start: now, End: now, Method: "GET", URL: m.url,
 					RangeStart: m.rs, RangeEnd: m.re, Rejected: true,
 				})
+				s.eventf("reject", "origin rejected segment request #%d", s.segSeq)
 			}
-			s.eventf("reject", "origin rejected segment request #%d", s.segSeq)
 			s.downloadDead = true
 			s.freeMeta(m)
 			return nil, 0, false
@@ -1028,10 +1092,12 @@ func (s *Session) onComplete(tr *simnet.Transfer) {
 	m := tr.Meta.(*reqMeta)
 	s.live[m.slot] = nil
 	if !s.cfg.Persistent {
-		tr.Conn.Close()
+		// A non-persistent client closes after every response, and the
+		// closed connection goes back to the network for its next dial.
 		if m.slot < len(s.conns) && s.conns[m.slot] == tr.Conn {
 			s.conns[m.slot] = nil
 		}
+		s.net.ReleaseConn(tr.Conn)
 	}
 	switch m.kind {
 	case reqDoc:
@@ -1150,7 +1216,9 @@ func (s *Session) finishSegmentCore(m *reqMeta, size, completed float64) {
 					}
 				}
 			}
-			s.eventf("sr-replace", "segment %d: track %d → %d", m.index, old.Track, m.track)
+			if s.res != nil {
+				s.eventf("sr-replace", "segment %d: track %d → %d", m.index, old.Track, m.track)
+			}
 		} else if s.res != nil && m.typ == media.TypeVideo && !m.replace {
 			// The prev-track scan walks the download log, so it exists
 			// only when the log does — it feeds nothing but the event.

@@ -375,7 +375,10 @@ func Resolve(cfg player.Config, dur float64, mutate func(*player.Config)) player
 		cfg.SessionDuration = dur
 	}
 	if mutate != nil {
-		mutate(&cfg)
+		// A copy, so only a call that mutates moves the config to the heap.
+		m := cfg
+		mutate(&m)
+		return m
 	}
 	return cfg
 }

@@ -75,6 +75,12 @@ func (h *fheap[T]) clear() {
 	h.val = h.val[:0]
 }
 
+// emptied is the heap with nothing in it, its arrays and set kept; unlike
+// clear it leaves the payloads' positions alone (they are being dropped).
+func (h *fheap[T]) emptied() fheap[T] {
+	return fheap[T]{key: h.key[:0], val: cleared(h.val), set: h.set}
+}
+
 func (h *fheap[T]) swapOut(i int) {
 	last := len(h.key) - 1
 	h.set(h.val[i], -1)

@@ -295,6 +295,63 @@ func TestReleaseReplaysChurn(t *testing.T) {
 	}
 }
 
+// TestResetReplaysStorm: a network reset mid-flight is a new network. One
+// is driven into the virtual-time loop over another edge, with a
+// transfer abandoned and a connection, a link and a transfer released,
+// and reset while a hundred transfers still flow or wait for their first
+// byte. It then replays a seeded link storm — entering the virtual-time
+// loop and handing back — bit for bit as New's network does.
+func TestResetReplaysStorm(t *testing.T) {
+	cfg := DefaultConfig()
+	sh := stormShape{nconn: 96, perLink: 2, edgeBps: 60e6}
+	edge := netem.Constant("edge", sh.edgeBps, 1000)
+
+	dirty := &prodTarget{t: t, n: New(cfg, netem.Constant("other", 25e6, 40))}
+	profs := stormProfiles()
+	for i := 0; i < 120; i++ {
+		l := -1
+		if i%3 > 0 {
+			l = dirty.newLink(profs[i%len(profs)])
+		}
+		dirty.start(dirty.dial(l), 4e5+float64(i)*4e4, 0, -1)
+	}
+	dirty.step(1.5)
+	dirty.n.ReleaseConn(dirty.conns[7])
+	done := dirty.n.Step(dirty.n.Now() + 60)
+	if len(done) == 0 {
+		t.Fatal("before the reset: nothing completed")
+	}
+	dirty.n.Recycle(done[0])
+	spare := dirty.n.NewAccessLink(profs[0])
+	dirty.n.ReleaseLink(spare)
+	inFlight := len(dirty.n.flowing) + dirty.n.pendHeap.Len()
+	if dirty.n.v != nil {
+		inFlight += dirty.n.v.active()
+	}
+	if !dirty.n.vmode || inFlight < 100 {
+		t.Fatalf("before the reset: virtual-time loop %v with %d transfers in flight; want it with at least 100", dirty.n.vmode, inFlight)
+	}
+	n := dirty.n
+	n.Reset(cfg, edge)
+	t.Logf("reset with %d transfers in flight", inFlight)
+
+	fresh := runLinkStorm(t, newProdTarget(t, cfg, edge, false), "new", profs, sh, 5, 2)
+	reset := runLinkStorm(t, &prodTarget{t: t, n: n}, "reset", profs, sh, 5, 2)
+	compareRuns(t, fresh, reset)
+	if !slices.Equal(fresh.completed, reset.completed) {
+		t.Fatalf("the reset network completed different transfers or at different instants than a new one (%d vs %d completions)", len(reset.completed), len(fresh.completed))
+	}
+	fd, _, _ := fresh.ledger()
+	rd, _, _ := reset.ledger()
+	if math.Float64bits(fd) != math.Float64bits(rd) {
+		t.Fatalf("delivered: new %v, reset %v", fd, rd)
+	}
+	if n.v == nil {
+		t.Fatal("the storm never reached the virtual-time loop")
+	}
+	t.Logf("replayed %d completions", len(reset.completed))
+}
+
 // TestReleaseSharedLinkDirtyFlow is the stale-queue hazard on a shared
 // link, in both regimes. Connections A and B share one access link; A's
 // completion changes B's even share, which queues B's transfer for

@@ -46,7 +46,9 @@
 // timing), and releasing an object twice, or a link something still uses,
 // panics. A caller that releases what its idle clients held keeps the
 // network's objects proportional to the clients active at once rather than
-// to every client it ever had.
+// to every client it ever had. Reset returns a network to New's state with
+// its free lists and scratch kept, so a caller that runs one simulation
+// after another (a fleet worker's cells) reuses one network's memory.
 package simnet
 
 import (
@@ -453,18 +455,66 @@ type capItem struct {
 
 // New creates a network over the given bandwidth profile.
 func New(cfg Config, p *netem.Profile) *Network {
-	cfg = cfg.withDefaults()
+	n := &Network{pendHeap: fheap[Transfer]{set: func(tr *Transfer, i int) { tr.hPend = i }}}
+	// The anchored loop's transfer scratch starts as one slab, room for
+	// the few flows of a single session, so a short-lived network grows
+	// none of the three one append at a time.
+	slab := make([]*Transfer, 3*scratchFlows)
+	n.flowing = slab[:0:scratchFlows]
+	n.dirtyFlows = slab[scratchFlows : scratchFlows : 2*scratchFlows]
+	n.completed = slab[2*scratchFlows : 2*scratchFlows : 3*scratchFlows]
+	n.Reset(cfg, p)
+	return n
+}
+
+// scratchFlows is how many flows each of New's scratch slices holds
+// before it grows.
+const scratchFlows = 8
+
+// Reset puts n into the state New(cfg, p) returns, keeping only memory:
+// the free lists, the set, heap and scratch arrays, and the virtual-time
+// loop's state. The clock, the dial counter (a connection dialed next
+// gets sequence number 0), the edge and every transfer set start over, so
+// a network reset mid-flight simulates exactly what a new one would.
+// Every connection, transfer and access link taken from n before the
+// reset and not released is n's no longer: the caller must drop them
+// (releasing or recycling one afterwards corrupts n).
+func (n *Network) Reset(cfg Config, p *netem.Profile) {
 	// The anchored loop owns a new network: its first event reads the
 	// samples of second 0 (nextSec is zero) and runs a full water-filling.
-	n := &Network{cfg: cfg, profile: p, vtimeEnter: vtimeEnter, vtimeExit: vtimeExit, cellDirty: true}
-	n.pendHeap.set = func(tr *Transfer, i int) { tr.hPend = i }
+	*n = Network{
+		cfg: cfg.withDefaults(), profile: p, vtimeEnter: vtimeEnter, vtimeExit: vtimeExit, cellDirty: true,
+		conns:         cleared(n.conns),
+		flowing:       cleared(n.flowing),
+		pendHeap:      n.pendHeap.emptied(),
+		links:         cleared(n.links),
+		v:             n.v,
+		dirtyFlows:    cleared(n.dirtyFlows),
+		items:         n.items[:0],
+		completed:     cleared(n.completed),
+		freeTransfers: n.freeTransfers,
+		freeConns:     n.freeConns,
+		freeLinks:     n.freeLinks,
+	}
+	if n.v != nil {
+		n.v.reset()
+	}
 	// Once a connection's cap exceeds twice the link's peak rate it can
 	// never be the bottleneck again; stop generating doubling events.
 	n.steadyCap = 2 * p.Max() / 8
 	if n.steadyCap <= 0 {
 		n.steadyCap = math.Inf(1)
 	}
-	return n
+}
+
+// cleared empties a slice of pointers, dropping what it referenced and
+// keeping its capacity. Only the live part is cleared, so a reset costs
+// what is in flight, not what the largest run grew: past the length the
+// sets hold nil (the engine nils what it removes) and the scratch at most
+// an array's worth of stale pointers.
+func cleared[T any](s []*T) []*T {
+	clear(s)
+	return s[:0]
 }
 
 // Now returns the current virtual time in seconds.

@@ -101,6 +101,18 @@ func newVtimeState() *vtimeState {
 	return v
 }
 
+// reset returns v to newVtimeState's state, keeping its heaps' arrays.
+// The flows it held are not told: Network.Reset has disowned them.
+func (v *vtimeState) reset() {
+	*v = vtimeState{
+		uncFin: v.uncFin.emptied(),
+		uncCap: v.uncCap.emptied(),
+		capFin: v.capFin.emptied(),
+		capCap: v.capCap.emptied(),
+		grow:   v.grow.emptied(),
+	}
+}
+
 // active is the number of flows attached to the engine.
 func (v *vtimeState) active() int { return v.uncN + v.capFin.Len() }
 
