@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt fmt-check lint verify test race bench bench-smoke bench-pair bench-record report report-cmp fuzz-smoke fleet-smoke fleet-cache-cmp fleet-crowd-cmp fleet-scale
+.PHONY: build vet fmt fmt-check lint verify test race bench bench-smoke bench-pair bench-record report report-cmp byte-cmp fuzz-smoke fleet-smoke fleet-cache-cmp fleet-crowd-cmp fleet-scale
 
 build:
 	$(GO) build ./...
@@ -131,6 +131,42 @@ report-cmp:
 	grep -v '^_regenerated in ' REPORT.md | cat -s >"$$dir/committed" && \
 	cat -s "$$dir/fresh.md" | cmp - "$$dir/committed" && \
 	echo "report-cmp: REPORT.md equals a fresh vodreport -stable"
+
+# Byte-neutrality of the working tree against PARENT, for a change that
+# must not move a byte: report-cmp, the fleet JSON goldens
+# (TestFleetReportGolden) and the cohort Summaries (TestCohortGolden),
+# then the vodfleet JSON of the bench flash crowd (seeds 1 and 2, at
+# -workers 1 and at the default worker count) and of the 200k mixed
+# fleet, each cmp-equal to what a vodfleet built from PARENT writes.
+# PARENT is built from a git clone (hosts that exclude git worktree
+# still run it); the clone, both binaries and every JSON stay in
+# .bytecmp_build/. About 25 s on a two-core host.
+BYTE_CMP_DIR := $(CURDIR)/.bytecmp_build
+BYTE_CMP_CROWD := -sessions 100000 -hotspot 0.8 -fidelity 0.02 \
+	-cache edge:64MiB,metro:2GiB,ttl=6h -coldcells 0-3 -cachefail cell=5,t=60s
+byte-cmp:
+	@[ -n "$(PARENT)" ] || { echo "usage: make byte-cmp PARENT=<ref>" >&2; exit 2; }
+	@$(MAKE) --no-print-directory report-cmp
+	$(GO) test -count=1 ./internal/fleet -run '^TestFleetReportGolden$$'
+	$(GO) test -count=1 ./internal/player -run '^TestCohortGolden$$'
+	@set -e; dir="$(BYTE_CMP_DIR)"; \
+	ref="$$(git rev-parse --verify "$(PARENT)^{commit}")"; \
+	rm -rf "$$dir"; mkdir -p "$$dir"; \
+	git clone -q "$(CURDIR)" "$$dir/parent"; \
+	git -C "$$dir/parent" checkout -q --detach "$$ref"; \
+	$(GO) build -C "$$dir/parent" -o "$$dir/vodfleet.parent" ./cmd/vodfleet; \
+	$(GO) build -o "$$dir/vodfleet.change" ./cmd/vodfleet; \
+	same() { name="$$1"; shift; \
+		"$$dir/vodfleet.parent" "$$@" -q -json "$$dir/$$name.parent.json"; \
+		"$$dir/vodfleet.change" "$$@" -q -json "$$dir/$$name.change.json"; \
+		cmp "$$dir/$$name.parent.json" "$$dir/$$name.change.json"; \
+		echo "byte-cmp: $$name identical"; }; \
+	for s in 1 2; do \
+		same crowd-seed$$s-workers1 $(BYTE_CMP_CROWD) -seed $$s -workers 1; \
+		same crowd-seed$$s $(BYTE_CMP_CROWD) -seed $$s; \
+	done; \
+	same mixed200k -sessions 200000 -fidelity 0.05; \
+	echo "byte-cmp: REPORT.md, the goldens and the vodfleet JSON are unchanged against $(PARENT)"
 
 # Population-run gate: a small fleet under the race detector, then the
 # workers-determinism contract — the same seed must produce byte-identical

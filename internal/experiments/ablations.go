@@ -335,7 +335,7 @@ func AblRecovery(ctx context.Context) ([]*textplot.Table, []string, error) {
 				return nil, nil, err
 			}
 			stalls += len(res.Stalls)
-			stallSec = append(stallSec, res.TotalStall())
+			stallSec = append(stallSec, res.Summary.StallSec)
 			for i := 1; i < len(res.Stalls); i++ {
 				gap := res.Stalls[i].Start - res.Stalls[i-1].End
 				gaps = append(gaps, gap)
@@ -400,7 +400,7 @@ func AblAbandon(ctx context.Context) ([]*textplot.Table, []string, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			stalls = append(stalls, full.TotalStall())
+			stalls = append(stalls, full.Summary.StallSec)
 		}
 		t.AddRow(fmt.Sprintf("%.0f/%.0f", thr.pause, thr.resume),
 			fmt.Sprintf("%.1f", textplot.Median(w120)),

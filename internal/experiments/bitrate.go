@@ -129,7 +129,7 @@ func Fig13(ctx context.Context) ([]*textplot.Table, []string, error) {
 			a.rate = append(a.rate, rep.avg)
 			a.low = append(a.low, lowTrackShare(res, 2))
 			a.lowest = append(a.lowest, lowTrackShare(res, 1))
-			a.stall = append(a.stall, res.TotalStall())
+			a.stall = append(a.stall, res.Summary.StallSec)
 		}
 		aggs = append(aggs, a)
 	}

@@ -76,8 +76,8 @@ func Fig6(ctx context.Context) ([]*textplot.Table, []string, error) {
 	}
 	// The shipped-config baseline is the profile-1 session already
 	// computed in the loop above; no second run.
-	t2.AddRow("desynced (as shipped)", fmt.Sprintf("%d", len(base.Stalls)), textplot.Secs(base.TotalStall()))
-	t2.AddRow("synced (best practice)", fmt.Sprintf("%d", len(res.Stalls)), textplot.Secs(res.TotalStall()))
+	t2.AddRow("desynced (as shipped)", fmt.Sprintf("%d", len(base.Stalls)), textplot.Secs(base.Summary.StallSec))
+	t2.AddRow("synced (best practice)", fmt.Sprintf("%d", len(res.Stalls)), textplot.Secs(res.Summary.StallSec))
 	return []*textplot.Table{t, t2}, plots, nil
 }
 
@@ -111,7 +111,7 @@ func Fig7(ctx context.Context) ([]*textplot.Table, []string, error) {
 				withStalls++
 			}
 			total += len(res.Stalls)
-			secs = append(secs, res.TotalStall())
+			secs = append(secs, res.Summary.StallSec)
 			if vi == 0 && pi == 2 {
 				var xs, vb []float64
 				for _, s := range res.Samples {

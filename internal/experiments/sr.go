@@ -44,7 +44,7 @@ func srStatsFromResult(res *player.Result) srRunStats {
 	st := srRunStats{
 		dataBytes: res.Summary.TotalBytes,
 		baseBytes: res.Summary.TotalBytes,
-		stallSec:  res.TotalStall(),
+		stallSec:  res.Summary.StallSec,
 		wasted:    res.Summary.WastedBytes,
 	}
 	first := map[int]int{} // index -> track of its first download
@@ -151,7 +151,7 @@ func Fig10(ctx context.Context) ([]*textplot.Table, []string, error) {
 	t.AddRow("re-downloads at lower quality", fmt.Sprintf("%d", st.lower))
 	t.AddRow("re-downloads at equal quality", fmt.Sprintf("%d", st.equal))
 	t.AddRow("stall seconds (with SR)", textplot.Secs(st.stallSec))
-	t.AddRow("stall seconds (same run without SR)", textplot.Secs(noSR.TotalStall()))
+	t.AddRow("stall seconds (same run without SR)", textplot.Secs(noSR.Summary.StallSec))
 	t.AddRow("wasted MB", fmt.Sprintf("%.1f", st.wasted/1e6))
 
 	// Event excerpt around the replacements.

@@ -184,7 +184,7 @@ func TestSoloEqualsGroupOfOne(t *testing.T) {
 	}
 	b := g.Run()[0]
 	if a.Summary.TotalBytes != b.Summary.TotalBytes || a.StartupDelay != b.StartupDelay ||
-		a.TotalStall() != b.TotalStall() || len(a.Downloads) != len(b.Downloads) {
+		a.Summary.StallSec != b.Summary.StallSec || len(a.Downloads) != len(b.Downloads) {
 		t.Fatalf("solo Run diverges from explicit group: %+v vs %+v", a, b)
 	}
 }

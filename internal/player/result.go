@@ -36,15 +36,6 @@ type Stall struct {
 // Duration returns the stall length in seconds.
 func (s Stall) Duration() float64 { return s.End - s.Start }
 
-// PlayInterval is one continuous stretch of playback.
-type PlayInterval struct {
-	// WallStart/WallEnd bound the interval in wall time.
-	WallStart, WallEnd float64
-	// MediaStart is the playhead position at WallStart (the playhead
-	// advances at rate 1 within the interval).
-	MediaStart float64
-}
-
 // BufferSample is a once-per-second snapshot of playback state, the
 // simulator-side equivalent of combining the paper's UI monitor (playback
 // progress at 1 s granularity) with its buffer inference.
@@ -91,8 +82,6 @@ type Result struct {
 	StartupDelay float64
 	// Stalls lists rebuffering events (startup excluded).
 	Stalls []Stall
-	// PlayIntervals lists continuous playback stretches.
-	PlayIntervals []PlayInterval
 	// Displayed maps each video segment index to the track that was on
 	// screen when it played (-1 = never played).
 	Displayed []int
@@ -112,22 +101,4 @@ type Result struct {
 	// Summary is the session's online QoE digest, copied when the
 	// session finishes; its TimeOnTrack slice is shared with the session.
 	Summary Summary
-}
-
-// TotalStall returns the summed stall duration in seconds.
-func (r *Result) TotalStall() float64 {
-	t := 0.0
-	for _, s := range r.Stalls {
-		t += s.Duration()
-	}
-	return t
-}
-
-// PlayedSeconds returns the total playback time.
-func (r *Result) PlayedSeconds() float64 {
-	t := 0.0
-	for _, p := range r.PlayIntervals {
-		t += p.WallEnd - p.WallStart
-	}
-	return t
 }

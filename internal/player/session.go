@@ -48,7 +48,7 @@ type Session struct {
 	playing        bool
 	started        bool
 	finished       bool
-	curPlay        PlayInterval
+	playStart      float64 // wall time the current play stretch began
 	stallOpen      bool
 	stallStart     float64
 	nextDisplayIdx int
@@ -586,7 +586,7 @@ func (s *Session) foldDisplayed(index, track int) {
 
 func (s *Session) startPlaying() {
 	s.playing = true
-	s.curPlay = PlayInterval{WallStart: s.net.Now(), MediaStart: s.playhead}
+	s.playStart = s.net.Now()
 	if !s.started {
 		s.started = true
 		// Startup delay is measured from the session's own arrival, so a
@@ -617,11 +617,7 @@ func (s *Session) stopPlaying(stall bool) {
 		return
 	}
 	s.playing = false
-	s.curPlay.WallEnd = s.lastTime
-	if s.res != nil {
-		s.res.PlayIntervals = append(s.res.PlayIntervals, s.curPlay)
-	}
-	s.sum.PlayedSec += s.curPlay.WallEnd - s.curPlay.WallStart
+	s.sum.PlayedSec += s.lastTime - s.playStart
 	if stall {
 		s.stallOpen = true
 		s.stallStart = s.lastTime
@@ -1250,11 +1246,7 @@ func (s *Session) finalize() {
 	s.advancePlayback(end)
 	if s.playing {
 		s.playing = false
-		s.curPlay.WallEnd = s.lastTime
-		if s.res != nil {
-			s.res.PlayIntervals = append(s.res.PlayIntervals, s.curPlay)
-		}
-		s.sum.PlayedSec += s.curPlay.WallEnd - s.curPlay.WallStart
+		s.sum.PlayedSec += s.lastTime - s.playStart
 	}
 	if s.stallOpen {
 		if s.res != nil {

@@ -190,11 +190,11 @@ func TestShapesAcrossTraceSeeds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if h5.TotalStall() < 5 {
-			t.Errorf("seed %d: H5 stalled only %.1f s on the lowest profile", seed, h5.TotalStall())
+		if h5.Summary.StallSec < 5 {
+			t.Errorf("seed %d: H5 stalled only %.1f s on the lowest profile", seed, h5.Summary.StallSec)
 		}
-		if d2.TotalStall() > 5 {
-			t.Errorf("seed %d: D2 stalled %.1f s on the lowest profile", seed, d2.TotalStall())
+		if d2.Summary.StallSec > 5 {
+			t.Errorf("seed %d: D2 stalled %.1f s on the lowest profile", seed, d2.Summary.StallSec)
 		}
 
 		// S2's 4 s resume threshold stalls more than a 25 s threshold
@@ -210,8 +210,8 @@ func TestShapesAcrossTraceSeeds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			low += a.TotalStall()
-			high += b.TotalStall()
+			low += a.Summary.StallSec
+			high += b.Summary.StallSec
 		}
 		if low <= high {
 			t.Errorf("seed %d: resume=4s stalled %.1f s vs resume=25s %.1f s", seed, low, high)

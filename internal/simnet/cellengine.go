@@ -33,7 +33,9 @@ import "math"
 //     in that regime: rate_i = cap_i, so arrivals and departures leave
 //     the other links' flows untouched); only a capacity change or
 //     leaving the all-capped regime reruns the full water-filling
-//     (waterfill).
+//     (waterfill). One test decides the regime everywhere: cellAllCapped,
+//     which sums the caps in flowing order on every re-rate, a few adds
+//     at the handful of flows a cell carries.
 //
 //   - Slow-start doublings are applied lazily. A doubling only matters
 //     when the window is the flow's binding constraint (capBps <= cap);
@@ -102,54 +104,9 @@ func (n *Network) cellMaterialize(tr *Transfer) {
 //vodlint:hotpath — cap memo refresh: runs per affected flow per cap change
 func (n *Network) cellRecompute(tr *Transfer) {
 	if c := tr.Conn.effCap(); c != tr.cap { //vodlint:allow floateq — memo invalidation on a stored, never-recomputed cap value
-		n.cellCapSub(tr.cap)
-		n.cellCapAdd(c)
 		tr.cap = c
 		n.dirtyFlows = append(n.dirtyFlows, tr)
 	}
-}
-
-// cellCapAdd and cellCapSub keep the running cap sum and the uncapped
-// count in step with every cached-cap write, so the all-capped gate is
-// O(1) instead of a scan per re-rate event.
-//
-//vodlint:hotpath — cap-sum bookkeeping: two ops per cap change
-func (n *Network) cellCapAdd(c float64) {
-	if math.IsInf(c, 1) {
-		n.numUncapped++
-	} else {
-		n.capSum += c
-	}
-}
-
-//vodlint:hotpath — cap-sum bookkeeping: two ops per cap change
-func (n *Network) cellCapSub(c float64) {
-	if math.IsInf(c, 1) {
-		n.numUncapped--
-	} else {
-		n.capSum -= c
-	}
-}
-
-// cellCappedFast is the O(1) all-capped gate over the running sum. The
-// running sum drifts from the exact flowing-order sum only by float
-// accumulation dust (and every full realloc resets it), so away from
-// the capacity boundary it decides exactly as the scan would; within a
-// ±0.1% band of the boundary it defers to the exact scan.
-//
-//vodlint:hotpath — fast-path gate: O(1) per cap change
-func (n *Network) cellCappedFast() bool {
-	if n.numUncapped != 0 {
-		return false
-	}
-	c := n.edgeRate
-	if n.capSum <= 0.999*c {
-		return true
-	}
-	if n.capSum > 1.001*c {
-		return false
-	}
-	return n.cellAllCapped()
 }
 
 // cellTouchLink refreshes the cached caps of every flow on tr's access
@@ -208,12 +165,13 @@ func (n *Network) cellFinish(tr *Transfer) {
 }
 
 // cellAllCapped reports whether every flowing transfer is capped with
-// the caps summing below the edge capacity — the regime where max-min
-// assigns every flow exactly its cap. The sum is recomputed in flowing
-// order each time so the gate never drifts from what a full realloc
-// would decide.
+// the caps summing to at most the edge capacity — the regime where
+// max-min assigns every flow exactly its cap. It is the loop's one
+// all-capped test: the full realloc and the dirty re-rate both ask it,
+// and it sums in flowing order every time, so it keeps no state to
+// drift.
 //
-//vodlint:hotpath — fast-path gate: one add per flow per cap change
+//vodlint:hotpath — regime test: one add per flowing transfer per re-rate
 func (n *Network) cellAllCapped() bool {
 	sum := 0.0
 	for _, tr := range n.flowing {
@@ -233,38 +191,26 @@ func (n *Network) cellAllCapped() bool {
 //vodlint:hotpath — anchored-loop water-filling: runs on capacity changes and regime shifts
 func (n *Network) cellReallocFull() {
 	now := n.now
-	sum := 0.0
-	uncapped := 0
 	for _, tr := range n.flowing {
 		c := tr.Conn
 		if c.nextGrow <= now && !math.IsInf(c.capBps, 1) {
 			c.syncGrow(now)
 		}
-		cp := c.effCap()
-		tr.cap = cp
-		if math.IsInf(cp, 1) {
-			uncapped++
-		} else {
-			sum += cp
-		}
+		tr.cap = c.effCap()
 		n.cellMaterialize(tr)
 	}
-	n.capSum, n.numUncapped = sum, uncapped
-	allCapped := uncapped == 0
-	// Fast path: every connection capped (slow start, static cap, or an
-	// access-link share) with the caps summing below the edge capacity —
-	// the cell steady state, where access links are the bottleneck.
-	// Progressive water-filling assigns ascending caps before shares ever
-	// bind (cap_k ≤ Σcaps/N_k ≤ remaining/N_k by induction), so every
-	// flow gets exactly its cap and no sort is needed.
-	if allCapped && sum <= n.edgeRate {
+	// All capped under the edge capacity — the cell steady state, where
+	// access links are the bottleneck: progressive water-filling assigns
+	// ascending caps before shares ever bind (cap_k ≤ Σcaps/N_k ≤
+	// remaining/N_k by induction), so every flow gets exactly its cap
+	// and no sort is needed.
+	n.ratesAreCaps = n.cellAllCapped()
+	if n.ratesAreCaps {
 		for _, tr := range n.flowing {
 			tr.rate = tr.cap
 		}
-		n.ratesAreCaps = true
 	} else {
 		n.waterfill(n.edgeRate)
-		n.ratesAreCaps = false
 	}
 	for _, tr := range n.flowing {
 		n.cellFinish(tr)
@@ -337,7 +283,7 @@ func (n *Network) cellStepOnce(until float64) []*Transfer {
 			n.cellDirty = false
 			n.dirtyFlows = n.dirtyFlows[:0]
 		case len(n.dirtyFlows) > 0:
-			if n.ratesAreCaps && n.cellCappedFast() {
+			if n.ratesAreCaps && n.cellAllCapped() {
 				for _, tr := range n.dirtyFlows {
 					if tr.pos < 0 {
 						// Left the flowing set after being queued. A transfer

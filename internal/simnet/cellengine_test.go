@@ -103,6 +103,87 @@ func TestCellExactResidualFold(t *testing.T) {
 	}
 }
 
+// TestCellAllCappedAtEdgeBoundary pins the all-capped test where the
+// last bit decides it. Four steady flows, each alone on an access link,
+// have shares that sum to exactly the edge rate: all capped, every flow
+// at its share. In the variant the fourth link is raised by
+// math.Nextafter steps until the flowing-order sum first exceeds the
+// edge rate: water-filling. The fourth flow's arrival takes the set onto
+// (or over) the boundary and its departure takes it back. Both sides are
+// held to the reference, and the delivered total equals the sizes
+// exactly.
+func TestCellAllCappedAtEdgeBoundary(t *testing.T) {
+	const edgeBps, linkBps = 8e6, 2e6
+	edge := netem.Constant("edge", edgeBps, 100)
+	shareSum := func(links []float64) float64 {
+		sum := 0.0
+		for _, b := range links {
+			sum += b / 8
+		}
+		return sum
+	}
+	sizes := []float64{4e6, 4e6, 4e6, 1e6}
+	for _, over := range []bool{false, true} {
+		t.Run(fmt.Sprintf("over=%v", over), func(t *testing.T) {
+			links := []float64{linkBps, linkBps, linkBps, linkBps}
+			if shareSum(links) != edgeBps/8 {
+				t.Fatalf("link shares sum to %v, not the edge rate %v", shareSum(links), edgeBps/8)
+			}
+			for over && shareSum(links) <= edgeBps/8 {
+				links[3] = math.Nextafter(links[3], math.Inf(1))
+			}
+			script := func(r *scriptRun, probe func(when string, flows int, capped bool)) {
+				for i, b := range links {
+					r.newLink(netem.Constant(fmt.Sprintf("access%d", i), b, 100))
+					r.dial(i)
+				}
+				for i := 0; i < 3; i++ {
+					r.start(i, sizes[i], 0, -1)
+				}
+				r.stepTo(t, 3)
+				probe("three flows", 3, true)
+				r.start(3, sizes[3], 0, -1)
+				r.stepTo(t, 4)
+				probe("after the arrival", 4, !over)
+				r.stepTo(t, 12)
+				probe("after the departure", 3, true)
+				r.stepTo(t, 100)
+			}
+			ref := &scriptRun{simTarget: newRefTarget(DefaultConfig(), edge), label: "reference"}
+			script(ref, func(string, int, bool) {})
+			pt := newProdTarget(t, DefaultConfig(), edge, false)
+			n, prod := pt.n, &scriptRun{simTarget: pt, label: "production"}
+			script(prod, func(when string, flows int, capped bool) {
+				t.Helper()
+				if len(n.flowing) != flows {
+					t.Fatalf("%s: %d flows, want %d", when, len(n.flowing), flows)
+				}
+				for _, tr := range n.flowing {
+					if share := links[tr.Conn.seq] / 8; tr.cap != share {
+						t.Fatalf("%s: conn %d capped at %v, not at its link share %v", when, tr.Conn.seq, tr.cap, share)
+					}
+					if capped && tr.rate != tr.cap {
+						t.Fatalf("%s: conn %d rated %v, not at its cap %v", when, tr.Conn.seq, tr.rate, tr.cap)
+					}
+				}
+				if n.ratesAreCaps != capped || n.cellAllCapped() != capped {
+					t.Fatalf("%s: rates are caps %v, all capped %v, want %v", when, n.ratesAreCaps, n.cellAllCapped(), capped)
+				}
+			})
+			checkConservation(t, ref)
+			checkConservation(t, prod)
+			compareRuns(t, ref, prod)
+			want := 0.0
+			for _, sz := range sizes {
+				want += sz
+			}
+			if got := n.Delivered(); got != want {
+				t.Errorf("delivered %v != sum of sizes %v (diff %g)", got, want, got-want)
+			}
+		})
+	}
+}
+
 // TestCellVTimeHandoff drives a network through both hysteresis
 // crossings — a fan-in spike past vtimeEnter hands the flows to the
 // virtual-time loop, a drain below vtimeExit takes them back — and

@@ -582,14 +582,16 @@ func TestDifferentialVsReference(t *testing.T) {
 	}
 }
 
-// TestAllocateFastPathsMatchGeneral pins waterfill's fast paths — single
-// flow, and all-uncapped without sorting — bit for bit to the reference
-// water-filling, exercising ties, static caps, zero and tiny capacity.
-func TestAllocateFastPathsMatchGeneral(t *testing.T) {
+// TestWaterfillMatchesReference pins waterfill's one path bit for bit
+// to the reference water-filling at every fan-in its insertion sort
+// covers (1 to smallSortLen flows), exercising ties, static caps, zero
+// and tiny capacity. Every draw also runs its first flow alone, so each
+// cap kind and capacity meets the one-flow case too.
+func TestWaterfillMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	p := netem.Constant("c", 8e6, 10)
 	for trial := 0; trial < 500; trial++ {
-		k := 1 + rng.Intn(8)
+		k := 1 + rng.Intn(smallSortLen)
 		n := New(DefaultConfig(), p)
 		flowing := make([]*Transfer, k)
 		ref := make([]*refTransfer, k)
@@ -613,14 +615,16 @@ func TestAllocateFastPathsMatchGeneral(t *testing.T) {
 			flowing[i] = tr
 			ref[i] = &refTransfer{conn: rc}
 		}
-		n.flowing = flowing
 		capacity := []float64{0, 1, 1e5, 1.237e6, 5e6}[rng.Intn(5)]
-		n.waterfill(capacity)
-		refAllocate(capacity, 0, ref)
-		for i := range flowing {
-			if flowing[i].Rate() != ref[i].rate {
-				t.Fatalf("trial %d (k=%d, capacity=%g): rate[%d] = %v, reference %v",
-					trial, k, capacity, i, flowing[i].Rate(), ref[i].rate)
+		for _, m := range []int{1, k} {
+			n.flowing = flowing[:m]
+			n.waterfill(capacity)
+			refAllocate(capacity, 0, ref[:m])
+			for i := 0; i < m; i++ {
+				if flowing[i].Rate() != ref[i].rate {
+					t.Fatalf("trial %d (%d flows, capacity=%g): rate[%d] = %v, reference %v",
+						trial, m, capacity, i, flowing[i].Rate(), ref[i].rate)
+				}
 			}
 		}
 	}

@@ -434,8 +434,6 @@ type Network struct {
 	// independently).
 	cellDirty    bool
 	ratesAreCaps bool
-	capSum       float64     // running sum of the finite cached caps of flowing transfers
-	numUncapped  int         // flowing transfers whose cached cap is +Inf
 	dirtyFlows   []*Transfer // scratch: flows to re-rate, cleared every event
 
 	items     []capItem   // scratch for waterfill
@@ -851,7 +849,6 @@ func (n *Network) insertFlowing(tr *Transfer) {
 	// is the entire effect of an arrival; outside it the re-rate pass
 	// falls back to the full water-filling anyway.
 	tr.cap = tr.Conn.effCap()
-	n.cellCapAdd(tr.cap)
 	n.dirtyFlows = append(n.dirtyFlows, tr)
 	n.cellTouchLink(tr)
 }
@@ -872,7 +869,6 @@ func (n *Network) removeFlowing(tr *Transfer) {
 	}
 	tr.pos = -1
 	n.linkDetach(tr)
-	n.cellCapSub(tr.cap)
 	if n.ratesAreCaps {
 		// All-capped regime: a departure frees capacity without moving
 		// anyone off their cap — only the departed flow's link siblings
@@ -949,72 +945,23 @@ func (n *Network) Step(until float64) []*Transfer {
 // smallSortLen is the largest slice length for which the standard
 // library's pdqsort is an insertion sort (and therefore stable); see its
 // cutoff. Up to this length waterfill sorts caps with its own insertion
-// sort — the exact same permutation, including for ties — and the
-// uncapped fast path may skip sorting entirely (stability makes the
-// sorted order the connection order). Beyond it, it runs pdqsort
-// (slices.SortFunc: no allocation), whose tie order is unspecified but
-// deterministic.
+// sort — the exact same permutation, including for ties. Beyond it, it
+// runs pdqsort (slices.SortFunc: no allocation), whose tie order is
+// unspecified but deterministic.
 const smallSortLen = 12
 
 // waterfill distributes capacity (bytes/s) over the flowing transfers
 // using max-min fairness with per-connection caps (progressive water
 // filling), reading each flow's effective cap from the tr.cap memo the
-// caller just refreshed. Two fast paths cover the dominant cases; the
-// general path sorts a reused scratch slice. No path allocates, and all
-// produce bit-identical rates (asserted by
-// TestAllocateFastPathsMatchGeneral): ascending effective cap, ties in
-// connection order, with the same sequential share arithmetic as the
-// reference implementation.
+// caller just refreshed. It sorts a reused scratch slice by ascending
+// effective cap, ties in connection order, and assigns shares with the
+// same sequential arithmetic as the reference implementation, bit for
+// bit (TestWaterfillMatchesReference); it allocates nothing.
 //
 //vodlint:hotpath — water-filling: runs on every flow-set change
 func (n *Network) waterfill(capacity float64) {
-	flowing := n.flowing
-
-	// Fast path: a single flow takes the whole link up to its cap
-	// (capacity/1 is exact, so this equals the general path).
-	if len(flowing) == 1 {
-		tr := flowing[0]
-		r := tr.cap
-		if r > capacity {
-			r = capacity
-		}
-		if r < 0 {
-			r = 0
-		}
-		tr.rate = r
-		return
-	}
-
-	// Fast path: steady-state connections (ramped out of slow start, no
-	// static cap) are all uncapped — no sort needed, shares assign in
-	// connection order exactly as the stable-sorted general path would.
-	if len(flowing) <= smallSortLen {
-		uncapped := true
-		for _, tr := range flowing {
-			if !math.IsInf(tr.cap, 1) {
-				uncapped = false
-				break
-			}
-		}
-		if uncapped {
-			remainingC := capacity
-			remainingN := len(flowing)
-			for _, tr := range flowing {
-				r := remainingC / float64(remainingN)
-				if r < 0 {
-					r = 0
-				}
-				tr.rate = r
-				remainingC -= r
-				remainingN--
-			}
-			return
-		}
-	}
-
-	// General path: ascending effective cap on a reused scratch slice.
 	items := n.items[:0]
-	for _, tr := range flowing {
+	for _, tr := range n.flowing {
 		items = append(items, capItem{tr, tr.cap})
 	}
 	if len(items) <= smallSortLen {

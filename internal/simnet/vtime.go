@@ -428,7 +428,6 @@ func (n *Network) exitVTime() {
 		}
 	}
 	n.cellDirty = true
-	n.capSum, n.numUncapped = 0, 0 // rebuilt by the forced full realloc
 	n.vmode = false
 }
 
