@@ -23,8 +23,6 @@ import (
 // as the buffer grows.
 type cautiousActual struct{}
 
-func (cautiousActual) Name() string { return "cautious-actual" }
-
 func (cautiousActual) Select(ctx adaptation.Context) int {
 	if ctx.EstimateBps <= 0 {
 		return ctx.StartupTrack

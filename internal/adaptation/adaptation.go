@@ -64,10 +64,10 @@ func (c *Context) trackRate(track, horizon int, useActual bool) float64 {
 	return c.Declared[track]
 }
 
-// Algorithm selects the track for the next video segment.
+// Algorithm selects the track for the next video segment. A report
+// labels an algorithm where it configures one, so the interface carries
+// no name.
 type Algorithm interface {
-	// Name identifies the algorithm in reports.
-	Name() string
 	// Select returns the chosen track index.
 	Select(ctx Context) int
 }
@@ -108,14 +108,6 @@ type Throughput struct {
 	// buffer holds at least this many seconds (protects aggressive
 	// players during startup).
 	MinBufferForUpSec float64
-}
-
-// Name implements Algorithm.
-func (a Throughput) Name() string {
-	if a.UseActual {
-		return "throughput-actual"
-	}
-	return "throughput"
 }
 
 // Select implements Algorithm.
@@ -162,14 +154,6 @@ func DefaultHysteresis() Hysteresis {
 	return Hysteresis{Factor: 0.75, MinBufferForUp: 10, MaxBufferForDown: 25}
 }
 
-// Name implements Algorithm.
-func (a Hysteresis) Name() string {
-	if a.UseActual {
-		return "exoplayer-actual"
-	}
-	return "exoplayer"
-}
-
 // Select implements Algorithm.
 func (a Hysteresis) Select(ctx Context) int {
 	if ctx.EstimateBps <= 0 || ctx.LastTrack < 0 {
@@ -199,9 +183,6 @@ type BufferBased struct {
 	// Cushion is the occupancy span mapped across the ladder.
 	Cushion float64
 }
-
-// Name implements Algorithm.
-func (BufferBased) Name() string { return "buffer-based" }
 
 // Select implements Algorithm.
 func (a BufferBased) Select(ctx Context) int {
@@ -237,9 +218,6 @@ type OscillatingGreedy struct {
 	UpFactor float64
 }
 
-// Name implements Algorithm.
-func (OscillatingGreedy) Name() string { return "oscillating-greedy" }
-
 // Select implements Algorithm.
 func (a OscillatingGreedy) Select(ctx Context) int {
 	if ctx.LastTrack < 0 || ctx.EstimateBps <= 0 {
@@ -264,9 +242,6 @@ type Fixed struct {
 	// Track is the rung to select.
 	Track int
 }
-
-// Name implements Algorithm.
-func (Fixed) Name() string { return "fixed" }
 
 // Select implements Algorithm.
 func (a Fixed) Select(ctx Context) int { return clampTrack(ctx, a.Track) }

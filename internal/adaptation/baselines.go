@@ -22,9 +22,6 @@ type Festive struct {
 // NewFestive returns a FESTIVE-like selector.
 func NewFestive() *Festive { return &Festive{Factor: 0.85} }
 
-// Name implements Algorithm.
-func (*Festive) Name() string { return "festive" }
-
 // Select implements Algorithm.
 func (f *Festive) Select(ctx Context) int {
 	if ctx.EstimateBps <= 0 || ctx.LastTrack < 0 {
@@ -78,9 +75,6 @@ type ProbeAdapt struct {
 	// (default 10 s).
 	MinBufferProbe float64
 }
-
-// Name implements Algorithm.
-func (ProbeAdapt) Name() string { return "probe-adapt" }
 
 // Select implements Algorithm.
 func (a ProbeAdapt) Select(ctx Context) int {

@@ -79,9 +79,3 @@ func TestProbeAdaptStepsDownOnDrain(t *testing.T) {
 		t.Fatalf("draining buffer should step down, got %d", got)
 	}
 }
-
-func TestBaselineNames(t *testing.T) {
-	if NewFestive().Name() == "" || (ProbeAdapt{}).Name() == "" {
-		t.Fatal("empty names")
-	}
-}

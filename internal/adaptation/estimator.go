@@ -10,8 +10,6 @@ type Estimator interface {
 	// Estimate returns the current estimate in bits/s, or 0 before any
 	// sample has been recorded.
 	Estimate() float64
-	// Reset clears the estimator's state.
-	Reset()
 }
 
 // EWMA is an exponentially weighted moving average estimator.
@@ -47,9 +45,6 @@ func (e *EWMA) Estimate() float64 {
 	}
 	return e.value
 }
-
-// Reset implements Estimator.
-func (e *EWMA) Reset() { e.value, e.seen = 0, false }
 
 // SlidingHarmonic estimates bandwidth as the duration-weighted mean of the
 // last Window samples (total bits over total time), which behaves like a
@@ -89,6 +84,3 @@ func (e *SlidingHarmonic) Estimate() float64 {
 	}
 	return tb / ts
 }
-
-// Reset implements Estimator.
-func (e *SlidingHarmonic) Reset() { e.bits, e.secs = nil, nil }

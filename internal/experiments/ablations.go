@@ -515,7 +515,7 @@ func AblFairness(ctx context.Context) ([]*textplot.Table, []string, error) {
 		return []string{
 			a.name,
 			textplot.Mbps(textplot.Mean(rates)),
-			fmt.Sprintf("%.3f", jain(rates)),
+			fmt.Sprintf("%.3f", qoe.Jain(rates)),
 			textplot.Pct(bytes * 8 / (endTime * linkBps)),
 			fmt.Sprintf("%.0f", textplot.Mean(switches)),
 			textplot.Secs(textplot.Mean(stalls)),
@@ -528,17 +528,4 @@ func AblFairness(ctx context.Context) ([]*textplot.Table, []string, error) {
 		t.AddRow(row...)
 	}
 	return []*textplot.Table{t}, nil, nil
-}
-
-// jain computes Jain's fairness index (Σx)²/(n·Σx²).
-func jain(xs []float64) float64 {
-	var sum, sq float64
-	for _, x := range xs {
-		sum += x
-		sq += x * x
-	}
-	if sq == 0 {
-		return 0
-	}
-	return sum * sum / (float64(len(xs)) * sq)
 }

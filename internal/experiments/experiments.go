@@ -9,7 +9,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/adaptation"
@@ -155,22 +154,6 @@ func exoPlayer(name string) player.Config {
 		// during which the startup settings of §4.3 matter).
 		MinEstimateSamples: 3,
 	}
-}
-
-// trackLabel renders a ladder index as its resolution label given the
-// origin's presentation.
-func trackLabel(org *origin.Origin, track int) string {
-	return org.Pres.Video[track].Resolution()
-}
-
-// sortedKeys returns map keys sorted lexicographically.
-func sortedKeys[M ~map[string]float64](m M) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
 }
 
 // fmtLadder prints a declared ladder in Mbit/s.

@@ -40,39 +40,6 @@ func numVal(t *testing.T, s string) float64 {
 	return f
 }
 
-// TestSortedKeysDeterministic is the regression guard for the
-// map-iteration hazard at the sortedKeys site: whatever order Go's
-// randomised map iteration visits the keys in, every summary that
-// flows into a table must come out in one canonical order. Removing
-// the key sort makes both this test and `make lint` (maprange) fail.
-func TestSortedKeysDeterministic(t *testing.T) {
-	insertionOrders := [][]string{
-		{"720p", "1080p", "240p", "480p", "360p"},
-		{"240p", "360p", "480p", "720p", "1080p"},
-		{"1080p", "720p", "480p", "360p", "240p"},
-	}
-	want := []string{"1080p", "240p", "360p", "480p", "720p"}
-	for _, order := range insertionOrders {
-		m := map[string]float64{}
-		for i, k := range order {
-			m[k] = float64(i)
-		}
-		// Many rounds: map iteration order varies run to run, sortedKeys
-		// must not.
-		for round := 0; round < 50; round++ {
-			got := sortedKeys(m)
-			if len(got) != len(want) {
-				t.Fatalf("sortedKeys returned %d keys, want %d", len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("round %d: sortedKeys = %v, want %v", round, got, want)
-				}
-			}
-		}
-	}
-}
-
 func TestRegistryComplete(t *testing.T) {
 	ids := []string{"fig3", "fig4", "fig5", "table1", "table2", "fig6", "fig7",
 		"fig8", "fig9", "fig10", "sr_whatif", "fig11", "fig12", "fig13", "fig14", "fig15",

@@ -493,7 +493,7 @@ func (a *cellAgg) finish(services []string, deliveredBytes, capacityIntegralBps 
 		cellStall:   a.cellStall,
 	}
 	if f.started {
-		f.jain = jain(a.bitrates)
+		f.jain = qoe.Jain(a.bitrates)
 	}
 	if cache != nil {
 		f.cdnOn, f.cdnStats = true, *cache
@@ -660,20 +660,6 @@ func pearson(n int64, sx, sx2, sy, sy2, sxy float64) float64 {
 		return 0
 	}
 	return cov / math.Sqrt(vx*vy)
-}
-
-// jain computes Jain's fairness index: (Σx)² / (n·Σx²). 1 means every
-// client achieved the same bitrate; 1/n means one client took it all.
-func jain(xs []float64) float64 {
-	var sum, sumsq float64
-	for _, x := range xs {
-		sum += x
-		sumsq += x * x
-	}
-	if sumsq == 0 {
-		return 1 // everyone equally got nothing
-	}
-	return sum * sum / (float64(len(xs)) * sumsq)
 }
 
 // Dist is the JSON form of one metric's population distribution.

@@ -164,15 +164,15 @@ func TestQuantileWalk(t *testing.T) {
 	}
 }
 
-// TestJain pins the fairness index endpoints.
+// TestJain pins the endpoints of the fairness index the fleet reports.
 func TestJain(t *testing.T) {
-	if j := jain([]float64{5, 5, 5, 5}); math.Abs(j-1) > 1e-12 {
+	if j := qoe.Jain([]float64{5, 5, 5, 5}); math.Abs(j-1) > 1e-12 {
 		t.Fatalf("equal shares: jain %v, want 1", j)
 	}
-	if j := jain([]float64{1, 0, 0, 0}); math.Abs(j-0.25) > 1e-12 {
+	if j := qoe.Jain([]float64{1, 0, 0, 0}); math.Abs(j-0.25) > 1e-12 {
 		t.Fatalf("one taker of four: jain %v, want 0.25", j)
 	}
-	if j := jain([]float64{0, 0}); j != 1 {
+	if j := qoe.Jain([]float64{0, 0}); j != 1 {
 		t.Fatalf("all-zero shares: jain %v, want 1", j)
 	}
 }
@@ -204,7 +204,7 @@ func randReport(rng *rand.Rand) qoe.Report {
 func denseMerge(a *fleetAgg, c *cellAgg, delivered, offered float64, cache *cdn.Stats) {
 	a.cols.merge(c.cols)
 	if len(c.bitrates) > 0 {
-		a.fairness.add(jain(c.bitrates))
+		a.fairness.add(qoe.Jain(c.bitrates))
 	}
 	if offered > 0 {
 		a.utilization.add(delivered / offered)

@@ -390,12 +390,6 @@ func newCellSpec(cfg Config, k int, cold bool) cellSpec {
 	return cell
 }
 
-// CellClients draws cell k's members; the config must be normalized.
-func CellClients(cfg Config, k int) []Client {
-	cell := newCellSpec(cfg, k, false)
-	return drawClients(newRunSpec(cfg), cell, rand.New(rand.NewSource(cell.Seed)), new(drawBuf))
-}
-
 // drawBuf holds the arrays a cell's draw fills; the last draw's clients
 // stay valid until the next draw into the same buffer.
 type drawBuf struct {

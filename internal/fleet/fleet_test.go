@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"strings"
@@ -27,6 +28,13 @@ func withSched(t *testing.T, capacity int) {
 	t.Cleanup(func() { sched = old })
 }
 
+// cellClients draws cell k's members on their own; the config must be
+// normalized.
+func cellClients(cfg Config, k int) []Client {
+	cell := newCellSpec(cfg, k, false)
+	return drawClients(newRunSpec(cfg), cell, rand.New(rand.NewSource(cell.Seed)), new(drawBuf))
+}
+
 func TestWorkloadDeterminism(t *testing.T) {
 	cfg, err := Config{Seed: 3, Sessions: 500}.Normalized()
 	if err != nil {
@@ -48,7 +56,7 @@ func TestWorkloadDeterminism(t *testing.T) {
 	nCells := cellCount(cfg)
 	off := 0
 	for k := 0; k < nCells; k++ {
-		cell := CellClients(cfg, k)
+		cell := cellClients(cfg, k)
 		if len(cell) != cellSize(cfg, k) {
 			t.Fatalf("cell %d drew %d members, sized %d", k, len(cell), cellSize(cfg, k))
 		}

@@ -35,7 +35,7 @@ func FuzzWorkload(f *testing.F) {
 		}
 		total := 0
 		for k := 0; k < nCells; k++ {
-			cell := CellClients(cfg, k)
+			cell := cellClients(cfg, k)
 			if len(cell) != cellSize(cfg, k) || len(cell) == 0 {
 				t.Fatalf("cell %d size %d, want %d (nonzero)", k, len(cell), cellSize(cfg, k))
 			}
@@ -63,7 +63,7 @@ func FuzzWorkload(f *testing.F) {
 				}
 			}
 			// The stolen-cell contract: an independent redraw is identical.
-			again := CellClients(cfg, k)
+			again := cellClients(cfg, k)
 			for i := range cell {
 				if cell[i] != again[i] {
 					t.Fatalf("cell %d member %d not reproducible: %+v vs %+v", k, i, cell[i], again[i])

@@ -211,6 +211,12 @@ func CheckModule(root string, analyzers []*Analyzer) ([]Diagnostic, error) {
 	if err != nil {
 		return nil, err
 	}
+	return CheckPackages(pkgs, analyzers)
+}
+
+// CheckPackages is CheckModule over units Load already returned, so
+// one load can serve several whole-module checks.
+func CheckPackages(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	audit := NewAudit(analyzers)
 	var found []Diagnostic
 	for _, pkg := range pkgs {

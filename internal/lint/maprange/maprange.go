@@ -4,10 +4,9 @@
 // Go randomises map iteration order on purpose, so ranging over a map
 // while appending to a slice, concatenating report text, writing to an
 // output, or summing floats (float addition is not associative) yields
-// a different result on every run — the exact hazard behind the
-// sortedKeys helper in internal/experiments: collect the keys, sort
-// them, then iterate the sorted slice. Appending keys into a slice that
-// is sorted later in the same function is recognised as that safe
+// a different result on every run. The safe idiom is to collect the
+// keys, sort them, then iterate the sorted slice: appending keys into a
+// slice that is sorted later in the same function is recognised as that
 // pattern and not reported.
 package maprange
 
@@ -53,8 +52,8 @@ func isMap(t types.Type) bool {
 		return true
 	case *types.Interface:
 		// A type parameter's underlying type is its constraint
-		// interface: generic helpers like
-		// sortedKeys[M ~map[string]float64] range over maps too.
+		// interface: a generic key-sorting helper over
+		// [M ~map[string]float64] ranges over maps too.
 		return typeSetIsMaps(u)
 	}
 	return false
@@ -161,7 +160,7 @@ func checkAssign(pass *lint.Pass, rng *ast.RangeStmt, fnBody *ast.BlockStmt, st 
 				continue // collect-then-sort: the safe idiom
 			}
 			pass.Reportf(st.Pos(),
-				"append to %q inside range over map records randomised map order; sort the keys first (see sortedKeys in internal/experiments)",
+				"append to %q inside range over map records randomised map order; collect the keys, sort them, then range over the sorted slice",
 				id.Name)
 		}
 	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:

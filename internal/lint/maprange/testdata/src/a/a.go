@@ -7,8 +7,8 @@ import (
 	"strings"
 )
 
-// sortedKeys is the safe idiom from internal/experiments: the keys are
-// appended in random map order but sorted before anyone iterates them.
+// sortedKeys is the safe idiom: the keys are appended in random map
+// order but sorted before anyone iterates them.
 func sortedKeys(m map[string]float64) []string {
 	ks := make([]string, 0, len(m))
 	for k := range m {
@@ -103,8 +103,8 @@ func perKey(m map[string][]int) map[string]*rendition {
 	return out
 }
 
-// The generic shape of internal/experiments' helper: ranging over a
-// type parameter whose type set is maps is still map iteration.
+// The generic shape of the idiom: ranging over a type parameter whose
+// type set is maps is still map iteration.
 func sortedKeysGeneric[M ~map[string]float64](m M) []string {
 	ks := make([]string, 0, len(m))
 	for k := range m {

@@ -36,22 +36,11 @@ func EncodeMaster(p *manifest.Presentation) string {
 
 // EncodeMedia renders the VOD Media Playlist for one rendition.
 func EncodeMedia(r *manifest.Rendition) string {
-	return EncodeMediaWindow(r.Segments, 0, r.SegmentDuration, true)
-}
-
-// EncodeMediaWindow renders a media playlist for a window of segments
-// whose first entry has media sequence number seq. With ended=false the
-// playlist is live: no EXT-X-ENDLIST, and clients are expected to reload
-// it (RFC 8216 §6.2.2).
-func EncodeMediaWindow(segs []manifest.Segment, seq int, targetDur float64, ended bool) string {
 	var b strings.Builder
 	b.WriteString("#EXTM3U\n#EXT-X-VERSION:3\n")
-	fmt.Fprintf(&b, "#EXT-X-TARGETDURATION:%d\n", int64(targetDur+0.999))
-	fmt.Fprintf(&b, "#EXT-X-MEDIA-SEQUENCE:%d\n", seq)
-	if ended {
-		b.WriteString("#EXT-X-PLAYLIST-TYPE:VOD\n")
-	}
-	for _, s := range segs {
+	fmt.Fprintf(&b, "#EXT-X-TARGETDURATION:%d\n", int64(r.SegmentDuration+0.999))
+	b.WriteString("#EXT-X-MEDIA-SEQUENCE:0\n#EXT-X-PLAYLIST-TYPE:VOD\n")
+	for _, s := range r.Segments {
 		fmt.Fprintf(&b, "#EXTINF:%.5f,\n", s.Duration)
 		if s.Length > 0 {
 			fmt.Fprintf(&b, "#EXT-X-BYTERANGE:%d@%d\n", s.Length, s.Offset)
@@ -59,9 +48,7 @@ func EncodeMediaWindow(segs []manifest.Segment, seq int, targetDur float64, ende
 		b.WriteString(s.URL)
 		b.WriteString("\n")
 	}
-	if ended {
-		b.WriteString("#EXT-X-ENDLIST\n")
-	}
+	b.WriteString("#EXT-X-ENDLIST\n")
 	return b.String()
 }
 
@@ -144,34 +131,13 @@ type MediaSegment struct {
 	Offset, Length int64
 }
 
-// Playlist is a fully parsed media playlist.
-type Playlist struct {
-	// Segments lists the window's segments in order.
-	Segments []MediaSegment
-	// MediaSequence is the sequence number of the first segment.
-	MediaSequence int
-	// TargetDuration is the declared maximum segment duration.
-	TargetDuration float64
-	// Ended reports EXT-X-ENDLIST (VOD or a finished live event).
-	Ended bool
-}
-
-// ParseMedia parses a Media Playlist into its segment list.
+// ParseMedia parses a VOD Media Playlist into its segment list. The
+// EXT-X-MEDIA-SEQUENCE and EXT-X-TARGETDURATION values are not kept, but
+// a malformed one is still an error.
 func ParseMedia(text string) ([]MediaSegment, error) {
-	pl, err := ParseMediaPlaylist(text)
-	if err != nil {
-		return nil, err
-	}
-	return pl.Segments, nil
-}
-
-// ParseMediaPlaylist parses a media playlist including its live-relevant
-// headers (media sequence, target duration, endedness).
-func ParseMediaPlaylist(text string) (*Playlist, error) {
 	if !strings.HasPrefix(strings.TrimSpace(text), "#EXTM3U") {
 		return nil, fmt.Errorf("hls: missing #EXTM3U header")
 	}
-	pl := &Playlist{}
 	var out []MediaSegment
 	var dur float64
 	var haveDur bool
@@ -183,19 +149,13 @@ func ParseMediaPlaylist(text string) (*Playlist, error) {
 		line := strings.TrimSpace(sc.Text())
 		switch {
 		case strings.HasPrefix(line, "#EXT-X-MEDIA-SEQUENCE:"):
-			n, err := strconv.Atoi(strings.TrimPrefix(line, "#EXT-X-MEDIA-SEQUENCE:"))
-			if err != nil {
+			if _, err := strconv.Atoi(strings.TrimPrefix(line, "#EXT-X-MEDIA-SEQUENCE:")); err != nil {
 				return nil, fmt.Errorf("hls: bad MEDIA-SEQUENCE %q", line)
 			}
-			pl.MediaSequence = n
 		case strings.HasPrefix(line, "#EXT-X-TARGETDURATION:"):
-			f, err := strconv.ParseFloat(strings.TrimPrefix(line, "#EXT-X-TARGETDURATION:"), 64)
-			if err != nil {
+			if _, err := strconv.ParseFloat(strings.TrimPrefix(line, "#EXT-X-TARGETDURATION:"), 64); err != nil {
 				return nil, fmt.Errorf("hls: bad TARGETDURATION %q", line)
 			}
-			pl.TargetDuration = f
-		case line == "#EXT-X-ENDLIST":
-			pl.Ended = true
 		case strings.HasPrefix(line, "#EXTINF:"):
 			val := strings.TrimPrefix(line, "#EXTINF:")
 			if i := strings.IndexByte(val, ','); i >= 0 {
@@ -240,8 +200,7 @@ func ParseMediaPlaylist(text string) (*Playlist, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	pl.Segments = out
-	return pl, nil
+	return out, nil
 }
 
 // parseAttrs splits an attribute list "A=1,B="x,y",C=2" respecting quotes.

@@ -160,51 +160,19 @@ func TestQuickMediaRoundTrip(t *testing.T) {
 
 func TestParseMediaPlaylistHeaders(t *testing.T) {
 	text := "#EXTM3U\n#EXT-X-TARGETDURATION:6\n#EXT-X-MEDIA-SEQUENCE:42\n" +
-		"#EXTINF:4,\nseg42.ts\n#EXTINF:4,\nseg43.ts\n"
-	pl, err := ParseMediaPlaylist(text)
+		"#EXTINF:4,\nseg42.ts\n#EXTINF:4,\nseg43.ts\n#EXT-X-ENDLIST\n"
+	segs, err := ParseMedia(text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.MediaSequence != 42 || pl.TargetDuration != 6 || pl.Ended {
-		t.Fatalf("headers %+v", pl)
-	}
-	if len(pl.Segments) != 2 {
-		t.Fatalf("%d segments", len(pl.Segments))
-	}
-	// With ENDLIST present it flips Ended.
-	pl, err = ParseMediaPlaylist(text + "#EXT-X-ENDLIST\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pl.Ended {
-		t.Fatal("ENDLIST not detected")
+	if len(segs) != 2 || segs[0].URI != "seg42.ts" {
+		t.Fatalf("segments %+v", segs)
 	}
 	// Bad headers error out.
-	if _, err := ParseMediaPlaylist("#EXTM3U\n#EXT-X-MEDIA-SEQUENCE:x\n"); err == nil {
+	if _, err := ParseMedia("#EXTM3U\n#EXT-X-MEDIA-SEQUENCE:x\n"); err == nil {
 		t.Fatal("bad MEDIA-SEQUENCE accepted")
 	}
-	if _, err := ParseMediaPlaylist("#EXTM3U\n#EXT-X-TARGETDURATION:y\n"); err == nil {
+	if _, err := ParseMedia("#EXTM3U\n#EXT-X-TARGETDURATION:y\n"); err == nil {
 		t.Fatal("bad TARGETDURATION accepted")
-	}
-}
-
-func TestEncodeMediaWindow(t *testing.T) {
-	segs := []manifest.Segment{
-		{URL: "/a/7.ts", Duration: 4},
-		{URL: "/a/8.ts", Duration: 4},
-	}
-	out := EncodeMediaWindow(segs, 7, 4, false)
-	if !strings.Contains(out, "#EXT-X-MEDIA-SEQUENCE:7") {
-		t.Fatalf("missing sequence:\n%s", out)
-	}
-	if strings.Contains(out, "ENDLIST") {
-		t.Fatal("live window must not end")
-	}
-	pl, err := ParseMediaPlaylist(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl.MediaSequence != 7 || len(pl.Segments) != 2 {
-		t.Fatalf("round trip %+v", pl)
 	}
 }

@@ -107,23 +107,6 @@ type Rendition struct {
 	Segments []Segment
 }
 
-// Resolution returns a label such as "720p" (or "audio").
-func (r *Rendition) Resolution() string {
-	if r.Type == media.TypeAudio {
-		return "audio"
-	}
-	return fmt.Sprintf("%dp", r.Height)
-}
-
-// TotalBytes returns the sum of segment sizes.
-func (r *Rendition) TotalBytes() int64 {
-	var n int64
-	for _, s := range r.Segments {
-		n += s.Size
-	}
-	return n
-}
-
 // Presentation is the protocol-neutral content description.
 type Presentation struct {
 	// Name identifies the presentation (first path element of URLs).
@@ -150,14 +133,6 @@ func (p *Presentation) ManifestURL() string {
 	default:
 		return "/" + p.Name + "/Manifest"
 	}
-}
-
-// Rendition returns the video rendition with the given ID, or nil.
-func (p *Presentation) Rendition(id int) *Rendition {
-	if id < 0 || id >= len(p.Video) {
-		return nil
-	}
-	return p.Video[id]
 }
 
 // BuildOptions configures Build.

@@ -120,16 +120,3 @@ func TestDeclareAverageOption(t *testing.T) {
 		}
 	}
 }
-
-func TestRenditionHelpers(t *testing.T) {
-	p := Build(testVideo(t, true), BuildOptions{Protocol: DASH, Addressing: SidxRanges})
-	if p.Rendition(0) == nil || p.Rendition(99) != nil || p.Rendition(-1) != nil {
-		t.Error("Rendition lookup wrong")
-	}
-	if p.Video[0].TotalBytes() <= 0 {
-		t.Error("TotalBytes")
-	}
-	if p.Audio[0].Resolution() != "audio" {
-		t.Error("audio resolution label")
-	}
-}

@@ -41,15 +41,6 @@ type Box struct {
 	References []Reference
 }
 
-// SegmentDurations converts the reference durations to seconds.
-func (b *Box) SegmentDurations() []float64 {
-	out := make([]float64, len(b.References))
-	for i, r := range b.References {
-		out[i] = float64(r.SubsegmentDuration) / float64(b.Timescale)
-	}
-	return out
-}
-
 // Encode serialises the box. Version 1 is always written.
 func Encode(b *Box) []byte {
 	size := 12 + 4 + 4 + 16 + 4 + 12*len(b.References)

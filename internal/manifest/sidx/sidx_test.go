@@ -1,7 +1,6 @@
 package sidx
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -37,9 +36,8 @@ func TestRoundTrip(t *testing.T) {
 
 func TestSegmentDurations(t *testing.T) {
 	b := FromSegments([]int64{100, 200}, []float64{4, 2.5}, 1000)
-	ds := b.SegmentDurations()
-	if math.Abs(ds[0]-4) > 1e-3 || math.Abs(ds[1]-2.5) > 1e-3 {
-		t.Fatalf("durations %v", ds)
+	if d0, d1 := b.References[0].SubsegmentDuration, b.References[1].SubsegmentDuration; d0 != 4000 || d1 != 2500 {
+		t.Fatalf("durations %d, %d at timescale %d", d0, d1, b.Timescale)
 	}
 }
 

@@ -90,27 +90,6 @@ type Track struct {
 	SegmentDuration float64
 }
 
-// Resolution returns a human label such as "720p" for the track, derived
-// from its encoded height. Audio tracks return "audio".
-func (t *Track) Resolution() string {
-	if t.Type == TypeAudio {
-		return "audio"
-	}
-	return fmt.Sprintf("%dp", t.Height)
-}
-
-// PeakBitrate returns the maximum actual segment bitrate of the track.
-func (t *Track) PeakBitrate() float64 {
-	peak := 0.0
-	for i, b := range t.SegmentBytes {
-		d := t.segDur(i)
-		if r := b * 8 / d; r > peak {
-			peak = r
-		}
-	}
-	return peak
-}
-
 // AverageBitrate returns the mean actual bitrate of the track, weighted by
 // segment duration.
 func (t *Track) AverageBitrate() float64 {
@@ -175,10 +154,6 @@ func (v *Video) AudioSegmentCount() int {
 	return segmentCount(v.Duration, v.AudioSegmentDuration)
 }
 
-// SeparateAudio reports whether the presentation carries audio in separate
-// tracks rather than multiplexed into the video segments.
-func (v *Video) SeparateAudio() bool { return len(v.AudioTracks) > 0 }
-
 // SegmentLength returns the duration of video segment i (the last segment
 // may be shorter than the nominal segment duration).
 func (v *Video) SegmentLength(i int) float64 {
@@ -190,28 +165,8 @@ func (v *Video) AudioSegmentLength(i int) float64 {
 	return segmentLength(v.Duration, v.AudioSegmentDuration, i)
 }
 
-// SegmentStart returns the media start time of video segment i.
-func (v *Video) SegmentStart(i int) float64 { return float64(i) * v.SegmentDuration }
-
-// Track returns the video track with the given ID, or nil.
-func (v *Video) Track(id int) *Track {
-	if id < 0 || id >= len(v.Tracks) {
-		return nil
-	}
-	return v.Tracks[id]
-}
-
 // HighestTrack returns the top of the ladder.
 func (v *Video) HighestTrack() *Track { return v.Tracks[len(v.Tracks)-1] }
-
-// LowestTrack returns the bottom of the ladder.
-func (v *Video) LowestTrack() *Track { return v.Tracks[0] }
-
-// SegmentSize returns the size in bytes of segment index of the given
-// video track.
-func (v *Video) SegmentSize(track, index int) float64 {
-	return v.Tracks[track].SegmentBytes[index]
-}
 
 func segmentCount(total, seg float64) int {
 	if seg <= 0 || total <= 0 {
@@ -426,9 +381,3 @@ func complexitySeries(n int, enc Encoding, spread float64, seed int64) []float64
 	}
 	return c
 }
-
-// Mbps converts megabits per second to bits per second.
-func Mbps(m float64) float64 { return m * 1e6 }
-
-// Kbps converts kilobits per second to bits per second.
-func Kbps(k float64) float64 { return k * 1e3 }

@@ -35,7 +35,7 @@ func TestGenerateBasics(t *testing.T) {
 			t.Errorf("track %d has ID %d", i, tr.ID)
 		}
 	}
-	if v.SeparateAudio() {
+	if len(v.AudioTracks) > 0 {
 		t.Error("unexpected separate audio")
 	}
 }
@@ -77,7 +77,7 @@ func TestVBRSpread(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := v.HighestTrack()
-	ratio := tr.PeakBitrate() / tr.AverageBitrate()
+	ratio := peakBitrate(tr) / tr.AverageBitrate()
 	if ratio < 1.6 || ratio > 2.4 {
 		t.Errorf("peak/avg = %.2f, want ≈2 (VBRSpread)", ratio)
 	}
@@ -85,6 +85,17 @@ func TestVBRSpread(t *testing.T) {
 	if math.Abs(tr.DeclaredBitrate-2*tr.TargetBitrate) > 1 {
 		t.Errorf("declared %.0f, want 2×target %.0f", tr.DeclaredBitrate, 2*tr.TargetBitrate)
 	}
+}
+
+// peakBitrate is the maximum actual segment bitrate of a track.
+func peakBitrate(t *Track) float64 {
+	peak := 0.0
+	for i, b := range t.SegmentBytes {
+		if r := b * 8 / t.segDur(i); r > peak {
+			peak = r
+		}
+	}
+	return peak
 }
 
 func TestCBRTight(t *testing.T) {
@@ -95,7 +106,7 @@ func TestCBRTight(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := v.HighestTrack()
-	if r := tr.PeakBitrate() / tr.AverageBitrate(); r > 1.05 {
+	if r := peakBitrate(tr) / tr.AverageBitrate(); r > 1.05 {
 		t.Errorf("CBR peak/avg = %.3f, want ≤1.05", r)
 	}
 	if tr.DeclaredBitrate != tr.TargetBitrate {
@@ -126,7 +137,7 @@ func TestSeparateAudio(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !v.SeparateAudio() {
+	if len(v.AudioTracks) == 0 {
 		t.Fatal("expected separate audio")
 	}
 	if got, want := v.AudioSegmentCount(), 300; got != want {
@@ -183,19 +194,6 @@ func TestGenerateDeterministic(t *testing.T) {
 				t.Fatalf("generation not deterministic at track %d seg %d", i, j)
 			}
 		}
-	}
-}
-
-func TestResolutionLabels(t *testing.T) {
-	v, _ := Generate(testConfig())
-	if got := v.LowestTrack().Resolution(); got == "" {
-		t.Error("empty resolution label")
-	}
-	cfg := testConfig()
-	cfg.SeparateAudio = true
-	v, _ = Generate(cfg)
-	if got := v.AudioTracks[0].Resolution(); got != "audio" {
-		t.Errorf("audio resolution = %q", got)
 	}
 }
 

@@ -14,7 +14,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 	base := Constant("c", 2e6, 600)
 	cases := map[string]*Profile{
 		"sample value": {Name: "c", Samples: append(append([]float64{}, base.Samples[:len(base.Samples)-1]...), 2e6+1)},
-		"sample count": base.Slice(0, base.Duration()-1),
+		"sample count": {Name: "c", Samples: base.Samples[:len(base.Samples)-1]},
 	}
 	for name, p := range cases {
 		if p.Fingerprint() == base.Fingerprint() {

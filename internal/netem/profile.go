@@ -34,9 +34,6 @@ type Profile struct {
 	Samples []float64
 }
 
-// Duration returns the total trace duration in seconds.
-func (p *Profile) Duration() float64 { return float64(len(p.Samples)) }
-
 // At returns the available bandwidth in bits/s at time t (t may exceed the
 // trace duration; the trace loops).
 func (p *Profile) At(t float64) float64 {
@@ -114,18 +111,6 @@ func (p *Profile) Max() float64 {
 		m = math.Max(m, v)
 	}
 	return m
-}
-
-// Slice returns the sub-profile covering [from, from+dur) seconds,
-// snapped to whole seconds.
-func (p *Profile) Slice(from, dur float64) *Profile {
-	start := int(math.Floor(from))
-	n := int(math.Ceil(dur))
-	out := &Profile{Name: fmt.Sprintf("%s[%g+%g]", p.Name, from, dur)}
-	for i := 0; i < n; i++ {
-		out.Samples = append(out.Samples, p.Samples[(start+i)%len(p.Samples)])
-	}
-	return out
 }
 
 // Split cuts the profile into consecutive chunks of chunkDur seconds,

@@ -1,18 +1,11 @@
 // Package origin implements the server side of a HAS service: it encodes
 // the manifest documents for a presentation (HLS playlists, DASH MPD with
-// per-track sidx boxes, or a SmoothStreaming manifest), answers document
-// lookups for the virtual-time simulator, and serves the whole
-// presentation — including synthetic media payloads with Range and HEAD
-// support — over real HTTP via net/http.
+// per-track sidx boxes, or a SmoothStreaming manifest) and answers
+// document and sidx lookups for the virtual-time simulator.
 package origin
 
 import (
-	"fmt"
-	"io"
-	"net/http"
-	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/manifest"
 	"repro/internal/manifest/dash"
@@ -28,8 +21,6 @@ type Origin struct {
 
 	docs      map[string][]byte // URL -> document body
 	sidxBytes map[string][]byte // media URL -> encoded sidx box
-	mediaSize map[string]int64  // media URL -> total virtual file size
-	segSize   map[string]int64  // segment URL -> size (separate files)
 
 	// Values derived from Pres live here, so they are collected with the
 	// origin: a process-wide table keyed by the presentation pointer
@@ -62,8 +53,6 @@ func NewWithOptions(p *manifest.Presentation, opts Options) (*Origin, error) {
 		Pres:      p,
 		docs:      map[string][]byte{},
 		sidxBytes: map[string][]byte{},
-		mediaSize: map[string]int64{},
-		segSize:   map[string]int64{},
 	}
 	switch p.Protocol {
 	case manifest.HLS:
@@ -89,24 +78,16 @@ func NewWithOptions(p *manifest.Presentation, opts Options) (*Origin, error) {
 		o.docs[url] = obfuscate(o.docs[url])
 	}
 	index := func(r *manifest.Rendition) {
-		if r.MediaURL != "" {
-			sizes := make([]int64, 0, len(r.Segments))
-			durs := make([]float64, 0, len(r.Segments))
-			var total int64
-			for _, s := range r.Segments {
-				sizes = append(sizes, s.Size)
-				durs = append(durs, s.Duration)
-				total = s.Offset + s.Length
-			}
-			box := sidx.FromSegments(sizes, durs, 1000)
-			o.sidxBytes[r.MediaURL] = sidx.Encode(box)
-			o.mediaSize[r.MediaURL] = total
+		if r.MediaURL == "" {
+			return
 		}
+		sizes := make([]int64, 0, len(r.Segments))
+		durs := make([]float64, 0, len(r.Segments))
 		for _, s := range r.Segments {
-			if s.URL != "" && s.Length == 0 {
-				o.segSize[s.URL] = s.Size
-			}
+			sizes = append(sizes, s.Size)
+			durs = append(durs, s.Duration)
 		}
+		o.sidxBytes[r.MediaURL] = sidx.Encode(sidx.FromSegments(sizes, durs, 1000))
 	}
 	for _, r := range p.Video {
 		index(r)
@@ -173,64 +154,6 @@ func (o *Origin) Sidx(mediaURL string) ([]byte, bool) {
 	return b, ok
 }
 
-// ServeHTTP serves the presentation over real HTTP: manifest documents
-// verbatim, media as synthetic payloads of the correct size with full
-// Range support (http.ServeContent handles Range and HEAD).
-func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	url := r.URL.Path
-	if body, ok := o.docs[url]; ok {
-		w.Header().Set("Content-Type", contentTypeFor(url, o.Pres.Protocol))
-		http.ServeContent(w, r, "", time.Time{}, strings.NewReader(string(body)))
-		return
-	}
-	if size, ok := o.mediaSize[url]; ok {
-		f := &virtualFile{size: size}
-		// Splice the real sidx bytes into the virtual file at the
-		// rendition's index offset so ranged index fetches decode.
-		if sx, ok := o.sidxBytes[url]; ok {
-			if rend := o.renditionByMediaURL(url); rend != nil {
-				f.patchOff, f.patch = rend.IndexOffset, sx
-			}
-		}
-		w.Header().Set("Content-Type", "video/mp4")
-		http.ServeContent(w, r, "", time.Time{}, f)
-		return
-	}
-	if size, ok := o.segSize[url]; ok {
-		w.Header().Set("Content-Type", "video/mp2t")
-		http.ServeContent(w, r, "", time.Time{}, &virtualFile{size: size})
-		return
-	}
-	http.NotFound(w, r)
-}
-
-func (o *Origin) renditionByMediaURL(url string) *manifest.Rendition {
-	for _, r := range o.Pres.Video {
-		if r.MediaURL == url {
-			return r
-		}
-	}
-	for _, r := range o.Pres.Audio {
-		if r.MediaURL == url {
-			return r
-		}
-	}
-	return nil
-}
-
-func contentTypeFor(url string, proto manifest.Protocol) string {
-	switch {
-	case strings.HasSuffix(url, ".m3u8"):
-		return "application/vnd.apple.mpegurl"
-	case strings.HasSuffix(url, ".mpd"):
-		return "application/dash+xml"
-	case proto == manifest.Smooth:
-		return "application/vnd.ms-sstr+xml"
-	default:
-		return "application/octet-stream"
-	}
-}
-
 // obfuscate scrambles document bytes deterministically (a stand-in for
 // application-layer encryption; the exact transform is irrelevant — it
 // only has to defeat content sniffing).
@@ -240,53 +163,4 @@ func obfuscate(body []byte) []byte {
 		out[i] = b ^ byte(0xA5+i*7)
 	}
 	return out
-}
-
-// virtualFile is a ReadSeeker over deterministic filler bytes of a fixed
-// size, with an optional patched region carrying real bytes (the sidx).
-// It lets the origin serve arbitrarily large media without storing it.
-type virtualFile struct {
-	size     int64
-	pos      int64
-	patchOff int64
-	patch    []byte
-}
-
-func (f *virtualFile) Read(p []byte) (int, error) {
-	if f.pos >= f.size {
-		return 0, io.EOF
-	}
-	n := len(p)
-	if rem := f.size - f.pos; int64(n) > rem {
-		n = int(rem)
-	}
-	for i := 0; i < n; i++ {
-		off := f.pos + int64(i)
-		if f.patch != nil && off >= f.patchOff && off < f.patchOff+int64(len(f.patch)) {
-			p[i] = f.patch[off-f.patchOff]
-		} else {
-			p[i] = byte(off * 31)
-		}
-	}
-	f.pos += int64(n)
-	return n, nil
-}
-
-func (f *virtualFile) Seek(offset int64, whence int) (int64, error) {
-	var abs int64
-	switch whence {
-	case io.SeekStart:
-		abs = offset
-	case io.SeekCurrent:
-		abs = f.pos + offset
-	case io.SeekEnd:
-		abs = f.size + offset
-	default:
-		return 0, fmt.Errorf("origin: bad whence %d", whence)
-	}
-	if abs < 0 {
-		return 0, fmt.Errorf("origin: negative seek")
-	}
-	f.pos = abs
-	return abs, nil
 }

@@ -1,10 +1,6 @@
 package origin
 
 import (
-	"fmt"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -34,8 +30,8 @@ func build(t *testing.T, proto manifest.Protocol, addr manifest.Addressing) *Ori
 
 func TestDocumentLookups(t *testing.T) {
 	org := build(t, manifest.HLS, 0)
-	if _, ok := org.Document("/o/master.m3u8"); !ok {
-		t.Fatal("master playlist missing")
+	if body, ok := org.Document("/o/master.m3u8"); !ok || !strings.HasPrefix(string(body), "#EXTM3U") {
+		t.Fatalf("master playlist %q", body)
 	}
 	if _, ok := org.Document(org.Pres.Video[0].PlaylistURL); !ok {
 		t.Fatal("media playlist missing")
@@ -47,122 +43,39 @@ func TestDocumentLookups(t *testing.T) {
 	if _, ok := dash.Document("/o/manifest.mpd"); !ok {
 		t.Fatal("MPD missing")
 	}
-	if _, ok := dash.Sidx(dash.Pres.Video[0].MediaURL); !ok {
+	r := dash.Pres.Video[0]
+	sx, ok := dash.Sidx(r.MediaURL)
+	if !ok {
 		t.Fatal("sidx missing")
 	}
-}
-
-func TestServeHTTPDocumentsAndSegments(t *testing.T) {
-	org := build(t, manifest.HLS, 0)
-	srv := httptest.NewServer(org)
-	defer srv.Close()
-
-	body := get(t, srv.URL+"/o/master.m3u8", "")
-	if !strings.HasPrefix(string(body), "#EXTM3U") {
-		t.Fatalf("master body %q...", body[:10])
-	}
-	seg := org.Pres.Video[1].Segments[2]
-	payload := get(t, srv.URL+seg.URL, "")
-	if int64(len(payload)) != seg.Size {
-		t.Fatalf("segment body %d bytes, want %d", len(payload), seg.Size)
-	}
-	// 404 for unknown paths.
-	resp, err := http.Get(srv.URL + "/o/unknown")
+	box, err := sidx.Decode(sx)
 	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown path status %d", resp.StatusCode)
-	}
-}
-
-func TestServeHTTPRangesAndSidx(t *testing.T) {
-	org := build(t, manifest.DASH, manifest.SidxRanges)
-	srv := httptest.NewServer(org)
-	defer srv.Close()
-
-	r := org.Pres.Video[0]
-	// Ranged request for the sidx region must decode.
-	rangeHdr := fmt.Sprintf("bytes=%d-%d", r.IndexOffset, r.IndexOffset+r.IndexLength-1)
-	body := get(t, srv.URL+r.MediaURL, rangeHdr)
-	box, err := sidx.Decode(body)
-	if err != nil {
-		t.Fatalf("sidx over HTTP: %v", err)
+		t.Fatalf("sidx: %v", err)
 	}
 	if len(box.References) != len(r.Segments) {
 		t.Fatalf("sidx has %d refs, want %d", len(box.References), len(r.Segments))
-	}
-	// Ranged request for one segment returns exactly its bytes.
-	seg := r.Segments[1]
-	body = get(t, srv.URL+r.MediaURL, fmt.Sprintf("bytes=%d-%d", seg.Offset, seg.Offset+seg.Length-1))
-	if int64(len(body)) != seg.Length {
-		t.Fatalf("segment range %d bytes, want %d", len(body), seg.Length)
-	}
-	// HEAD reports the full virtual size (the paper used HEAD to learn
-	// segment sizes for HLS/Smooth).
-	req, _ := http.NewRequest(http.MethodHead, srv.URL+r.MediaURL, nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	last := r.Segments[len(r.Segments)-1]
-	if want := last.Offset + last.Length; resp.ContentLength != want {
-		t.Fatalf("HEAD length %d, want %d", resp.ContentLength, want)
-	}
-}
-
-func TestVirtualFileDeterministic(t *testing.T) {
-	org := build(t, manifest.DASH, manifest.SidxRanges)
-	srv := httptest.NewServer(org)
-	defer srv.Close()
-	r := org.Pres.Video[0]
-	h := fmt.Sprintf("bytes=%d-%d", r.Segments[0].Offset, r.Segments[0].Offset+99)
-	a := get(t, srv.URL+r.MediaURL, h)
-	b := get(t, srv.URL+r.MediaURL, h)
-	if string(a) != string(b) {
-		t.Fatal("virtual file content not deterministic")
 	}
 }
 
 func TestSmoothServing(t *testing.T) {
 	org := build(t, manifest.Smooth, 0)
-	srv := httptest.NewServer(org)
-	defer srv.Close()
-	body := get(t, srv.URL+"/o/Manifest", "")
-	if !strings.Contains(string(body), "<SmoothStreamingMedia") {
+	body, ok := org.Document("/o/Manifest")
+	if !ok || !strings.Contains(string(body), "<SmoothStreamingMedia") {
 		t.Fatal("manifest body wrong")
 	}
-	seg := org.Pres.Video[0].Segments[0]
-	payload := get(t, srv.URL+seg.URL, "")
-	if int64(len(payload)) != seg.Size {
-		t.Fatalf("fragment %d bytes, want %d", len(payload), seg.Size)
+	// Fragments are separate URLs whose sizes only the origin knows: the
+	// client view hides them (§4.2).
+	view := org.ClientView()
+	for i, r := range org.Pres.Video {
+		for j, seg := range r.Segments {
+			if seg.URL == "" || seg.Size <= 0 {
+				t.Fatalf("rendition %d fragment %d: URL %q size %d", i, j, seg.URL, seg.Size)
+			}
+			if got := view.Video[i].Segments[j].Size; got != 0 {
+				t.Fatalf("client view exposes fragment size %d", got)
+			}
+		}
 	}
-}
-
-func get(t *testing.T, url, rangeHdr string) []byte {
-	t.Helper()
-	req, err := http.NewRequest(http.MethodGet, url, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rangeHdr != "" {
-		req.Header.Set("Range", rangeHdr)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		t.Fatalf("GET %s: %s", url, resp.Status)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return body
 }
 
 func TestObfuscatedManifest(t *testing.T) {

@@ -86,11 +86,6 @@ func (b *Buffer) PlayableEnd(playhead float64) float64 {
 	return end
 }
 
-// OccupancySec returns the playable buffered duration from the playhead.
-func (b *Buffer) OccupancySec(playhead float64) float64 {
-	return b.PlayableEnd(playhead) - playhead
-}
-
 // SegmentAt returns the buffered segment covering the given media time.
 func (b *Buffer) SegmentAt(mediaTime float64) (BufferedSegment, bool) {
 	const eps = 1e-9
@@ -101,24 +96,6 @@ func (b *Buffer) SegmentAt(mediaTime float64) (BufferedSegment, bool) {
 	}
 	return BufferedSegment{}, false
 }
-
-// HasIndex reports whether segment index is buffered.
-func (b *Buffer) HasIndex(index int) bool {
-	for _, s := range b.segs {
-		if s.Index == index {
-			return true
-		}
-	}
-	return false
-}
-
-// Segments returns a copy of the buffered segments in media order.
-func (b *Buffer) Segments() []BufferedSegment {
-	return append([]BufferedSegment(nil), b.segs...)
-}
-
-// Len returns the number of buffered segments.
-func (b *Buffer) Len() int { return len(b.segs) }
 
 // UnplayedCount returns the number of segments whose media end is after
 // the playhead.

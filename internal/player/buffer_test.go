@@ -14,6 +14,16 @@ func seg(index int, track int, start, dur float64) BufferedSegment {
 	}
 }
 
+// hasIndex reports whether segment index is buffered.
+func hasIndex(b *Buffer, index int) bool {
+	for _, s := range b.segs {
+		if s.Index == index {
+			return true
+		}
+	}
+	return false
+}
+
 func TestBufferPlayableEnd(t *testing.T) {
 	var b Buffer
 	if got := b.PlayableEnd(5); got != 5 {
@@ -24,8 +34,8 @@ func TestBufferPlayableEnd(t *testing.T) {
 	if got := b.PlayableEnd(0); got != 8 {
 		t.Fatalf("end %v, want 8", got)
 	}
-	if got := b.OccupancySec(3); got != 5 {
-		t.Fatalf("occupancy %v, want 5", got)
+	if got := b.PlayableEnd(3); got != 8 {
+		t.Fatalf("end from mid-segment %v, want 8", got)
 	}
 	// A gap stops contiguity.
 	b.Insert(seg(3, 0, 12, 4))
@@ -64,7 +74,7 @@ func TestBufferDropFromIndex(t *testing.T) {
 	if len(dropped) != 3 || b.Len() != 2 {
 		t.Fatalf("dropped %d, kept %d", len(dropped), b.Len())
 	}
-	if b.HasIndex(2) || !b.HasIndex(1) {
+	if hasIndex(&b, 2) || !hasIndex(&b, 1) {
 		t.Fatal("wrong segments dropped")
 	}
 	if got := b.PlayableEnd(0); got != 8 {
@@ -80,7 +90,7 @@ func TestBufferGC(t *testing.T) {
 	if n := b.GC(9); n != 2 {
 		t.Fatalf("GC dropped %d, want 2", n)
 	}
-	if b.Len() != 3 || b.HasIndex(1) {
+	if b.Len() != 3 || hasIndex(&b, 1) {
 		t.Fatal("GC kept the wrong segments")
 	}
 	if got := b.UnplayedCount(9); got != 3 {
@@ -103,3 +113,6 @@ func TestBufferSegmentAtBoundary(t *testing.T) {
 		t.Fatal("NaN")
 	}
 }
+
+// Len returns the number of buffered segments.
+func (b *Buffer) Len() int { return len(b.segs) }

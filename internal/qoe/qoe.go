@@ -15,6 +15,21 @@ import (
 	"repro/internal/uimon"
 )
 
+// Jain computes Jain's fairness index (Σx)² / (n·Σx²) over the clients'
+// bitrates: 1 means every client achieved the same bitrate, 1/n that one
+// client took it all. All-zero input is 1: everyone equally got nothing.
+func Jain(xs []float64) float64 {
+	var sum, sumsq float64
+	for _, x := range xs {
+		sum += x
+		sumsq += x * x
+	}
+	if sumsq == 0 {
+		return 1
+	}
+	return sum * sum / (float64(len(xs)) * sumsq)
+}
+
 // Report aggregates the QoE of one session.
 type Report struct {
 	// StartupDelay is the seconds until the first frame (-1 = never).

@@ -74,19 +74,15 @@ type Action struct {
 }
 
 // Policy decides, before each video request, whether to fetch forward or
-// replace buffered content.
+// replace buffered content. A report labels a policy by the service
+// that uses it, so the interface carries no name.
 type Policy interface {
-	// Name identifies the policy in reports.
-	Name() string
 	// Consider returns the next action given the player state.
 	Consider(v View) Action
 }
 
 // None never replaces.
 type None struct{}
-
-// Name implements Policy.
-func (None) Name() string { return "none" }
 
 // Consider implements Policy.
 func (None) Consider(View) Action { return Action{Op: OpNext} }
@@ -112,9 +108,6 @@ type ContiguousOnUpswitch struct {
 	// be selected.
 	IgnoreBufferedQuality bool
 }
-
-// Name implements Policy.
-func (ContiguousOnUpswitch) Name() string { return "contiguous-on-upswitch" }
 
 // Consider implements Policy.
 func (p ContiguousOnUpswitch) Consider(v View) Action {
@@ -159,14 +152,6 @@ type PerSegment struct {
 	// CapTrack, when ≥ 0, restricts replacement to segments whose track
 	// is ≤ CapTrack. Use -1 for no cap.
 	CapTrack int
-}
-
-// Name implements Policy.
-func (p PerSegment) Name() string {
-	if p.CapTrack >= 0 {
-		return "per-segment-capped"
-	}
-	return "per-segment"
 }
 
 // Consider implements Policy.

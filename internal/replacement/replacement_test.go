@@ -116,11 +116,3 @@ func TestPerSegmentCap(t *testing.T) {
 		t.Fatalf("replaced above cap: %+v", got)
 	}
 }
-
-func TestNames(t *testing.T) {
-	for _, p := range []Policy{None{}, ContiguousOnUpswitch{}, PerSegment{CapTrack: -1}, PerSegment{CapTrack: 2}} {
-		if p.Name() == "" {
-			t.Errorf("%T has empty name", p)
-		}
-	}
-}

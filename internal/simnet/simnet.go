@@ -188,42 +188,6 @@ type Transfer struct {
 	upPos  int // position in upstream.upMembers; -1 while not attached
 }
 
-// Remaining returns the bytes not yet delivered, as of the last engine
-// event: a flowing transfer's progress since its anchor is folded in on
-// demand.
-func (t *Transfer) Remaining() float64 {
-	r := t.remaining
-	switch {
-	case t.vClass == vUnc:
-		r -= t.Conn.net.v.vNow - t.aT
-	case t.vClass == vCapd || t.pos >= 0:
-		r -= t.rate * (t.Conn.net.now - t.aT)
-	}
-	if r > 0 {
-		return r
-	}
-	return 0
-}
-
-// Rate returns the most recently allocated delivery rate in bytes/s. A
-// virtual-time uncapped flow's rate is the shared equal-share slope.
-func (t *Transfer) Rate() float64 {
-	if t.vClass == vUnc {
-		return t.Conn.net.v.slope
-	}
-	return t.rate
-}
-
-// Throughput returns the achieved goodput in bits/s over the whole
-// request/response exchange, including latency — this is what a client's
-// bandwidth estimator observes.
-func (t *Transfer) Throughput() float64 {
-	if !t.Done || t.Completed <= t.Started {
-		return 0
-	}
-	return t.Size * 8 / (t.Completed - t.Started)
-}
-
 // AccessLink models one client's own access link — its radio channel in
 // the fleet's two-level "shared edge, private access" topology. The link
 // carries a time-varying rate budget from a netem.Profile (the trace
@@ -287,10 +251,6 @@ func (c *Conn) Busy() bool { return c.cur != nil }
 // Access returns the access link the connection was dialed via (nil for
 // Dial).
 func (c *Conn) Access() *AccessLink { return c.access }
-
-// Established reports whether the TCP handshake has completed (i.e. the
-// connection has carried at least one request).
-func (c *Conn) Established() bool { return c.established }
 
 // InSlowStart reports whether the connection's rate is still ramping.
 func (c *Conn) InSlowStart() bool { return !math.IsInf(c.capBps, 1) }
@@ -517,12 +477,6 @@ func cleared[T any](s []*T) []*T {
 
 // Now returns the current virtual time in seconds.
 func (n *Network) Now() float64 { return n.now }
-
-// Config returns the transport parameters in use.
-func (n *Network) Config() Config { return n.cfg }
-
-// Profile returns the bandwidth profile driving the link.
-func (n *Network) Profile() *netem.Profile { return n.profile }
 
 // Delivered returns the total bytes delivered so far (all transfers),
 // the un-materialized progress of every live flow included: in O(1) from

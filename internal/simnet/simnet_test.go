@@ -330,3 +330,39 @@ func TestEngineShimContract(t *testing.T) {
 		}
 	}
 }
+
+// Remaining returns the bytes not yet delivered, as of the last engine
+// event: a flowing transfer's progress since its anchor is folded in on
+// demand.
+func (t *Transfer) Remaining() float64 {
+	r := t.remaining
+	switch {
+	case t.vClass == vUnc:
+		r -= t.Conn.net.v.vNow - t.aT
+	case t.vClass == vCapd || t.pos >= 0:
+		r -= t.rate * (t.Conn.net.now - t.aT)
+	}
+	if r > 0 {
+		return r
+	}
+	return 0
+}
+
+// Rate returns the most recently allocated delivery rate in bytes/s. A
+// virtual-time uncapped flow's rate is the shared equal-share slope.
+func (t *Transfer) Rate() float64 {
+	if t.vClass == vUnc {
+		return t.Conn.net.v.slope
+	}
+	return t.rate
+}
+
+// Throughput returns the achieved goodput in bits/s over the whole
+// request/response exchange, including latency — this is what a client's
+// bandwidth estimator observes.
+func (t *Transfer) Throughput() float64 {
+	if !t.Done || t.Completed <= t.Started {
+		return 0
+	}
+	return t.Size * 8 / (t.Completed - t.Started)
+}

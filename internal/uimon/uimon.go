@@ -83,24 +83,3 @@ func Stalls(samples []Sample, minDur float64) []Interval {
 	}
 	return out
 }
-
-// PositionAt interpolates the playback position at wall time t.
-func PositionAt(samples []Sample, t float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	if t <= samples[0].T {
-		return samples[0].Position
-	}
-	for i := 1; i < len(samples); i++ {
-		if samples[i].T >= t {
-			a, b := samples[i-1], samples[i]
-			if b.T == a.T { //vodlint:allow floateq — zero-width interval guard on stored sample times
-				return b.Position
-			}
-			f := (t - a.T) / (b.T - a.T)
-			return a.Position + f*(b.Position-a.Position)
-		}
-	}
-	return samples[len(samples)-1].Position
-}

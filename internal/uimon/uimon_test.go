@@ -68,16 +68,3 @@ func TestTrailingStall(t *testing.T) {
 		t.Fatalf("trailing stall %+v", stalls)
 	}
 }
-
-func TestPositionAt(t *testing.T) {
-	s := []Sample{{0, 0}, {1, 0}, {2, 1}, {3, 2}}
-	if got := PositionAt(s, 2.5); math.Abs(got-1.5) > 1e-9 {
-		t.Fatalf("PositionAt(2.5) = %v", got)
-	}
-	if got := PositionAt(s, -1); got != 0 {
-		t.Fatalf("PositionAt(-1) = %v", got)
-	}
-	if got := PositionAt(s, 99); got != 2 {
-		t.Fatalf("PositionAt(99) = %v", got)
-	}
-}

@@ -54,7 +54,7 @@ type (
 	Presentation = manifest.Presentation
 	// BuildOptions selects protocol and addressing for a manifest.
 	BuildOptions = manifest.BuildOptions
-	// Origin serves a presentation (virtual-time lookups and real HTTP).
+	// Origin serves a presentation's documents to the simulator.
 	Origin = origin.Origin
 )
 
