@@ -5,9 +5,9 @@
 // default) regardless of completion order, so the output is identical
 // for any worker count.
 //
-// Sessions are memoized through the content-addressed cache in
-// internal/expcache: duplicate sessions within one run are computed
-// once.
+// Sessions run through internal/expcache, which counts them and builds
+// each distinct origin once; no session result is kept past the
+// experiment that reads it.
 //
 // Usage:
 //
@@ -15,7 +15,7 @@
 //	vodreport -workers 8 -out -
 //	vodreport -list                      # experiment ids
 //	vodreport -exp fig8,fig9 -out -      # only those sections, in that order
-//	vodreport -v                         # + session-cache statistics
+//	vodreport -v                         # + sessions run, origins built/reused
 //	vodreport -stable -out r.md          # byte-stable output (no timings)
 //	vodreport -exp table1 -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
@@ -61,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	list := fs.Bool("list", false, "list experiment ids and exit")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "concurrent experiments (1 = serial)")
 	quiet := fs.Bool("q", false, "suppress per-experiment progress lines")
-	verbose := fs.Bool("v", false, "print session-cache statistics to stderr")
+	verbose := fs.Bool("v", false, "print sessions run and origins built/reused to stderr")
 	stable := fs.Bool("stable", false, "omit wall-clock timing lines so the report is byte-stable across runs")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -167,8 +167,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *verbose {
 		s := expcache.Default.Snapshot()
-		fmt.Fprintf(stderr, "vodreport: cache: %d misses, %d memory hits, %d deduped, %d bypassed; %d origins built, %d reused\n",
-			s.Misses, s.MemHits, s.Dedup, s.Bypass, s.OriginBuilds, s.OriginHits)
+		fmt.Fprintf(stderr, "vodreport: %d sessions run; %d origins built, %d reused\n",
+			s.Misses, s.OriginBuilds, s.OriginHits)
 	}
 	if *out == "-" {
 		fmt.Fprint(stdout, b.String())

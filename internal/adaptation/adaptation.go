@@ -237,15 +237,6 @@ func (a OscillatingGreedy) Select(ctx Context) int {
 	return next
 }
 
-// Fixed always selects the same track (used by probing experiments).
-type Fixed struct {
-	// Track is the rung to select.
-	Track int
-}
-
-// Select implements Algorithm.
-func (a Fixed) Select(ctx Context) int { return clampTrack(ctx, a.Track) }
-
 func clampTrack(ctx Context, t int) int {
 	if t < 0 {
 		return 0

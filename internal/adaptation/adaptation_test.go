@@ -133,15 +133,6 @@ func TestOscillatingGreedy(t *testing.T) {
 	}
 }
 
-func TestFixed(t *testing.T) {
-	if got := (Fixed{Track: 2}).Select(ctx(1e6, 0, -1)); got != 2 {
-		t.Errorf("Fixed got %d", got)
-	}
-	if got := (Fixed{Track: 99}).Select(ctx(1e6, 0, -1)); got != 3 {
-		t.Errorf("Fixed clamps to %d", got)
-	}
-}
-
 func TestEWMA(t *testing.T) {
 	e := NewEWMA(0.5)
 	if e.Estimate() != 0 {

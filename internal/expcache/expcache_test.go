@@ -16,7 +16,6 @@ import (
 	"repro/internal/netem"
 	"repro/internal/player"
 	"repro/internal/services"
-	"repro/internal/simnet"
 )
 
 // ---- fingerprint ----
@@ -145,12 +144,7 @@ func TestFingerprintUncacheable(t *testing.T) {
 // TestFingerprintGoldenKeys pins the hasher's byte stream: the keys below
 // were recorded before the hasher buffered its writes, so any change to
 // what is fed to SHA-256 (not merely how it is batched) shows up here as
-// a moved key — and would silently orphan every memoized session. The
-// session key was re-recorded when player.Config lost its user-seek field:
-// the fingerprint walks every struct field, so one field fewer is a
-// different byte stream for every config; the three hasher rows did not
-// move. It was re-recorded again when profiles became 1 s samples only:
-// Profile.Fingerprint no longer mixes a sample duration.
+// a moved key — and would silently orphan every memoized origin and cell.
 func TestFingerprintGoldenKeys(t *testing.T) {
 	type node struct {
 		V    int
@@ -160,16 +154,6 @@ func TestFingerprintGoldenKeys(t *testing.T) {
 	shared := &node{V: 7}
 	cyc := &node{V: 1, Next: &node{V: 2}}
 	cyc.Next.Next = cyc
-
-	svc := services.ByName("H1")
-	org, err := New().Origin(svc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	session, err := sessionKey(services.Resolve(svc.Player, 60, nil), org, testProfile(), simnet.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	for _, c := range []struct {
 		name string
@@ -185,7 +169,6 @@ func TestFingerprintGoldenKeys(t *testing.T) {
 			"c": {3: {strings.Repeat("z", 600)}},
 		}, "tail"), "71acb78a680ef4c4251e776c6d81440f32502d60086b3a5119daffb98739e59e"},
 		{"shared pointer and cycle", mustKey(t, pair{shared, shared}, cyc), "2dcf04c47560247d94a2909bfcf99beabeac7fa17c0859d03d4860972c7b1899"},
-		{"session key", session, "3a6722ab52296edb290d7cb309daa00703a720a977276d39cdd031871597666f"},
 	} {
 		if got := hex.EncodeToString(c.got[:]); got != c.want {
 			t.Errorf("%s: key %s, want %s", c.name, got, c.want)
@@ -334,110 +317,22 @@ func TestMemoConcurrent(t *testing.T) {
 	}
 }
 
-// ---- session cache ----
+// ---- sessions and origins ----
 
 func testProfile() *netem.Profile { return netem.Constant("cachetest", 6e6, 120) }
 
-// TestRunNetCounters: the same session requested twice computes once;
-// counters record one miss then one memory hit, and both callers get the
-// same shared result pointer.
-func TestRunNetCounters(t *testing.T) {
-	c := New()
-	svc := services.ByName("H1")
-	org, err := c.Origin(svc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := c.Run(svc.Player, org, testProfile(), 60, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := c.Run(svc.Player, org, testProfile(), 60, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1 != r2 {
-		t.Error("second identical run did not return the shared cached result")
-	}
-	s := c.Snapshot()
-	if s.Misses != 1 || s.MemHits != 1 || s.Bypass != 0 {
-		t.Errorf("counters = %+v, want 1 miss, 1 memory hit", s)
-	}
-	// A different duration is different content: a new miss.
-	if _, err := c.Run(svc.Player, org, testProfile(), 30, nil); err != nil {
-		t.Fatal(err)
-	}
-	if s := c.Snapshot(); s.Misses != 2 {
-		t.Errorf("distinct session did not miss: %+v", s)
-	}
-}
-
-// TestRunNetConcurrentSingleflight: many concurrent requests for one
-// session produce exactly one computation; the rest are hits or dedups.
-func TestRunNetConcurrentSingleflight(t *testing.T) {
-	c := New()
-	svc := services.ByName("H1")
-	org, err := c.Origin(svc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const callers = 8
-	results := make([]*player.Result, callers)
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			r, err := c.Run(svc.Player, org, testProfile(), 60, nil)
-			if err == nil {
-				results[i] = r
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i := 1; i < callers; i++ {
-		if results[i] != results[0] {
-			t.Fatalf("caller %d got a different result instance", i)
-		}
-	}
-	s := c.Snapshot()
-	if s.Misses != 1 {
-		t.Errorf("misses = %d, want exactly 1 computation", s.Misses)
-	}
-	if s.MemHits+s.Dedup != callers-1 {
-		t.Errorf("hits+dedup = %d, want %d", s.MemHits+s.Dedup, callers-1)
-	}
-}
-
-// TestRunNetBypass: a RequestGate func has no content identity, so the
-// session must bypass the cache and recompute every time.
-func TestRunNetBypass(t *testing.T) {
-	c := New()
-	svc := services.ByName("H1")
-	org, err := c.Origin(svc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gate := modify.RejectAfter(4)
-	for i := 0; i < 2; i++ {
-		if _, err := c.Run(svc.Player, org, testProfile(), 60, func(p *player.Config) {
-			p.RequestGate = gate
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s := c.Snapshot(); s.Bypass != 2 || s.Misses != 0 {
-		t.Errorf("gated sessions: %+v, want 2 bypasses and no cache traffic", s)
-	}
-}
-
-// TestResetDropsEntries: Reset forgets every session and zeroes every
-// counter, so the next identical request is computed again — what a
-// cold measurement after Reset relies on.
+// TestResetDropsEntries: every session request is a run, a repeat and
+// a RequestGate probe included, and Reset zeroes the session and origin
+// counters and drops the origins, so the next request builds again —
+// what a cold measurement after Reset relies on.
 func TestResetDropsEntries(t *testing.T) {
 	c := New()
 	svc := services.ByName("H1")
 	r1, err := c.RunService(svc, testProfile(), 60, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := c.RunService(svc, testProfile(), 60, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,34 +341,29 @@ func TestResetDropsEntries(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if s := c.Snapshot(); s.Misses != 1 || s.Bypass != 1 || s.OriginBuilds != 1 || s.OriginHits != 1 {
-		t.Fatalf("before Reset: %+v, want 1 miss, 1 bypass, 1 origin build, 1 origin hit", s)
+	if s := c.Snapshot(); s != (Stats{Misses: 3, OriginBuilds: 1, OriginHits: 2}) {
+		t.Fatalf("before Reset: %+v, want 3 sessions run, 1 origin build, 2 origin hits", s)
+	}
+	if r1 == r2 || !reflect.DeepEqual(r1, r2) {
+		t.Error("a repeated session was not run again to an equal result")
 	}
 	c.Reset()
 	if s := c.Snapshot(); s != (Stats{}) {
 		t.Errorf("Reset left counters: %+v", s)
 	}
-	r2, err := c.RunService(svc, testProfile(), 60, nil)
-	if err != nil {
+	if _, err := c.RunService(svc, testProfile(), 60, nil); err != nil {
 		t.Fatal(err)
 	}
-	if s := c.Snapshot(); s.Misses != 1 || s.MemHits != 0 || s.OriginBuilds != 1 {
-		t.Errorf("after Reset: %+v, want the session and its origin rebuilt", s)
-	}
-	if r1 == r2 {
-		t.Error("Reset kept the old session entry")
-	}
-	if !reflect.DeepEqual(r1, r2) {
-		t.Error("recomputed session differs from the dropped one")
+	if s := c.Snapshot(); s != (Stats{Misses: 1, OriginBuilds: 1}) {
+		t.Errorf("after Reset: %+v, want the session run and its origin rebuilt", s)
 	}
 }
 
 // TestResetReleasesPresentations: everything a memo generation derived
-// from its presentations — the client views sessions read and the
-// content keys session keys are built from — is garbage once Reset has
-// dropped the origins. Both used to sit in process-wide tables keyed by
-// the presentation pointer, which Reset never reached: 5 MiB of live
-// heap per cold report, every report.
+// from its presentations — the client views sessions read — is garbage
+// once Reset has dropped the origins. It used to sit in a process-wide
+// table keyed by the presentation pointer, which Reset never reached:
+// 5 MiB of live heap per cold report, every report.
 func TestResetReleasesPresentations(t *testing.T) {
 	c := New()
 	const cycles = 8

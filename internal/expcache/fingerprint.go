@@ -19,8 +19,7 @@ type Key [sha256.Size]byte
 
 // ErrUncacheable marks a value the canonical encoder refuses to
 // fingerprint: a non-nil func (e.g. a RequestGate probe) or channel has
-// no content identity, so sessions configured with one bypass the cache
-// and run directly.
+// no content identity, so no key can stand for it.
 var ErrUncacheable = errors.New("expcache: value is not fingerprintable")
 
 // Fingerprint hashes the values into one content-addressed key. The

@@ -146,8 +146,8 @@ func AblSplit(ctx context.Context) ([]*textplot.Table, []string, error) {
 			cfg := d3.Player
 			cfg.SessionDuration = 600
 			cfg.SplitSkew = skew
-			// RunNet keys the cache on the custom netCfg (the split-point
-			// ConnCapSequence) alongside the resolved player config.
+			// RunNet takes the custom netCfg (the split-point
+			// ConnCapSequence) beside the resolved player config.
 			res, err := expcache.RunNet(cfg, org, p, netCfg)
 			if err != nil {
 				return nil, nil, err

@@ -90,10 +90,8 @@ func serviceOrigin(svc *services.Service) (*origin.Origin, error) {
 	return expcache.Origin(svc)
 }
 
-// run streams a stock service over a profile for dur seconds, through
-// the session cache — an identical (service, profile, duration) request
-// anywhere in the report reuses the first computation. The result is
-// shared; treat it as read-only.
+// run streams a stock service over a profile for dur seconds, over the
+// service's shared origin.
 func run(svc *services.Service, p *netem.Profile, dur float64) (*player.Result, error) {
 	return expcache.RunService(svc, p, dur, nil)
 }

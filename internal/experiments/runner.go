@@ -13,7 +13,7 @@ import (
 
 // The parallel experiment engine. Every experiment is an independent
 // pure-ish computation (fixed seeds, no cross-experiment state other
-// than the content-addressed caches in internal/expcache), so a full
+// than the origins shared through internal/expcache), so a full
 // report regeneration fans out across the process-wide scheduler (see
 // internal/sched for the single-semaphore design). Determinism is
 // preserved by collecting results by index — paper order in, paper order

@@ -32,12 +32,12 @@ func renderResult(r Result) string {
 }
 
 // TestRunAllDeterminism is the engine's core guarantee: a cold serial
-// run, a cold heavily parallel run, and a fully cache-warm run all
-// produce byte-identical tables and plots for every experiment ID.
+// run, a cold heavily parallel run, and a repeat in the same process
+// all produce byte-identical tables and plots for every experiment ID.
 // Fixed seeds make each experiment deterministic in isolation;
 // index-ordered collection makes the schedule irrelevant; and the
-// session cache must be invisible in the output, serving results
-// identical to a fresh computation.
+// origins the repeat shares with the run before it must carry no state
+// from one session into another.
 func TestRunAllDeterminism(t *testing.T) {
 	// Force real fan-out even on small CI machines: RunAll workers and
 	// the intra-experiment sweep() both draw from the scheduler.
@@ -61,15 +61,15 @@ func TestRunAllDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Third pass with the cache left warm from the parallel run: every
-	// session is served from memory, output must not move a byte.
-	warm, err := RunAll(context.Background(), Options{Workers: 8})
+	// Third pass without a Reset: every origin is reused from the
+	// parallel run, output must not move a byte.
+	repeat, err := RunAll(context.Background(), Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(serial) != len(parallel) || len(serial) != len(warm) || len(serial) != len(All()) {
-		t.Fatalf("result counts differ: %d serial, %d parallel, %d warm, %d registered",
-			len(serial), len(parallel), len(warm), len(All()))
+	if len(serial) != len(parallel) || len(serial) != len(repeat) || len(serial) != len(All()) {
+		t.Fatalf("result counts differ: %d serial, %d parallel, %d repeat, %d registered",
+			len(serial), len(parallel), len(repeat), len(All()))
 	}
 	if int(progressed.Load()) != len(parallel) {
 		t.Errorf("OnProgress fired %d times for %d experiments", progressed.Load(), len(parallel))
@@ -78,21 +78,18 @@ func TestRunAllDeterminism(t *testing.T) {
 		if serial[i].ID != parallel[i].ID {
 			t.Fatalf("order diverged at %d: %s vs %s", i, serial[i].ID, parallel[i].ID)
 		}
-		s, p, w := renderResult(serial[i]), renderResult(parallel[i]), renderResult(warm[i])
+		s, p, r := renderResult(serial[i]), renderResult(parallel[i]), renderResult(repeat[i])
 		if s != p {
 			t.Errorf("%s: output differs between Workers=1 and Workers=8:\n--- serial ---\n%s\n--- parallel ---\n%s",
 				serial[i].ID, s, p)
 		}
-		if s != w {
-			t.Errorf("%s: output differs between cold and cache-warm runs:\n--- cold ---\n%s\n--- warm ---\n%s",
-				serial[i].ID, s, w)
+		if s != r {
+			t.Errorf("%s: output differs between a cold run and a repeat over its origins:\n--- cold ---\n%s\n--- repeat ---\n%s",
+				serial[i].ID, s, r)
 		}
 		if s == "" {
 			t.Errorf("%s: empty output", serial[i].ID)
 		}
-	}
-	if st := expcache.Default.Snapshot(); st.MemHits == 0 {
-		t.Errorf("warm pass recorded no memory hits: %+v", st)
 	}
 }
 
@@ -103,20 +100,31 @@ func TestRunAllDeterminism(t *testing.T) {
 // GC time were made of. It now allocates ≈180 MB; the budget sits
 // between the two, so a regression of that kind fails here instead of
 // waiting for a benchmark run.
+//
+// It also bounds what the report keeps: once it is rendered, its
+// session results are garbage, so the live heap after a GC must be back
+// within retainBudget of where it started. A session memo pinned every
+// *player.Result of the report: 75 MB live.
 func TestColdReportAllocBudget(t *testing.T) {
-	const budget = 260e6
+	const budget, retainBudget = 260e6, 20e6
 	expcache.Default.Reset()
 	var ms runtime.MemStats
+	runtime.GC()
 	runtime.ReadMemStats(&ms)
-	before := ms.TotalAlloc
+	before, liveBefore := ms.TotalAlloc, ms.HeapAlloc
 	if _, err := RunAll(context.Background(), Options{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
+	runtime.GC()
 	runtime.ReadMemStats(&ms)
 	got := float64(ms.TotalAlloc - before)
-	t.Logf("cold RunAll allocated %.0f MB", got/1e6)
+	kept := float64(ms.HeapAlloc) - float64(liveBefore)
+	t.Logf("cold RunAll allocated %.0f MB and kept %.1f MB live", got/1e6, kept/1e6)
 	if got > budget {
 		t.Errorf("cold RunAll allocated %.0f MB, budget %.0f MB", got/1e6, budget/1e6)
+	}
+	if kept > retainBudget {
+		t.Errorf("cold RunAll kept %.1f MB live after a GC, budget %.0f MB", kept/1e6, retainBudget/1e6)
 	}
 }
 

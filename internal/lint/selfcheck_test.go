@@ -49,7 +49,7 @@ var reachExceptions = map[string]string{
 	"player.Cohort.SetAccessLink": "bench/ cohort probe",
 	"simnet.Network.VTimeActive":  "bench/ simnet probes check which loop runs",
 	"simnet.Network.CellActive":   "bench/ simnet probes check which loop runs",
-	"expcache.Cache.Reset":        "bench/ cold workloads drop the memo between ops",
+	"expcache.Cache.Reset":        "bench/ cold workloads drop the origins and zero the counters between ops",
 	"fleet.Workload":              "bench/ workload-draw probe",
 	"fleet.Run":                   "bench/ fleet workloads and probe",
 	"fleet.Config.Normalized":     "bench/ probes normalize their fleet config",

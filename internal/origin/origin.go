@@ -22,14 +22,11 @@ type Origin struct {
 	docs      map[string][]byte // URL -> document body
 	sidxBytes map[string][]byte // media URL -> encoded sidx box
 
-	// Values derived from Pres live here, so they are collected with the
-	// origin: a process-wide table keyed by the presentation pointer
-	// would outlive every memo generation (DESIGN.md §8).
+	// The client view derived from Pres lives here, so it is collected
+	// with the origin: a process-wide table keyed by the presentation
+	// pointer would outlive every memo generation (DESIGN.md §8).
 	viewOnce sync.Once
 	view     *manifest.Presentation
-	keyOnce  sync.Once
-	key      [32]byte
-	keyErr   error
 }
 
 // New encodes all documents for a presentation.
@@ -129,16 +126,6 @@ func clientView(p *manifest.Presentation) *manifest.Presentation {
 	cp.Video = strip(p.Video)
 	cp.Audio = strip(p.Audio)
 	return &cp
-}
-
-// ContentKey returns the content hash of the presentation, calling hash
-// on first use and keeping its answer. Presentations are immutable once
-// built (the modify package clones before editing), so the key never
-// changes; the hash is the caller's because the canonical encoder lives
-// above this package (expcache.Fingerprint).
-func (o *Origin) ContentKey(hash func(*manifest.Presentation) ([32]byte, error)) ([32]byte, error) {
-	o.keyOnce.Do(func() { o.key, o.keyErr = hash(o.Pres) })
-	return o.key, o.keyErr
 }
 
 // Document returns the body of a manifest-level document by URL.

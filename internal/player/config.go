@@ -154,14 +154,6 @@ type Config struct {
 	RequestGate func(Request) bool
 }
 
-// Normalized returns the config exactly as a session will run it, with
-// every default filled in (and the validation errors a session
-// constructor would report). Exported for the experiment cache: a config
-// spelled with zero values and one spelled with the explicit defaults
-// must map to the same cache key, so fingerprints are taken over the
-// normalized form.
-func (c Config) Normalized() (Config, error) { return c.withDefaults() }
-
 func (c Config) withDefaults() (Config, error) {
 	if c.SessionDuration <= 0 {
 		c.SessionDuration = 600

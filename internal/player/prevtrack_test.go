@@ -60,7 +60,7 @@ func (c *scanCheck) check() {
 // runScanChecked runs a full session with scanCheck in place and returns
 // the first disagreement between the table and the log scan, if any.
 func runScanChecked(cfg Config, org *origin.Origin, p *netem.Profile) (*Result, error) {
-	cfg, err := cfg.Normalized()
+	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}

@@ -159,7 +159,7 @@ func TestNonPersistentReducesThroughput(t *testing.T) {
 	run := func(persistent bool) float64 {
 		cfg := baseConfig()
 		cfg.Persistent = persistent
-		cfg.Algorithm = adaptation.Fixed{Track: 2}
+		cfg.Algorithm = fixedTrack(2)
 		cfg.PauseThresholdSec = 1e4
 		cfg.ResumeThresholdSec = 1e4 - 10
 		s, err := NewSession(cfg, org, simnet.New(simnet.DefaultConfig(), p))
@@ -228,3 +228,8 @@ func TestHLSLazyPlaylists(t *testing.T) {
 func buildHLSOrigin(v *media.Video) (*origin.Origin, error) {
 	return origin.New(manifest.Build(v, manifest.BuildOptions{Protocol: manifest.HLS}))
 }
+
+// fixedTrack is an Algorithm that always selects the same track.
+type fixedTrack int
+
+func (f fixedTrack) Select(adaptation.Context) int { return int(f) }

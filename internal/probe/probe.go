@@ -34,8 +34,6 @@ func StartupBuffer(svc *services.Service, maxN int) (segments int, seconds float
 	p := netem.Constant("probe10", 10e6, 120)
 	for n := 1; n <= maxN; n++ {
 		gate := modify.RejectAfter(n)
-		// The RequestGate func is not fingerprintable, so these probe
-		// sessions bypass the cache and run directly (counted as such).
 		res, err := expcache.Run(svc.Player, org, p, 60, func(c *player.Config) {
 			c.RequestGate = gate
 		})
