@@ -70,7 +70,7 @@ func main() {
 	if *events {
 		et := &textplot.Table{Title: "event timeline", Header: []string{"t (s)", "event", "detail"}}
 		for _, e := range res.Events {
-			et.AddRow(fmt.Sprintf("%.2f", e.T), e.Kind, e.Detail)
+			et.AddRow(fmt.Sprintf("%.2f", e.T), e.Kind, e.Detail())
 		}
 		fmt.Println(et.String())
 	}

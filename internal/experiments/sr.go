@@ -162,7 +162,7 @@ func Fig10(ctx context.Context) ([]*textplot.Table, []string, error) {
 	n := 0
 	for _, e := range res.Events {
 		if e.Kind == "sr-drop" || e.Kind == "stall" || e.Kind == "switch" {
-			t2.AddRow(fmt.Sprintf("%.1f", e.T), e.Kind, e.Detail)
+			t2.AddRow(fmt.Sprintf("%.1f", e.T), e.Kind, e.Detail())
 			n++
 			if n >= 18 {
 				break

@@ -422,7 +422,7 @@ func drawClients(run *runSpec, cell cellSpec, rng *rand.Rand, buf *drawBuf) []Cl
 	for i := range clients {
 		watch := run.WatchSec
 		if rng.Float64() < run.AbandonProb {
-			watch = math.Min(run.WatchSec, math.Max(5, rng.ExpFloat64()*run.AbandonMeanSec))
+			watch = min(run.WatchSec, max(5, rng.ExpFloat64()*run.AbandonMeanSec))
 		}
 		clients[i] = Client{
 			Arrival: arrivals[i],

@@ -36,6 +36,41 @@ func TestRepoLintClean(t *testing.T) {
 	}
 }
 
+// TestNoMathMinMax keeps math.Min and math.Max out of the simulation
+// packages' production code: the builtins compile inline, where the math
+// functions are an out-of-line call on every playback step. The two give
+// the same bits on ordinary values, both signed zeros in either order,
+// the infinities, and a NaN against a finite value, a NaN or the
+// infinity that loses. They part only on a NaN against the infinity that
+// wins: math.Min(-Inf, NaN) and math.Max(NaN, +Inf) return the infinity,
+// the builtins a NaN. A NaN in a simulation is a bug whatever min and
+// max then do with it.
+func TestNoMathMinMax(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping full-module load in -short mode")
+	}
+	root, pkgs := loadModule(t)
+	gated := map[string]bool{}
+	for _, p := range []string{"player", "simnet", "netem", "fleet", "cdn", "adaptation"} {
+		gated[filepath.Join(root, "internal", p)] = true
+	}
+	checked := 0
+	for _, pkg := range pkgs {
+		if pkg.TestUnit || !gated[pkg.Dir] {
+			continue
+		}
+		checked++
+		for id, obj := range pkg.Info.Uses {
+			if fn, ok := obj.(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "math" && (fn.Name() == "Min" || fn.Name() == "Max") {
+				t.Errorf("%s: math.%s in a simulation package; use the builtin %s", pkg.Fset.Position(id.Pos()), fn.Name(), strings.ToLower(fn.Name()))
+			}
+		}
+	}
+	if checked != len(gated) {
+		t.Fatalf("checked %d of the %d gated packages", checked, len(gated))
+	}
+}
+
 // reachExceptions names the declarations under internal/ that no
 // production file reaches but that stay, each with the reason. An entry
 // that production now reaches, or that names nothing, fails
@@ -67,7 +102,8 @@ var reachExceptions = map[string]string{
 // every package-level func, method, type, var and const, and every
 // interface method, declared in a non-test file under internal/ must be
 // referenced by a non-test file outside bench/ (cmd/, examples/ and the
-// root facade count) and outside its own declaration. A concrete method
+// root facade count) and outside its own declaration; a method's
+// receiver is not a reference to its type. A concrete method
 // is also reached when its type implements an interface declaring it
 // that comes from outside the module (fmt.Stringer, sort.Interface, …)
 // or from the module with that method referenced in production.
@@ -122,9 +158,27 @@ func TestProductionCodeIsReached(t *testing.T) {
 
 	for _, pkg := range prod {
 		walk(pkg.Types)
+		// A method's receiver names its type without using it: a type
+		// that only tests construct stays unreached however many of its
+		// methods an interface reaches.
+		recvs := map[*ast.Ident]bool{}
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
+					ast.Inspect(fd.Recv, func(n ast.Node) bool {
+						if id, ok := n.(*ast.Ident); ok {
+							recvs[id] = true
+						}
+						return true
+					})
+				}
+			}
+		}
 		for id, obj := range pkg.Info.Uses {
-			obj = origin(obj)
-			refs[obj] = append(refs[obj], id.Pos())
+			if !recvs[id] {
+				obj = origin(obj)
+				refs[obj] = append(refs[obj], id.Pos())
+			}
 		}
 		rel, err := filepath.Rel(internalDir, pkg.Dir)
 		if err != nil || strings.HasPrefix(rel, "..") {

@@ -114,7 +114,7 @@ func genCellular(i int, seed int64) *Profile {
 		}
 	}
 	rescale()
-	cap := math.Min(3.5*target, 50e6)
+	cap := min(3.5*target, 50e6)
 	for t := range samples {
 		if samples[t] > cap {
 			samples[t] = cap
@@ -125,7 +125,7 @@ func genCellular(i int, seed int64) *Profile {
 	// service with a low bottom track and a healthy buffer rides them
 	// out — the paper's D2/D3 never stall on the lowest profiles while
 	// H5's 560 kbit/s bottom track cannot keep up (§3.1).
-	floor := math.Max(40e3, target/5)
+	floor := max(40e3, target/5)
 	for t := range samples {
 		if samples[t] > 1.2*cap {
 			samples[t] = 1.2 * cap

@@ -65,7 +65,7 @@ func (p *Profile) Integral(a, b float64) float64 {
 	total := 0.0
 	t := a
 	for t < b {
-		next := math.Min(p.NextBoundary(t), b)
+		next := min(p.NextBoundary(t), b)
 		total += p.At(t) * (next - t)
 		t = next
 	}
@@ -99,7 +99,7 @@ func (p *Profile) Average() float64 {
 func (p *Profile) Min() float64 {
 	m := math.Inf(1)
 	for _, v := range p.Samples {
-		m = math.Min(m, v)
+		m = min(m, v)
 	}
 	return m
 }
@@ -108,7 +108,7 @@ func (p *Profile) Min() float64 {
 func (p *Profile) Max() float64 {
 	m := 0.0
 	for _, v := range p.Samples {
-		m = math.Max(m, v)
+		m = max(m, v)
 	}
 	return m
 }

@@ -128,19 +128,19 @@ func (b *Buffer) DropFromIndex(index int) []BufferedSegment {
 	return dropped
 }
 
-// GC discards segments that finished playing before the playhead and
-// returns how many were dropped.
-func (b *Buffer) GC(playhead float64) int {
-	b.cacheOK = false
-	kept := b.segs[:0]
+// GC discards segments that finished playing before the playhead.
+// Segments are sorted by Start and a type's segments tile its media
+// timeline, so their Ends ascend too: the played-out segments are a
+// prefix, and when the first segment is still unplayed nothing changes,
+// the PlayableEnd memo included.
+func (b *Buffer) GC(playhead float64) {
 	n := 0
-	for _, s := range b.segs {
-		if s.End <= playhead+1e-9 {
-			n++
-			continue
-		}
-		kept = append(kept, s)
+	for n < len(b.segs) && b.segs[n].End <= playhead+1e-9 {
+		n++
 	}
-	b.segs = kept
-	return n
+	if n == 0 {
+		return
+	}
+	b.cacheOK = false
+	b.segs = b.segs[:copy(b.segs, b.segs[n:])]
 }

@@ -572,7 +572,7 @@ func (c *Cohort) onComplete(m int, tr *simnet.Transfer) {
 	}
 	sl := c.slots[s]
 	sl.inflight = nil
-	rate := tr.Size * 8 / math.Max(tr.Completed-tr.Started, 1e-3)
+	rate := tr.Size * 8 / max(tr.Completed-tr.Started, 1e-3)
 	if sl.samples == 0 {
 		sl.ewma = rate
 	} else {
@@ -650,9 +650,9 @@ func (c *Cohort) advancePlayback(m int, t float64) {
 			sl.lastTime = t
 			return
 		}
-		limit := math.Min(sl.bufferSec, mediaDur-sl.playhead)
+		limit := min(sl.bufferSec, mediaDur-sl.playhead)
 		dt := t - sl.lastTime
-		adv := math.Min(dt, math.Max(0, limit))
+		adv := min(dt, max(0, limit))
 		c.consume(m, sl, adv)
 		sl.lastTime += adv
 		if adv < dt-eps {
@@ -678,7 +678,7 @@ func (c *Cohort) consume(m int, sl *memberSlot, adv float64) {
 		return
 	}
 	sl.playhead += adv
-	sl.bufferSec = math.Max(0, sl.bufferSec-adv)
+	sl.bufferSec = max(0, sl.bufferSec-adv)
 	declared := c.tmpls[c.draw[m].tmpl].declared
 	q := &sl.fifo
 	rem := adv
@@ -694,7 +694,7 @@ func (c *Cohort) consume(m int, sl *memberSlot, adv float64) {
 			sl.prevTrak = s.track
 			s.counted = true
 		}
-		d := math.Min(rem, s.dur)
+		d := min(rem, s.dur)
 		sl.sumWeighted += declared[s.track] * d
 		sl.sumMedia += d
 		sl.row[s.track] += d
@@ -715,9 +715,9 @@ func (c *Cohort) nextDeadline(m int, sl *memberSlot, now float64) float64 {
 		return math.Inf(1)
 	}
 	t := &c.tmpls[c.draw[m].tmpl]
-	d := now + math.Min(sl.bufferSec, t.mediaDur-sl.playhead)
+	d := now + min(sl.bufferSec, t.mediaDur-sl.playhead)
 	if sl.flags&coPausedDl != 0 && sl.nextSeg < t.segCnt {
-		d = math.Min(d, now+math.Max(0, sl.bufferSec-bgResumeBufferSec))
+		d = min(d, now+max(0, sl.bufferSec-bgResumeBufferSec))
 	}
 	return d
 }
@@ -733,7 +733,7 @@ func (c *Cohort) finishMember(m int) {
 		return
 	}
 	sl := c.slotOf(m, "finished")
-	end := math.Min(c.net.Now(), c.endAt(m))
+	end := min(c.net.Now(), c.endAt(m))
 	c.advancePlayback(m, end)
 	sl.flags &^= coPlaying
 	if sl.flags&coStallOpen != 0 {

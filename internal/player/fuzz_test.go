@@ -128,7 +128,7 @@ func checkRandomSession(seed int64) error {
 		return fmt.Errorf("seed %d: %w", seed, err)
 	}
 	// Every completion also compares the prev-track table with the log
-	// scan it replaced (prevtrack_test.go).
+	// scan it replaced and checks the buffers' order (prevtrack_test.go).
 	res, err := runScanChecked(cfg, org, p)
 	if err != nil {
 		return fmt.Errorf("seed %d: %w", seed, err)

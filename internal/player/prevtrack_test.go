@@ -33,7 +33,8 @@ func (s *Session) prevDownloadedTrackScan(index int) int {
 // inside: Add runs on every completed video segment just before the
 // completion is applied, so checking there and once after the run
 // compares the table with the log scan after every completion — for
-// every index, not only the one the session is about to ask for.
+// every index, not only the one the session is about to ask for — and
+// checks both buffers' order.
 type scanCheck struct {
 	adaptation.Estimator
 	s   *Session
@@ -48,6 +49,14 @@ func (c *scanCheck) Add(bits, seconds float64) {
 func (c *scanCheck) check() {
 	if c.err != nil {
 		return
+	}
+	// Buffer.GC's early return rests on the buffers' order
+	// (TestBufferGCMatchesFullFilter).
+	for _, b := range []*Buffer{&c.s.videoBuf, &c.s.audioBuf} {
+		if err := checkBufferOrder(b); err != nil {
+			c.err = fmt.Errorf("t=%.3f: %v", c.s.net.Now(), err)
+			return
+		}
 	}
 	for i := 0; i <= c.s.segCount; i++ {
 		if got, want := c.s.prevDownloadedTrack(i), c.s.prevDownloadedTrackScan(i); got != want {
@@ -127,7 +136,7 @@ func TestPrevDownloadedTrackMatchesLogScan(t *testing.T) {
 			h := sha256.New()
 			switches := 0
 			for _, e := range res.Events {
-				fmt.Fprintf(h, "%v|%s|%s\n", e.T, e.Kind, e.Detail)
+				fmt.Fprintf(h, "%v|%s|%s\n", e.T, e.Kind, e.Detail())
 				if e.Kind == "switch" {
 					switches++
 				}

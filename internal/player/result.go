@@ -1,6 +1,8 @@
 package player
 
 import (
+	"fmt"
+
 	"repro/internal/media"
 	"repro/internal/traffic"
 )
@@ -51,15 +53,47 @@ type BufferSample struct {
 	Playing bool
 }
 
-// Event is one annotated moment in the session timeline.
+// Event is one annotated moment in the session timeline. It keeps its
+// operands, not its text: Detail formats them when read, so a session
+// that nobody reads the timeline of pays no formatting.
 type Event struct {
 	// T is the wall time.
 	T float64
 	// Kind is a short tag ("startup", "stall", "resume", "pause-dl",
 	// "resume-dl", "switch", "sr-drop", "sr-replace", "reject").
 	Kind string
-	// Detail is a human-readable description.
-	Detail string
+	// Buffer names the buffer ("video" or "audio") of a pause-dl or
+	// resume-dl event.
+	Buffer string
+	// Num holds the event's numbers in the order Detail prints them;
+	// counts, indices and tracks are whole.
+	Num [3]float64
+}
+
+// Detail is the event's human-readable description.
+func (e Event) Detail() string {
+	n := e.Num
+	switch e.Kind {
+	case "startup":
+		return fmt.Sprintf("playback started, delay %.2fs", n[0])
+	case "resume":
+		return fmt.Sprintf("stall over after %.2fs", n[0])
+	case "stall":
+		return fmt.Sprintf("buffer empty at playhead %.1fs", n[0])
+	case "resume-dl":
+		return fmt.Sprintf("%s buffer %.1fs ≤ resume threshold %.0fs", e.Buffer, n[0], n[1])
+	case "pause-dl":
+		return fmt.Sprintf("%s buffer %.1fs ≥ pause threshold %.0fs", e.Buffer, n[0], n[1])
+	case "sr-drop":
+		return fmt.Sprintf("dropped %d buffered segments from index %d", int(n[0]), int(n[1]))
+	case "reject":
+		return fmt.Sprintf("origin rejected segment request #%d", int(n[0]))
+	case "sr-replace":
+		return fmt.Sprintf("segment %d: track %d → %d", int(n[0]), int(n[1]), int(n[2]))
+	case "switch":
+		return fmt.Sprintf("segment %d downloaded at track %d (prev %d)", int(n[0]), int(n[1]), int(n[2]))
+	}
+	return ""
 }
 
 // Result is everything a session produces.

@@ -432,20 +432,20 @@ func (s *Session) nextDeadline() float64 {
 	d := math.Inf(1)
 	now := s.net.Now()
 	if s.playing {
-		end := math.Min(s.playableEnd(), s.pres.Duration)
-		d = math.Min(d, now+(end-s.playheadAtNow()))
+		end := min(s.playableEnd(), s.pres.Duration)
+		d = min(d, now+(end-s.playheadAtNow()))
 		if s.pausedVideo {
 			occ := s.videoBuf.PlayableEnd(s.playheadAtNow()) - s.playheadAtNow()
-			d = math.Min(d, now+math.Max(0, occ-s.cfg.ResumeThresholdSec))
+			d = min(d, now+max(0, occ-s.cfg.ResumeThresholdSec))
 		}
 		if s.pausedAud {
 			occ := s.audioBuf.PlayableEnd(s.playheadAtNow()) - s.playheadAtNow()
-			d = math.Min(d, now+math.Max(0, occ-s.cfg.ResumeThresholdSec))
+			d = min(d, now+max(0, occ-s.cfg.ResumeThresholdSec))
 		}
 	}
 	if s.inflight > 0 || s.playing {
 		// Keep the 1 Hz sampler ticking while anything is happening.
-		d = math.Min(d, s.nextSample)
+		d = min(d, s.nextSample)
 	}
 	return d
 }
@@ -454,7 +454,7 @@ func (s *Session) nextDeadline() float64 {
 func (s *Session) playableEnd() float64 {
 	end := s.videoBuf.PlayableEnd(s.playhead)
 	if s.separateAudio() {
-		end = math.Min(end, s.audioBuf.PlayableEnd(s.playhead))
+		end = min(end, s.audioBuf.PlayableEnd(s.playhead))
 	}
 	return end
 }
@@ -493,10 +493,10 @@ func (s *Session) advancePlayback(t float64) {
 			s.lastTime = t
 			break
 		}
-		limit := math.Min(s.playableEnd(), s.pres.Duration)
-		maxAdv := math.Max(0, limit-s.playhead)
+		limit := min(s.playableEnd(), s.pres.Duration)
+		maxAdv := max(0, limit-s.playhead)
 		dt := t - s.lastTime
-		adv := math.Min(dt, maxAdv)
+		adv := min(dt, maxAdv)
 		s.sampleUpTo(s.lastTime + adv)
 		s.recordDisplayUpTo(s.playhead + adv)
 		s.playhead += adv
@@ -532,8 +532,8 @@ func (s *Session) sampleUpTo(t float64) {
 			s.res.Samples = append(s.res.Samples, BufferSample{
 				T:        s.nextSample,
 				Playhead: ph,
-				VideoSec: math.Max(0, s.videoBuf.PlayableEnd(ph)-ph),
-				AudioSec: math.Max(0, s.audioBuf.PlayableEnd(ph)-ph),
+				VideoSec: max(0, s.videoBuf.PlayableEnd(ph)-ph),
+				AudioSec: max(0, s.audioBuf.PlayableEnd(ph)-ph),
 				Playing:  s.playing,
 			})
 		}
@@ -596,7 +596,7 @@ func (s *Session) startPlaying() {
 		s.sum.StartupDelay = s.startupDelay
 		if s.res != nil {
 			s.res.StartupDelay = s.startupDelay
-			s.eventf("startup", "playback started, delay %.2fs", s.startupDelay)
+			s.event("startup", "", s.startupDelay, 0, 0)
 		}
 	} else if s.stallOpen {
 		st := Stall{Start: s.stallStart, End: s.net.Now()}
@@ -607,7 +607,7 @@ func (s *Session) startPlaying() {
 		s.sum.StallSec += st.End - st.Start
 		s.stallOpen = false
 		if s.res != nil {
-			s.eventf("resume", "stall over after %.2fs", s.net.Now()-s.stallStart)
+			s.event("resume", "", s.net.Now()-s.stallStart, 0, 0)
 		}
 	}
 }
@@ -622,16 +622,16 @@ func (s *Session) stopPlaying(stall bool) {
 		s.stallOpen = true
 		s.stallStart = s.lastTime
 		if s.res != nil {
-			s.eventf("stall", "buffer empty at playhead %.1fs", s.playhead)
+			s.event("stall", "", s.playhead, 0, 0)
 		}
 	}
 }
 
-// eventf records an annotated timeline event. Callers check s.res first:
-// in lean mode no event is kept, and the check keeps the boxing of the
-// arguments, not only the fmt.Sprintf, out of the population hot path.
-func (s *Session) eventf(kind, format string, args ...any) {
-	s.res.Events = append(s.res.Events, Event{T: s.net.Now(), Kind: kind, Detail: fmt.Sprintf(format, args...)}) //vodlint:allow hotalloc — observer-only: every caller checks res != nil, which keeps lean sessions off this line
+// event records an annotated timeline event with its buffer name and
+// numbers; Event.Detail formats them when read. Callers check s.res
+// first: in lean mode no event is kept.
+func (s *Session) event(kind, buffer string, a, b, c float64) {
+	s.res.Events = append(s.res.Events, Event{T: s.net.Now(), Kind: kind, Buffer: buffer, Num: [3]float64{a, b, c}})
 }
 
 // maybeStartPlayback applies the startup/recovery gates (§3.3.1, §4.3).
@@ -654,19 +654,19 @@ func (s *Session) maybeStartPlayback() {
 // updatePauseFlags runs the download controller's hysteresis (§3.3.2).
 func (s *Session) updatePauseFlags() {
 	ph := s.playheadAtNow()
-	occV := math.Max(0, s.videoBuf.PlayableEnd(ph)-ph)
+	occV := max(0, s.videoBuf.PlayableEnd(ph)-ph)
 	s.pausedVideo = s.hysteresis(s.pausedVideo, occV, "video")
 	if s.separateAudio() {
-		occA := math.Max(0, s.audioBuf.PlayableEnd(ph)-ph)
+		occA := max(0, s.audioBuf.PlayableEnd(ph)-ph)
 		s.pausedAud = s.hysteresis(s.pausedAud, occA, "audio")
 	}
 }
 
-func (s *Session) hysteresis(paused bool, occ float64, kind string) bool {
+func (s *Session) hysteresis(paused bool, occ float64, buffer string) bool {
 	if paused {
 		if occ <= s.cfg.ResumeThresholdSec+1e-6 {
 			if s.res != nil {
-				s.eventf("resume-dl", "%s buffer %.1fs ≤ resume threshold %.0fs", kind, occ, s.cfg.ResumeThresholdSec)
+				s.event("resume-dl", buffer, occ, s.cfg.ResumeThresholdSec, 0)
 			}
 			return false
 		}
@@ -674,7 +674,7 @@ func (s *Session) hysteresis(paused bool, occ float64, kind string) bool {
 	}
 	if occ >= s.cfg.PauseThresholdSec-1e-6 {
 		if s.res != nil {
-			s.eventf("pause-dl", "%s buffer %.1fs ≥ pause threshold %.0fs", kind, occ, s.cfg.PauseThresholdSec)
+			s.event("pause-dl", buffer, occ, s.cfg.PauseThresholdSec, 0)
 		}
 		return true
 	}
@@ -944,7 +944,7 @@ func (s *Session) prepareSegment(t media.MediaType) (*reqMeta, float64, bool) {
 				if len(dropped) > 0 {
 					s.discard(dropped)
 					if s.res != nil {
-						s.eventf("sr-drop", "dropped %d buffered segments from index %d", len(dropped), act.Index)
+						s.event("sr-drop", "", float64(len(dropped)), float64(act.Index), 0)
 					}
 					s.nextVideo = act.Index
 					index = act.Index
@@ -987,7 +987,7 @@ func (s *Session) prepareSegment(t media.MediaType) (*reqMeta, float64, bool) {
 					Start: now, End: now, Method: "GET", URL: m.url,
 					RangeStart: m.rs, RangeEnd: m.re, Rejected: true,
 				})
-				s.eventf("reject", "origin rejected segment request #%d", s.segSeq)
+				s.event("reject", "", float64(s.segSeq), 0, 0)
 			}
 			s.downloadDead = true
 			s.freeMeta(m)
@@ -1213,13 +1213,13 @@ func (s *Session) finishSegmentCore(m *reqMeta, size, completed float64) {
 				}
 			}
 			if s.res != nil {
-				s.eventf("sr-replace", "segment %d: track %d → %d", m.index, old.Track, m.track)
+				s.event("sr-replace", "", float64(m.index), float64(old.Track), float64(m.track))
 			}
 		} else if s.res != nil && m.typ == media.TypeVideo && !m.replace {
 			// The prev-track scan walks the download log, so it exists
 			// only when the log does — it feeds nothing but the event.
 			if prev := s.prevDownloadedTrack(m.index); prev >= 0 && prev != m.track {
-				s.eventf("switch", "segment %d downloaded at track %d (prev %d)", m.index, m.track, prev)
+				s.event("switch", "", float64(m.index), float64(m.track), float64(prev))
 			}
 		}
 	}
@@ -1242,7 +1242,7 @@ func (s *Session) prevDownloadedTrack(index int) int {
 }
 
 func (s *Session) finalize() {
-	end := math.Min(s.net.Now(), s.endAt())
+	end := min(s.net.Now(), s.endAt())
 	s.advancePlayback(end)
 	if s.playing {
 		s.playing = false
